@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 vet build test bench-smoke bench perf perf-sweep perf-sweep-check perf-lp perf-lp-check perf-cache perf-cache-check perf-race perf-race-check perf-frontier perf-frontier-check perf-scale fuzz-smoke lint soak-smoke server-race
+.PHONY: tier1 vet build test bench-smoke bench perf perf-sweep perf-sweep-check perf-lp perf-lp-check perf-cache perf-cache-check perf-race perf-race-check perf-frontier perf-frontier-check perf-scale fuzz-smoke lint soak-smoke server-race bench-check
 
 ## tier1: the gate every change must pass — vet, build, race-enabled
 ## tests, a one-iteration smoke of the headline benchmark, and a short
@@ -31,6 +31,13 @@ test:
 ## the frontier on every iteration) without a full measurement run.
 bench-smoke:
 	$(GO) test -run 'NO_TESTS' -bench 'BenchmarkTable2MILP$$' -benchtime 1x .
+
+## bench-check: vet and race-test the benchmark module. bench/ is a Go
+## module of its own (bench/go.mod), so the root `go test ./...` skips it
+## and a root API change that breaks the benchmark's build would
+## otherwise pass. Reads bench/ only (~20 s).
+bench-check:
+	$(GO) -C bench vet ./... && $(GO) -C bench test -race -count=1 ./...
 
 ## bench: the full measurement suite with allocation stats.
 bench:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,6 +72,23 @@ func TestStatusMappingHeuristic(t *testing.T) {
 	}
 	if res.Status != StatusInfeasible || !res.Infeasible {
 		t.Fatalf("heuristic at cap 3: status %v infeasible %v", res.Status, res.Infeasible)
+	}
+
+	// The greedy design is 2.5 fast; a MinCost deadline it cannot meet
+	// is a miss, which proves nothing: no design, no infeasibility claim.
+	spec = example1Spec(EngineHeuristic)
+	spec.Objective = MinCost
+	spec.Deadline = 2
+	res, err = Synthesize(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusBudgetExhausted || res.Design != nil || res.Infeasible {
+		t.Fatalf("heuristic at deadline 2: status %v design %v infeasible %v, want budget-exhausted with no design",
+			res.Status, res.Design, res.Infeasible)
+	}
+	if !math.IsInf(res.Gap, 1) {
+		t.Fatalf("heuristic miss gap %g, want +Inf", res.Gap)
 	}
 }
 
@@ -153,6 +171,35 @@ func TestFrontierAnytimeDegrades(t *testing.T) {
 	for i, want := range expts.Table2Full {
 		if math.Abs(pts[i].Cost-want.Cost) > 1e-9 || math.Abs(pts[i].Perf-want.Perf) > 1e-9 {
 			t.Errorf("point %d: (%g,%g), want (%g,%g)", i, pts[i].Cost, pts[i].Perf, want.Cost, want.Perf)
+		}
+	}
+}
+
+// TestFrontierHooksReachSweepSolves: Spec.Hooks reach every MILP solve
+// of a sweep, not just single solves. A node hook that crashes every MILP
+// solve must fire, and the anytime sweep must degrade around the crashed
+// rung to the exact Table II frontier.
+func TestFrontierHooksReachSweepSolves(t *testing.T) {
+	spec := example1Spec(EngineMILP)
+	spec.Anytime = true
+	var fired atomic.Int64
+	spec.Hooks = &SolverHooks{OnNode: func(int) {
+		fired.Add(1)
+		panic("injected MILP node crash")
+	}}
+	pts, err := Frontier(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fired.Load() == 0 {
+		t.Fatal("Spec.Hooks never reached a sweep solve")
+	}
+	if len(pts) != len(expts.Table2Full) {
+		t.Fatalf("frontier has %d points, want %d", len(pts), len(expts.Table2Full))
+	}
+	for i, want := range expts.Table2Full {
+		if math.Abs(pts[i].Cost-want.Cost) > 1e-9 || math.Abs(pts[i].Perf-want.Perf) > 1e-9 || pts[i].Status != StatusOptimal {
+			t.Errorf("point %d: (%g,%g) %v, want (%g,%g) optimal", i, pts[i].Cost, pts[i].Perf, pts[i].Status, want.Cost, want.Perf)
 		}
 	}
 }

@@ -206,7 +206,7 @@ func solveVariant(ctx context.Context, sp Spec, tpl *model.Model, incPool [][]fl
 	if err != nil {
 		return nil, fmt.Errorf("sos: batch retarget: %w", err)
 	}
-	res, err := milpSolve(ctx, sp, m, incPool)
+	res, err := milpSolve(ctx, sp, m, incPool, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,33 @@ type SynthOptions struct {
 	MaxCounts []int
 }
 
+// SynthesizeOnPool runs Synthesize under costCap with no more instances
+// of a type than pool offers, and returns the design remapped onto pool
+// and canonicalized, or nil when nothing valid fits within the cap. It is
+// how an exact engine's pool receives a greedy design: as a warm start,
+// as a degradation rung, or on a race's incumbent bus.
+func SynthesizeOnPool(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, costCap float64) *schedule.Design {
+	// The synthesizer may not use more instances of a type than the
+	// pool offers, or the remap back onto the pool fails.
+	maxCounts := make([]int, pool.Library().NumTypes())
+	for _, p := range pool.Procs() {
+		maxCounts[p.Type]++
+	}
+	hd, err := Synthesize(g, pool.Library(), topo, SynthOptions{CostCap: costCap, MaxCounts: maxCounts})
+	if err != nil {
+		return nil
+	}
+	remapped, err := schedule.RemapPool(hd, pool)
+	if err != nil {
+		return nil
+	}
+	canon, err := schedule.Canonicalize(remapped)
+	if err != nil || canon.Validate(nil) != nil {
+		return nil
+	}
+	return canon
+}
+
 // Synthesize is a heuristic multiprocessor synthesizer in the spirit of
 // Talukdar & Mehrotra's iterative method: it enumerates processor
 // configurations (multisets of types), ETF-schedules the task graph onto

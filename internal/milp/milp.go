@@ -204,9 +204,10 @@ func rootNode() *node {
 	return &node{bounds: map[lp.ColID][2]float64{}, bound: math.Inf(-1), branchCol: -1}
 }
 
-// budgetStride amortizes time.Now and ctx.Err polling: workers only check
-// the wall clock and context every budgetStride processed nodes (node and
-// incumbent pruning stay per-node).
+// budgetStride amortizes time.Now and Foreign polling: workers only check
+// the wall clock and the foreign-incumbent source every budgetStride
+// processed nodes. Cancellation, node and incumbent pruning stay
+// per-node, so a canceled solve — a race's loser — stops within one node.
 const budgetStride = 64
 
 // bbState is the search state shared by every worker of one Solve call:
@@ -483,22 +484,21 @@ func (w *bbWorker) close() {
 	st.lpMu.Unlock()
 }
 
-// checkBudget reports whether the search must halt. Wall-clock and context
-// polling are amortized over budgetStride nodes; node-count and shared
+// checkBudget reports whether the search must halt. Wall-clock polling
+// is amortized over budgetStride nodes; node-count, context and shared
 // stop checks are per-call.
 func (w *bbWorker) checkBudget() bool {
 	st := w.st
 	if st.stop.Load() {
 		return true
 	}
-	if st.opts.MaxNodes > 0 && int(st.nodes.Load()) >= st.opts.MaxNodes {
+	if (st.opts.MaxNodes > 0 && int(st.nodes.Load()) >= st.opts.MaxNodes) || st.ctx.Err() != nil {
 		st.stop.Store(true)
 		st.unproven.Store(true)
 		return true
 	}
 	if w.local%budgetStride == 0 {
-		if st.ctx.Err() != nil ||
-			(!st.deadline.IsZero() && time.Now().After(st.deadline)) {
+		if !st.deadline.IsZero() && time.Now().After(st.deadline) {
 			st.stop.Store(true)
 			st.unproven.Store(true)
 			return true

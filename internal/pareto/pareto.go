@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sync"
 	"time"
 
 	"sos/internal/arch"
@@ -99,7 +101,7 @@ func (p Point) MarshalJSON() ([]byte, error) {
 //
 // The contract mirrors the ε-constraint chain: Serve(w) returns the
 // longest stored prefix of the remaining chain starting at cost cap w —
-// every returned point must be the certified optimum the sequential sweep
+// every returned point must be the certified optimum the one-worker sweep
 // would have computed at its chain cap, already remapped into the
 // requesting instance's frame and validated — plus done=true when the
 // store additionally proves the chain terminates after those points
@@ -165,9 +167,10 @@ type Options struct {
 	// achievable cost levels) is solved by a worker pool while the true
 	// ε-constraint chain is reconciled against completed results, and
 	// speculative caps a landed point proves redundant are canceled. The
-	// frontier returned is identical to the sequential sweep's; 0 or 1
-	// preserves the sequential path (and its telemetry) exactly. See
-	// DESIGN.md §10 for the speculation and reuse rules.
+	// frontier returned is identical to the one-worker sweep's. At 0 or 1
+	// every cap is solved inline, in chain order, and no speculative grid
+	// is computed. Either way the sweep builds two model templates and
+	// retargets them per solve. See DESIGN.md §10.
 	SweepWorkers int
 
 	// Governor, when non-nil, apportions one wall-clock budget across the
@@ -175,9 +178,10 @@ type Options struct {
 	// of its own TimeLimit and the governor's next slice.
 	Governor *budget.Governor
 	// Ladder, when non-nil, enables graceful degradation: a point whose
-	// exact solve exhausts its slice is retried on the next (cheaper) rung
-	// instead of aborting the sweep, and the best incumbent across rungs is
-	// kept with a StatusFeasible annotation. Without a ladder the sweep is
+	// exact solve exhausts its slice, or fails outright, is retried on the
+	// next (cheaper) rung instead of aborting the sweep, and the best
+	// incumbent across rungs is kept with a StatusFeasible annotation (the
+	// settlement rule of race.Portfolio). Without a ladder the sweep is
 	// strict: a point that cannot be certified stops the sweep with a
 	// typed budget.ErrExhausted error (wrapping ctx.Err() on cancellation),
 	// returning the certified prefix.
@@ -203,19 +207,6 @@ type Options struct {
 	// engine solve (unless that engine's own options already carry a
 	// collector).
 	Telemetry *telemetry.Collector
-
-	// shared carries the per-sweep templates and cross-point incumbent
-	// pool of a parallel sweep. It is a pointer so the value copies the
-	// ladder walk makes all see one sweep-wide state; nil on the
-	// sequential path.
-	shared *sweepShared
-
-	// raceBus/raceRung are set on the per-entrant Options copy during a
-	// point race: the engine solvers attach publish/poll hooks for the
-	// shared incumbent bus to their first (objective-defining) solve.
-	// Nil outside a race.
-	raceBus  *race.Bus
-	raceRung budget.Rung
 }
 
 func (o *Options) costStep() float64 {
@@ -237,432 +228,54 @@ func (o *Options) costStep() float64 {
 // within budget always stops the sweep with the typed error, returning the
 // partial frontier.
 func Sweep(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options) ([]Point, error) {
-	if opts.MILP == nil {
-		opts.MILP = &milp.Options{}
+	// Speculative workers beyond the machine's available parallelism only
+	// add scheduling contention and wasted speculative solves.
+	opts.SweepWorkers = min(opts.SweepWorkers, runtime.GOMAXPROCS(0))
+	sw := newSweeper(g, pool, topo, opts, false)
+	// Drain the frontier store first: served points cost nothing, so they
+	// land before (and independent of) the governor's budget, and a covered
+	// prefix moves the speculative grid to the uncovered region.
+	points, costCap, done := sw.drain(nil, opts.StartCap)
+	if done {
+		return points, nil
 	}
+	resolve := sw.inline
 	if opts.SweepWorkers > 1 {
-		// Speculative workers beyond the machine's available parallelism
-		// only add scheduling contention and wasted speculative solves, so
-		// clamp; when nothing would actually run concurrently, the exact
-		// sequential path (no speculation) is strictly better.
-		if p := runtime.GOMAXPROCS(0); opts.SweepWorkers > p {
-			opts.SweepWorkers = p
-		}
-		if opts.SweepWorkers > 1 {
-			return sweepParallel(ctx, g, pool, topo, opts)
-		}
+		q := sw.speculate(ctx, costCap)
+		defer q.close()
+		resolve = q.resolve
 	}
-	var points []Point
-	costCap := opts.StartCap
 	for {
 		if opts.MaxPoints > 0 && len(points) >= opts.MaxPoints {
-			return points, nil
-		}
-		// Drain the frontier store first: served points cost nothing, so
-		// they land before (and independent of) the governor's budget.
-		var fdone bool
-		points, costCap, fdone = drainSource(&opts, points, costCap)
-		if fdone {
 			return points, nil
 		}
 		if opts.Ladder == nil && opts.Governor.Exhausted() {
 			return points, budget.Exhausted(ctx, "pareto: sweep budget exhausted before cap %g", costCap)
 		}
-		tel := opts.Telemetry
-		slice := opts.Governor.Slice()
-		start := time.Now()
-		pt, infeasible, err := solvePointAny(ctx, g, pool, topo, opts, costCap)
-		spend := time.Since(start)
+		pt, err := resolve(ctx, costCap)
 		if err != nil {
 			return points, err
 		}
-		tel.Emit(telemetry.EvPoint, 0, spend.Seconds(), pt.Status.String())
-		if slice > 0 && spend < slice {
-			// Unused slice time rolls over to every later point (the
-			// governor recomputes remaining budget from the wall clock).
-			tel.Inc(telemetry.CtrRollovers)
-			tel.Emit(telemetry.EvRollover, 0, (slice - spend).Seconds(), "")
-		}
-		if infeasible {
+		if pt.Status == budget.StatusInfeasible {
 			return points, nil
 		}
 		if pt.Design == nil {
 			return points, budget.Exhausted(ctx, "pareto: no design within budget at cap %g (%v)", costCap, pt.Status)
 		}
-		// Enforce the documented frontier invariant (decreasing cost,
-		// strictly increasing makespan): a new, cheaper point that is at
-		// least as fast dominates the trailing point(s) — possible only when
-		// an earlier point was a degraded (uncertified) incumbent, since a
-		// certified optimum at a higher cap can never be slower than any
-		// design at a lower cap. Drop the dominated suffix.
-		for len(points) > 0 {
-			last := points[len(points)-1]
-			if pt.Perf() > last.Perf() {
-				break
-			}
-			points = points[:len(points)-1]
-			tel.Inc(telemetry.CtrDominatedDropped)
-			tel.Emit(telemetry.EvDominated, 0, last.Perf(), last.Status.String())
-		}
-		tel.Inc(telemetry.CtrPoints)
-		points = append(points, pt)
+		points = sw.appendPoint(points, pt)
 		if pt.Status != budget.StatusOptimal && opts.Ladder == nil {
 			return points, budget.Exhausted(ctx, "pareto: cap %g not proven optimal (%v, gap %.3g)",
 				costCap, pt.Status, pt.Gap)
 		}
-		costCap = pt.Cost() - opts.costStep()
-		if costCap <= 0 {
+		if costCap = pt.Cost() - opts.costStep(); costCap <= 0 {
+			return points, nil
+		}
+		// Mid-chain holes: a partially covered store may resume coverage
+		// below a delta-resolved region.
+		if points, costCap, done = sw.drain(points, costCap); done {
 			return points, nil
 		}
 	}
-}
-
-// drainSource appends every stored frontier point covering the chain from
-// costCap to points, enforcing the same frontier invariants (MaxPoints,
-// dominated-suffix drop, CtrPoints) the solve path does, and returns the
-// grown frontier, the next uncovered cap, and done=true when the sweep is
-// finished (the store proved the chain complete, the next cap fell ≤ 0, or
-// MaxPoints was reached). Shared by the sequential and parallel sweeps.
-func drainSource(opts *Options, points []Point, costCap float64) ([]Point, float64, bool) {
-	if opts.Source == nil {
-		return points, costCap, false
-	}
-	tel := opts.Telemetry
-	served, done := opts.Source.Serve(costCap)
-	for _, pt := range served {
-		if opts.MaxPoints > 0 && len(points) >= opts.MaxPoints {
-			return points, costCap, true
-		}
-		for len(points) > 0 {
-			last := points[len(points)-1]
-			if pt.Perf() > last.Perf() {
-				break
-			}
-			points = points[:len(points)-1]
-			tel.Inc(telemetry.CtrDominatedDropped)
-			tel.Emit(telemetry.EvDominated, 0, last.Perf(), last.Status.String())
-		}
-		tel.Inc(telemetry.CtrPoints)
-		points = append(points, pt)
-		costCap = pt.Cost() - opts.costStep()
-	}
-	if done || (len(served) > 0 && costCap <= 0) {
-		return points, costCap, true
-	}
-	return points, costCap, false
-}
-
-// solvePointAny solves one frontier point, walking the degradation ladder
-// when one is configured: each rung runs under the governor's slice; the
-// first rung that certifies the point wins, and otherwise the best
-// incumbent across rungs is returned annotated. A proven infeasibility from
-// an exact rung ends the point (and the sweep) authoritatively.
-func solvePointAny(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, costCap float64) (Point, bool, error) {
-	if opts.Race {
-		return solvePointRace(ctx, g, pool, topo, opts, costCap)
-	}
-	// One heuristic memo per point: the MILP warm start and the heuristic
-	// ladder rung want the same greedy design, so compute it at most once.
-	hm := &heurMemo{}
-	if opts.Ladder == nil {
-		return solvePoint(ctx, g, pool, topo, opts, costCap, hm)
-	}
-	var best Point
-	for i, r := range opts.Ladder {
-		if i > 0 {
-			opts.Telemetry.Inc(telemetry.CtrDegrades)
-			opts.Telemetry.Emit(telemetry.EvDegrade, 0, costCap, r.String())
-		}
-		var pt Point
-		var infeasible bool
-		var err error
-		switch r {
-		case budget.RungMILP:
-			o := opts
-			o.Engine = EngineMILP
-			pt, infeasible, err = solvePoint(ctx, g, pool, topo, o, costCap, hm)
-		case budget.RungCombinatorial:
-			pt, infeasible, err = solvePointExact(ctx, g, pool, topo, opts, costCap)
-		case budget.RungHeuristic:
-			pt = solvePointHeur(g, pool, topo, opts, costCap, hm)
-		}
-		if err != nil {
-			return Point{}, false, err
-		}
-		if infeasible {
-			return Point{}, true, nil
-		}
-		pt.Rung = r
-		if pt.Status == budget.StatusOptimal && pt.Design != nil {
-			return pt, false, nil
-		}
-		if pt.Design != nil && (best.Design == nil || pt.Perf() < best.Perf()-1e-9) {
-			best = pt
-		}
-	}
-	return best, false, nil
-}
-
-// solvePoint runs the lexicographic pair of solves at one cost cap with
-// the selected engine. hm memoizes the point's heuristic design so the
-// warm-start path and a later heuristic rung share one computation.
-func solvePoint(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, costCap float64, hm *heurMemo) (Point, bool, error) {
-	if opts.Engine == EngineCombinatorial {
-		return solvePointExact(ctx, g, pool, topo, opts, costCap)
-	}
-	var m *model.Model
-	var err error
-	if opts.shared != nil {
-		// Parallel sweep: retarget the shared template's cap row instead
-		// of rebuilding the whole model.
-		m, err = opts.shared.perfAt(costCap)
-	} else {
-		mo := opts.ModelOpts
-		mo.Objective = model.MinMakespan
-		mo.CostCap = costCap
-		mo.Deadline = 0
-		m, err = model.Build(g, pool, topo, mo)
-	}
-	if err != nil {
-		return Point{}, false, err
-	}
-
-	milpOpts := *opts.MILP
-	if milpOpts.Telemetry == nil {
-		milpOpts.Telemetry = opts.Telemetry
-	}
-	milpOpts.TimeLimit = opts.Governor.Limit(milpOpts.TimeLimit)
-	if !opts.NoIncumbent {
-		if d := hm.get(g, pool, topo, costCap); d != nil {
-			if inc, err2 := m.IncumbentVector(d); err2 == nil {
-				milpOpts.Incumbent = inc
-			}
-		}
-	}
-	if opts.shared != nil {
-		// Cross-point seeding: designs found at other caps are offered as
-		// untrusted candidates; the solver keeps the best one feasible
-		// under this cap.
-		milpOpts.IncumbentPool = opts.shared.candidates()
-	}
-	if opts.Source != nil {
-		// Delta-resolve seeding: stored designs adjacent to this cap join
-		// the untrusted pool; the solver keeps the best one feasible here.
-		for _, d := range opts.Source.Warm(costCap, maxWarmFrontier) {
-			if inc, err2 := m.IncumbentVector(d); err2 == nil {
-				milpOpts.IncumbentPool = append(milpOpts.IncumbentPool, inc)
-			}
-		}
-	}
-	if opts.raceBus != nil {
-		attachMILPBus(&milpOpts, m, opts.raceBus, opts.raceRung)
-	}
-	design, sol, err := m.Solve(ctx, &milpOpts)
-	if err != nil {
-		return Point{}, false, err
-	}
-	if design != nil && opts.shared != nil {
-		if inc, err2 := m.IncumbentVector(design); err2 == nil {
-			opts.shared.addIncumbent(inc)
-		}
-	}
-	switch sol.Status {
-	case milp.Infeasible:
-		return Point{}, true, nil
-	case milp.Optimal:
-	case milp.Feasible:
-		// Budget-limited incumbent: the tightening solve's premise (that
-		// the makespan is optimal) is unproven, so skip it and annotate.
-		if design == nil {
-			return Point{Status: noSolutionStatus(ctx)}, false, nil
-		}
-		if err := design.Validate(&schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO}); err != nil {
-			return Point{}, false, fmt.Errorf("pareto: cap %g produced invalid design: %w", costCap, err)
-		}
-		return Point{Design: design, PerfSol: sol, Status: budget.StatusFeasible, Gap: sol.Gap}, false, nil
-	case milp.NoSolution:
-		return Point{Status: noSolutionStatus(ctx)}, false, nil
-	default:
-		return Point{}, false, fmt.Errorf("pareto: cap %g relaxation unbounded (modeling bug?)", costCap)
-	}
-	if design == nil {
-		return Point{}, false, fmt.Errorf("pareto: optimal status without a design at cap %g", costCap)
-	}
-
-	// Lexicographic tightening: cheapest system achieving this makespan.
-	var cm *model.Model
-	if opts.shared != nil {
-		cm, err = opts.shared.costAt(design.Makespan)
-	} else {
-		co := opts.ModelOpts
-		co.Objective = model.MinCost
-		co.Deadline = design.Makespan
-		co.CostCap = 0
-		cm, err = model.Build(g, pool, topo, co)
-	}
-	if err != nil {
-		return Point{}, false, err
-	}
-	costOpts := *opts.MILP
-	if costOpts.Telemetry == nil {
-		costOpts.Telemetry = opts.Telemetry
-	}
-	costOpts.TimeLimit = opts.Governor.Limit(costOpts.TimeLimit)
-	if inc, err2 := cm.IncumbentVector(design); err2 == nil {
-		costOpts.Incumbent = inc
-	}
-	if opts.shared != nil {
-		costOpts.IncumbentPool = opts.shared.candidates()
-	}
-	cheap, costSol, err := cm.Solve(ctx, &costOpts)
-	if err != nil {
-		return Point{}, false, err
-	}
-	if costSol.Status == milp.Optimal && cheap != nil {
-		design = cheap
-		if opts.shared != nil {
-			if inc, err2 := cm.IncumbentVector(cheap); err2 == nil {
-				opts.shared.addIncumbent(inc)
-			}
-		}
-	}
-	if err := design.Validate(&schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO}); err != nil {
-		return Point{}, false, fmt.Errorf("pareto: cap %g produced invalid design: %w", costCap, err)
-	}
-	return Point{Design: design, PerfSol: sol, CostSol: costSol, Status: budget.StatusOptimal}, false, nil
-}
-
-// solvePointExact is solvePoint on the combinatorial engine.
-func solvePointExact(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, costCap float64) (Point, bool, error) {
-	eo := exact.Options{}
-	if opts.Exact != nil {
-		eo = *opts.Exact
-	}
-	if eo.Telemetry == nil {
-		eo.Telemetry = opts.Telemetry
-	}
-	eo.Objective = exact.MinMakespan
-	eo.CostCap = costCap
-	eo.Deadline = 0
-	eo.TimeLimit = opts.Governor.Limit(eo.TimeLimit)
-	if eo.Warm == nil && opts.Source != nil {
-		// Delta-resolve seeding: the engine vets the design before adoption.
-		if ws := opts.Source.Warm(costCap, 1); len(ws) > 0 {
-			eo.Warm = ws[0]
-		}
-	}
-	if opts.raceBus != nil {
-		attachExactBus(&eo, opts.raceBus, opts.raceRung)
-	}
-	res, err := exact.Synthesize(ctx, g, pool, topo, eo)
-	if err != nil {
-		return Point{}, false, err
-	}
-	switch res.Status {
-	case budget.StatusInfeasible:
-		return Point{}, true, nil
-	case budget.StatusOptimal:
-	case budget.StatusFeasible:
-		design := res.Design
-		if err := design.Validate(&schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO}); err != nil {
-			return Point{}, false, fmt.Errorf("pareto: cap %g produced invalid design: %w", costCap, err)
-		}
-		return Point{Design: design, Status: budget.StatusFeasible, Gap: res.Gap}, false, nil
-	default:
-		return Point{Status: res.Status}, false, nil
-	}
-	design := res.Design
-
-	co := eo
-	co.Objective = exact.MinCost
-	co.Deadline = design.Makespan + 1e-9
-	co.CostCap = 0
-	co.TimeLimit = opts.Governor.Limit(co.TimeLimit)
-	// The tightening solve minimizes on the other axis: its incumbents
-	// are not comparable on the bus, so it runs unhooked.
-	co.OnIncumbent, co.Foreign = nil, nil
-	cres, err := exact.Synthesize(ctx, g, pool, topo, co)
-	if err != nil {
-		return Point{}, false, err
-	}
-	if cres.Optimal && cres.Design != nil {
-		design = cres.Design
-	}
-	if err := design.Validate(&schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO}); err != nil {
-		return Point{}, false, fmt.Errorf("pareto: cap %g produced invalid design: %w", costCap, err)
-	}
-	return Point{Design: design, Status: budget.StatusOptimal}, false, nil
-}
-
-// solvePointHeur is the terminal ladder rung: the greedy synthesizer's
-// design, validated, annotated StatusFeasible with an unknown (+Inf) gap.
-// It proves nothing — a zero Point here does not mean infeasible.
-func solvePointHeur(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, costCap float64, hm *heurMemo) Point {
-	d := hm.get(g, pool, topo, costCap)
-	if d == nil {
-		return Point{Status: budget.StatusBudgetExhausted}
-	}
-	if err := d.Validate(&schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO}); err != nil {
-		return Point{Status: budget.StatusBudgetExhausted}
-	}
-	return Point{Design: d, Status: budget.StatusFeasible, Gap: math.Inf(1)}
-}
-
-// noSolutionStatus classifies a budget exit that produced no incumbent.
-func noSolutionStatus(ctx context.Context) budget.Status {
-	if ctx != nil && ctx.Err() != nil {
-		return budget.StatusCanceled
-	}
-	return budget.StatusBudgetExhausted
-}
-
-// heurMemo caches one frontier point's heuristic design so that the MILP
-// warm-start path and the heuristic ladder rung — which ask for the same
-// cap — run the greedy synthesizer once instead of twice. A nil memo
-// degenerates to an uncached call.
-type heurMemo struct {
-	done   bool
-	design *schedule.Design
-}
-
-func (hm *heurMemo) get(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, costCap float64) *schedule.Design {
-	if hm == nil {
-		return heuristicDesign(g, pool, topo, costCap)
-	}
-	if !hm.done {
-		hm.design = heuristicDesign(g, pool, topo, costCap)
-		hm.done = true
-	}
-	return hm.design
-}
-
-// heuristicDesign runs the greedy synthesizer under a cost cap and remaps
-// its output onto the sweep's instance pool, or nil when nothing valid is
-// available within the cap. Shared by the warm-start path and the
-// heuristic ladder rung.
-func heuristicDesign(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, costCap float64) *schedule.Design {
-	// The synthesizer may not use more instances of a type than the
-	// pool offers, or the remap back onto the pool fails.
-	maxCounts := make([]int, pool.Library().NumTypes())
-	for _, p := range pool.Procs() {
-		maxCounts[p.Type]++
-	}
-	hd, err := heur.Synthesize(g, pool.Library(), topo, heur.SynthOptions{CostCap: costCap, MaxCounts: maxCounts})
-	if err != nil {
-		return nil
-	}
-	remapped, err := schedule.RemapPool(hd, pool)
-	if err != nil {
-		return nil
-	}
-	canon, err := schedule.Canonicalize(remapped)
-	if err != nil {
-		return nil
-	}
-	if canon.Validate(nil) != nil {
-		return nil
-	}
-	return canon
 }
 
 // SweepByDeadline traces the same non-inferior set from the opposite
@@ -676,13 +289,15 @@ func heuristicDesign(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topolog
 // accumulated simplex drift is of order 1e-6·T_M, so steps at or below
 // that scale can re-admit the previous design; the sweep detects that as
 // a lack of progress and reports an error rather than looping.
+//
+// The deadline sweep solves every point inline (SweepWorkers and Source
+// apply to Sweep only) on the same two model templates Sweep retargets.
 func SweepByDeadline(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, perfStep float64) ([]Point, error) {
-	if opts.MILP == nil {
-		opts.MILP = &milp.Options{}
-	}
 	if perfStep <= 0 {
 		perfStep = 1e-3
 	}
+	opts.Source = nil
+	sw := newSweeper(g, pool, topo, opts, true)
 	// The loosest deadline worth considering: the serial time of the
 	// slowest-capable mapping, which every feasible instance can meet.
 	deadline := model.BigM(g, pool, topo)
@@ -695,20 +310,11 @@ func SweepByDeadline(ctx context.Context, g *taskgraph.Graph, pool *arch.Instanc
 		if opts.Ladder == nil && opts.Governor.Exhausted() {
 			return points, budget.Exhausted(ctx, "pareto: sweep budget exhausted before deadline %g", deadline)
 		}
-		tel := opts.Telemetry
-		slice := opts.Governor.Slice()
-		start := time.Now()
-		pt, infeasible, err := solveDeadlinePointAny(ctx, g, pool, topo, opts, deadline)
-		spend := time.Since(start)
+		pt, err := sw.inline(ctx, deadline)
 		if err != nil {
 			return points, err
 		}
-		tel.Emit(telemetry.EvPoint, 0, spend.Seconds(), pt.Status.String())
-		if slice > 0 && spend < slice {
-			tel.Inc(telemetry.CtrRollovers)
-			tel.Emit(telemetry.EvRollover, 0, (slice - spend).Seconds(), "")
-		}
-		if infeasible {
+		if pt.Status == budget.StatusInfeasible {
 			return points, nil
 		}
 		if pt.Design == nil {
@@ -724,197 +330,443 @@ func SweepByDeadline(ctx context.Context, g *taskgraph.Graph, pool *arch.Instanc
 				pt.Perf(), perfStep)
 		}
 		lastPerf = pt.Perf()
-		// Mirror of Sweep's invariant enforcement: this sweep runs from slow
-		// to fast, so a new (faster) point that is no costlier dominates the
-		// trailing point(s) — again only possible when the earlier point was
-		// a degraded incumbent priced above its true optimum.
-		for len(points) > 0 {
-			last := points[len(points)-1]
-			if pt.Cost() > last.Cost() {
-				break
-			}
-			points = points[:len(points)-1]
-			tel.Inc(telemetry.CtrDominatedDropped)
-			tel.Emit(telemetry.EvDominated, 0, last.Cost(), last.Status.String())
-		}
-		tel.Inc(telemetry.CtrPoints)
-		points = append(points, pt)
+		points = sw.appendPoint(points, pt)
 		if pt.Status != budget.StatusOptimal && opts.Ladder == nil {
 			return points, budget.Exhausted(ctx, "pareto: deadline %g not proven optimal (%v, gap %.3g)",
 				deadline, pt.Status, pt.Gap)
 		}
-		deadline = pt.Perf() - perfStep
-		if deadline <= 0 {
+		if deadline = pt.Perf() - perfStep; deadline <= 0 {
 			return points, nil
 		}
 	}
 }
 
-// solveDeadlinePointAny walks the degradation ladder for one deadline
-// point. The heuristic rung is skipped here: the greedy synthesizer has no
-// deadline mode, so the ladder bottoms out at the combinatorial engine
-// under its floor slice.
-func solveDeadlinePointAny(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, deadline float64) (Point, bool, error) {
-	if opts.Race {
-		return solveDeadlinePointRace(ctx, g, pool, topo, opts, deadline)
-	}
-	if opts.Ladder == nil {
-		return solveDeadlinePoint(ctx, g, pool, topo, opts, deadline)
-	}
-	var best Point
-	for i, r := range opts.Ladder {
-		o := opts
-		switch r {
-		case budget.RungMILP:
-			o.Engine = EngineMILP
-		case budget.RungCombinatorial:
-			o.Engine = EngineCombinatorial
-		default:
-			continue // no deadline mode in the heuristic
-		}
-		if i > 0 {
-			opts.Telemetry.Inc(telemetry.CtrDegrades)
-			opts.Telemetry.Emit(telemetry.EvDegrade, 0, deadline, r.String())
-		}
-		pt, infeasible, err := solveDeadlinePoint(ctx, g, pool, topo, o, deadline)
-		if err != nil {
-			return Point{}, false, err
-		}
-		if infeasible {
-			return Point{}, true, nil
-		}
-		pt.Rung = r
-		if pt.Status == budget.StatusOptimal && pt.Design != nil {
-			return pt, false, nil
-		}
-		if pt.Design != nil && (best.Design == nil || pt.Cost() < best.Cost()-1e-9) {
-			best = pt
-		}
-	}
-	return best, false, nil
+// sweeper is one sweep's shared state: the problem, its options and
+// resolved portfolio, the two solve templates every MILP solve retargets,
+// and the cross-point incumbent pool. Speculative workers share it.
+type sweeper struct {
+	g    *taskgraph.Graph
+	pool *arch.Instances
+	topo arch.Topology
+	opts Options
+	vo   *schedule.ValidateOptions
+	// byDeadline marks the deadline axis: each chain bound is a deadline,
+	// and a point's first solve minimizes cost.
+	byDeadline bool
+	rungs      budget.Ladder
+
+	// The templates — a MinMakespan model with a placeholder cap row and a
+	// MinCost model with a placeholder deadline row — are built once, on
+	// the sweep's first MILP solve, and retargeted per solve with
+	// SetCostCap/SetDeadline. A sweep whose rungs never reach the MILP
+	// builds nothing.
+	tplOnce          sync.Once
+	perfTpl, costTpl *model.Model
+	tplErr           error
+
+	mu   sync.Mutex
+	incs [][]float64 // incumbent vectors in the templates' column layout
 }
 
-// solveDeadlinePoint minimizes cost under the deadline, then tightens the
-// makespan at that cost (the lexicographic mirror of solvePoint).
-func solveDeadlinePoint(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, deadline float64) (Point, bool, error) {
-	if opts.Engine == EngineCombinatorial {
-		eo := exact.Options{}
-		if opts.Exact != nil {
-			eo = *opts.Exact
-		}
-		if eo.Telemetry == nil {
-			eo.Telemetry = opts.Telemetry
-		}
-		eo.Objective = exact.MinCost
-		eo.Deadline = deadline
-		eo.CostCap = 0
-		eo.TimeLimit = opts.Governor.Limit(eo.TimeLimit)
-		if opts.raceBus != nil {
-			attachExactBus(&eo, opts.raceBus, opts.raceRung)
-		}
-		res, err := exact.Synthesize(ctx, g, pool, topo, eo)
-		if err != nil {
-			return Point{}, false, err
-		}
-		switch res.Status {
-		case budget.StatusInfeasible:
-			return Point{}, true, nil
-		case budget.StatusOptimal:
-		case budget.StatusFeasible:
-			design := res.Design
-			if err := design.Validate(&schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO}); err != nil {
-				return Point{}, false, err
-			}
-			return Point{Design: design, Status: budget.StatusFeasible, Gap: res.Gap}, false, nil
-		default:
-			return Point{Status: res.Status}, false, nil
-		}
-		design := res.Design
-		// Tighten makespan at this cost.
-		po := eo
-		po.Objective = exact.MinMakespan
-		po.CostCap = design.Cost
-		po.Deadline = 0
-		po.TimeLimit = opts.Governor.Limit(po.TimeLimit)
-		// Other-axis tightening solve: runs unhooked (see solvePointExact).
-		po.OnIncumbent, po.Foreign = nil, nil
-		pres, err := exact.Synthesize(ctx, g, pool, topo, po)
-		if err != nil {
-			return Point{}, false, err
-		}
-		if pres.Optimal && pres.Design != nil {
-			design = pres.Design
-		}
-		if err := design.Validate(&schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO}); err != nil {
-			return Point{}, false, err
-		}
-		return Point{Design: design, Status: budget.StatusOptimal}, false, nil
+func newSweeper(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, byDeadline bool) *sweeper {
+	if opts.MILP == nil {
+		opts.MILP = &milp.Options{}
 	}
+	ladder := opts.Ladder
+	if len(ladder) == 0 {
+		first := budget.RungMILP
+		if opts.Engine == EngineCombinatorial {
+			first = budget.RungCombinatorial
+		}
+		ladder = budget.Ladder{first}
+		if opts.Race {
+			ladder = budget.DefaultLadder(first)
+		}
+	}
+	return &sweeper{g: g, pool: pool, topo: topo, opts: opts, byDeadline: byDeadline,
+		vo:    &schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO},
+		rungs: race.Resolve(ladder, byDeadline, opts.Race)}
+}
 
-	mo := opts.ModelOpts
-	mo.Objective = model.MinCost
-	mo.Deadline = deadline
-	mo.CostCap = 0
-	m, err := model.Build(g, pool, topo, mo)
+// inline solves chain bound w on the caller's goroutine. Time left over
+// from the governor's slice rolls over to every later point (the governor
+// recomputes remaining budget from the wall clock).
+func (sw *sweeper) inline(ctx context.Context, w float64) (Point, error) {
+	tel := sw.opts.Telemetry
+	slice := sw.opts.Governor.Slice()
+	start := time.Now()
+	pt, err := sw.point(ctx, w)
+	spend := time.Since(start)
 	if err != nil {
-		return Point{}, false, err
+		return pt, err
 	}
-	milpOpts := *opts.MILP
-	if milpOpts.Telemetry == nil {
-		milpOpts.Telemetry = opts.Telemetry
+	tel.Emit(telemetry.EvPoint, 0, spend.Seconds(), pt.Status.String())
+	if slice > 0 && spend < slice {
+		tel.Inc(telemetry.CtrRollovers)
+		tel.Emit(telemetry.EvRollover, 0, (slice - spend).Seconds(), "")
 	}
-	milpOpts.TimeLimit = opts.Governor.Limit(milpOpts.TimeLimit)
-	if opts.raceBus != nil {
-		attachMILPBus(&milpOpts, m, opts.raceBus, opts.raceRung)
+	return pt, nil
+}
+
+// appendPoint appends pt to the frontier after dropping the trailing
+// points it dominates. Points arrive in chain order — decreasing cost on
+// the cost axis, decreasing makespan on the deadline axis — so pt
+// dominates a trailing point when it is no worse on the other axis. That
+// happens only behind a degraded (uncertified) incumbent: a certified
+// optimum is never dominated by a design found later in the chain.
+func (sw *sweeper) appendPoint(points []Point, pt Point) []Point {
+	tel := sw.opts.Telemetry
+	other := Point.Perf
+	if sw.byDeadline {
+		other = Point.Cost
 	}
-	design, sol, err := m.Solve(ctx, &milpOpts)
+	for len(points) > 0 {
+		last := points[len(points)-1]
+		if other(pt) > other(last) {
+			break
+		}
+		points = points[:len(points)-1]
+		tel.Inc(telemetry.CtrDominatedDropped)
+		tel.Emit(telemetry.EvDominated, 0, other(last), last.Status.String())
+	}
+	tel.Inc(telemetry.CtrPoints)
+	return append(points, pt)
+}
+
+// drain appends every stored frontier point covering the chain from
+// costCap, and returns the grown frontier, the next uncovered cap, and
+// done=true when the sweep is finished (the store proved the chain
+// complete, the next cap fell ≤ 0, or MaxPoints was reached).
+func (sw *sweeper) drain(points []Point, costCap float64) ([]Point, float64, bool) {
+	if sw.opts.Source == nil {
+		return points, costCap, false
+	}
+	served, done := sw.opts.Source.Serve(costCap)
+	for _, pt := range served {
+		if sw.opts.MaxPoints > 0 && len(points) >= sw.opts.MaxPoints {
+			return points, costCap, true
+		}
+		points = sw.appendPoint(points, pt)
+		costCap = pt.Cost() - sw.opts.costStep()
+	}
+	return points, costCap, done || (len(served) > 0 && costCap <= 0)
+}
+
+// point solves one chain bound — a cost cap, or a deadline on the
+// deadline axis — through the sweep's portfolio: a walk down its rungs,
+// or a race of them when Options.Race is set. The rungs of one point
+// share one greedy design.
+func (sw *sweeper) point(ctx context.Context, w float64) (Point, error) {
+	var hm heurMemo
+	var bus *race.Bus
+	if sw.opts.Race {
+		bus = race.NewBusFor(sw.g, sw.pool, sw.topo, sw.vo, sw.byDeadline, w)
+	}
+	tel := sw.opts.Telemetry
+	p := race.Portfolio{MinCost: sw.byDeadline, Telemetry: tel}
+	for i, r := range sw.rungs {
+		p.Rungs = append(p.Rungs, race.Rung{Rung: r, Run: func(ctx context.Context) (race.Answer, error) {
+			if i > 0 && bus == nil {
+				tel.Inc(telemetry.CtrDegrades)
+				tel.Emit(telemetry.EvDegrade, 0, w, r.String())
+			}
+			switch r {
+			case budget.RungMILP:
+				return sw.solveMILP(ctx, w, &hm, bus)
+			case budget.RungHeuristic:
+				return sw.solveHeur(w, &hm, bus), nil
+			default:
+				return sw.solveExact(ctx, w, bus)
+			}
+		}})
+	}
+	var s race.Settled
+	if bus != nil {
+		s = p.Race(ctx)
+	} else {
+		s = p.Walk(ctx)
+	}
+	if s.Err != nil {
+		return Point{}, s.Err
+	}
+	pt, _ := s.Value.(Point)
+	pt.Design, pt.Status, pt.Gap = s.Design, s.Status, s.Gap
+	if sw.opts.Ladder != nil || sw.opts.Race {
+		// A strict sweep names no ladder rung, like the certified points
+		// a FrontierSource serves.
+		pt.Rung = s.Rung
+	}
+	return pt, nil
+}
+
+// solveMILP is the lexicographic pair of MILP solves at one chain bound:
+// the bound's own objective first (makespan under a cost cap, cost under
+// a deadline), then the other objective at the value the first one
+// achieved, which makes the point non-inferior. Both solves retarget the
+// sweep's templates, and every design they find joins the cross-point
+// incumbent pool.
+func (sw *sweeper) solveMILP(ctx context.Context, w float64, hm *heurMemo, bus *race.Bus) (race.Answer, error) {
+	first, second := sw.perfAt, sw.costAt
+	if sw.byDeadline {
+		first, second = sw.costAt, sw.perfAt
+	}
+	m, err := first(w)
 	if err != nil {
-		return Point{}, false, err
+		return race.Answer{}, err
+	}
+	o := sw.milpOptions()
+	if !sw.byDeadline && !sw.opts.NoIncumbent {
+		if d := sw.greedy(hm, w); d != nil {
+			if inc, err := m.IncumbentVector(d); err == nil {
+				o.Incumbent = inc
+			}
+		}
+	}
+	o.IncumbentPool = sw.candidates()
+	if sw.opts.Source != nil {
+		// Delta-resolve seeding: stored designs adjacent to this cap join
+		// the untrusted pool; the solver keeps the best one feasible here.
+		for _, d := range sw.opts.Source.Warm(w, maxWarmFrontier) {
+			if inc, err := m.IncumbentVector(d); err == nil {
+				o.IncumbentPool = append(o.IncumbentPool, inc)
+			}
+		}
+	}
+	bus.AttachMILP(&o, m, budget.RungMILP)
+	design, sol, err := m.Solve(ctx, &o)
+	if err != nil {
+		return race.Answer{}, err
+	}
+	sw.share(m, design)
+	sols := func(tighten *milp.Solution) Point {
+		if sw.byDeadline {
+			return Point{PerfSol: tighten, CostSol: sol}
+		}
+		return Point{PerfSol: sol, CostSol: tighten}
 	}
 	switch sol.Status {
 	case milp.Infeasible:
-		return Point{}, true, nil
+		return race.Answer{Status: budget.StatusInfeasible}, nil
 	case milp.Optimal:
 	case milp.Feasible:
+		// Budget-limited incumbent: the tightening solve's premise (that
+		// the first objective is optimal) is unproven, so skip it.
 		if design == nil {
-			return Point{Status: noSolutionStatus(ctx)}, false, nil
+			return race.Answer{Status: budget.StatusBudgetExhausted, Bound: sol.Bound}, nil
 		}
-		if err := design.Validate(&schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO}); err != nil {
-			return Point{}, false, err
+		if err := sw.validate(design, w); err != nil {
+			return race.Answer{}, err
 		}
-		return Point{Design: design, CostSol: sol, Status: budget.StatusFeasible, Gap: sol.Gap}, false, nil
+		return race.Answer{Design: design, Status: budget.StatusFeasible, Bound: sol.Bound, Gap: sol.Gap,
+			Value: sols(nil)}, nil
 	case milp.NoSolution:
-		return Point{Status: noSolutionStatus(ctx)}, false, nil
+		return race.Answer{Status: budget.StatusBudgetExhausted, Bound: sol.Bound}, nil
 	default:
-		return Point{}, false, fmt.Errorf("pareto: deadline %g relaxation unbounded (modeling bug?)", deadline)
+		return race.Answer{}, fmt.Errorf("pareto: bound %g relaxation unbounded (modeling bug?)", w)
 	}
-	po := opts.ModelOpts
-	po.Objective = model.MinMakespan
-	po.CostCap = design.Cost
-	po.Deadline = 0
-	pm, err := model.Build(g, pool, topo, po)
+	if design == nil {
+		return race.Answer{}, fmt.Errorf("pareto: optimal status without a design at bound %g", w)
+	}
+
+	// Lexicographic tightening on the other objective.
+	at := design.Makespan
+	if sw.byDeadline {
+		at = design.Cost
+	}
+	tm, err := second(at)
 	if err != nil {
-		return Point{}, false, err
+		return race.Answer{}, err
 	}
-	perfOpts := *opts.MILP
-	if perfOpts.Telemetry == nil {
-		perfOpts.Telemetry = opts.Telemetry
+	to := sw.milpOptions()
+	if inc, err := tm.IncumbentVector(design); err == nil {
+		to.Incumbent = inc
 	}
-	perfOpts.TimeLimit = opts.Governor.Limit(perfOpts.TimeLimit)
-	if inc, err2 := pm.IncumbentVector(design); err2 == nil {
-		perfOpts.Incumbent = inc
-	}
-	fast, perfSol, err := pm.Solve(ctx, &perfOpts)
+	to.IncumbentPool = sw.candidates()
+	better, tsol, err := tm.Solve(ctx, &to)
 	if err != nil {
-		return Point{}, false, err
+		return race.Answer{}, err
 	}
-	if perfSol.Status == milp.Optimal && fast != nil {
-		design = fast
+	if tsol.Status == milp.Optimal && better != nil {
+		design = better
+		sw.share(tm, better)
 	}
-	if err := design.Validate(&schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO}); err != nil {
-		return Point{}, false, err
+	if err := sw.validate(design, w); err != nil {
+		return race.Answer{}, err
 	}
-	return Point{Design: design, PerfSol: perfSol, CostSol: sol, Status: budget.StatusOptimal}, false, nil
+	return race.Answer{Design: design, Status: budget.StatusOptimal, Value: sols(tsol)}, nil
+}
+
+// solveExact is solveMILP on the combinatorial engine.
+func (sw *sweeper) solveExact(ctx context.Context, w float64, bus *race.Bus) (race.Answer, error) {
+	eo := exact.Options{}
+	if sw.opts.Exact != nil {
+		eo = *sw.opts.Exact
+	}
+	if eo.Telemetry == nil {
+		eo.Telemetry = sw.opts.Telemetry
+	}
+	if sw.byDeadline {
+		eo.Objective, eo.Deadline, eo.CostCap = exact.MinCost, w, 0
+	} else {
+		eo.Objective, eo.CostCap, eo.Deadline = exact.MinMakespan, w, 0
+	}
+	eo.TimeLimit = sw.opts.Governor.Limit(eo.TimeLimit)
+	if eo.Warm == nil && sw.opts.Source != nil {
+		// Delta-resolve seeding: the engine vets the design before adoption.
+		if ws := sw.opts.Source.Warm(w, 1); len(ws) > 0 {
+			eo.Warm = ws[0]
+		}
+	}
+	bus.AttachExact(&eo, budget.RungCombinatorial)
+	res, err := exact.Synthesize(ctx, sw.g, sw.pool, sw.topo, eo)
+	if err != nil {
+		return race.Answer{}, err
+	}
+	switch res.Status {
+	case budget.StatusOptimal:
+	case budget.StatusFeasible:
+		if err := sw.validate(res.Design, w); err != nil {
+			return race.Answer{}, err
+		}
+		return race.Answer{Design: res.Design, Status: budget.StatusFeasible, Bound: res.Bound, Gap: res.Gap}, nil
+	default: // a proven Infeasible, or no design within budget
+		return race.Answer{Status: res.Status, Bound: res.Bound}, nil
+	}
+	design := res.Design
+
+	// The tightening solve minimizes on the other axis: its incumbents are
+	// not comparable on the bus, so it runs unhooked.
+	co := eo
+	co.OnIncumbent, co.Foreign = nil, nil
+	if sw.byDeadline {
+		co.Objective, co.CostCap, co.Deadline = exact.MinMakespan, design.Cost, 0
+	} else {
+		co.Objective, co.Deadline, co.CostCap = exact.MinCost, design.Makespan+1e-9, 0
+	}
+	co.TimeLimit = sw.opts.Governor.Limit(co.TimeLimit)
+	cres, err := exact.Synthesize(ctx, sw.g, sw.pool, sw.topo, co)
+	if err != nil {
+		return race.Answer{}, err
+	}
+	if cres.Optimal && cres.Design != nil {
+		design = cres.Design
+	}
+	if err := sw.validate(design, w); err != nil {
+		return race.Answer{}, err
+	}
+	return race.Answer{Design: design, Status: budget.StatusOptimal}, nil
+}
+
+// solveHeur is the cheapest rung: the point's greedy design, validated,
+// StatusFeasible with no bound. It proves nothing. On the deadline axis
+// the greedy design is uncapped and kept only when it meets the deadline.
+func (sw *sweeper) solveHeur(w float64, hm *heurMemo, bus *race.Bus) race.Answer {
+	d := sw.greedy(hm, w)
+	if d == nil || sw.validate(d, w) != nil || (sw.byDeadline && d.Makespan > w+1e-9) {
+		return race.Answer{Status: budget.StatusBudgetExhausted}
+	}
+	obj := d.Makespan
+	if sw.byDeadline {
+		obj = d.Cost
+	}
+	bus.Publish(budget.RungHeuristic, d, obj)
+	return race.Answer{Design: d, Status: budget.StatusFeasible, Gap: math.Inf(1)}
+}
+
+// heurMemo holds one point's greedy design: the MILP warm start and the
+// heuristic rung want the same design, so walk and race entrants share
+// one computation of it.
+type heurMemo struct {
+	once   sync.Once
+	design *schedule.Design
+}
+
+// greedy returns the point's greedy design, computing it at most once.
+func (sw *sweeper) greedy(hm *heurMemo, w float64) *schedule.Design {
+	hm.once.Do(func() {
+		costCap := w
+		if sw.byDeadline {
+			costCap = 0
+		}
+		hm.design = heur.SynthesizeOnPool(sw.g, sw.pool, sw.topo, costCap)
+	})
+	return hm.design
+}
+
+func (sw *sweeper) validate(d *schedule.Design, w float64) error {
+	if err := d.Validate(sw.vo); err != nil {
+		return fmt.Errorf("pareto: bound %g produced invalid design: %w", w, err)
+	}
+	return nil
+}
+
+func (sw *sweeper) milpOptions() milp.Options {
+	o := *sw.opts.MILP
+	if o.Telemetry == nil {
+		o.Telemetry = sw.opts.Telemetry
+	}
+	o.TimeLimit = sw.opts.Governor.Limit(o.TimeLimit)
+	return o
+}
+
+// templates builds the two solve templates on first use.
+func (sw *sweeper) templates() error {
+	sw.tplOnce.Do(func() {
+		pmo := sw.opts.ModelOpts
+		pmo.Objective, pmo.CostCap, pmo.Deadline = model.MinMakespan, 1, 0 // placeholder cap row
+		if sw.perfTpl, sw.tplErr = model.Build(sw.g, sw.pool, sw.topo, pmo); sw.tplErr != nil {
+			return
+		}
+		cmo := sw.opts.ModelOpts
+		cmo.Objective, cmo.Deadline, cmo.CostCap = model.MinCost, 1, 0 // placeholder deadline row
+		sw.costTpl, sw.tplErr = model.Build(sw.g, sw.pool, sw.topo, cmo)
+	})
+	return sw.tplErr
+}
+
+func (sw *sweeper) perfAt(costCap float64) (*model.Model, error) {
+	if err := sw.templates(); err != nil {
+		return nil, err
+	}
+	return sw.perfTpl.SetCostCap(costCap)
+}
+
+func (sw *sweeper) costAt(deadline float64) (*model.Model, error) {
+	if err := sw.templates(); err != nil {
+		return nil, err
+	}
+	return sw.costTpl.SetDeadline(deadline)
+}
+
+// maxIncumbentPool bounds the cross-point candidate pool offered to each
+// MILP solve: feasibility-checking a candidate costs one pass over the
+// rows, so an unbounded pool would slowly tax every solve of a long sweep.
+const maxIncumbentPool = 32
+
+// share offers a solved design to every later (and concurrent) MILP solve
+// of the sweep. Both templates build identical column sets, so one vector
+// serves the perf and cost sides alike.
+func (sw *sweeper) share(m *model.Model, d *schedule.Design) {
+	if d == nil {
+		return
+	}
+	x, err := m.IncumbentVector(d)
+	if err != nil {
+		return
+	}
+	sw.mu.Lock()
+	if len(sw.incs) < maxIncumbentPool {
+		sw.incs = append(sw.incs, x)
+	}
+	sw.mu.Unlock()
+}
+
+// candidates returns the pool as untrusted seeds: a design found at one
+// bound may violate another, so the solver checks each before use.
+func (sw *sweeper) candidates() [][]float64 {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return slices.Clone(sw.incs)
 }
 
 // Dominates reports whether point a dominates point b (no worse in both

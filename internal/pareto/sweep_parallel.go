@@ -1,17 +1,15 @@
 package pareto
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync"
 	"time"
 
-	"context"
-
 	"sos/internal/arch"
 	"sos/internal/budget"
-	"sos/internal/model"
-	"sos/internal/taskgraph"
+	"sos/internal/heur"
 	"sos/internal/telemetry"
 )
 
@@ -24,94 +22,19 @@ import (
 // solved concurrently before the chain arrives, and a completed optimal
 // solve at cap Z with tightened cost c settles every chain cap in [c, Z].
 //
-// A reconciler goroutine walks the true chain, serving each cap from a
-// covering completed job when one exists, waiting on an in-flight job at
-// the exact cap, and otherwise solving inline (so correctness never
-// depends on the speculation grid). Whenever a point lands, jobs whose
-// caps the point proves redundant are canceled and their workers move on.
-// The appended-point logic mirrors the sequential Sweep exactly, so the
-// frontier — points, statuses, order — is identical; the documented
-// divergences are confined to telemetry (no rollover events, governor
-// slices granted concurrently, EvPoint carrying the job's solve duration).
-
-// maxIncumbentPool bounds the cross-point candidate pool offered to each
-// MILP solve: feasibility-checking a candidate costs one pass over the
-// rows, so an unbounded pool would slowly tax every solve of a long sweep.
-const maxIncumbentPool = 32
+// Sweep's chain walk stays on the caller's goroutine and asks the queue
+// for each cap: a covering completed job when one exists, the in-flight
+// job at the exact cap, and otherwise an inline solve (so correctness
+// never depends on the speculation grid). Whenever a point lands, jobs
+// whose caps the point proves redundant are canceled and their workers
+// move on. The frontier — points, statuses, order — is the one-worker
+// sweep's; the documented divergences are confined to telemetry (governor
+// slices granted concurrently, no rollover events for points a job
+// served, EvPoint carrying the job's solve duration).
 
 // maxSpeculativeJobs bounds the dispatch grid; the highest caps (the ones
 // the chain reaches first) are kept.
 const maxSpeculativeJobs = 64
-
-// sweepShared is the per-sweep state a parallel sweep shares across its
-// points: the two solve templates, built once and retargeted per point
-// with SetCostCap/SetDeadline, and the cross-point incumbent pool.
-type sweepShared struct {
-	perfTpl *model.Model // MinMakespan template (placeholder cap row)
-	costTpl *model.Model // MinCost template (placeholder deadline row)
-
-	mu   sync.Mutex
-	incs [][]float64 // incumbent vectors in the templates' column layout
-}
-
-// newSweepShared builds the templates (when some rung uses the MILP
-// engine) with placeholder cap/deadline rows for SetCostCap/SetDeadline to
-// retarget.
-func newSweepShared(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, mo model.Options, withModels bool) (*sweepShared, error) {
-	sh := &sweepShared{}
-	if !withModels {
-		return sh, nil
-	}
-	pmo := mo
-	pmo.Objective = model.MinMakespan
-	pmo.CostCap = 1 // placeholder: forces the cap row into the template
-	pmo.Deadline = 0
-	perf, err := model.Build(g, pool, topo, pmo)
-	if err != nil {
-		return nil, err
-	}
-	cmo := mo
-	cmo.Objective = model.MinCost
-	cmo.Deadline = 1 // placeholder: retargeted per point
-	cmo.CostCap = 0
-	cost, err := model.Build(g, pool, topo, cmo)
-	if err != nil {
-		return nil, err
-	}
-	sh.perfTpl, sh.costTpl = perf, cost
-	return sh, nil
-}
-
-func (sh *sweepShared) perfAt(costCap float64) (*model.Model, error) {
-	return sh.perfTpl.SetCostCap(costCap)
-}
-
-func (sh *sweepShared) costAt(deadline float64) (*model.Model, error) {
-	return sh.costTpl.SetDeadline(deadline)
-}
-
-// addIncumbent shares a solved design's warm-start vector with every later
-// (and concurrent) solve of the sweep. Both templates build identical
-// column sets, so one vector serves the perf and cost sides alike.
-func (sh *sweepShared) addIncumbent(x []float64) {
-	if x == nil {
-		return
-	}
-	sh.mu.Lock()
-	if len(sh.incs) < maxIncumbentPool {
-		sh.incs = append(sh.incs, x)
-	}
-	sh.mu.Unlock()
-}
-
-func (sh *sweepShared) candidates() [][]float64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(sh.incs) == 0 {
-		return nil
-	}
-	return append([][]float64(nil), sh.incs...)
-}
 
 // capKey orders caps with "uncapped" (<= 0) as +Inf, matching the model's
 // encoding of an uncapped solve.
@@ -146,10 +69,9 @@ type specJob struct {
 	done   chan struct{} // closed once the job can never produce a result
 
 	// Result fields, written exactly once before done is closed.
-	pt         Point
-	infeasible bool
-	err        error
-	spend      time.Duration
+	pt    Point
+	err   error
+	spend time.Duration
 
 	// Bookkeeping, guarded by the queue mutex.
 	state    jobState
@@ -161,6 +83,9 @@ type specJob struct {
 // popping the highest pending one so the pool naturally migrates down the
 // chain.
 type specQueue struct {
+	sw *sweeper
+	wg sync.WaitGroup
+
 	mu   sync.Mutex
 	jobs []*specJob
 }
@@ -180,9 +105,9 @@ func (q *specQueue) next() *specJob {
 }
 
 // finish records a worker's result and releases any waiter.
-func (q *specQueue) finish(j *specJob, pt Point, infeasible bool, err error, spend time.Duration) {
+func (q *specQueue) finish(j *specJob, pt Point, err error, spend time.Duration) {
 	q.mu.Lock()
-	j.pt, j.infeasible, j.err, j.spend = pt, infeasible, err, spend
+	j.pt, j.err, j.spend = pt, err, spend
 	j.state = jobDone
 	q.mu.Unlock()
 	close(j.done)
@@ -191,7 +116,7 @@ func (q *specQueue) finish(j *specJob, pt Point, infeasible bool, err error, spe
 // covering returns a finished, error-free job whose result determines the
 // frontier point at chain cap w, marking it used. Three cases:
 //   - the job solved this exact cap (whatever its status — this is what
-//     the sequential sweep would have computed here);
+//     the one-worker sweep would have computed here);
 //   - an optimal result at a looser cap Z ≥ w whose tightened cost ≤ w:
 //     the ε-constraint solution is a step function of the cap, so the same
 //     point is optimal at w;
@@ -207,7 +132,7 @@ func (q *specQueue) covering(w float64) *specJob {
 		jk := capKey(j.costCap)
 		switch {
 		case math.Abs(jk-wk) <= capEps || (math.IsInf(jk, 1) && math.IsInf(wk, 1)):
-		case j.infeasible && wk <= jk+capEps:
+		case j.pt.Status == budget.StatusInfeasible && wk <= jk+capEps:
 		case j.pt.Status == budget.StatusOptimal && j.pt.Design != nil &&
 			j.pt.Cost() <= wk+capEps && wk <= jk+capEps:
 		default:
@@ -220,7 +145,7 @@ func (q *specQueue) covering(w float64) *specJob {
 }
 
 // liveAt returns the pending or running job at exactly cap w, if any. The
-// reconciler waits on it rather than solving inline: pending jobs sit at
+// chain walk waits on it rather than solving inline: pending jobs sit at
 // the top of the descending queue when the chain reaches their cap, so a
 // worker picks them up promptly.
 func (q *specQueue) liveAt(w float64) *specJob {
@@ -288,8 +213,9 @@ func (q *specQueue) cancelAll() {
 // achievable cost level l (subset sums of processor and link costs) at or
 // below the sweep's starting region contributes the cap l − costStep that
 // the chain would set after landing a point of cost l. The grid is purely
-// a performance hint — caps it misses are solved inline by the reconciler.
-func speculativeCaps(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options) []float64 {
+// a performance hint — caps it misses are solved inline by the chain walk.
+func (sw *sweeper) speculativeCaps(start float64) []float64 {
+	g, pool, topo, opts := sw.g, sw.pool, sw.topo, sw.opts
 	if opts.ModelOpts.Memory {
 		return nil // memory cost is continuous; no finite level grid
 	}
@@ -349,16 +275,16 @@ func speculativeCaps(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topolog
 	// The chain starts at StartCap (or, uncapped, at the first point's
 	// tightened cost, estimated by the greedy heuristic); levels above the
 	// start can only re-derive the first point.
-	limit := opts.StartCap
+	limit := start
 	if limit <= 0 {
-		if d := heuristicDesign(g, pool, topo, 0); d != nil {
+		if d := heur.SynthesizeOnPool(g, pool, topo, 0); d != nil {
 			limit = d.Cost
 		} else {
 			limit = total
 		}
 	}
 	step := opts.costStep()
-	startKey := capKey(opts.StartCap)
+	startKey := capKey(start)
 	seen := map[float64]struct{}{}
 	var caps []float64
 	for s := range sums {
@@ -382,50 +308,11 @@ func speculativeCaps(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topolog
 	return caps
 }
 
-// sweepParallel is Sweep's speculative-parallel path (SweepWorkers > 1).
-func sweepParallel(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options) ([]Point, error) {
-	// Templates are only useful when some rung solves via the MILP engine.
-	// A race resolves its rungs itself (raceLadder), so consult that set.
-	needModels := false
-	switch {
-	case opts.Race:
-		for _, r := range raceLadder(opts) {
-			if r == budget.RungMILP {
-				needModels = true
-			}
-		}
-	case opts.Ladder == nil:
-		needModels = opts.Engine == EngineMILP
-	default:
-		for _, r := range opts.Ladder {
-			if r == budget.RungMILP {
-				needModels = true
-			}
-		}
-	}
-	// Drain the frontier store before spending anything on speculation: a
-	// fully covered sweep returns here without launching a single worker,
-	// and a covered prefix shifts the effective start cap so the grid and
-	// the initial job target only the uncovered region.
-	var points []Point
-	costCap := opts.StartCap
-	if opts.Source != nil {
-		var fdone bool
-		points, costCap, fdone = drainSource(&opts, points, costCap)
-		if fdone {
-			return points, nil
-		}
-		opts.StartCap = costCap
-	}
-
-	sh, err := newSweepShared(g, pool, topo, opts.ModelOpts, needModels)
-	if err != nil {
-		return nil, err
-	}
-	opts.shared = sh
-	tel := opts.Telemetry
-
-	q := &specQueue{}
+// speculate starts the speculative queue for a chain that begins at cap
+// start: the chain's first cap plus the predicted grid, solved by
+// SweepWorkers workers, highest cap first.
+func (sw *sweeper) speculate(ctx context.Context, start float64) *specQueue {
+	q := &specQueue{sw: sw}
 	addJob := func(c float64, spec bool) {
 		jctx, cancel := context.WithCancel(ctx)
 		q.jobs = append(q.jobs, &specJob{
@@ -433,122 +320,80 @@ func sweepParallel(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances
 			ctx: jctx, cancel: cancel, done: make(chan struct{}),
 		})
 	}
-	addJob(opts.StartCap, false)
-	for _, c := range speculativeCaps(g, pool, topo, opts) {
+	addJob(start, false)
+	for _, c := range sw.speculativeCaps(start) {
 		addJob(c, true)
 	}
 	sort.SliceStable(q.jobs, func(i, k int) bool {
 		return capKey(q.jobs[i].costCap) > capKey(q.jobs[k].costCap)
 	})
-
-	var wg sync.WaitGroup
-	for i := 0; i < opts.SweepWorkers; i++ {
-		wg.Add(1)
+	for i := 0; i < sw.opts.SweepWorkers; i++ {
+		q.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for {
-				j := q.next()
-				if j == nil {
-					return
-				}
-				opts.Governor.Slice()
+			defer q.wg.Done()
+			for j := q.next(); j != nil; j = q.next() {
 				start := time.Now()
-				pt, infeasible, jerr := solvePointAny(j.ctx, g, pool, topo, opts, j.costCap)
-				q.finish(j, pt, infeasible, jerr, time.Since(start))
+				pt, err := sw.point(j.ctx, j.costCap)
+				q.finish(j, pt, err, time.Since(start))
 			}
 		}()
 	}
-	defer func() {
-		q.cancelAll()
-		wg.Wait()
-		for _, j := range q.jobs {
-			if !j.spec {
-				continue
-			}
-			switch {
-			case j.used:
-				tel.Inc(telemetry.CtrSpeculativeHits)
-				tel.Emit(telemetry.EvSpeculate, 0, j.costCap, "hit")
-			case j.canceled:
-				tel.Inc(telemetry.CtrSpeculativeRetargeted)
-				tel.Emit(telemetry.EvSpeculate, 0, j.costCap, "retargeted")
-			default:
-				tel.Inc(telemetry.CtrSpeculativeWasted)
-				tel.Emit(telemetry.EvSpeculate, 0, j.costCap, "wasted")
-			}
-		}
-	}()
+	return q
+}
 
-	// resolve produces the frontier point at chain cap w: covering
-	// completed job, else the in-flight job at exactly w, else inline.
-	resolve := func(w float64) (Point, bool, time.Duration, error) {
-		if j := q.covering(w); j != nil {
-			return j.pt, j.infeasible, j.spend, nil
-		}
-		if j := q.liveAt(w); j != nil {
+// resolve produces the frontier point at chain cap w: a covering
+// completed job, else the in-flight job at exactly w, else an inline
+// solve. A landed optimal point cancels the live jobs it proves redundant.
+func (q *specQueue) resolve(ctx context.Context, w float64) (Point, error) {
+	j := q.covering(w)
+	if j == nil {
+		if j = q.liveAt(w); j != nil {
 			<-j.done
 			if j.err == nil && !j.canceled {
 				q.markUsed(j)
-				return j.pt, j.infeasible, j.spend, nil
+			} else {
+				// A failed (or late-canceled) job is retried inline once; a
+				// second failure propagates with the partial frontier.
+				j = nil
 			}
-			// A failed (or late-canceled) job is retried inline once; a
-			// second failure propagates with the partial frontier.
 		}
-		opts.Governor.Slice()
-		start := time.Now()
-		pt, infeasible, serr := solvePointAny(ctx, g, pool, topo, opts, w)
-		return pt, infeasible, time.Since(start), serr
 	}
+	var pt Point
+	if j != nil {
+		pt = j.pt
+		q.sw.opts.Telemetry.Emit(telemetry.EvPoint, 0, j.spend.Seconds(), pt.Status.String())
+	} else {
+		var err error
+		if pt, err = q.sw.inline(ctx, w); err != nil {
+			return pt, err
+		}
+	}
+	if pt.Status == budget.StatusOptimal {
+		q.cancelRedundant(pt.Cost(), w)
+	}
+	return pt, nil
+}
 
-	// The chain walk below mirrors the sequential Sweep loop statement for
-	// statement (minus rollover accounting, which has no meaning when
-	// slices are granted concurrently).
-	for {
-		if opts.MaxPoints > 0 && len(points) >= opts.MaxPoints {
-			return points, nil
+// close cancels every remaining job, joins the workers, and classifies
+// each speculative job exactly once: hit, retargeted, or wasted.
+func (q *specQueue) close() {
+	q.cancelAll()
+	q.wg.Wait()
+	tel := q.sw.opts.Telemetry
+	for _, j := range q.jobs {
+		if !j.spec {
+			continue
 		}
-		// Mid-chain holes: a partially covered store may resume coverage
-		// below a delta-resolved region; drain it before solving.
-		var fdone bool
-		points, costCap, fdone = drainSource(&opts, points, costCap)
-		if fdone {
-			return points, nil
-		}
-		if opts.Ladder == nil && opts.Governor.Exhausted() {
-			return points, budget.Exhausted(ctx, "pareto: sweep budget exhausted before cap %g", costCap)
-		}
-		pt, infeasible, spend, err := resolve(costCap)
-		if err != nil {
-			return points, err
-		}
-		tel.Emit(telemetry.EvPoint, 0, spend.Seconds(), pt.Status.String())
-		if infeasible {
-			return points, nil
-		}
-		if pt.Design == nil {
-			return points, budget.Exhausted(ctx, "pareto: no design within budget at cap %g (%v)", costCap, pt.Status)
-		}
-		if pt.Status == budget.StatusOptimal {
-			q.cancelRedundant(pt.Cost(), costCap)
-		}
-		for len(points) > 0 {
-			last := points[len(points)-1]
-			if pt.Perf() > last.Perf() {
-				break
-			}
-			points = points[:len(points)-1]
-			tel.Inc(telemetry.CtrDominatedDropped)
-			tel.Emit(telemetry.EvDominated, 0, last.Perf(), last.Status.String())
-		}
-		tel.Inc(telemetry.CtrPoints)
-		points = append(points, pt)
-		if pt.Status != budget.StatusOptimal && opts.Ladder == nil {
-			return points, budget.Exhausted(ctx, "pareto: cap %g not proven optimal (%v, gap %.3g)",
-				costCap, pt.Status, pt.Gap)
-		}
-		costCap = pt.Cost() - opts.costStep()
-		if costCap <= 0 {
-			return points, nil
+		switch {
+		case j.used:
+			tel.Inc(telemetry.CtrSpeculativeHits)
+			tel.Emit(telemetry.EvSpeculate, 0, j.costCap, "hit")
+		case j.canceled:
+			tel.Inc(telemetry.CtrSpeculativeRetargeted)
+			tel.Emit(telemetry.EvSpeculate, 0, j.costCap, "retargeted")
+		default:
+			tel.Inc(telemetry.CtrSpeculativeWasted)
+			tel.Emit(telemetry.EvSpeculate, 0, j.costCap, "wasted")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package pareto
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -129,36 +130,108 @@ func TestParallelSweepMatchesSequentialCombinatorial(t *testing.T) {
 }
 
 // TestParallelSweepBuildAmortization verifies the model-reuse claim with
-// the package counters: a whole parallel MILP sweep performs exactly two
-// full Builds (one MinMakespan template, one MinCost template) however
-// many points and speculative jobs it solves, and at least one clone per
-// lexicographic solve.
+// the package counters: a whole MILP sweep — by cost or by deadline, at
+// any worker count — performs exactly two full Builds (one MinMakespan
+// template, one MinCost template) however many points and speculative
+// jobs it solves, and at least one clone per lexicographic solve. A sweep
+// whose rungs never reach the MILP builds nothing.
 func TestParallelSweepBuildAmortization(t *testing.T) {
 	forceParallel(t, 4)
-	leakcheck.Check(t)
 	if testing.Short() {
 		t.Skip("MILP sweep in -short mode")
 	}
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	b0, c0 := model.BuildCount(), model.CloneCount()
+	want := make([][2]float64, len(expts.Table2Full))
+	for i, pt := range expts.Table2Full {
+		want[i] = [2]float64{pt.Cost, pt.Perf}
+	}
+	sweeps := []struct {
+		name string
+		run  func(Options) ([]Point, error)
+	}{
+		{"Sweep", func(o Options) ([]Point, error) {
+			return Sweep(context.Background(), g, pool, arch.PointToPoint{}, o)
+		}},
+		{"SweepByDeadline", func(o Options) ([]Point, error) {
+			return SweepByDeadline(context.Background(), g, pool, arch.PointToPoint{}, o, 1e-3)
+		}},
+	}
+	engines := []struct {
+		name   string
+		engine Engine
+		builds int64
+	}{
+		{"milp", EngineMILP, 2},
+		{"combinatorial", EngineCombinatorial, 0},
+	}
+	for _, sweep := range sweeps {
+		for _, workers := range []int{0, 1, 4} {
+			for _, e := range engines {
+				builds := e.builds
+				t.Run(fmt.Sprintf("%s/workers=%d/%s", sweep.name, workers, e.name), func(t *testing.T) {
+					leakcheck.Check(t)
+					b0, c0 := model.BuildCount(), model.CloneCount()
+					points, err := sweep.run(Options{
+						Engine:       e.engine,
+						MILP:         &milp.Options{TimeLimit: 2 * time.Minute},
+						Exact:        &exact.Options{TimeLimit: 2 * time.Minute},
+						SweepWorkers: workers,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := FrontierEquals(points, want, 1e-6); err != nil {
+						t.Fatal(err)
+					}
+					if got := model.BuildCount() - b0; got != builds {
+						t.Errorf("sweep performed %d full Builds, want exactly %d", got, builds)
+					}
+					// Each MILP frontier point needs a clone per solve of its
+					// lexicographic pair at minimum.
+					if clones := model.CloneCount() - c0; builds > 0 && clones < int64(2*len(points)) {
+						t.Errorf("sweep performed %d clones, want >= %d", clones, 2*len(points))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestWalkDegradesAroundFailingRung: a MILP rung that crashes on its
+// first node at every point fails with an error, and the ladder walk
+// degrades around it instead of aborting the sweep — the combinatorial
+// rung certifies every Table II point.
+func TestWalkDegradesAroundFailingRung(t *testing.T) {
+	leakcheck.Check(t)
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	var fired atomic.Int64
 	points, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine:       EngineMILP,
-		MILP:         &milp.Options{TimeLimit: 2 * time.Minute},
-		SweepWorkers: 4,
+		Engine: EngineMILP,
+		MILP: &milp.Options{Hooks: &milp.Hooks{OnNode: func(int) {
+			fired.Add(1)
+			panic("injected solver crash")
+		}}},
+		Ladder: budget.DefaultLadder(budget.RungMILP),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(expts.Table2Full) {
-		t.Fatalf("frontier has %d points, want %d", len(points), len(expts.Table2Full))
+	if fired.Load() == 0 {
+		t.Fatal("fault never injected")
 	}
-	if builds := model.BuildCount() - b0; builds != 2 {
-		t.Errorf("parallel sweep performed %d full Builds, want exactly 2 (the templates)", builds)
+	want := make([][2]float64, len(expts.Table2Full))
+	for i, pt := range expts.Table2Full {
+		want[i] = [2]float64{pt.Cost, pt.Perf}
 	}
-	// Each frontier point needs a perf clone and a cost clone at minimum.
-	if clones := model.CloneCount() - c0; clones < int64(2*len(points)) {
-		t.Errorf("parallel sweep performed %d clones, want >= %d", clones, 2*len(points))
+	if err := FrontierEquals(points, want, 1e-6); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range points {
+		if p.Rung != budget.RungCombinatorial || p.Status != budget.StatusOptimal {
+			t.Errorf("point %d: rung %v status %v, want an optimal combinatorial point", i, p.Rung, p.Status)
+		}
 	}
 }
 

@@ -1,11 +1,16 @@
-// Package race runs the synthesis engine portfolio concurrently over a
-// shared incumbent bus. It generalizes milp.Options.IncumbentPool from
-// "warm starts across sweep points" to "incumbents across engines while
-// they run": every entrant publishes each feasible design it finds, every
-// entrant polls for designs the others found, and the first entrant to
-// produce a *proof* (Optimal or Infeasible) wins the race while the rest
-// are canceled. Losing engines are not wasted — their incumbents tighten
-// the eventual winner's pruning bound the moment they land on the bus.
+// Package race runs the synthesis engine portfolio: one Portfolio of
+// rungs, walked in order (Walk) or raced concurrently (Race), settled by
+// one rule. Every caller — a single solve, a frontier point, an sosd
+// request — builds its rungs with Resolve and runs them here.
+//
+// A race runs over a shared incumbent bus. It generalizes
+// milp.Options.IncumbentPool from "warm starts across sweep points" to
+// "incumbents across engines while they run": every entrant publishes
+// each feasible design it finds, every entrant polls for designs the
+// others found, and the first entrant to produce a *proof* (Optimal or
+// Infeasible) wins the race while the rest are canceled. Losing engines
+// are not wasted — their incumbents tighten the eventual winner's pruning
+// bound the moment they land on the bus.
 //
 // The bus trusts nobody. Every published design is vetted by the
 // constructor-supplied predicate before adoption (the same stance the
@@ -20,8 +25,13 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sos/internal/arch"
 	"sos/internal/budget"
+	"sos/internal/exact"
+	"sos/internal/milp"
+	"sos/internal/model"
 	"sos/internal/schedule"
+	"sos/internal/taskgraph"
 )
 
 // Bus is the cross-engine incumbent bus: the best feasible design any
@@ -45,12 +55,75 @@ func NewBus(vet func(*schedule.Design, float64) bool) *Bus {
 	return &Bus{vet: vet}
 }
 
+// NewBusFor creates the bus for one problem. A published design is
+// adopted only when it belongs to this graph, pool and topology, passes
+// the schedule validator under vo, and meets the problem's bound: a
+// deadline on the MinCost axis (minCost), otherwise a cost cap (<= 0
+// means uncapped).
+func NewBusFor(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, vo *schedule.ValidateOptions, minCost bool, bound float64) *Bus {
+	const eps = 1e-9
+	return NewBus(func(d *schedule.Design, _ float64) bool {
+		if d.Graph != g || d.Pool != pool || d.Topo != topo || d.Validate(vo) != nil {
+			return false
+		}
+		if minCost {
+			return d.Makespan <= bound+eps
+		}
+		return bound <= 0 || d.Cost <= bound+eps
+	})
+}
+
+// AttachMILP hooks one MILP solve onto the bus: every strictly improving
+// incumbent is extracted to a design and published under r, and the bus
+// is polled at the solver's budget-check cadence for designs other
+// engines found, which enter as untrusted IncumbentPool-style
+// candidates. Attach only to the solve whose objective is the bus's
+// ordering axis. A nil bus attaches nothing.
+func (b *Bus) AttachMILP(o *milp.Options, m *model.Model, r budget.Rung) {
+	if b == nil {
+		return
+	}
+	o.OnIncumbent = func(obj float64, x []float64) {
+		if d, err := m.Extract(x); err == nil {
+			b.Publish(r, d, obj)
+		}
+	}
+	o.Foreign = func(seen uint64) ([]float64, uint64, bool) {
+		d, v, ok := b.Peek(seen)
+		if !ok || d == nil {
+			return nil, v, false
+		}
+		if vec, err := m.IncumbentVector(d); err == nil {
+			return vec, v, true
+		}
+		return nil, v, false
+	}
+}
+
+// AttachExact is AttachMILP for the combinatorial engine; designs cross
+// the bus directly, no vector translation needed. The publish objective
+// follows the solve's own axis. A nil bus attaches nothing.
+func (b *Bus) AttachExact(o *exact.Options, r budget.Rung) {
+	if b == nil {
+		return
+	}
+	minCost := o.Objective == exact.MinCost
+	o.OnIncumbent = func(d *schedule.Design, cost float64) {
+		obj := d.Makespan
+		if minCost {
+			obj = cost
+		}
+		b.Publish(r, d, obj)
+	}
+	o.Foreign = b.Peek
+}
+
 // Publish offers a design with objective value obj (lower is better)
 // found by rung r. It is installed only if it passes the vet and strictly
 // improves the current best; the return reports whether it was installed.
-// Safe for concurrent use.
+// Safe for concurrent use; a nil bus installs nothing.
 func (b *Bus) Publish(r budget.Rung, d *schedule.Design, obj float64) bool {
-	if d == nil {
+	if b == nil || d == nil {
 		return false
 	}
 	if b.vet != nil && !b.vet(d, obj) {

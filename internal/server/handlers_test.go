@@ -126,6 +126,22 @@ func TestSolveCostObjective(t *testing.T) {
 	}
 }
 
+// TestSolveHeuristicMissesDeadline: the greedy design of testSpec takes 3
+// time units, so a heuristic request under deadline 2 has no answer. The
+// honest reply is budget-exhausted with no design — neither a feasible
+// design that breaks the deadline nor a claim of infeasibility.
+func TestSolveHeuristicMissesDeadline(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, _, r := post(t, ts.URL+"/v1/solve",
+		solveBody(`"engine": "heuristic", "objective": "cost", "deadline": 2`))
+	if code != http.StatusOK {
+		t.Fatalf("code %d, want 200 (%+v)", code, r)
+	}
+	if r.Status != "budget-exhausted" || r.hasDesign() {
+		t.Fatalf("status %q result %s, want budget-exhausted without a design", r.Status, r.Result)
+	}
+}
+
 func TestSolveValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := map[string]string{

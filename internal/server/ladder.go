@@ -9,6 +9,7 @@ import (
 
 	"sos"
 	"sos/internal/budget"
+	"sos/internal/race"
 	"sos/internal/telemetry"
 )
 
@@ -36,24 +37,12 @@ func engineFor(r budget.Rung) sos.Engine {
 	}
 }
 
-// objective returns the value a result minimizes, for picking the best
-// incumbent across rungs.
-func objective(sp sos.Spec, res *sos.Result) float64 {
-	if res == nil || res.Design == nil {
-		return 0
-	}
-	if sp.Objective == sos.MinCost {
-		return res.Design.Cost
-	}
-	return res.Design.Makespan
-}
-
 // runSolve walks the degradation ladder for one request: the entry rung
 // is the requested engine stepped down by current queue pressure; each
-// rung runs under a governor allowance; the first proof wins; a
-// non-proof keeps the best incumbent and falls through to the next
-// (cheaper) rung. The walk is honest: the response carries the rung that
-// produced the result and whether the request was degraded at all.
+// rung runs under a governor allowance; the portfolio's settlement rule
+// picks the answer (the first proof, else the best incumbent). The walk
+// is honest: the response carries the rung that produced the result and
+// whether the request was degraded at all.
 func (s *Server) runSolve(j *job, gov *budget.Governor, workerID int) *Response {
 	if j.spec.Race && j.spec.Engine != sos.EngineHeuristic {
 		if resp := s.runRace(j, gov); resp != nil {
@@ -65,12 +54,10 @@ func (s *Server) runSolve(j *job, gov *budget.Governor, workerID int) *Response 
 		j.spec.Race = false
 	}
 	requested := rungFor(j.spec.Engine)
-	ladder := budget.DefaultLadder(requested)
-	start := 0
+	minCost := j.spec.Objective == sos.MinCost
+	ladder := race.Resolve(budget.DefaultLadder(requested), minCost, false)
 	if j.anytime {
-		if start = s.pressure(); start > len(ladder)-1 {
-			start = len(ladder) - 1
-		}
+		ladder = ladder[min(s.pressure(), len(ladder)-1):]
 	} else {
 		ladder = ladder[:1] // degradation forbidden: one rung only
 	}
@@ -82,82 +69,64 @@ func (s *Server) runSolve(j *job, gov *budget.Governor, workerID int) *Response 
 		defer cancel()
 	}
 
-	var best, last *sos.Result
-	var bestRung budget.Rung
-	var lastErr error
-	rungsRun := 0
-	for i := start; i < len(ladder); i++ {
-		r := ladder[i]
-		if i > start {
-			s.tel.Emit(telemetry.EvDegrade, workerID, 0, r.String())
-		}
-		allowance, aerr := gov.Allowance(0)
-		if aerr != nil {
-			// Budget spent. The terminal heuristic is effectively free and
-			// always terminates: when degradation is allowed and no design
-			// exists yet, run it once so the client gets an incumbent
-			// instead of nothing. Everything else stops here — this is the
-			// no-floor-slice-spin contract (budget.Allowance).
-			if !(j.anytime && best == nil && r == budget.RungHeuristic) {
-				break
+	found := false // some rung has produced a design
+	p := race.Portfolio{MinCost: minCost}
+	for i, r := range ladder {
+		p.Rungs = append(p.Rungs, race.Rung{Rung: r, Run: func(ctx context.Context) (race.Answer, error) {
+			if i > 0 {
+				s.tel.Emit(telemetry.EvDegrade, workerID, 0, r.String())
 			}
-			allowance = 0 // the heuristic ignores its budget
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		sp := j.spec
-		sp.Engine = engineFor(r)
-		sp.Budget = allowance
-		res, err := s.synthesize(ctx, sp)
-		rungsRun++
-		if err != nil {
-			// A crashed or failed rung is itself degraded around: the next
-			// (cheaper, independent) rung still gets its chance.
-			lastErr = err
-			continue
-		}
-		last = res
-		switch res.Status {
-		case sos.StatusOptimal:
-			return s.solveResponse(j, res, r, r != requested || i > start)
-		case sos.StatusInfeasible:
-			if r != budget.RungHeuristic {
-				// Exact proof of infeasibility is authoritative.
-				return s.solveResponse(j, res, r, r != requested || i > start)
+			allowance, aerr := gov.Allowance(0)
+			if aerr != nil {
+				// Budget spent. The terminal heuristic is effectively free and
+				// always terminates: when degradation is allowed and no design
+				// exists yet, run it once so the client gets an incumbent
+				// instead of nothing. Every other rung is skipped — this is the
+				// no-floor-slice-spin contract (budget.Allowance).
+				if !(j.anytime && !found && r == budget.RungHeuristic) {
+					return race.Answer{Status: sos.StatusBudgetExhausted}, nil
+				}
+				allowance = 0 // the heuristic ignores its budget
 			}
-			// The heuristic "failing to find" proves nothing; fall through.
-		case sos.StatusFeasible:
-			if best == nil || objective(j.spec, res) < objective(j.spec, best) {
-				best, bestRung = res, r
+			sp := j.spec
+			sp.Engine = engineFor(r)
+			sp.Budget = allowance
+			res, err := s.synthesize(ctx, sp)
+			if err != nil {
+				// A crashed or failed rung is degraded around: the next
+				// (cheaper, independent) rung still gets its chance.
+				return race.Answer{}, err
 			}
-		}
-		if j.ctx.Err() != nil {
-			break
-		}
+			found = found || res.Design != nil
+			return race.Answer{Design: res.Design, Status: res.Status, Bound: res.Bound, Gap: res.Gap, Value: res}, nil
+		}})
 	}
+	st := p.Walk(ctx)
 
-	degraded := best != nil && (bestRung != requested || start > 0)
+	res, _ := st.Value.(*sos.Result)
+	if res != nil {
+		res.Status, res.Bound, res.Gap = st.Status, st.Bound, st.Gap
+	}
+	degraded := st.Won && st.Rung != requested
 	switch {
 	case j.ctx.Err() != nil:
 		// Client disconnect or shutdown cancel: keep the best anytime
 		// incumbent on the record rather than discarding the work.
-		resp := s.solveResponse(j, best, bestRung, degraded)
+		resp := s.solveResponse(j, res, st.Rung, degraded)
 		resp.Status = OutcomeCanceled
 		resp.HTTP = StatusClientClosedRequest
 		resp.Error = "request canceled: " + j.ctx.Err().Error()
 		return resp
-	case best != nil:
-		return s.solveResponse(j, best, bestRung, degraded)
-	case lastErr != nil && rungsRun > 0 && last == nil:
+	case st.Won:
+		return s.solveResponse(j, res, st.Rung, degraded)
+	case st.Err != nil:
 		// Every rung that ran failed outright.
 		return &Response{Status: OutcomeError, HTTP: http.StatusInternalServerError,
-			Error: lastErr.Error()}
+			Error: st.Err.Error()}
 	default:
 		// No incumbent, no proof, budget gone: the honest answer.
-		resp := s.solveResponse(j, last, requested, start > 0)
-		resp.Status = sos.StatusBudgetExhausted.String()
-		return resp
+		return &Response{Status: sos.StatusBudgetExhausted.String(), HTTP: http.StatusOK,
+			Rung: requested.String(), Degraded: ladder[0] != requested}
 	}
 }
 
@@ -169,21 +138,7 @@ func raceTenants(j *job) int {
 	if j.kind != kindSolve || !j.spec.Race || j.spec.Engine == sos.EngineHeuristic {
 		return 1
 	}
-	n, haveMILP := 0, false
-	for _, r := range budget.DefaultLadder(rungFor(j.spec.Engine)) {
-		if r == budget.RungHeuristic && j.spec.Objective == sos.MinCost {
-			continue // the heuristic has no deadline mode
-		}
-		haveMILP = haveMILP || r == budget.RungMILP
-		n++
-	}
-	if n < 2 && !haveMILP {
-		n++ // the race adds the MILP as a free second prover
-	}
-	if n < 2 {
-		return 1 // a race of one falls back to the sequential ladder
-	}
-	return n
+	return len(race.Resolve(budget.DefaultLadder(rungFor(j.spec.Engine)), j.spec.Objective == sos.MinCost, true))
 }
 
 // runRace serves one racing solve: the whole remaining allowance becomes

@@ -5,13 +5,9 @@ import (
 	"math"
 
 	"sos/internal/budget"
-	"sos/internal/exact"
 	"sos/internal/heur"
-	"sos/internal/milp"
-	"sos/internal/model"
 	"sos/internal/race"
 	"sos/internal/schedule"
-	"sos/internal/telemetry"
 )
 
 // solveRace runs one defaulted spec by racing the engine portfolio
@@ -19,291 +15,64 @@ import (
 // the full Spec.Budget as its wall-clock window, publishes each feasible
 // design it finds, adopts the others' (vetted) designs to tighten its
 // own pruning, and the first rung to produce a proof — Optimal or
-// Infeasible — wins while the rest are canceled. With no proof the best
-// incumbent across rungs is returned StatusFeasible, exactly like the
-// sequential ladder's degraded exit.
+// Infeasible — wins while the rest are canceled. The race settles by the
+// portfolio's one rule (race.Portfolio).
 func solveRace(ctx context.Context, sp Spec, warm []*schedule.Design) (*Result, error) {
 	first := budget.RungCombinatorial
 	if sp.Engine == EngineMILP {
 		first = budget.RungMILP
 	}
-	var rungs budget.Ladder
-	haveMILP := false
-	for _, r := range budget.DefaultLadder(first) {
-		if r == budget.RungHeuristic && sp.Objective == MinCost {
-			continue // the heuristic has no deadline mode
-		}
-		haveMILP = haveMILP || r == budget.RungMILP
-		rungs = append(rungs, r)
-	}
-	if len(rungs) < 2 && !haveMILP {
-		// A race of one is pointless; concurrency makes the MILP a free
-		// second prover (it is canceled the moment the other rung proves).
-		rungs = append(rungs, budget.RungMILP)
-	}
-	if len(rungs) < 2 {
-		// Nothing to race against; fall back to the plain solve.
-		sp.Race = false
-		return solve(ctx, sp, warm)
-	}
-
-	const eps = 1e-9
 	minCost := sp.Objective == MinCost
-	vet := func(d *schedule.Design, obj float64) bool {
-		if d == nil || d.Graph != sp.Graph || d.Pool != sp.Pool || d.Topo != sp.Topology {
-			return false
-		}
-		if d.Validate(&schedule.ValidateOptions{NoOverlapIO: sp.NoOverlapIO}) != nil {
-			return false
-		}
-		if minCost {
-			return d.Makespan <= sp.Deadline+eps
-		}
-		return sp.CostCap <= 0 || d.Cost <= sp.CostCap+eps
-	}
-	bus := race.NewBus(vet)
-
-	var entrants []race.Entrant
-	for _, r := range rungs {
-		switch r {
-		case budget.RungMILP:
-			entrants = append(entrants, race.Entrant{Rung: r, Run: func(rctx context.Context) (any, bool, error) {
-				return raceMILP(rctx, sp, warm, bus)
-			}})
-		case budget.RungCombinatorial:
-			entrants = append(entrants, race.Entrant{Rung: r, Run: func(rctx context.Context) (any, bool, error) {
-				return raceExact(rctx, sp, warm, bus)
-			}})
-		case budget.RungHeuristic:
-			entrants = append(entrants, race.Entrant{Rung: r, Run: func(context.Context) (any, bool, error) {
-				return raceHeur(sp, bus)
-			}})
-		}
-	}
-
-	return settleSolveRace(ctx, sp, race.Run(ctx, entrants))
-}
-
-// raceMILP is the MILP rung of a facade race: the model is built inside
-// the entrant (concurrently with the other engines), warm designs seed
-// the incumbent pool, and the bus is attached as OnIncumbent/Foreign
-// hooks on the solve.
-func raceMILP(ctx context.Context, sp Spec, warm []*schedule.Design, bus *race.Bus) (*Result, bool, error) {
-	mo := model.Options{CostCap: sp.CostCap, Deadline: sp.Deadline,
-		Memory: sp.Memory, NoOverlapIO: sp.NoOverlapIO}
-	if sp.Objective == MinCost {
-		mo.Objective = model.MinCost
-	}
-	m, err := model.Build(sp.Graph, sp.Pool, sp.Topology, mo)
-	if err != nil {
-		return nil, false, err
-	}
-	var pool [][]float64
-	for _, w := range warm {
-		if v, err := m.IncumbentVector(w); err == nil {
-			pool = append(pool, v)
-		}
-	}
-	sp.Engine = EngineMILP
-	res, err := milpSolve(ctx, sp, m, pool, func(o *milp.Options) {
-		o.OnIncumbent = func(obj float64, x []float64) {
-			if d, err := m.Extract(x); err == nil {
-				bus.Publish(budget.RungMILP, d, obj)
-			}
-		}
-		o.Foreign = func(seen uint64) ([]float64, uint64, bool) {
-			d, v, ok := bus.Peek(seen)
-			if !ok || d == nil {
-				return nil, v, false
-			}
-			if vec, err := m.IncumbentVector(d); err == nil {
-				return vec, v, true
-			}
-			return nil, v, false
-		}
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return res, res.Optimal || res.Infeasible, nil
-}
-
-// raceExact is the combinatorial rung of a facade race, with the bus
-// attached directly — designs cross it without vector translation.
-func raceExact(ctx context.Context, sp Spec, warm []*schedule.Design, bus *race.Bus) (*Result, bool, error) {
-	eo := exact.Options{CostCap: sp.CostCap, Deadline: sp.Deadline,
-		TimeLimit: sp.Budget, NoOverlapIO: sp.NoOverlapIO, Telemetry: sp.Telemetry}
-	minCost := sp.Objective == MinCost
+	bound := sp.CostCap
 	if minCost {
-		eo.Objective = exact.MinCost
+		bound = sp.Deadline
 	}
-	if len(warm) > 0 {
-		eo.Warm = warm[0]
-	}
-	eo.OnIncumbent = func(d *schedule.Design, cost float64) {
-		obj := d.Makespan
-		if minCost {
-			obj = cost
-		}
-		bus.Publish(budget.RungCombinatorial, d, obj)
-	}
-	eo.Foreign = bus.Peek
-	r, err := exact.Synthesize(ctx, sp.Graph, sp.Pool, sp.Topology, eo)
-	if err != nil {
-		return nil, false, err
-	}
-	res := &Result{
-		Engine:     EngineCombinatorial,
-		Design:     r.Design,
-		Optimal:    r.Optimal && r.Design != nil,
-		Infeasible: r.Optimal && r.Design == nil,
-		Status:     r.Status,
-		Bound:      r.Bound,
-		Gap:        r.Gap,
-		Nodes:      r.Nodes,
-	}
-	return res, res.Optimal || res.Infeasible, nil
-}
-
-// raceHeur is the heuristic rung: a fast publish-only entrant that seeds
-// the bus (and so the exact engines' pruning) but never proves anything.
-// Its design is remapped onto the spec's pool so it passes the bus's
-// identity vet, exactly as the pareto ladder does.
-func raceHeur(sp Spec, bus *race.Bus) (*Result, bool, error) {
-	maxCounts := make([]int, sp.Library.NumTypes())
-	for _, p := range sp.Pool.Procs() {
-		maxCounts[p.Type]++
-	}
-	hd, err := heur.Synthesize(sp.Graph, sp.Library, sp.Topology, heur.SynthOptions{
-		CostCap: sp.CostCap, MaxCounts: maxCounts,
-	})
-	if err != nil {
-		return &Result{Engine: EngineHeuristic, Status: StatusBudgetExhausted}, false, nil
-	}
-	remapped, err := schedule.RemapPool(hd, sp.Pool)
-	if err != nil {
-		return &Result{Engine: EngineHeuristic, Status: StatusBudgetExhausted}, false, nil
-	}
-	canon, err := schedule.Canonicalize(remapped)
-	if err != nil || canon.Validate(&schedule.ValidateOptions{NoOverlapIO: sp.NoOverlapIO}) != nil {
-		return &Result{Engine: EngineHeuristic, Status: StatusBudgetExhausted}, false, nil
-	}
-	bus.Publish(budget.RungHeuristic, canon, canon.Makespan)
-	res := &Result{Engine: EngineHeuristic, Design: canon,
-		Status: StatusFeasible, Gap: math.Inf(1)}
-	return res, false, nil // the heuristic proves nothing
-}
-
-// settleSolveRace turns a finished facade race into the final Result:
-// the winner's certified result when one exists, otherwise the best
-// incumbent across rungs with the tightest proven bound any rung
-// reached. Errors surface only when every entrant failed — a crashed
-// engine must not mask a living one's answer.
-func settleSolveRace(ctx context.Context, sp Spec, res race.Result) (*Result, error) {
-	objOf := func(r *Result) float64 {
-		if sp.Objective == MinCost {
-			return r.Design.Cost
-		}
-		return r.Design.Makespan
-	}
-	if res.Winner >= 0 {
-		w := res.Outcomes[res.Winner]
-		raceResultAttribution(sp.Telemetry, w.Rung, true, res.Canceled)
-		out := w.Value.(*Result)
-		out.Raced = true
-		out.Rung = w.Rung.String()
-		out.Engine = rungEngine(w.Rung)
-		return finishSolve(sp, out)
-	}
-
-	var best *Result
-	var bestRung budget.Rung
-	var bound float64
-	var firstErr error
-	errs := 0
-	for _, o := range res.Outcomes {
-		if o.Err != nil {
-			errs++
-			if firstErr == nil {
-				firstErr = o.Err
+	bus := race.NewBusFor(sp.Graph, sp.Pool, sp.Topology,
+		&schedule.ValidateOptions{NoOverlapIO: sp.NoOverlapIO}, minCost, bound)
+	p := race.Portfolio{MinCost: minCost, Telemetry: sp.Telemetry}
+	for _, r := range race.Resolve(budget.DefaultLadder(first), minCost, true) {
+		p.Rungs = append(p.Rungs, race.Rung{Rung: r, Run: func(ctx context.Context) (race.Answer, error) {
+			res, err := solveRung(ctx, sp, warm, bus, r)
+			if err != nil {
+				return race.Answer{}, err
 			}
-			continue
-		}
-		out, ok := o.Value.(*Result)
-		if !ok || out == nil {
-			continue
-		}
-		if out.Bound > bound {
-			bound = out.Bound // all rungs bound the same objective axis
-		}
-		if out.Design == nil {
-			continue
-		}
-		if best == nil || objOf(out) < objOf(best)-1e-9 {
-			best, bestRung = out, o.Rung
-		}
+			return race.Answer{Design: res.Design, Status: res.Status, Bound: res.Bound, Gap: res.Gap, Value: res}, nil
+		}})
 	}
-	if best == nil {
-		raceResultAttribution(sp.Telemetry, 0, false, res.Canceled)
-		if errs == len(res.Outcomes) && firstErr != nil {
-			return nil, firstErr
-		}
-		st := StatusBudgetExhausted
-		if ctx.Err() != nil {
-			st = StatusCanceled
-		}
-		return finishSolve(sp, &Result{Engine: sp.Engine, Status: st, Raced: true})
+	s := p.Race(ctx)
+	if s.Err != nil {
+		return nil, s.Err
 	}
-	raceResultAttribution(sp.Telemetry, bestRung, true, res.Canceled)
-	best.Raced = true
-	best.Rung = bestRung.String()
-	best.Engine = rungEngine(bestRung)
-	if best.Status != StatusOptimal {
-		// An entrant can hold a certificate without having won only if it
-		// finished after cancellation began; otherwise it is an incumbent,
-		// tightened by the best bound any rung proved before the budget.
-		best.Status = StatusFeasible
-		if bound > best.Bound {
-			best.Bound = bound
-		}
-		if best.Bound > 0 {
-			obj := objOf(best)
-			best.Gap = math.Abs(obj-best.Bound) / math.Max(1, math.Abs(obj))
-		} else if best.Gap == 0 {
-			best.Gap = math.Inf(1)
-		}
+	res, _ := s.Value.(*Result)
+	if res == nil {
+		res = &Result{Engine: sp.Engine}
 	}
-	return finishSolve(sp, best)
+	res.Design, res.Status, res.Bound, res.Gap = s.Design, s.Status, s.Bound, s.Gap
+	res.Raced = true
+	if s.Won {
+		res.Rung = s.Rung.String()
+	}
+	return finishSolve(sp, res)
 }
 
-// rungEngine maps a winning rung back onto the facade Engine constant it
-// represents, so Result.Engine honestly names what produced the design.
-func rungEngine(r budget.Rung) Engine {
+// solveRung runs rung r of a facade race with the bus attached. The
+// heuristic rung publishes its design remapped onto the spec's pool, so
+// it passes the bus's identity vet and seeds the exact engines' pruning;
+// it never proves anything.
+func solveRung(ctx context.Context, sp Spec, warm []*schedule.Design, bus *race.Bus, r budget.Rung) (*Result, error) {
 	switch r {
 	case budget.RungMILP:
-		return EngineMILP
+		sp.Engine = EngineMILP
 	case budget.RungHeuristic:
-		return EngineHeuristic
-	default:
-		return EngineCombinatorial
-	}
-}
-
-// raceResultAttribution folds one finished facade race into telemetry:
-// the winning rung's counter, canceled losers, and one EvRace event.
-func raceResultAttribution(tel *telemetry.Collector, winner budget.Rung, haveWinner bool, canceled int) {
-	label := "none"
-	if haveWinner {
-		label = winner.String()
-		switch winner {
-		case budget.RungMILP:
-			tel.Inc(telemetry.CtrRaceWinsMILP)
-		case budget.RungCombinatorial:
-			tel.Inc(telemetry.CtrRaceWinsComb)
-		case budget.RungHeuristic:
-			tel.Inc(telemetry.CtrRaceWinsHeur)
+		res := &Result{Engine: EngineHeuristic, Status: StatusBudgetExhausted}
+		d := heur.SynthesizeOnPool(sp.Graph, sp.Pool, sp.Topology, sp.CostCap)
+		if d != nil && d.Validate(&schedule.ValidateOptions{NoOverlapIO: sp.NoOverlapIO}) == nil {
+			bus.Publish(r, d, d.Makespan)
+			res.Design, res.Status, res.Gap = d, StatusFeasible, math.Inf(1)
 		}
+		return res, nil
+	default:
+		sp.Engine = EngineCombinatorial
 	}
-	tel.Add(telemetry.CtrRaceCanceled, int64(canceled))
-	tel.Emit(telemetry.EvRace, 0, float64(canceled), label)
+	return engineSolve(ctx, sp, warm, bus)
 }

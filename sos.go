@@ -47,6 +47,7 @@ import (
 	"sos/internal/milp"
 	"sos/internal/model"
 	"sos/internal/pareto"
+	"sos/internal/race"
 	"sos/internal/schedule"
 	"sos/internal/sim"
 	"sos/internal/taskgraph"
@@ -216,16 +217,18 @@ type Spec struct {
 	// decaying per-point slices, unused time rolling over). 0 = unlimited.
 	SweepBudget time.Duration
 	// Anytime enables graceful degradation in Frontier/FrontierByDeadline:
-	// a point whose exact solve exhausts its budget slice degrades down
-	// the ladder (MILP → combinatorial → heuristic) instead of stopping
-	// the sweep, and the resulting FrontierPoint is annotated with its
-	// Status and Gap.
+	// a point whose exact solve exhausts its budget slice, or fails,
+	// degrades down the ladder (MILP → combinatorial → heuristic) instead
+	// of stopping the sweep, and the resulting FrontierPoint is annotated
+	// with its Status and Gap.
 	Anytime bool
 	// SweepWorkers, when > 1, runs Frontier with that many concurrent
 	// point solvers: speculative caps drawn from the design-cost lattice
 	// are solved ahead of the ε-constraint chain and reconciled into the
-	// identical frontier the sequential sweep returns (DESIGN.md §10).
-	// 0 or 1 selects the sequential sweep.
+	// identical frontier a one-worker sweep returns (DESIGN.md §10). At 0
+	// or 1 every cap is solved in chain order with no speculation. Either
+	// way an EngineMILP sweep builds its two models once and retargets
+	// them per solve.
 	SweepWorkers int
 	// Race runs the engine portfolio concurrently instead of one engine
 	// (or one ladder rung) at a time: MILP, combinatorial, and heuristic
@@ -262,10 +265,11 @@ type Spec struct {
 	Telemetry *Telemetry
 
 	// Hooks injects solver failpoints — crash a worker mid-node, reject
-	// warm starts, cap LP iterations — into EngineMILP solves, letting
-	// fault suites drive degraded paths from the very top of the stack
-	// (e.g. the sosd request boundary) without reaching into internals.
-	// Nil in production; ignored by the other engines.
+	// warm starts, cap LP iterations — into every MILP solve, sweep points
+	// and raced MILP rungs included, letting fault suites drive degraded
+	// paths from the very top of the stack (e.g. the sosd request
+	// boundary) without reaching into internals. Nil in production;
+	// ignored by the other engines.
 	Hooks *SolverHooks
 
 	// Cache, when non-nil, consults and feeds the cross-request result
@@ -364,10 +368,9 @@ func cacheEligible(sp Spec) bool {
 // milpSolve runs one already-built MILP model and maps the solver status
 // onto a Result. The batch path shares this with the single-solve path:
 // it is where cloned sweep-template models and accumulated incumbent
-// pools enter; mod lets the racing path attach its bus hooks to the
-// options before the solve. The returned design is not yet validated —
-// callers go through finishSolve.
-func milpSolve(ctx context.Context, sp Spec, m *model.Model, pool [][]float64, mod ...func(*milp.Options)) (*Result, error) {
+// pools enter; a non-nil bus hooks the solve onto a race. The returned
+// design is not yet validated — callers go through finishSolve.
+func milpSolve(ctx context.Context, sp Spec, m *model.Model, pool [][]float64, bus *race.Bus) (*Result, error) {
 	res := &Result{Engine: sp.Engine}
 	st := m.Stats
 	res.ModelStats = &st
@@ -379,9 +382,7 @@ func milpSolve(ctx context.Context, sp Spec, m *model.Model, pool [][]float64, m
 		IncumbentPool: pool,
 		LP:            &lp.Options{Kernel: sp.LPKernel, Presolve: sp.LPPresolve},
 	}
-	for _, f := range mod {
-		f(opts)
-	}
+	bus.AttachMILP(opts, m, budget.RungMILP)
 	design, sol, err := m.Solve(ctx, opts)
 	if err != nil {
 		return nil, err
@@ -411,13 +412,25 @@ func milpSolve(ctx context.Context, sp Spec, m *model.Model, pool [][]float64, m
 	return res, nil
 }
 
-// solve dispatches one defaulted spec to its engine. warm optionally
-// carries untrusted incumbent designs (cache near-misses) that seed the
-// exact engines' pruning; each engine feasibility-checks them itself.
+// solve runs one defaulted spec: the raced portfolio when Spec.Race asks
+// for it, otherwise the spec's engine. warm optionally carries untrusted
+// incumbent designs (cache near-misses) that seed the exact engines'
+// pruning; each engine feasibility-checks them itself.
 func solve(ctx context.Context, sp Spec, warm []*schedule.Design) (*Result, error) {
 	if sp.Race && sp.Engine != EngineHeuristic {
 		return solveRace(ctx, sp, warm)
 	}
+	res, err := engineSolve(ctx, sp, warm, nil)
+	if err != nil {
+		return nil, err
+	}
+	return finishSolve(sp, res)
+}
+
+// engineSolve dispatches one spec to its engine, hooked onto bus when it
+// is non-nil. The result is not yet validated — callers go through
+// finishSolve.
+func engineSolve(ctx context.Context, sp Spec, warm []*schedule.Design, bus *race.Bus) (*Result, error) {
 	res := &Result{Engine: sp.Engine}
 	switch sp.Engine {
 	case EngineMILP:
@@ -436,10 +449,7 @@ func solve(ctx context.Context, sp Spec, warm []*schedule.Design) (*Result, erro
 				pool = append(pool, v)
 			}
 		}
-		res, err = milpSolve(ctx, sp, m, pool)
-		if err != nil {
-			return nil, err
-		}
+		return milpSolve(ctx, sp, m, pool, bus)
 	case EngineHeuristic:
 		maxCounts := make([]int, sp.Library.NumTypes())
 		for _, p := range sp.Pool.Procs() {
@@ -451,6 +461,12 @@ func solve(ctx context.Context, sp Spec, warm []*schedule.Design) (*Result, erro
 		if err != nil {
 			res.Infeasible = true
 			res.Status = StatusInfeasible
+			return res, nil
+		}
+		if sp.Objective == MinCost && hd.Makespan > sp.Deadline+1e-9 {
+			// The greedy synthesizer ignores deadlines: a design that
+			// misses this one is no answer, and missing it proves nothing.
+			res.Status = StatusBudgetExhausted
 			return res, nil
 		}
 		res.Design = hd
@@ -465,6 +481,7 @@ func solve(ctx context.Context, sp Spec, warm []*schedule.Design) (*Result, erro
 		if len(warm) > 0 {
 			eo.Warm = warm[0] // best-objective candidate; exact vets it
 		}
+		bus.AttachExact(&eo, budget.RungCombinatorial)
 		r, err := exact.Synthesize(ctx, sp.Graph, sp.Pool, sp.Topology, eo)
 		if err != nil {
 			return nil, err
@@ -477,7 +494,7 @@ func solve(ctx context.Context, sp Spec, warm []*schedule.Design) (*Result, erro
 		res.Gap = r.Gap
 		res.Nodes = r.Nodes
 	}
-	return finishSolve(sp, res)
+	return res, nil
 }
 
 // finishSolve applies the result invariants every solve path shares:
@@ -554,6 +571,7 @@ func sweepOptions(sp Spec) pareto.Options {
 		opts.MILP = &milp.Options{
 			TimeLimit: sp.Budget,
 			RootCuts:  sp.RootCuts,
+			Hooks:     sp.Hooks,
 			LP:        &lp.Options{Kernel: sp.LPKernel, Presolve: sp.LPPresolve},
 		}
 		first = budget.RungMILP
