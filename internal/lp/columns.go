@@ -3,7 +3,7 @@ package lp
 // colView is an immutable compressed-sparse-column snapshot of a Problem's
 // structural coefficients in ≤-normalized form: every coefficient of a ≥
 // row is negated, matching the equality-form convention both simplex
-// kernels build (simplex.go's dense rows and sparse.go's CSC columns).
+// kernels build (dense.go's dense rows and sparse.go's CSC columns).
 // Once built it is shared by clones and concurrent solves; any structural
 // mutation (AddCol/AddRow) drops the cache.
 type colView struct {

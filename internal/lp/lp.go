@@ -1,7 +1,14 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs with bounded variables. It plays the role of the commercial XLP
-// package used by the SOS paper: the branch-and-bound MILP driver
-// (internal/milp) calls it to solve the LP relaxation at every node.
+// Package lp implements a two-phase bounded-variable primal simplex solver
+// for linear programs, with bound-flipping dual simplex repairs for warm
+// re-solves (Resolver). It plays the role of the commercial XLP package
+// used by the SOS paper: the branch-and-bound MILP driver (internal/milp)
+// calls it to solve the LP relaxation at every node.
+//
+// One simplex driver (simplex.go) runs over either of two basis
+// representations, selected by Options.Kernel: a dense tableau that keeps
+// B⁻¹A explicitly (dense.go), and a sparse revised simplex over an LU
+// factorization with eta updates (sparse.go, lu.go). Options.Presolve puts
+// a reduction pass (presolve.go) in front of either.
 //
 // Problems have the form
 //
@@ -276,11 +283,17 @@ type Kernel int
 const (
 	// KernelAuto picks the dense tableau below autoSparseThreshold
 	// internal dimensions (rows+cols) and the sparse revised simplex
-	// above it. The paper-scale models stay on the dense path, whose
-	// per-pivot constant wins at those sizes; generated 100+-subtask
-	// models cross over to the sparse kernel.
+	// above it. Example 1's models stay on the dense path on evidence:
+	// their branch and bound is thousands of small warm re-solves, and
+	// forcing the sparse kernel there made the paper-milp benchmark pass
+	// 1.6–1.9× slower. Example 2's models (~1.6k rows) fall below the
+	// threshold too, although the sparse kernel solves their root LP 2.8×
+	// faster and their MILPs with about a third less CPU; the threshold
+	// is not retuned for them yet (DESIGN.md §11.1). Generated
+	// 100+-subtask models cross over to the sparse kernel, whose memory
+	// and work grow with the nonzeros instead of rows × columns.
 	KernelAuto Kernel = iota
-	// KernelDense forces the dense two-phase tableau (simplex.go).
+	// KernelDense forces the dense tableau (dense.go).
 	KernelDense
 	// KernelSparse forces the sparse revised simplex (sparse.go): CSC
 	// columns, LU-factorized basis with product-form eta updates and
@@ -402,8 +415,5 @@ func (p *Problem) solve(opts *Options) *Solution {
 
 // kernelSolve runs the selected simplex implementation with no presolve.
 func (p *Problem) kernelSolve(opts *Options) *Solution {
-	if opts.kernelFor(p) == KernelSparse {
-		return newSpx(p, opts).run()
-	}
 	return newSimplex(p, opts).run()
 }

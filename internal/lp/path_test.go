@@ -1,0 +1,323 @@
+package lp_test
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"strings"
+	"testing"
+
+	"sos/internal/arch"
+	"sos/internal/expts"
+	"sos/internal/lp"
+	"sos/internal/model"
+	"sos/internal/telemetry"
+)
+
+// pathModel builds one of the paper models the path pins cover: the
+// Example 1 MILP at cost cap 14 and the Example 2 MILP at cost cap 15
+// (Table II's and Table IV's first rows), both point to point, and the
+// Example 1 cap-14 model with the §5 local-memory extension, whose
+// memory-sizing columns and rows presolve eliminates (the plain paper
+// models have nothing for it to remove).
+func pathModel(t *testing.T, name string) *model.Model {
+	t.Helper()
+	var (
+		m   *model.Model
+		err error
+	)
+	opts := model.Options{Objective: model.MinMakespan}
+	switch name {
+	case "ex1-cap14", "ex1-cap14-mem":
+		g, lib := expts.Example1()
+		opts.CostCap = 14
+		opts.Memory = name == "ex1-cap14-mem"
+		m, err = model.Build(g, expts.Example1Pool(lib), arch.PointToPoint{}, opts)
+	case "ex2-cap15":
+		g, lib := expts.Example2()
+		opts.CostCap = 15
+		m, err = model.Build(g, expts.Example2Pool(lib), arch.PointToPoint{}, opts)
+	default:
+		t.Fatalf("unknown model %q", name)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// solutionHash folds a solution's status, iteration count, objective bits
+// and every bit of X and ReducedCosts into h.
+func solutionHash(h hash.Hash64, sol *lp.Solution) {
+	var buf [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	put(uint64(sol.Status))
+	put(uint64(sol.Iters))
+	put(math.Float64bits(sol.Obj))
+	put(uint64(len(sol.X)))
+	for _, v := range sol.X {
+		put(math.Float64bits(v))
+	}
+	put(uint64(len(sol.ReducedCosts)))
+	for _, v := range sol.ReducedCosts {
+		put(math.Float64bits(v))
+	}
+}
+
+// coldRecord renders one cold solve as "status/iters/objbits/hash".
+func coldRecord(sol *lp.Solution) string {
+	h := fnv.New64a()
+	solutionHash(h, sol)
+	return fmt.Sprintf("%v/%d/%016x/%016x", sol.Status, sol.Iters, math.Float64bits(sol.Obj), h.Sum64())
+}
+
+// pathFix is one branching decision on the dive stack.
+type pathFix struct {
+	col     lp.ColID
+	up      bool
+	flipped bool
+}
+
+// pathSteps is the length of the resolver walk.
+const pathSteps = 40
+
+// driveResolverPath walks a resolver through a fixed depth-first search
+// over the model's branch columns. Each step fixes the first fractional
+// branch column of the last optimal solution (down on even steps, up on
+// odd), a single-column delta the warm path serves. Every dead end (an
+// infeasible or integral node) and every fifth step backtracks like
+// branch and bound: the deepest unflipped fixing flips to its other side
+// after popping the exhausted ones, a jump of one or more columns, and
+// every third backtrack also drops two more levels, a multi-column jump
+// that rebuilds cold. It returns the per-step "status-letter iters" trace
+// and a digest of every solution bit along the walk.
+func driveResolverPath(t *testing.T, r *lp.Resolver, branch []lp.ColID) (string, uint64) {
+	t.Helper()
+	var stack []pathFix
+	bounds := func() map[lp.ColID][2]float64 {
+		b := make(map[lp.ColID][2]float64, len(stack))
+		for _, f := range stack {
+			v := 0.0
+			if f.up {
+				v = 1
+			}
+			b[f.col] = [2]float64{v, v}
+		}
+		return b
+	}
+	h := fnv.New64a()
+	var trace []string
+	backtracks := 0
+	var sol *lp.Solution
+	for step := 0; step < pathSteps; step++ {
+		if step > 0 {
+			col := lp.ColID(-1)
+			if sol.Status == lp.Optimal && step%5 != 0 {
+				for _, c := range branch {
+					if x := sol.X[c]; x > 1e-6 && x < 1-1e-6 {
+						col = c
+						break
+					}
+				}
+			}
+			if col >= 0 {
+				stack = append(stack, pathFix{col: col, up: step%2 == 1})
+			} else {
+				backtracks++
+				if backtracks%3 == 0 && len(stack) > 2 {
+					stack = stack[:len(stack)-2]
+				}
+				for len(stack) > 0 && stack[len(stack)-1].flipped {
+					stack = stack[:len(stack)-1]
+				}
+				if n := len(stack); n > 0 {
+					stack[n-1].up = !stack[n-1].up
+					stack[n-1].flipped = true
+				}
+			}
+		}
+		var err error
+		if sol, err = r.Solve(bounds()); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		solutionHash(h, sol)
+		trace = append(trace, fmt.Sprintf("%c%d", sol.Status.String()[0], sol.Iters))
+	}
+	return strings.Join(trace, " "), h.Sum64()
+}
+
+// kernelPath is what one kernel configuration must reproduce exactly.
+type kernelPath struct {
+	cold     string          // Problem.Solve: status/iters/objbits/hash
+	steps    string          // resolver walk: status letter + iters per step
+	digest   uint64          // resolver walk: every solution bit
+	stats    lp.ResolveStats // resolver walk: how the solves were served
+	refactor int64           // resolver walk: sparse basis refactorizations
+}
+
+// pathConfig is one pinned configuration: a model, a kernel, and whether
+// presolve runs in front of the kernel.
+type pathConfig struct {
+	model    string
+	kern     lp.Kernel
+	presolve bool
+}
+
+func (c pathConfig) String() string {
+	kern := "dense"
+	if c.kern == lp.KernelSparse {
+		kern = "sparse"
+	}
+	return fmt.Sprintf("%s/%s/presolve=%v", c.model, kern, c.presolve)
+}
+
+// pathConfigs are the pinned configurations: both kernels on the two
+// paper models, and both kernels with and without presolve on the memory
+// model, the one of the three that presolve reduces.
+var pathConfigs = []pathConfig{
+	{"ex1-cap14", lp.KernelDense, false},
+	{"ex1-cap14", lp.KernelSparse, false},
+	{"ex2-cap15", lp.KernelDense, false},
+	{"ex2-cap15", lp.KernelSparse, false},
+	{"ex1-cap14-mem", lp.KernelDense, false},
+	{"ex1-cap14-mem", lp.KernelSparse, false},
+	{"ex1-cap14-mem", lp.KernelDense, true},
+	{"ex1-cap14-mem", lp.KernelSparse, true},
+}
+
+// coldPath records the cold Problem.Solve of one configuration.
+func coldPath(t *testing.T, m *model.Model, c pathConfig) string {
+	t.Helper()
+	sol, err := m.Prob.Solve(&lp.Options{Kernel: c.kern, Presolve: c.presolve})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coldRecord(sol)
+}
+
+// walkPath records the resolver walk of one configuration. Under presolve
+// it fails the test unless the reduction removed something, since a
+// configuration whose presolve is a no-op pins no reduced problem.
+func walkPath(t *testing.T, m *model.Model, c pathConfig) kernelPath {
+	t.Helper()
+	tel := telemetry.New(nil)
+	r, err := m.Prob.NewResolver(&lp.Options{Kernel: c.kern, Presolve: c.presolve, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.presolve && tel.Get(telemetry.CtrLPPresolveRows)+tel.Get(telemetry.CtrLPPresolveCols) == 0 {
+		t.Fatalf("%v: presolve removed no row or column", c)
+	}
+	var got kernelPath
+	got.steps, got.digest = driveResolverPath(t, r, m.BranchCols())
+	got.stats = r.Stats()
+	got.refactor = tel.Get(telemetry.CtrLPRefactors)
+	return got
+}
+
+// TestKernelPivotPaths pins the exact pivot path each LP kernel walks on
+// the paper's models: a cold Problem.Solve and a 40-step Resolver walk
+// whose dives take the warm path (bound update, dual repair, primal
+// cleanup) and whose backtracks rebuild cold, with the sparse kernel
+// refactorizing its basis along the way. On the memory model the walk
+// also runs with presolve, so the kernels solve the reduced problem and
+// the resolver translates every node's bounds through the reduction.
+// Iteration counts, objective bits and a hash of every X and ReducedCosts
+// bit must match: the kernel equivalence tests compare the kernels with
+// each other within 1e-6, while this test holds each kernel to its own
+// recorded path, so a change to the shared simplex driver or to either
+// basis that alters one pivot choice or one bit of a solution fails here.
+func TestKernelPivotPaths(t *testing.T) {
+	want := map[string]kernelPath{
+		"ex1-cap14/dense/presolve=false": {
+			cold:     "optimal/121/4003fffffffffffc/51dfe227cf243464",
+			steps:    "o121 o21 o17 o2 o15 o69 o3 i13 o124 o2 o91 o68 o31 o12 o18 o52 o6 o3 o5 o2 o71 i0 o13 o2 o30 o31 o10 i58 i60 o116 o82 i68 o96 o54 o6 o10 o6 o2 o3 o33",
+			digest:   0xc44e0eb6c5de7a1f,
+			stats:    lp.ResolveStats{Cold: 9, Warm: 31, Fallbacks: 1, DualIters: 606, PrimalIters: 28},
+			refactor: 0,
+		},
+		"ex1-cap14/sparse/presolve=false": {
+			cold:     "optimal/125/4003ffffffffffed/7b04b45d6ea18316",
+			steps:    "o125 o66 o106 i55 o91 o75 o3 i77 o101 o6 o44 o8 o38 o93 o16 o58 o97 o5 o12 i27 o99 o7 o2 o5 o91 o94 o9 o3 o6 o2 o6 i12 o88 o6 o3 o4 o8 o100 o2 o89",
+			digest:   0x50cafac85128a1ad,
+			stats:    lp.ResolveStats{Cold: 13, Warm: 27, Fallbacks: 5, DualIters: 467, PrimalIters: 23},
+			refactor: 39,
+		},
+		"ex2-cap15/dense/presolve=false": {
+			cold:     "optimal/422/4013ffffffffffff/810f434d0cbe089b",
+			steps:    "o422 o52 o18 o331 o2 o257 i49 i190 o393 o45 o422 o334 o2 o183 i13 i82 o336 i8 i265 o342 o296 o10 o302 o419 o563 o304 o27 o125 o326 o119 o273 i216 o361 i152 o173 o277 o22 o119 o9 o4",
+			digest:   0x992cf1d79f89e365,
+			stats:    lp.ResolveStats{Cold: 21, Warm: 19, Fallbacks: 13, DualIters: 1091, PrimalIters: 14},
+			refactor: 0,
+		},
+		"ex2-cap15/sparse/presolve=false": {
+			cold:     "optimal/330/4014000000000014/f6459814ec545109",
+			steps:    "o330 o15 o443 o420 o11 o310 o455 o9 o414 o343 o292 o382 o317 o100 o51 o329 o236 i0 o165 i0 o258 o2 o221 o13 o105 o195 o15 o16 o227 o2 o30 o2 o2 o2 o6 o206 o4 o3 o200 o215",
+			digest:   0x1c5b101f9331a85b,
+			stats:    lp.ResolveStats{Cold: 19, Warm: 21, Fallbacks: 14, DualIters: 534, PrimalIters: 19},
+			refactor: 182,
+		},
+		"ex1-cap14-mem/dense/presolve=false": {
+			cold:     "optimal/127/4003fffffffffffc/4387b94c678f60be",
+			steps:    "o127 o21 o17 o2 o15 o75 o3 i13 o130 o2 o97 o68 o31 o12 o18 o52 o6 o3 o5 o2 o77 i0 o13 o2 o30 o31 o10 i64 i66 o122 o88 i68 o96 o54 o6 o10 o6 o2 o3 o33",
+			digest:   0x7583496f0348b40b,
+			stats:    lp.ResolveStats{Cold: 9, Warm: 31, Fallbacks: 1, DualIters: 606, PrimalIters: 28},
+			refactor: 0,
+		},
+		"ex1-cap14-mem/sparse/presolve=false": {
+			cold:     "optimal/131/4003ffffffffffd5/41fa53c8ca7c1466",
+			steps:    "o131 o92 o116 i66 o104 o82 o35 o21 i70 o60 o108 o4 o4 o15 o2 o71 i31 o96 o14 i84 o92 o88 o77 o80 i16 o85 o79 o3 o8 i9 o78 o69 o76 o82 o22 o10 i66 o87 i87 o79",
+			digest:   0xdbe1bc43aa2efec4,
+			stats:    lp.ResolveStats{Cold: 22, Warm: 18, Fallbacks: 11, DualIters: 463, PrimalIters: 14},
+			refactor: 57,
+		},
+		"ex1-cap14-mem/dense/presolve=true": {
+			cold:     "optimal/121/4003fffffffffffc/5a971361f73b16e0",
+			steps:    "o121 o21 o17 o2 o15 o69 o3 i13 o124 o2 o91 o68 o31 o12 o18 o52 o6 o3 o5 o2 o71 i0 o13 o2 o30 o31 o10 i58 i60 o116 o82 i68 o96 o54 o6 o10 o6 o2 o3 o33",
+			digest:   0xc70807793dc07825,
+			stats:    lp.ResolveStats{Cold: 9, Warm: 31, Fallbacks: 1, DualIters: 606, PrimalIters: 28},
+			refactor: 0,
+		},
+		"ex1-cap14-mem/sparse/presolve=true": {
+			cold:     "optimal/125/4003ffffffffffed/7eab015414631fbe",
+			steps:    "o125 o66 o106 i55 o91 o75 o3 i77 o101 o6 o44 o8 o38 o93 o16 o58 o97 o5 o12 i27 o99 o7 o2 o5 o91 o94 o9 o3 o6 o2 o6 i12 o88 o6 o3 o4 o8 o100 o2 o89",
+			digest:   0xfb7c46207656c4b5,
+			stats:    lp.ResolveStats{Cold: 13, Warm: 27, Fallbacks: 5, DualIters: 467, PrimalIters: 23},
+			refactor: 39,
+		},
+	}
+	models := map[string]*model.Model{}
+	for _, c := range pathConfigs {
+		t.Run(c.String(), func(t *testing.T) {
+			m := models[c.model]
+			if m == nil {
+				m = pathModel(t, c.model)
+				models[c.model] = m
+			}
+			w, ok := want[c.String()]
+			if !ok {
+				t.Fatalf("no recorded path for %v", c)
+			}
+			if got := coldPath(t, m, c); got != w.cold {
+				t.Errorf("cold solve changed: got %q, want %q", got, w.cold)
+			}
+			if raceEnabled && c.model == "ex2-cap15" {
+				// The walk is single-goroutine arithmetic the race
+				// detector has nothing to say about, and it slows the
+				// Example 2 walks 8–23x (~100 s for the two); plain go
+				// test runs them, and CI runs that too.
+				t.Skip("Example 2 resolver walk skipped under the race detector")
+			}
+			got := walkPath(t, m, c)
+			got.cold = w.cold
+			if got != w {
+				t.Errorf("resolver walk changed:\n got %#v\nwant %#v", got, w)
+			}
+		})
+	}
+}

@@ -21,13 +21,15 @@ import (
 // resolver's own state is always a valid warm start for the next node,
 // regardless of where that node sits in the search tree.
 //
-// The resolver runs whichever kernel Options selects: the dense tableau
-// (simplex.go) or the sparse revised simplex (sparse.go); the warm-start
-// contract and fallback behavior are identical. With Options.Presolve the
-// base problem is reduced ONCE at construction and per-call bound
-// overrides are translated into the reduced space — valid because branch
-// and bound only ever tightens bounds, and every presolve reduction
-// remains sound under tighter boxes.
+// The resolver runs whichever kernel Options selects, the dense tableau
+// (dense.go) or the sparse revised simplex (sparse.go), through one warm
+// path: the bound update, the dual repair and the primal cleanup ask the
+// basis for the column and row images they need, so the warm-start
+// contract and fallback behavior are the same code for both. With
+// Options.Presolve the base problem is reduced ONCE at construction and
+// per-call bound overrides are translated into the reduced space — valid
+// because branch and bound only ever tightens bounds, and every presolve
+// reduction remains sound under tighter boxes.
 //
 // Anything the warm path cannot certify (iteration cap, numerically
 // degenerate rows) falls back to a from-scratch cold solve, so results are
@@ -39,21 +41,18 @@ type Resolver struct {
 	p      *Problem
 	target *Problem // the problem kernels actually solve (reduced under presolve)
 	opts   Options
-	kern   Kernel
 
 	pre       *presolveInfo        // nil when presolve is off
 	redBounds map[ColID][2]float64 // translate() output buffer
 	fullSol   Solution             // expanded solution under presolve
 
-	s        *simplex // dense kernel state (kern == KernelDense)
-	sx       *spx     // sparse kernel state (kern == KernelSparse)
+	s        *simplex             // kernel state of the last solve, nil before the first
 	cur      map[ColID][2]float64 // effective overrides of the last solve
 	reusable bool
 	warmRuns int // warm solves since the last refactorization
 
 	scratch []int     // changed-column buffer, sorted for determinism
 	cands   dualCands // entering-candidate buffer for the dual ratio test
-	rho     []float64 // sparse warm path: BTRAN image of the violated row
 	sol     Solution  // reused result; valid until the next Solve call
 	stats   ResolveStats
 }
@@ -127,7 +126,6 @@ func (p *Problem) NewResolver(opts *Options) (*Resolver, error) {
 			r.target = r.pre.reduced
 		}
 	}
-	r.kern = r.opts.kernelFor(r.target)
 	return r, nil
 }
 
@@ -166,7 +164,7 @@ func (r *Resolver) innerSolve(bounds map[ColID][2]float64) *Solution {
 		r.opts.Telemetry.Inc(telemetry.CtrLPFallbacks)
 		return r.cold(bounds)
 	}
-	if (r.s == nil && r.sx == nil) || !r.reusable || r.warmRuns >= refactorEvery {
+	if r.s == nil || !r.reusable || r.warmRuns >= refactorEvery {
 		return r.cold(bounds)
 	}
 
@@ -189,87 +187,35 @@ func (r *Resolver) innerSolve(bounds map[ColID][2]float64) *Solution {
 	if len(r.scratch) > warmDeltaMax {
 		return r.cold(bounds)
 	}
-	if r.kern == KernelSparse {
-		return r.warmSparse(bounds)
-	}
-	return r.warmDense(bounds)
+	return r.warm(bounds)
 }
 
-// warmDense is the dense tableau's warm path: apply the bound delta, run
-// the dual repair, then a primal cleanup.
-func (r *Resolver) warmDense(bounds map[ColID][2]float64) *Solution {
+// warm applies the bound delta to the retained basis, runs the dual
+// repair, then a primal cleanup. Any numerical doubt (a repair that gives
+// up, a singular refactorization mid-repair) falls back cold.
+func (r *Resolver) warm(bounds map[ColID][2]float64) *Solution {
 	r.stats.Warm++
 	r.warmRuns++
 	s := r.s
 	for _, ci := range r.scratch {
 		c := ColID(ci)
 		if b, ok := bounds[c]; ok {
-			r.applyBound(ci, b[0], b[1])
+			s.applyBound(ci, b[0], b[1])
 		} else {
 			col := r.target.cols[c]
-			r.applyBound(ci, col.Lb, col.Ub)
+			s.applyBound(ci, col.Lb, col.Ub)
 		}
 	}
 	r.setCur(bounds)
 
-	// Fresh phase-2 reduced costs and objective: cheap (one pass over the
-	// tableau) and removes any drift in the incrementally maintained rows.
+	// Fresh phase-2 reduced costs and objective: removes any drift in the
+	// incrementally maintained values.
 	s.iters = 0
 	s.setPhaseObjective(false)
 
 	st, ok := r.dualRepair()
-	if !ok {
-		r.stats.Warm--
-		r.stats.Fallbacks++
-		r.opts.Telemetry.Inc(telemetry.CtrLPFallbacks)
-		return r.cold(bounds)
-	}
-	dual := s.iters
-	r.stats.DualIters += dual
-	if st == Optimal {
-		before := s.iters
-		st = s.iterate(false)
-		r.stats.PrimalIters += s.iters - before
-	}
-	if tel := r.opts.Telemetry; tel != nil {
-		tel.Inc(telemetry.CtrLPWarm)
-		tel.Add(telemetry.CtrLPDualIters, int64(dual))
-		tel.Add(telemetry.CtrLPPrimalIters, int64(s.iters-dual))
-		tel.Emit(telemetry.EvLPResolve, r.opts.TelemetryWorker, float64(s.iters), "warm")
-	}
-	r.reusable = st == Optimal || st == Infeasible
-	s.finishInto(st, &r.sol)
-	return &r.sol
-}
-
-// warmSparse mirrors warmDense on the revised simplex: the retained LU
-// factor plus eta file stand in for the dense tableau, FTRANs supply the
-// column images the bound updates and pivots need, and any numerical
-// doubt (singular refactorization mid-repair) falls back cold.
-func (r *Resolver) warmSparse(bounds map[ColID][2]float64) *Solution {
-	r.stats.Warm++
-	r.warmRuns++
-	s := r.sx
-	for _, ci := range r.scratch {
-		c := ColID(ci)
-		if b, ok := bounds[c]; ok {
-			r.applyBoundSX(ci, b[0], b[1])
-		} else {
-			col := r.target.cols[c]
-			r.applyBoundSX(ci, col.Lb, col.Ub)
-		}
-	}
-	r.setCur(bounds)
-
-	s.iters = 0
-	s.setPhaseObjective(false)
-
-	st, ok := r.dualRepairSX()
 	if !ok || s.broken {
-		r.stats.Warm--
-		r.stats.Fallbacks++
-		r.opts.Telemetry.Inc(telemetry.CtrLPFallbacks)
-		return r.cold(bounds)
+		return r.fallback(bounds)
 	}
 	dual := s.iters
 	r.stats.DualIters += dual
@@ -277,10 +223,7 @@ func (r *Resolver) warmSparse(bounds map[ColID][2]float64) *Solution {
 		before := s.iters
 		st = s.iterate(false)
 		if s.broken {
-			r.stats.Warm--
-			r.stats.Fallbacks++
-			r.opts.Telemetry.Inc(telemetry.CtrLPFallbacks)
-			return r.cold(bounds)
+			return r.fallback(bounds)
 		}
 		r.stats.PrimalIters += s.iters - before
 	}
@@ -293,6 +236,14 @@ func (r *Resolver) warmSparse(bounds map[ColID][2]float64) *Solution {
 	r.reusable = st == Optimal || st == Infeasible
 	s.finishInto(st, &r.sol)
 	return &r.sol
+}
+
+// fallback abandons a warm attempt and rebuilds cold.
+func (r *Resolver) fallback(bounds map[ColID][2]float64) *Solution {
+	r.stats.Warm--
+	r.stats.Fallbacks++
+	r.opts.Telemetry.Inc(telemetry.CtrLPFallbacks)
+	return r.cold(bounds)
 }
 
 // cold rebuilds the selected kernel from scratch and runs both phases.
@@ -301,15 +252,8 @@ func (r *Resolver) cold(bounds map[ColID][2]float64) *Solution {
 	r.warmRuns = 0
 	o := r.opts
 	o.BoundOverride = bounds
-	if r.kern == KernelSparse {
-		r.s = nil
-		r.sx = newSpx(r.target, &o)
-		r.sol = *r.sx.run()
-	} else {
-		r.sx = nil
-		r.s = newSimplex(r.target, &o)
-		r.sol = *r.s.run()
-	}
+	r.s = newSimplex(r.target, &o)
+	r.sol = *r.s.run()
 	if tel := r.opts.Telemetry; tel != nil {
 		tel.Inc(telemetry.CtrLPCold)
 		tel.Emit(telemetry.EvLPResolve, r.opts.TelemetryWorker, float64(r.sol.Iters), "cold")
@@ -332,9 +276,8 @@ func (r *Resolver) setCur(bounds map[ColID][2]float64) {
 
 // applyBound installs new bounds for structural column j and, when j is
 // nonbasic, snaps its resting value to the new bound, updating the basic
-// values it feeds.
-func (r *Resolver) applyBound(j int, lb, ub float64) {
-	s := r.s
+// values it feeds through its column image.
+func (s *simplex) applyBound(j int, lb, ub float64) {
 	if s.lb[j] == lb && s.ub[j] == ub {
 		return
 	}
@@ -353,38 +296,9 @@ func (r *Resolver) applyBound(j int, lb, ub float64) {
 		nv = s.ub[j]
 	}
 	if delta := nv - old; delta != 0 {
-		for i := 0; i < s.m; i++ {
-			if y := s.tab[i][j]; y != 0 {
-				s.xB[i] -= y * delta
-			}
-		}
-	}
-}
-
-// applyBoundSX is applyBound for the sparse kernel: the tableau column is
-// not materialized, so one FTRAN recovers it when the nonbasic snap moves
-// basic values.
-func (r *Resolver) applyBoundSX(j int, lb, ub float64) {
-	s := r.sx
-	if s.lb[j] == lb && s.ub[j] == ub {
-		return
-	}
-	old := s.value(j)
-	s.lb[j], s.ub[j] = lb, ub
-	if s.status[j] == basic {
-		return
-	}
-	if s.status[j] == atUpper && math.IsInf(ub, 1) {
-		s.status[j] = atLower
-	}
-	nv := s.lb[j]
-	if s.status[j] == atUpper {
-		nv = s.ub[j]
-	}
-	if delta := nv - old; delta != 0 {
-		s.ftranCol(j)
-		for i := 0; i < s.m; i++ {
-			if y := s.w[i]; y != 0 {
+		s.b.column(j)
+		for i, y := range s.w {
+			if y != 0 {
 				s.xB[i] -= y * delta
 			}
 		}
@@ -392,16 +306,17 @@ func (r *Resolver) applyBoundSX(j int, lb, ub float64) {
 }
 
 // dualRepair restores primal feasibility with bounded-variable dual
-// simplex pivots, keeping the reduced-cost row dual feasible throughout.
-// Returns Optimal when feasibility is restored (optimality still pending a
-// primal cleanup), Infeasible on a sound infeasibility certificate, and
-// ok=false when the state is numerically untrustworthy and the caller
-// should rebuild cold.
+// simplex pivots, keeping the reduced costs dual feasible throughout. The
+// violated row of B⁻¹A comes from the basis as one row image; each flip or
+// pivot asks for the entering column's image. Returns Optimal when
+// feasibility is restored (optimality still pending a primal cleanup),
+// Infeasible on a sound infeasibility certificate, and ok=false when the
+// state is numerically untrustworthy and the caller should rebuild cold.
 func (r *Resolver) dualRepair() (Status, bool) {
 	s := r.s
 	const pivEps = 1e-7
 	// Bound violations below repairTol are treated as feasible: the warm
-	// tableau's incrementally updated xB carries round-off on that order,
+	// state's incrementally updated xB carries round-off on that order,
 	// and chasing noise-level violations at degenerate vertices wastes
 	// pivots (and can even "certify" phantom infeasibility). certTol is
 	// the opposite guard: an infeasibility certificate is only trusted
@@ -429,6 +344,7 @@ func (r *Resolver) dualRepair() (Status, bool) {
 		if s.iters >= maxRepair {
 			return IterLimit, false
 		}
+		s.b.price()
 		// Most-violated basic variable.
 		row, below := -1, false
 		viol := repairTol
@@ -454,14 +370,14 @@ func (r *Resolver) dualRepair() (Status, bool) {
 		// Entering candidates: nonbasics whose only allowed move (away
 		// from their resting bound) pushes xB[row] toward the violated
 		// bound.
-		tr := s.tab[row]
+		alpha := s.b.row(row)
 		r.cands = r.cands[:0]
 		marginal := false
 		for j := 0; j < s.nTot; j++ {
 			if s.status[j] == basic || s.lb[j] == s.ub[j] {
 				continue
 			}
-			y := tr[j]
+			y := alpha[j]
 			ay := math.Abs(y)
 			if ay <= s.eps {
 				continue
@@ -503,9 +419,10 @@ func (r *Resolver) dualRepair() (Status, bool) {
 			if s.status[c.j] == atUpper {
 				dir = -1
 			}
+			s.iters++
+			s.b.column(c.j)
 			rng := s.ub[c.j] - s.lb[c.j]
 			if capj := rng * c.ay; !math.IsInf(rng, 1) && capj < remaining {
-				s.iters++
 				s.applyStep(c.j, dir, rng)
 				if s.status[c.j] == atLower {
 					s.status[c.j] = atUpper
@@ -515,7 +432,6 @@ func (r *Resolver) dualRepair() (Status, bool) {
 				remaining -= capj
 				continue
 			}
-			s.iters++
 			t := remaining / c.ay
 			nv := s.boundValue(c.j, dir, t)
 			s.applyStep(c.j, dir, t)
@@ -525,6 +441,9 @@ func (r *Resolver) dualRepair() (Status, bool) {
 				s.status[bv] = atUpper
 			}
 			s.pivot(row, c.j, nv)
+			if s.broken {
+				return 0, false
+			}
 			pivoted = true
 			break
 		}
@@ -542,139 +461,6 @@ func (r *Resolver) dualRepair() (Status, bool) {
 		// extremal over the whole box, so the row certifies primal
 		// infeasibility. The flips taken on the way are kept; they only
 		// moved nonbasics between their own bounds.
-		return Infeasible, true
-	}
-}
-
-// dualRepairSX is dualRepair on the sparse kernel. The violated row of
-// B⁻¹A is recovered with one BTRAN (rho = B⁻ᵀe_row) and priced against
-// the sparse columns; each flip or pivot FTRANs the entering column it
-// needs. Reduced costs are re-priced at every repair iteration — one
-// BTRAN plus a pass over the nonzeros, cheap at the repair budget's
-// scale — instead of being maintained incrementally.
-func (r *Resolver) dualRepairSX() (Status, bool) {
-	s := r.sx
-	const pivEps = 1e-7
-	const repairTol = 1e-7
-	const certTol = 1e-5
-	maxRepair := s.m/4 + 30
-	if s.max < maxRepair {
-		maxRepair = s.max
-	}
-	if cap(r.rho) < s.m {
-		r.rho = make([]float64, s.m)
-	}
-	rho := r.rho[:s.m]
-	for {
-		if h := s.hooks; h != nil && h.OnPivot != nil {
-			h.OnPivot(s.iters)
-		}
-		if s.iters >= maxRepair {
-			return IterLimit, false
-		}
-		s.price()
-		row, below := -1, false
-		viol := repairTol
-		for i := 0; i < s.m; i++ {
-			bv := s.basicVar[i]
-			if v := s.lb[bv] - s.xB[i]; v > viol {
-				row, viol, below = i, v, true
-			}
-			if v := s.xB[i] - s.ub[bv]; v > viol {
-				row, viol, below = i, v, false
-			}
-		}
-		if row < 0 {
-			return Optimal, true
-		}
-		bv := s.basicVar[row]
-		if s.isArt[bv] {
-			return 0, false
-		}
-
-		for i := range rho {
-			rho[i] = 0
-		}
-		rho[row] = 1
-		s.btranRow(rho)
-		r.cands = r.cands[:0]
-		marginal := false
-		for j := 0; j < s.nTot; j++ {
-			if s.status[j] == basic || s.lb[j] == s.ub[j] {
-				continue
-			}
-			y := 0.0
-			ri, ax := s.colOf(j)
-			for t, i := range ri {
-				y += rho[i] * ax[t]
-			}
-			ay := math.Abs(y)
-			if ay <= s.eps {
-				continue
-			}
-			var helps bool
-			if s.status[j] == atLower {
-				helps = below == (y < 0)
-			} else {
-				helps = below == (y > 0)
-			}
-			if !helps {
-				continue
-			}
-			if ay <= pivEps {
-				marginal = true
-				continue
-			}
-			r.cands = append(r.cands, dualCand{j: j, ratio: math.Abs(s.d[j]) / ay, ay: ay})
-		}
-		sort.Sort(r.cands)
-
-		remaining := viol
-		pivoted := false
-		for _, c := range r.cands {
-			dir := 1.0
-			if s.status[c.j] == atUpper {
-				dir = -1
-			}
-			rng := s.ub[c.j] - s.lb[c.j]
-			if capj := rng * c.ay; !math.IsInf(rng, 1) && capj < remaining {
-				s.iters++
-				s.ftranCol(c.j)
-				s.applyStep(c.j, dir, rng)
-				if s.status[c.j] == atLower {
-					s.status[c.j] = atUpper
-				} else {
-					s.status[c.j] = atLower
-				}
-				remaining -= capj
-				continue
-			}
-			s.iters++
-			t := remaining / c.ay
-			nv := s.boundValue(c.j, dir, t)
-			s.ftranCol(c.j)
-			s.applyStep(c.j, dir, t)
-			if below {
-				s.status[bv] = atLower
-			} else {
-				s.status[bv] = atUpper
-			}
-			s.installBasis(row, c.j, nv)
-			if s.broken {
-				return 0, false
-			}
-			pivoted = true
-			break
-		}
-		if pivoted {
-			continue
-		}
-		if marginal {
-			return 0, false
-		}
-		if remaining < certTol {
-			return 0, false
-		}
 		return Infeasible, true
 	}
 }

@@ -14,14 +14,23 @@ const (
 	basic
 )
 
-// simplex is the working state of one solve: a dense tableau over
-// structural + slack + artificial columns.
+// simplex is the working state of one solve: the two-phase bounded-variable
+// primal simplex, the bound-flipping dual repair the warm-start Resolver
+// runs on it, and everything both need — bounds, statuses, basic values,
+// phase costs, reduced costs and the Bland/stall state. The linear algebra
+// of the current basis lives behind b: the dense tableau (dense.go) or the
+// sparse LU factorization with an eta file (sparse.go). Every rule of the
+// algorithm (entering, ratio test and its tie-break, step, artificial
+// retirement, solution extraction) exists once, here, so the two kernels
+// differ only in how they produce a column or row of B⁻¹A and how they
+// change the basis.
 //
 // Internal column layout: [0, nStruct) structural variables in problem
 // order, [nStruct, nStruct+nSlack) slacks (one per inequality row),
 // [nStruct+nSlack, nTot) artificials (one per row that needs one).
 type simplex struct {
 	p        *Problem
+	opts     *Options // bound overrides and telemetry, kept for rebuilds
 	eps      float64
 	max      int
 	hooks    *Hooks
@@ -35,57 +44,76 @@ type simplex struct {
 	cost   []float64 // current phase objective
 	isArt  []bool
 
-	tab      [][]float64 // m × nTot, kept as B⁻¹A
 	xB       []float64   // values of basic variables per row
 	basicVar []int       // internal column basic in each row
 	rowOf    []int       // inverse of basicVar: row of a basic column, -1 if nonbasic
 	status   []varStatus // per internal column
-	d        []float64   // reduced-cost row for current phase
+	d        []float64   // reduced costs for the current phase
+	w        []float64   // column image B⁻¹a_j loaded by basis.column
 	obj      float64     // current phase objective value
 
+	b basis
+
 	iters  int
-	bland  bool    // anti-cycling mode
-	stall  int     // iterations without objective improvement
-	pivIdx []int32 // scratch: nonzero support of the current pivot row
+	bland  bool // anti-cycling mode
+	stall  int  // iterations without objective improvement
+	broken bool // singular refactorization; the solve restarts from scratch
 }
 
+// basis is the linear algebra under the simplex driver: a representation
+// of the current basis B from which column and row images of B⁻¹A are
+// computed. The driver calls it once per operation, never per element.
+type basis interface {
+	// build assembles the equality-form problem and the initial basis into
+	// the driver: structural nonbasics at their lower bound, a slack basic
+	// where its implied value is feasible, an artificial otherwise.
+	build()
+	// refactor re-derives the basis representation and xB from the
+	// driver's basis, reporting false on a singular basis.
+	refactor() bool
+	// resetCosts recomputes the reduced costs d from scratch after the
+	// driver installs new phase costs.
+	resetCosts()
+	// price brings d up to date at the top of every primal and dual
+	// iteration.
+	price()
+	// column loads B⁻¹a_j into the driver's w.
+	column(j int)
+	// row returns row i of B⁻¹A over all internal columns; entries of
+	// basic columns are unspecified. The slice is valid until the next
+	// basis call.
+	row(i int) []float64
+	// pivot updates the representation after column j (whose image is in
+	// w) replaced the basic variable at position r; the driver has already
+	// moved the statuses and xB.
+	pivot(r, j int)
+}
+
+// deadlineStride amortizes the wall-clock poll in the iteration loop.
+const deadlineStride = 16
+
 func newSimplex(p *Problem, opts *Options) *simplex {
-	s := &simplex{p: p, eps: opts.eps(), max: opts.maxIters(p), hooks: opts.hooks(), deadline: opts.deadline()}
-	s.build(opts)
+	s := &simplex{p: p, opts: opts, eps: opts.eps(), max: opts.maxIters(p), hooks: opts.hooks(), deadline: opts.deadline()}
+	if opts.kernelFor(p) == KernelSparse {
+		s.b = &sparseBasis{s: s}
+	} else {
+		s.b = &denseBasis{s: s}
+	}
+	s.b.build()
 	return s
 }
 
-// build assembles the equality-form tableau. Every row is normalized to
-//
-//	a·x + slack = b   (slack ∈ [0,∞) for ≤-normalized rows; none for =)
-//
-// with ≥ rows multiplied by −1 first. Structural nonbasics start at their
-// lower bound; a slack whose implied value is feasible becomes basic,
-// otherwise the row receives a basic artificial absorbing the residual.
-func (s *simplex) build(opts *Options) {
+// initBounds returns the structural bounds (with the options' overrides
+// applied) followed by the slack bounds, with room for one artificial per
+// row.
+func (s *simplex) initBounds(nSlack int) (lbs, ubs []float64) {
 	p := s.p
-	s.m = len(p.rows)
-	s.nStruct = len(p.cols)
-
-	// Per-row slack allocation.
-	slackOf := make([]int, s.m) // internal column of row's slack, or -1
-	nSlack := 0
-	for i, r := range p.rows {
-		if r.Sense == Eq {
-			slackOf[i] = -1
-		} else {
-			slackOf[i] = s.nStruct + nSlack
-			nSlack++
-		}
-	}
-	// Worst case one artificial per row; allocate lazily below.
-	s.nTot = s.nStruct + nSlack // artificials appended as needed
-	lbs := make([]float64, 0, s.nTot+s.m)
-	ubs := make([]float64, 0, s.nTot+s.m)
-	for _, c := range p.cols {
+	lbs = make([]float64, 0, s.nStruct+nSlack+s.m)
+	ubs = make([]float64, 0, s.nStruct+nSlack+s.m)
+	for j, c := range p.cols {
 		lb, ub := c.Lb, c.Ub
-		if opts != nil && opts.BoundOverride != nil {
-			if b, ok := opts.BoundOverride[ColID(len(lbs))]; ok {
+		if s.opts != nil && s.opts.BoundOverride != nil {
+			if b, ok := s.opts.BoundOverride[ColID(j)]; ok {
 				lb, ub = b[0], b[1]
 			}
 		}
@@ -96,102 +124,13 @@ func (s *simplex) build(opts *Options) {
 		lbs = append(lbs, 0)
 		ubs = append(ubs, math.Inf(1))
 	}
+	return lbs, ubs
+}
 
-	// Dense rows in ≤-normalized equality form.
-	rowA := make([][]float64, s.m)
-	rhs := make([]float64, s.m)
-	for i, r := range p.rows {
-		a := make([]float64, s.nTot) // artificial columns appended later
-		sign := 1.0
-		if r.Sense == Ge {
-			sign = -1
-		}
-		for _, t := range r.Terms {
-			a[t.Col] += sign * t.Coef
-		}
-		if slackOf[i] >= 0 {
-			a[slackOf[i]] = 1
-		}
-		rowA[i] = a
-		rhs[i] = sign * r.Rhs
-	}
-
-	// Nonbasic structural start values: lower bound.
-	xN := make([]float64, s.nTot)
-	for j := 0; j < s.nStruct; j++ {
-		xN[j] = lbs[j]
-	}
-
-	// Residual per row given all structural at lb, slacks at 0.
-	s.basicVar = make([]int, s.m)
-	s.xB = make([]float64, s.m)
-	artRows := []int{}
-	for i := 0; i < s.m; i++ {
-		res := rhs[i]
-		for j := 0; j < s.nStruct; j++ {
-			if rowA[i][j] != 0 {
-				res -= rowA[i][j] * xN[j]
-			}
-		}
-		if slackOf[i] >= 0 && res >= 0 {
-			// Slack can serve as the basic variable directly.
-			s.basicVar[i] = slackOf[i]
-			s.xB[i] = res
-		} else {
-			s.basicVar[i] = -1 // artificial needed
-			s.xB[i] = res      // signed residual; fixed below
-			artRows = append(artRows, i)
-		}
-	}
-
-	nArt := len(artRows)
-	total := s.nTot + nArt
-	s.isArt = make([]bool, total)
-	for k, i := range artRows {
-		col := s.nTot + k
-		s.isArt[col] = true
-		lbs = append(lbs, 0)
-		ubs = append(ubs, math.Inf(1))
-		coef := 1.0
-		if s.xB[i] < 0 {
-			coef = -1
-		}
-		// Extend row i with the artificial column; others get 0 via the
-		// reallocation below.
-		rowA[i] = append(rowA[i], make([]float64, nArt)...)
-		rowA[i][col] = coef
-		s.basicVar[i] = col
-		s.xB[i] = math.Abs(s.xB[i])
-	}
-	for i := 0; i < s.m; i++ {
-		if len(rowA[i]) < total {
-			rowA[i] = append(rowA[i], make([]float64, total-len(rowA[i]))...)
-		}
-	}
-	s.nTot = total
-	s.lb, s.ub = lbs, ubs
-
-	// Scale rows so basic columns have coefficient +1 (artificials with
-	// coefficient −1 were introduced only when residual < 0; scaling flips
-	// the row so its basis entry is +1).
-	for i := 0; i < s.m; i++ {
-		bv := s.basicVar[i]
-		if rowA[i][bv] < 0 {
-			for j := range rowA[i] {
-				rowA[i][j] = -rowA[i][j]
-			}
-		}
-	}
-	s.tab = rowA
-
-	// Now eliminate basic columns from other rows. Initially every basic
-	// column (slack or artificial) appears in exactly one row, so the
-	// basis is already the identity; nothing to eliminate.
-
+// initBasis derives the statuses and row map from basicVar and sizes the
+// driver's work vectors once the basis has fixed nTot.
+func (s *simplex) initBasis() {
 	s.status = make([]varStatus, s.nTot)
-	for j := 0; j < s.nTot; j++ {
-		s.status[j] = atLower
-	}
 	s.rowOf = make([]int, s.nTot)
 	for j := range s.rowOf {
 		s.rowOf[j] = -1
@@ -200,12 +139,17 @@ func (s *simplex) build(opts *Options) {
 		s.status[bv] = basic
 		s.rowOf[bv] = i
 	}
+	s.cost = make([]float64, s.nTot)
+	s.d = make([]float64, s.nTot)
+	s.w = make([]float64, s.m)
 }
 
-// setPhaseObjective installs the cost vector and recomputes the reduced
-// cost row d and objective value from scratch.
+// setPhaseObjective installs the cost vector and refreshes the reduced
+// costs and objective value from scratch.
 func (s *simplex) setPhaseObjective(phase1 bool) {
-	s.cost = make([]float64, s.nTot)
+	for j := range s.cost {
+		s.cost[j] = 0
+	}
 	if phase1 {
 		for j := 0; j < s.nTot; j++ {
 			if s.isArt[j] {
@@ -217,27 +161,20 @@ func (s *simplex) setPhaseObjective(phase1 bool) {
 			s.cost[j] = s.p.cols[j].Obj
 		}
 	}
-	// d_j = c_j − Σ_i c_B(i) · tab[i][j]; obj = Σ c_j x_j.
-	s.d = make([]float64, s.nTot)
-	copy(s.d, s.cost)
-	s.obj = 0
-	for i := 0; i < s.m; i++ {
-		cb := s.cost[s.basicVar[i]]
-		if cb == 0 {
-			continue
-		}
-		row := s.tab[i]
-		for j := 0; j < s.nTot; j++ {
-			if row[j] != 0 {
-				s.d[j] -= cb * row[j]
-			}
-		}
-	}
-	for j := 0; j < s.nTot; j++ {
-		s.obj += s.cost[j] * s.value(j)
-	}
+	s.b.resetCosts()
+	s.recomputeObj()
 	s.bland = false
 	s.stall = 0
+}
+
+// recomputeObj sets obj = Σ c_j x_j for the current phase costs.
+func (s *simplex) recomputeObj() {
+	s.obj = 0
+	for j := 0; j < s.nTot; j++ {
+		if c := s.cost[j]; c != 0 {
+			s.obj += c * s.value(j)
+		}
+	}
 }
 
 // value returns the current value of internal column j.
@@ -255,8 +192,34 @@ func (s *simplex) value(j int) float64 {
 	}
 }
 
-// run executes phase 1 (if artificials exist) then phase 2.
+// run executes phase 1 (if artificials exist) then phase 2. A singular
+// refactorization mid-solve restarts the whole solve once from a fresh
+// initial basis; a second failure degrades to IterLimit, which every
+// caller already treats as "bound untrusted".
 func (s *simplex) run() *Solution {
+	st, ok := s.runOnce()
+	if !ok {
+		s.rebuild()
+		if st, ok = s.runOnce(); !ok {
+			st = IterLimit
+		}
+	}
+	return s.finish(st)
+}
+
+// rebuild resets to the initial basis after numerical failure, keeping
+// the iteration count so the overall budget still holds.
+func (s *simplex) rebuild() {
+	iters := s.iters
+	s.b.build()
+	s.iters = iters
+	s.broken = false
+}
+
+func (s *simplex) runOnce() (Status, bool) {
+	if !s.b.refactor() {
+		return IterLimit, false
+	}
 	anyArt := false
 	for _, a := range s.isArt {
 		if a {
@@ -267,17 +230,26 @@ func (s *simplex) run() *Solution {
 	if anyArt {
 		s.setPhaseObjective(true)
 		st := s.iterate(true)
+		if s.broken {
+			return IterLimit, false
+		}
 		if st == IterLimit {
-			return s.finish(IterLimit)
+			return IterLimit, true
 		}
 		if s.obj > 1e-6 {
-			return s.finish(Infeasible)
+			return Infeasible, true
 		}
 		s.retireArtificials()
+		if s.broken {
+			return IterLimit, false
+		}
 	}
 	s.setPhaseObjective(false)
 	st := s.iterate(false)
-	return s.finish(st)
+	if s.broken {
+		return IterLimit, false
+	}
+	return st, true
 }
 
 // retireArtificials pins every artificial to zero so phase 2 can never
@@ -296,19 +268,25 @@ func (s *simplex) retireArtificials() {
 			continue
 		}
 		// Find any non-artificial column with a usable pivot element.
+		alpha := s.b.row(i)
 		pivot := -1
 		for j := 0; j < s.nTot; j++ {
-			if !s.isArt[j] && s.status[j] != basic && math.Abs(s.tab[i][j]) > 1e-7 {
+			if !s.isArt[j] && s.status[j] != basic && math.Abs(alpha[j]) > 1e-7 {
 				pivot = j
 				break
 			}
 		}
-		if pivot >= 0 {
-			// Degenerate pivot: the artificial is at 0, so the entering
-			// variable stays at its current bound value and feasibility is
-			// preserved.
-			s.status[bv] = atLower
-			s.pivot(i, pivot, s.value(pivot))
+		if pivot < 0 {
+			continue
+		}
+		// Degenerate pivot: the artificial is at 0, so the entering
+		// variable stays at its current bound value and feasibility is
+		// preserved.
+		s.b.column(pivot)
+		s.status[bv] = atLower
+		s.pivot(i, pivot, s.value(pivot))
+		if s.broken {
+			return
 		}
 	}
 }
@@ -327,11 +305,13 @@ func (s *simplex) iterate(phase1 bool) Status {
 		}
 		s.iters++
 
+		s.b.price()
 		j, dir := s.chooseEntering(phase1)
 		if j < 0 {
 			return Optimal
 		}
 
+		s.b.column(j)
 		leave, t, hitUpper := s.ratioTest(j, dir)
 		if leave == -2 {
 			if phase1 {
@@ -361,6 +341,9 @@ func (s *simplex) iterate(phase1 bool) Status {
 				s.status[lv] = atLower
 			}
 			s.pivot(leave, j, newVal)
+			if s.broken {
+				return IterLimit
+			}
 		}
 		if s.obj < prevObj-s.eps {
 			s.stall = 0
@@ -412,9 +395,9 @@ func (s *simplex) chooseEntering(phase1 bool) (int, float64) {
 	return bestJ, bestDir
 }
 
-// ratioTest computes how far column j can move in direction dir.
-// Returns (leaveRow, step, leavingHitUpper); leaveRow -1 means a bound flip
-// of j itself, -2 means unbounded.
+// ratioTest computes how far column j, whose image is in w, can move in
+// direction dir. Returns (leaveRow, step, leavingHitUpper); leaveRow -1
+// means a bound flip of j itself, -2 means unbounded.
 func (s *simplex) ratioTest(j int, dir float64) (int, float64, bool) {
 	t := math.Inf(1)
 	if !math.IsInf(s.ub[j], 1) {
@@ -422,8 +405,7 @@ func (s *simplex) ratioTest(j int, dir float64) (int, float64, bool) {
 	}
 	leave := -1
 	hitUpper := false
-	for i := 0; i < s.m; i++ {
-		y := s.tab[i][j]
+	for i, y := range s.w {
 		if y == 0 {
 			continue
 		}
@@ -447,7 +429,7 @@ func (s *simplex) ratioTest(j int, dir float64) (int, float64, bool) {
 			limit = 0
 		}
 		if limit < t-s.eps ||
-			(limit < t+s.eps && leave >= 0 && betterLeaving(s, i, leave, j)) {
+			(limit < t+s.eps && leave >= 0 && s.betterLeaving(i, leave)) {
 			t = limit
 			leave = i
 			hitUpper = upper
@@ -464,8 +446,8 @@ func (s *simplex) ratioTest(j int, dir float64) (int, float64, bool) {
 
 // betterLeaving breaks ratio-test ties: prefer the larger pivot element for
 // numerical stability, then the smaller basic index (Bland-compatible).
-func betterLeaving(s *simplex, cand, cur, j int) bool {
-	pc, pu := math.Abs(s.tab[cand][j]), math.Abs(s.tab[cur][j])
+func (s *simplex) betterLeaving(cand, cur int) bool {
+	pc, pu := math.Abs(s.w[cand]), math.Abs(s.w[cur])
 	if s.bland {
 		return s.basicVar[cand] < s.basicVar[cur]
 	}
@@ -475,14 +457,14 @@ func betterLeaving(s *simplex, cand, cur, j int) bool {
 	return s.basicVar[cand] < s.basicVar[cur]
 }
 
-// applyStep moves nonbasic j by t in direction dir, updating basic values
-// and the objective.
+// applyStep moves nonbasic j, whose image is in w, by t in direction dir,
+// updating basic values and the objective.
 func (s *simplex) applyStep(j int, dir, t float64) {
 	if t == 0 {
 		return
 	}
-	for i := 0; i < s.m; i++ {
-		if y := s.tab[i][j]; y != 0 {
+	for i, y := range s.w {
+		if y != 0 {
 			s.xB[i] -= t * dir * y
 		}
 	}
@@ -498,43 +480,10 @@ func (s *simplex) boundValue(j int, dir, t float64) float64 {
 	return s.ub[j] + dir*t
 }
 
-// pivot makes column j basic in row r with value newVal, performing the
-// full tableau row reduction.
+// pivot makes column j, whose image is in w, basic in row r with value
+// newVal. The caller has already given the leaving variable its nonbasic
+// status.
 func (s *simplex) pivot(r, j int, newVal float64) {
-	row := s.tab[r]
-	inv := 1 / row[j]
-	// Normalize the pivot row and collect its nonzero support. The
-	// elimination loops touch only supported columns: on the scheduling
-	// models the tableau runs ~20% dense, so this is the difference
-	// between m·nTot and m·nnz work on the solver's hottest kernel.
-	idx := s.pivIdx[:0]
-	for k, v := range row {
-		if v == 0 {
-			continue
-		}
-		row[k] = v * inv
-		idx = append(idx, int32(k))
-	}
-	s.pivIdx = idx
-	for i := 0; i < s.m; i++ {
-		if i == r {
-			continue
-		}
-		f := s.tab[i][j]
-		if f == 0 {
-			continue
-		}
-		ti := s.tab[i]
-		for _, k := range idx {
-			ti[k] -= f * row[k]
-		}
-	}
-	if f := s.d[j]; f != 0 {
-		d := s.d
-		for _, k := range idx {
-			d[k] -= f * row[k]
-		}
-	}
 	if old := s.basicVar[r]; old != j {
 		s.rowOf[old] = -1
 	}
@@ -542,6 +491,7 @@ func (s *simplex) pivot(r, j int, newVal float64) {
 	s.basicVar[r] = j
 	s.rowOf[j] = r
 	s.xB[r] = newVal
+	s.b.pivot(r, j)
 }
 
 // finish extracts the structural solution.

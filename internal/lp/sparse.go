@@ -2,65 +2,37 @@ package lp
 
 import (
 	"math"
-	"time"
 
 	"sos/internal/telemetry"
 )
 
-// spx is the sparse revised simplex: the same two-phase bounded-variable
-// primal algorithm as the dense tableau in simplex.go (identical column
-// layout, normalization, entering/leaving rules, Bland fallback), but the
-// basis inverse is represented as a sparse LU factorization plus a
-// product-form eta file instead of an explicitly maintained B⁻¹A. Work
-// per iteration scales with the problem's nonzeros and the factor's fill,
-// not with m×n, which is what lets cold solves close 100+-subtask models.
-type spx struct {
-	p        *Problem
-	opts     *Options // retained for rebuild-after-singularity
-	eps      float64
-	max      int
-	hooks    *Hooks
-	deadline time.Time
-
-	tel       *telemetry.Collector
-	telWorker int
-
-	m       int
-	nStruct int
-	nTot    int
+// sparseBasis is the sparse revised simplex kernel: the basis inverse is
+// represented as a sparse LU factorization plus a product-form eta file
+// instead of an explicitly maintained B⁻¹A. Column images cost one FTRAN,
+// row images one BTRAN plus a pass over the nonzeros, and the reduced
+// costs are re-priced (one BTRAN plus a pass) at every iteration. Work per
+// iteration scales with the problem's nonzeros and the factor's fill, not
+// with m×n, which is what lets cold solves close 100+-subtask models.
+type sparseBasis struct {
+	s *simplex
 
 	// CSC over all internal columns: structural (sign-normalized), slacks,
-	// then artificials, mirroring the dense kernel's layout.
+	// then artificials, in the driver's column layout.
 	ap []int32
 	ai []int32
 	ax []float64
 
-	lb, ub []float64
-	cost   []float64 // current phase objective, per internal column
-	isArt  []bool
-	rhs    []float64 // ≤-normalized right-hand side
+	rhs []float64 // ≤-normalized right-hand side
 
-	basicVar []int
-	rowOf    []int
-	status   []varStatus
-	xB       []float64
+	lu   luFactor
+	etas []etaCol
 
-	lu     luFactor
-	etas   []etaCol
-	etaNnz int
-
-	// Dense per-iteration work vectors.
-	y  []float64 // duals (BTRAN image)
-	w  []float64 // entering column's FTRAN image
-	d  []float64 // reduced costs, recomputed by price each iteration
-	t1 []float64 // triangular-solve scratch
-	t2 []float64 // rhs/aggregation scratch
-
-	obj    float64
-	iters  int
-	bland  bool
-	stall  int
-	broken bool // singular refactorization; caller restarts from scratch
+	// Dense work vectors.
+	y     []float64 // duals (BTRAN image)
+	rho   []float64 // BTRAN image of a unit row
+	alpha []float64 // row image over all internal columns
+	t1    []float64 // triangular-solve scratch
+	t2    []float64 // rhs/aggregation scratch
 }
 
 // spxRefactorEvery bounds the eta file: after this many basis changes the
@@ -69,62 +41,28 @@ type spx struct {
 // solve) and the FTRAN/BTRAN cost of a long eta chain.
 const spxRefactorEvery = 64
 
-// deadlineStride amortizes the wall-clock poll in the iteration loop.
-const deadlineStride = 16
-
-func newSpx(p *Problem, opts *Options) *spx {
-	s := &spx{
-		p:        p,
-		opts:     opts,
-		eps:      opts.eps(),
-		max:      opts.maxIters(p),
-		hooks:    opts.hooks(),
-		deadline: opts.deadline(),
-	}
-	if opts != nil {
-		s.tel = opts.Telemetry
-		s.telWorker = opts.TelemetryWorker
-	}
-	s.build(opts)
-	return s
-}
-
-// build assembles the internal columns in the dense kernel's layout and
+// build assembles the internal columns in the driver's layout and the
 // initial basis: structural nonbasics at their lower bound, a slack basic
 // where its implied value is feasible, an artificial otherwise.
-func (s *spx) build(opts *Options) {
+func (b *sparseBasis) build() {
+	s := b.s
 	p := s.p
 	v := p.columns()
 	s.m = v.m
 	s.nStruct = v.n
 
-	lbs := make([]float64, 0, s.nStruct+v.nSlack+s.m)
-	ubs := make([]float64, 0, s.nStruct+v.nSlack+s.m)
-	for j, c := range p.cols {
-		lb, ub := c.Lb, c.Ub
-		if opts != nil && opts.BoundOverride != nil {
-			if b, ok := opts.BoundOverride[ColID(j)]; ok {
-				lb, ub = b[0], b[1]
-			}
-		}
-		lbs = append(lbs, lb)
-		ubs = append(ubs, ub)
-	}
-	for i := 0; i < v.nSlack; i++ {
-		lbs = append(lbs, 0)
-		ubs = append(ubs, math.Inf(1))
-	}
+	lbs, ubs := s.initBounds(v.nSlack)
 
-	s.rhs = make([]float64, s.m)
+	b.rhs = make([]float64, s.m)
 	for i := range p.rows {
-		s.rhs[i] = v.sign[i] * p.rows[i].Rhs
+		b.rhs[i] = v.sign[i] * p.rows[i].Rhs
 	}
 
 	// Residual per row with structural at lb and slacks at 0 decides which
 	// rows need artificials; the artificial's coefficient sign makes its
 	// starting value |residual| ≥ 0.
 	res := make([]float64, s.m)
-	copy(res, s.rhs)
+	copy(res, b.rhs)
 	for j := 0; j < s.nStruct; j++ {
 		if x := lbs[j]; x != 0 {
 			ri, ax := v.col(j)
@@ -150,539 +88,169 @@ func (s *spx) build(opts *Options) {
 	// Assemble the combined CSC: structural columns are copied from the
 	// shared view; slack and artificial columns are single units.
 	nnz := len(v.ax) + v.nSlack + len(artRows)
-	s.ap = make([]int32, 0, s.nTot+1)
-	s.ai = make([]int32, 0, nnz)
-	s.ax = make([]float64, 0, nnz)
-	s.ap = append(s.ap, 0)
-	s.ai = append(s.ai, v.ri...)
-	s.ax = append(s.ax, v.ax...)
+	b.ap = make([]int32, 0, s.nTot+1)
+	b.ai = make([]int32, 0, nnz)
+	b.ax = make([]float64, 0, nnz)
+	b.ap = append(b.ap, 0)
+	b.ai = append(b.ai, v.ri...)
+	b.ax = append(b.ax, v.ax...)
 	for j := 0; j < s.nStruct; j++ {
-		s.ap = append(s.ap, v.ptr[j+1])
+		b.ap = append(b.ap, v.ptr[j+1])
 	}
 	for i := 0; i < s.m; i++ {
 		if v.slackOf[i] < 0 {
 			continue
 		}
-		s.ai = append(s.ai, int32(i))
-		s.ax = append(s.ax, 1)
-		s.ap = append(s.ap, int32(len(s.ai)))
+		b.ai = append(b.ai, int32(i))
+		b.ax = append(b.ax, 1)
+		b.ap = append(b.ap, int32(len(b.ai)))
 	}
 	for _, i := range artRows {
-		col := len(s.ap) - 1
+		col := len(b.ap) - 1
 		s.isArt[col] = true
 		coef := 1.0
 		if res[i] < 0 {
 			coef = -1
 		}
-		s.ai = append(s.ai, int32(i))
-		s.ax = append(s.ax, coef)
-		s.ap = append(s.ap, int32(len(s.ai)))
+		b.ai = append(b.ai, int32(i))
+		b.ax = append(b.ax, coef)
+		b.ap = append(b.ap, int32(len(b.ai)))
 		lbs = append(lbs, 0)
 		ubs = append(ubs, math.Inf(1))
 		s.basicVar[i] = col
 	}
 	s.lb, s.ub = lbs, ubs
 
-	s.status = make([]varStatus, s.nTot)
-	s.rowOf = make([]int, s.nTot)
-	for j := range s.rowOf {
-		s.rowOf[j] = -1
-	}
-	for i, bv := range s.basicVar {
-		s.status[bv] = basic
-		s.rowOf[bv] = i
-	}
-
 	s.xB = make([]float64, s.m)
-	s.y = make([]float64, s.m)
-	s.w = make([]float64, s.m)
-	s.d = make([]float64, s.nTot)
-	s.t1 = make([]float64, s.m)
-	s.t2 = make([]float64, s.m)
-	s.cost = make([]float64, s.nTot)
+	s.initBasis()
+	b.y = make([]float64, s.m)
+	b.rho = make([]float64, s.m)
+	b.alpha = make([]float64, s.nTot)
+	b.t1 = make([]float64, s.m)
+	b.t2 = make([]float64, s.m)
 }
 
 // colOf returns internal column j's sparse entries.
-func (s *spx) colOf(j int) ([]int32, []float64) {
-	lo, hi := s.ap[j], s.ap[j+1]
-	return s.ai[lo:hi], s.ax[lo:hi]
+func (b *sparseBasis) colOf(j int) ([]int32, []float64) {
+	lo, hi := b.ap[j], b.ap[j+1]
+	return b.ai[lo:hi], b.ax[lo:hi]
 }
 
-// value returns the current value of internal column j.
-func (s *spx) value(j int) float64 {
-	switch s.status[j] {
-	case atLower:
-		return s.lb[j]
-	case atUpper:
-		return s.ub[j]
-	default:
-		if r := s.rowOf[j]; r >= 0 {
-			return s.xB[r]
-		}
-		return 0
-	}
-}
-
-// refactorize rebuilds the LU factor from the current basis, clears the
-// eta file, and recomputes xB = B⁻¹(b − N·x_N) from scratch (killing the
-// drift the incremental updates accumulate). Reports false on a singular
-// basis.
-func (s *spx) refactorize() bool {
-	pivots := len(s.etas)
-	ok := s.lu.factorize(s.m, func(k int) ([]int32, []float64) {
-		return s.colOf(s.basicVar[k])
+// refactor rebuilds the LU factor from the current basis, clears the eta
+// file, and recomputes xB = B⁻¹(b − N·x_N) from scratch (killing the drift
+// the incremental updates accumulate). A singular basis marks the driver
+// broken and reports false.
+func (b *sparseBasis) refactor() bool {
+	s := b.s
+	pivots := len(b.etas)
+	ok := b.lu.factorize(s.m, func(k int) ([]int32, []float64) {
+		return b.colOf(s.basicVar[k])
 	})
 	if !ok {
 		s.broken = true
 		return false
 	}
-	s.etas = s.etas[:0]
-	s.etaNnz = 0
-	r := s.t2
-	copy(r, s.rhs)
+	b.etas = b.etas[:0]
+	r := b.t2
+	copy(r, b.rhs)
 	for j := 0; j < s.nTot; j++ {
 		if s.status[j] == basic {
 			continue
 		}
 		if x := s.value(j); x != 0 {
-			ri, ax := s.colOf(j)
+			ri, ax := b.colOf(j)
 			for t, i := range ri {
 				r[i] -= ax[t] * x
 			}
 		}
 	}
 	copy(s.xB, r)
-	s.lu.ftran(s.xB, s.t1)
+	b.lu.ftran(s.xB, b.t1)
 	s.recomputeObj()
-	if s.tel != nil {
-		s.tel.Inc(telemetry.CtrLPRefactors)
-		s.tel.Emit(telemetry.EvLPRefactor, s.telWorker, float64(pivots), "")
+	if o := s.opts; o != nil && o.Telemetry != nil {
+		o.Telemetry.Inc(telemetry.CtrLPRefactors)
+		o.Telemetry.Emit(telemetry.EvLPRefactor, o.TelemetryWorker, float64(pivots), "")
 	}
 	return true
 }
 
-func (s *spx) recomputeObj() {
-	s.obj = 0
-	for j := 0; j < s.nTot; j++ {
-		if c := s.cost[j]; c != 0 {
-			s.obj += c * s.value(j)
-		}
-	}
+// btran computes y = B⁻ᵀ·c into out, where c is given per basis position
+// in out.
+func (b *sparseBasis) btran(out []float64) {
+	btranEtas(b.etas, out)
+	b.lu.btran(out, b.t1)
 }
 
-// ftranCol computes w = B⁻¹·a_j into s.w.
-func (s *spx) ftranCol(j int) {
-	for i := range s.w {
-		s.w[i] = 0
-	}
-	ri, ax := s.colOf(j)
-	for t, i := range ri {
-		s.w[i] = ax[t]
-	}
-	s.lu.ftran(s.w, s.t1)
-	ftranEtas(s.etas, s.w)
-}
-
-// btranRow computes y = B⁻ᵀ·c into out, where c is given per basis
-// position in out.
-func (s *spx) btranRow(out []float64) {
-	btranEtas(s.etas, out)
-	s.lu.btran(out, s.t1)
-}
+// resetCosts has nothing to do: price runs before the reduced costs are
+// next read.
+func (b *sparseBasis) resetCosts() {}
 
 // price recomputes the full reduced-cost vector d = c − yᵀA for the
 // current basis and phase objective. One BTRAN plus one pass over the
 // nonzeros.
-func (s *spx) price() {
+func (b *sparseBasis) price() {
+	s := b.s
 	for i := 0; i < s.m; i++ {
-		s.y[i] = s.cost[s.basicVar[i]]
+		b.y[i] = s.cost[s.basicVar[i]]
 	}
-	s.btranRow(s.y)
+	b.btran(b.y)
 	for j := 0; j < s.nTot; j++ {
 		if s.status[j] == basic {
 			s.d[j] = 0
 			continue
 		}
 		dj := s.cost[j]
-		ri, ax := s.colOf(j)
+		ri, ax := b.colOf(j)
 		for t, i := range ri {
-			dj -= s.y[i] * ax[t]
+			dj -= b.y[i] * ax[t]
 		}
 		s.d[j] = dj
 	}
 }
 
-// setPhaseObjective installs the phase cost vector and refreshes the
-// objective value, mirroring the dense kernel.
-func (s *spx) setPhaseObjective(phase1 bool) {
-	for j := 0; j < s.nTot; j++ {
-		s.cost[j] = 0
+// column computes w = B⁻¹·a_j with one FTRAN.
+func (b *sparseBasis) column(j int) {
+	w := b.s.w
+	for i := range w {
+		w[i] = 0
 	}
-	if phase1 {
-		for j := 0; j < s.nTot; j++ {
-			if s.isArt[j] {
-				s.cost[j] = 1
-			}
-		}
-	} else {
-		for j := 0; j < s.nStruct; j++ {
-			s.cost[j] = s.p.cols[j].Obj
-		}
+	ri, ax := b.colOf(j)
+	for t, i := range ri {
+		w[i] = ax[t]
 	}
-	s.recomputeObj()
-	s.bland = false
-	s.stall = 0
+	b.lu.ftran(w, b.t1)
+	ftranEtas(b.etas, w)
 }
 
-// run executes phase 1 (if artificials exist) then phase 2. A singular
-// refactorization mid-solve restarts the whole solve once from a fresh
-// initial basis; a second failure degrades to IterLimit, which every
-// caller already treats as "bound untrusted".
-func (s *spx) run() *Solution {
-	st, ok := s.runOnce()
-	if !ok {
-		s.rebuild()
-		if st, ok = s.runOnce(); !ok {
-			st = IterLimit
-		}
+// row computes e_iᵀB⁻¹A for the nonbasic columns: one BTRAN for
+// rho = B⁻ᵀe_i, then rho priced against each sparse column.
+func (b *sparseBasis) row(i int) []float64 {
+	s := b.s
+	rho := b.rho
+	for k := range rho {
+		rho[k] = 0
 	}
-	return s.finish(st)
-}
-
-// rebuild resets to the initial basis after numerical failure, keeping
-// the iteration count so the overall budget still holds.
-func (s *spx) rebuild() {
-	iters := s.iters
-	s.build(s.opts)
-	s.iters = iters
-	s.broken = false
-}
-
-func (s *spx) runOnce() (Status, bool) {
-	if !s.refactorize() {
-		return IterLimit, false
-	}
-	anyArt := false
-	for _, a := range s.isArt {
-		if a {
-			anyArt = true
-			break
-		}
-	}
-	if anyArt {
-		s.setPhaseObjective(true)
-		st := s.iterate(true)
-		if s.broken {
-			return IterLimit, false
-		}
-		if st == IterLimit {
-			return IterLimit, true
-		}
-		if s.obj > 1e-6 {
-			return Infeasible, true
-		}
-		s.retireArtificials()
-		if s.broken {
-			return IterLimit, false
-		}
-	}
-	s.setPhaseObjective(false)
-	st := s.iterate(false)
-	if s.broken {
-		return IterLimit, false
-	}
-	return st, true
-}
-
-// retireArtificials pins artificials at zero and pivots basic ones out
-// where a usable pivot exists, mirroring the dense kernel. The pivot row
-// needed for the scan is e_rᵀB⁻¹A, obtained with one BTRAN per affected
-// row.
-func (s *spx) retireArtificials() {
-	for j := 0; j < s.nTot; j++ {
-		if s.isArt[j] {
-			s.ub[j] = 0
-		}
-	}
-	for i := 0; i < s.m; i++ {
-		bv := s.basicVar[i]
-		if !s.isArt[bv] {
-			continue
-		}
-		rho := s.y
-		for k := range rho {
-			rho[k] = 0
-		}
-		rho[i] = 1
-		s.btranRow(rho)
-		pivot := -1
-		for j := 0; j < s.nTot; j++ {
-			if s.isArt[j] || s.status[j] == basic {
-				continue
-			}
-			a := 0.0
-			ri, ax := s.colOf(j)
-			for t, r := range ri {
-				a += rho[r] * ax[t]
-			}
-			if math.Abs(a) > 1e-7 {
-				pivot = j
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		// Degenerate pivot: the artificial sits at 0, so the entering
-		// column keeps its current bound value and feasibility holds.
-		s.ftranCol(pivot)
-		s.status[bv] = atLower
-		s.installBasis(i, pivot, s.value(pivot))
-		if s.broken {
-			return
-		}
-	}
-}
-
-// iterate runs primal simplex iterations for the current phase, matching
-// the dense kernel's entering/leaving rules exactly.
-func (s *spx) iterate(phase1 bool) Status {
-	for {
-		if h := s.hooks; h != nil && h.OnPivot != nil {
-			h.OnPivot(s.iters)
-		}
-		if s.iters >= s.max {
-			return IterLimit
-		}
-		if !s.deadline.IsZero() && s.iters%deadlineStride == 0 && time.Now().After(s.deadline) {
-			return IterLimit
-		}
-		s.iters++
-
-		s.price()
-		j, dir := s.chooseEntering(phase1)
-		if j < 0 {
-			return Optimal
-		}
-
-		s.ftranCol(j)
-		leave, t, hitUpper := s.ratioTest(j, dir)
-		if leave == -2 {
-			if phase1 {
-				return IterLimit // numerical trouble; phase 1 is bounded below
-			}
-			return Unbounded
-		}
-
-		prevObj := s.obj
-		if leave == -1 {
-			s.applyStep(j, dir, t)
-			if s.status[j] == atLower {
-				s.status[j] = atUpper
-			} else {
-				s.status[j] = atLower
-			}
-		} else {
-			s.applyStep(j, dir, t)
-			newVal := s.boundValue(j, dir, t)
-			lv := s.basicVar[leave]
-			if hitUpper {
-				s.status[lv] = atUpper
-			} else {
-				s.status[lv] = atLower
-			}
-			s.installBasis(leave, j, newVal)
-			if s.broken {
-				return IterLimit
-			}
-		}
-		if s.obj < prevObj-s.eps {
-			s.stall = 0
-		} else {
-			s.stall++
-			if s.stall > 2*(s.m+s.nTot) {
-				s.bland = true
-			}
-		}
-	}
-}
-
-// chooseEntering mirrors the dense rule: Dantzig pricing with Bland's
-// first-eligible fallback once the objective stalls.
-func (s *spx) chooseEntering(phase1 bool) (int, float64) {
-	bestJ, bestScore, bestDir := -1, s.eps, 0.0
+	rho[i] = 1
+	b.btran(rho)
 	for j := 0; j < s.nTot; j++ {
 		if s.status[j] == basic {
 			continue
 		}
-		if s.isArt[j] && !phase1 {
-			continue
+		a := 0.0
+		ri, ax := b.colOf(j)
+		for t, r := range ri {
+			a += rho[r] * ax[t]
 		}
-		if s.lb[j] == s.ub[j] {
-			continue
-		}
-		var score, dir float64
-		switch s.status[j] {
-		case atLower:
-			if s.d[j] < -s.eps {
-				score, dir = -s.d[j], 1
-			}
-		case atUpper:
-			if s.d[j] > s.eps {
-				score, dir = s.d[j], -1
-			}
-		}
-		if dir == 0 {
-			continue
-		}
-		if s.bland {
-			return j, dir
-		}
-		if score > bestScore {
-			bestJ, bestScore, bestDir = j, score, dir
-		}
+		b.alpha[j] = a
 	}
-	return bestJ, bestDir
+	return b.alpha
 }
 
-// ratioTest computes how far the entering column j can move in direction
-// dir, using its FTRAN image in s.w. Same contract as the dense version:
-// leave -1 is a bound flip, -2 unbounded.
-func (s *spx) ratioTest(j int, dir float64) (int, float64, bool) {
-	t := math.Inf(1)
-	if !math.IsInf(s.ub[j], 1) {
-		t = s.ub[j] - s.lb[j]
-	}
-	leave := -1
-	hitUpper := false
-	for i := 0; i < s.m; i++ {
-		y := s.w[i]
-		if y == 0 {
-			continue
-		}
-		delta := dir * y
-		bv := s.basicVar[i]
-		var limit float64
-		var upper bool
-		if delta > s.eps {
-			limit = (s.xB[i] - s.lb[bv]) / delta
-			upper = false
-		} else if delta < -s.eps {
-			if math.IsInf(s.ub[bv], 1) {
-				continue
-			}
-			limit = (s.ub[bv] - s.xB[i]) / (-delta)
-			upper = true
-		} else {
-			continue
-		}
-		if limit < -s.eps {
-			limit = 0
-		}
-		if limit < t-s.eps ||
-			(limit < t+s.eps && leave >= 0 && s.betterLeaving(i, leave)) {
-			t = limit
-			leave = i
-			hitUpper = upper
-		}
-	}
-	if math.IsInf(t, 1) {
-		return -2, 0, false
-	}
-	if t < 0 {
-		t = 0
-	}
-	return leave, t, hitUpper
-}
-
-// betterLeaving breaks ratio-test ties like the dense kernel: larger
-// pivot magnitude, then smaller basic index (Bland-compatible).
-func (s *spx) betterLeaving(cand, cur int) bool {
-	pc, pu := math.Abs(s.w[cand]), math.Abs(s.w[cur])
-	if s.bland {
-		return s.basicVar[cand] < s.basicVar[cur]
-	}
-	if pc != pu {
-		return pc > pu
-	}
-	return s.basicVar[cand] < s.basicVar[cur]
-}
-
-// applyStep moves nonbasic j by t in direction dir using its FTRAN image.
-func (s *spx) applyStep(j int, dir, t float64) {
-	if t == 0 {
-		return
-	}
-	for i := 0; i < s.m; i++ {
-		if y := s.w[i]; y != 0 {
-			s.xB[i] -= t * dir * y
-		}
-	}
-	s.obj += s.d[j] * dir * t
-}
-
-// boundValue returns the value of column j after moving t from its
-// current bound in direction dir.
-func (s *spx) boundValue(j int, dir, t float64) float64 {
-	if s.status[j] == atLower {
-		return s.lb[j] + dir*t
-	}
-	return s.ub[j] + dir*t
-}
-
-// installBasis makes column j basic at position r with value newVal,
-// capturing the eta update (s.w must hold B⁻¹a_j) and refactorizing when
-// the eta file is full.
-func (s *spx) installBasis(r, j int, newVal float64) {
-	e := captureEta(r, s.w)
-	s.etas = append(s.etas, e)
-	s.etaNnz += len(e.ind) + 1
-	if old := s.basicVar[r]; old != j {
-		s.rowOf[old] = -1
-	}
-	s.status[j] = basic
-	s.basicVar[r] = j
-	s.rowOf[j] = r
-	s.xB[r] = newVal
-	if len(s.etas) >= spxRefactorEvery {
-		s.refactorize()
-	}
-}
-
-// finish extracts the structural solution.
-func (s *spx) finish(st Status) *Solution {
-	sol := &Solution{}
-	s.finishInto(st, sol)
-	return sol
-}
-
-// finishInto mirrors the dense kernel's extraction, reusing the caller's
-// slices (the sparse warm-start Resolver path depends on this).
-func (s *spx) finishInto(st Status, sol *Solution) {
-	sol.Status = st
-	sol.Iters = s.iters
-	sol.Obj = 0
-	if cap(sol.X) < s.nStruct {
-		sol.X = make([]float64, s.nStruct)
-	}
-	sol.X = sol.X[:s.nStruct]
-	for j := 0; j < s.nStruct; j++ {
-		sol.X[j] = s.value(j)
-	}
-	if st == Optimal || st == IterLimit {
-		obj := 0.0
-		for j := 0; j < s.nStruct; j++ {
-			obj += s.p.cols[j].Obj * sol.X[j]
-		}
-		sol.Obj = obj
-	}
-	if st == Optimal {
-		if cap(sol.ReducedCosts) < s.nStruct {
-			sol.ReducedCosts = make([]float64, s.nStruct)
-		}
-		sol.ReducedCosts = sol.ReducedCosts[:s.nStruct]
-		copy(sol.ReducedCosts, s.d[:s.nStruct])
-	} else {
-		sol.ReducedCosts = nil
+// pivot appends the eta column of the entering image w at position r and
+// refactorizes when the eta file is full.
+func (b *sparseBasis) pivot(r, j int) {
+	b.etas = append(b.etas, captureEta(r, b.s.w))
+	if len(b.etas) >= spxRefactorEvery {
+		b.refactor()
 	}
 }

@@ -473,15 +473,20 @@ func (w *bbWorker) close() {
 	if w.res == nil {
 		return
 	}
-	s := w.res.Stats()
 	st := w.st
 	st.lpMu.Lock()
-	st.lpStats.Cold += s.Cold
-	st.lpStats.Warm += s.Warm
-	st.lpStats.Fallbacks += s.Fallbacks
-	st.lpStats.DualIters += s.DualIters
-	st.lpStats.PrimalIters += s.PrimalIters
+	addResolveStats(&st.lpStats, w.res.Stats())
 	st.lpMu.Unlock()
+}
+
+// addResolveStats adds every field of s into dst.
+func addResolveStats(dst *lp.ResolveStats, s lp.ResolveStats) {
+	dst.Cold += s.Cold
+	dst.Warm += s.Warm
+	dst.Fallbacks += s.Fallbacks
+	dst.DualIters += s.DualIters
+	dst.PrimalIters += s.PrimalIters
+	dst.PresolveCut += s.PresolveCut
 }
 
 // checkBudget reports whether the search must halt. Wall-clock polling
@@ -568,10 +573,14 @@ func (w *bbWorker) expand(nd *node) {
 		w.err = err
 		return
 	}
+	// Root facts are written only at the root, which is expanded before
+	// any parallel worker starts; later nodes only read them.
 	isRoot := !st.rootDone
 	switch sol.Status {
 	case lp.Infeasible:
-		st.rootDone = st.rootDone || isRoot
+		if isRoot {
+			st.rootDone = true
+		}
 		return
 	case lp.Unbounded:
 		if isRoot {

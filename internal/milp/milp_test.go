@@ -256,3 +256,23 @@ func TestRandomKnapsacksAgainstBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestLPStatsCountPresolveCut: a node answered by the LP presolve layer
+// alone (its branching bound contradicts a presolve-tightened bound) must
+// show up in Solution.LPStats like the warm and cold solves do. Presolve
+// turns 2x ≤ 1 into x ≤ 0.5, so the root relaxation (x = 0.5, y = 1)
+// branches on x and the x = 1 child is a presolve conflict.
+func TestLPStatsCountPresolveCut(t *testing.T) {
+	p := lp.NewProblem("presolve-cut")
+	x := binCol(p, "x", -1)
+	y := binCol(p, "y", -1)
+	p.AddRow("half", lp.Le, 1, lp.Term{Col: x, Coef: 2})
+	p.AddRow("sum", lp.Le, 1.5, lp.Term{Col: x, Coef: 1}, lp.Term{Col: y, Coef: 1})
+	sol := solveOK(t, New(p, []lp.ColID{x, y}), &Options{LP: &lp.Options{Presolve: true}})
+	if sol.Status != Optimal || !approxEq(sol.Obj, -1) {
+		t.Fatalf("status %v obj %g, want optimal -1", sol.Status, sol.Obj)
+	}
+	if sol.LPStats.PresolveCut != 1 {
+		t.Fatalf("LPStats %+v after %d nodes, want PresolveCut 1", sol.LPStats, sol.Nodes)
+	}
+}
