@@ -124,12 +124,14 @@ server-race:
 soak-smoke:
 	SOSD_SOAK=30s $(GO) test -race -count=1 -run 'TestSoakSmoke$$' -v -timeout 5m ./internal/server
 
-## fuzz-smoke: ~45s of coverage-guided fuzzing over the two parsing
-## surfaces (spec files and task-graph JSON) and the cache's canonical
-## key (rename/reorder invariance, no semantic collisions). The corpus
-## under testdata/ pins every crasher ever found; plain `go test`
-## replays it as seeds.
+## fuzz-smoke: ~60s of coverage-guided fuzzing over the two parsing
+## surfaces (spec files and task-graph JSON), the cache's canonical key
+## (rename/reorder invariance, no semantic collisions) and the cache's
+## spill loader (no panics; every restored proof passes its re-check).
+## The corpus under testdata/ pins every crasher ever found; plain
+## `go test` replays it as seeds.
 fuzz-smoke:
 	$(GO) test -run NO_TESTS -fuzz 'FuzzSpecfile$$' -fuzztime 15s ./internal/specfile
 	$(GO) test -run NO_TESTS -fuzz 'FuzzGraphValidate$$' -fuzztime 15s ./internal/taskgraph
 	$(GO) test -run NO_TESTS -fuzz 'FuzzCanonicalKey$$' -fuzztime 15s ./internal/cache
+	$(GO) test -run NO_TESTS -fuzz 'FuzzSpillLine$$' -fuzztime 15s ./internal/cache

@@ -15,23 +15,13 @@ const maxWarmStarts = 4
 type CacheOptions struct {
 	// Capacity bounds the number of cached proofs (<= 0 selects 4096).
 	Capacity int
-	// Shards is the number of independently locked cache segments
-	// (<= 0 selects 16).
-	Shards int
 	// PersistPath, when non-empty, appends every stored proof to a JSONL
 	// spill file and warm-loads existing lines at construction, so a
 	// restarted process starts with its proofs back.
 	PersistPath string
-	// Telemetry receives the cache_* counters and EvCache trace events.
+	// Telemetry receives the cache_* and frontier_* counters and the
+	// EvCache/EvFrontier trace events.
 	Telemetry *Telemetry
-	// Frontiers additionally caches whole swept Pareto frontiers: Frontier
-	// calls with this cache attached serve repeat sweeps from the store
-	// and delta-resolve partially covered cap ranges (DESIGN.md §15).
-	// When PersistPath is set, frontiers persist to PersistPath+".frontiers".
-	Frontiers bool
-	// FrontierCapacity bounds the number of cached frontiers when
-	// Frontiers is set (<= 0 selects 256).
-	FrontierCapacity int
 }
 
 // Cache is a cross-request result cache: a sharded LRU of proved results
@@ -43,77 +33,35 @@ type CacheOptions struct {
 // Only proofs (StatusOptimal, StatusInfeasible) are ever stored or
 // served, and a proof at one cost cap also answers nearby caps via the
 // cover-down rule — see DESIGN.md §13 for the soundness argument.
+// Frontier sweeps store their points as the same proofs (DESIGN.md §15).
 type Cache struct {
 	c *icache.Cache
-	f *icache.FrontierStore // nil unless CacheOptions.Frontiers
 }
 
 // NewCache builds a result cache.
 func NewCache(opts CacheOptions) (*Cache, error) {
 	c, err := icache.New(icache.Options{
 		Capacity:    opts.Capacity,
-		Shards:      opts.Shards,
 		PersistPath: opts.PersistPath,
 		Telemetry:   opts.Telemetry,
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Cache{c: c}
-	if opts.Frontiers {
-		fpath := ""
-		if opts.PersistPath != "" {
-			fpath = opts.PersistPath + ".frontiers"
-		}
-		f, err := icache.NewFrontierStore(icache.FrontierOptions{
-			Capacity:    opts.FrontierCapacity,
-			PersistPath: fpath,
-			Telemetry:   opts.Telemetry,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		out.f = f
-	}
-	return out, nil
+	return &Cache{c: c}, nil
 }
 
-// Close flushes and closes the persistent spills, if any.
-func (c *Cache) Close() error {
-	err := c.c.Close()
-	if c.f != nil {
-		if ferr := c.f.Close(); err == nil {
-			err = ferr
-		}
-	}
-	return err
-}
+// Close flushes and closes the persistent spill, if any.
+func (c *Cache) Close() error { return c.c.Close() }
 
-// Len reports the number of cached proofs.
+// Len reports the number of cached proofs, swept frontier points
+// included.
 func (c *Cache) Len() int { return c.c.Len() }
 
 // Loaded reports how many persisted proofs were restored (and how many
-// spill lines were skipped as corrupt or stale) at construction.
+// spill lines were skipped as corrupt, stale, or failing their
+// re-check) at construction.
 func (c *Cache) Loaded() (restored, skipped int) { return c.c.Loaded() }
-
-// FrontierLen reports the number of cached frontiers (0 when the cache
-// was built without CacheOptions.Frontiers).
-func (c *Cache) FrontierLen() int {
-	if c.f == nil {
-		return 0
-	}
-	return c.f.Len()
-}
-
-// FrontierLoaded reports how many persisted frontiers were restored (and
-// how many spill lines were skipped) at construction.
-func (c *Cache) FrontierLoaded() (restored, skipped int) {
-	if c.f == nil {
-		return 0, 0
-	}
-	return c.f.Loaded()
-}
 
 // probe canonicalizes a defaulted spec into a cache probe.
 func (c *Cache) probe(sp Spec) (*icache.Probe, error) {
@@ -205,14 +153,12 @@ func (c *Cache) warmDesignsFor(p *icache.Probe, max int) []*schedule.Design {
 }
 
 // frontierStep is the cost-cap decrement of Frontier sweeps. The facade
-// never overrides pareto's default step of 1, so the store keys every
-// frontier under the same step.
+// never overrides pareto's default step of 1.
 const frontierStep = 1.0
 
-// frontierProbe canonicalizes a defaulted spec for the frontier store.
-// Frontiers are always chains of min-makespan proofs, so the probe is
-// keyed under MinMakespan regardless of the spec's point objective; the
-// start cap only parameterizes the range query, not the family.
+// frontierProbe canonicalizes a defaulted spec for a sweep. Frontiers
+// are always chains of min-makespan proofs, so the probe is keyed under
+// MinMakespan regardless of the spec's point objective.
 func (c *Cache) frontierProbe(sp Spec) (*icache.Probe, error) {
 	return icache.Prepare(icache.Request{
 		Graph:       sp.Graph,
@@ -226,26 +172,22 @@ func (c *Cache) frontierProbe(sp Spec) (*icache.Probe, error) {
 }
 
 // frontier is the cached sweep path behind Frontier. ok=false means the
-// cache was built without frontier support (or the spec would not
-// canonicalize) and the caller should sweep directly.
+// spec would not canonicalize and the caller should sweep directly.
 //
-// The sweep always runs — the store plugs in as its FrontierSource, so a
+// The sweep always runs — the cache plugs in as its FrontierSource, so a
 // fully covered range costs one serve pass and zero solver calls, while
 // a partially covered one solves only the uncovered caps with cached
-// neighbors as warm incumbents. Finish classifies the outcome and
-// splices any newly certified points back into the store.
+// neighbors as warm incumbents. Finish classifies the outcome and stores
+// any newly certified points back as proofs.
 func (c *Cache) frontier(ctx context.Context, sp Spec) ([]FrontierPoint, error, bool) {
-	if c == nil || c.f == nil {
-		return nil, nil, false
-	}
 	p, err := c.frontierProbe(sp)
 	if err != nil {
 		return nil, nil, false
 	}
+	v := c.c.View(p, frontierStep, sp.CostCap)
 	var out []FrontierPoint
 	var sweepErr error
 	run := func() error {
-		v := c.f.View(p, frontierStep, sp.CostCap)
 		opts := sweepOptions(sp)
 		opts.Source = v
 		pts, err := pareto.Sweep(ctx, sp.Graph, sp.Pool, sp.Topology, opts)
@@ -253,15 +195,12 @@ func (c *Cache) frontier(ctx context.Context, sp Spec) ([]FrontierPoint, error, 
 		out, sweepErr = frontierPoints(pts), err
 		return err
 	}
-	shared, _ := c.f.Do(ctx, p, frontierStep, sp.CostCap, run)
-	if shared {
+	if shared, _ := v.Do(ctx, run); shared {
 		// Follower: the leader finished (or our wait was canceled). Its
-		// points live in its own frame, so re-sweep — the store now holds
+		// points live in its own frame, so re-sweep — the cache now holds
 		// the chain and serves it remapped without solver calls. If the
-		// leader failed, this degenerates to an ordinary sweep.
-		if err := ctx.Err(); err != nil {
-			return nil, err, true
-		}
+		// leader failed, or our own context is done, this is an ordinary
+		// sweep with an ordinary sweep's typed errors.
 		run()
 	}
 	return out, sweepErr, true

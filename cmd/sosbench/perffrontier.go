@@ -130,7 +130,7 @@ func PerfFrontier() error {
 
 		// Cached stream: first sweep misses and fills the store, the rest
 		// are served from it.
-		cache, err := sos.NewCache(sos.CacheOptions{Frontiers: true})
+		cache, err := sos.NewCache(sos.CacheOptions{})
 		if err != nil {
 			return err
 		}
@@ -177,7 +177,7 @@ func PerfFrontier() error {
 	}
 	coldNs := time.Since(t0)
 	tel := telemetry.New(nil)
-	cache, err := sos.NewCache(sos.CacheOptions{Frontiers: true, Telemetry: tel})
+	cache, err := sos.NewCache(sos.CacheOptions{Telemetry: tel})
 	if err != nil {
 		return err
 	}

@@ -47,7 +47,6 @@ func run(args []string, out *os.File) error {
 		drainGrace = fs.Duration("drain-grace", 5*time.Second, "how long shutdown lets in-flight solves run before canceling them")
 		cacheSize  = fs.Int("cache-size", 4096, "result-cache capacity in proofs (0 disables the cache)")
 		cachePath  = fs.String("cache-persist", "", "JSONL spill file for cached proofs; warm-loaded at startup (empty = in-memory only)")
-		cacheFront = fs.Bool("cache-frontiers", false, "also cache whole swept Pareto frontiers: repeat POST /v1/sweep requests are served from the store, partially covered sweeps delta-resolve only uncovered caps (persists to <cache-persist>.frontiers)")
 		maxBatch   = fs.Int("max-batch", 0, "max specs per POST /v1/batch (0 = default 64)")
 		raceFlag   = fs.Bool("race-engines", false, "race the engine portfolio concurrently per solve (first proof wins); per-request \"race\" overrides")
 		quiet      = fs.Bool("quiet", false, "suppress per-request log lines")
@@ -70,7 +69,6 @@ func run(args []string, out *os.File) error {
 			Capacity:    *cacheSize,
 			PersistPath: *cachePath,
 			Telemetry:   tel,
-			Frontiers:   *cacheFront,
 		})
 		if cerr != nil {
 			return fmt.Errorf("cache: %w", cerr)
@@ -79,10 +77,6 @@ func run(args []string, out *os.File) error {
 		if *cachePath != "" {
 			restored, skipped := cache.Loaded()
 			logger.Printf("cache: %d proofs restored from %s (%d lines skipped)", restored, *cachePath, skipped)
-			if *cacheFront {
-				restored, skipped = cache.FrontierLoaded()
-				logger.Printf("cache: %d frontiers restored from %s.frontiers (%d lines skipped)", restored, *cachePath, skipped)
-			}
 		}
 		publishCacheExpvars(tel, cache)
 	}
@@ -147,12 +141,6 @@ func run(args []string, out *os.File) error {
 			cache.Len(), tel.Get(telemetry.CtrCacheHits), tel.Get(telemetry.CtrCacheNearHits),
 			tel.Get(telemetry.CtrCacheMisses), tel.Get(telemetry.CtrCacheEvictions),
 			tel.Get(telemetry.CtrCacheCoalesced))
-		if *cacheFront {
-			logger.Printf("frontiers: %d cached, hits %d, partial %d, misses %d, delta-points %d, stores %d",
-				cache.FrontierLen(), tel.Get(telemetry.CtrFrontierHits),
-				tel.Get(telemetry.CtrFrontierPartialHits), tel.Get(telemetry.CtrFrontierMisses),
-				tel.Get(telemetry.CtrFrontierDeltaPoints), tel.Get(telemetry.CtrFrontierStores))
-		}
 	}
 	return nil
 }
@@ -175,7 +163,6 @@ func publishCacheExpvars(tel *telemetry.Collector, cache *sos.Cache) {
 				"evictions": tel.Get(telemetry.CtrCacheEvictions),
 				"coalesced": tel.Get(telemetry.CtrCacheCoalesced),
 
-				"frontier_len":          int64(cache.FrontierLen()),
 				"frontier_hits":         tel.Get(telemetry.CtrFrontierHits),
 				"frontier_partial_hits": tel.Get(telemetry.CtrFrontierPartialHits),
 				"frontier_misses":       tel.Get(telemetry.CtrFrontierMisses),

@@ -3,6 +3,7 @@ package cache
 import (
 	"container/list"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
@@ -67,6 +68,10 @@ type entry struct {
 	designLimit float64
 	objVal      float64 // optimal objective value (+Inf when infeasible)
 	nodes       int64   // search nodes the original proof cost
+	// tightened marks a swept chain point: after the min-makespan solve
+	// at limit, a second solve minimized cost at that makespan. Only
+	// tightened entries may serve a frontier point (see FrontierView).
+	tightened bool
 
 	canon *canon
 	req   Request // problem context the design references (remap source)
@@ -132,7 +137,12 @@ func New(opts Options) (*Cache, error) {
 			return nil, fmt.Errorf("cache: persist: %w", err)
 		}
 		c.spill = sp
-		c.loadedN, c.loadSkipped = c.loadSpill(sp)
+		c.loadedN, c.loadSkipped = c.loadSpill(sp.f)
+		// Position at end for appends regardless of the load's outcome.
+		if _, err := sp.f.Seek(0, io.SeekEnd); err != nil {
+			sp.close()
+			return nil, fmt.Errorf("cache: persist: %w", err)
+		}
 	}
 	return c, nil
 }
@@ -182,8 +192,9 @@ func (c *Cache) shardFor(f FamilyKey) *shard {
 
 // Lookup serves a proof for the probe if one is cached: an exact hit
 // (same key) or a cover-down hit (same family, a proof at a different
-// cap whose validity interval contains the requested cap). The returned
-// design is remapped onto the requester's graph/pool; nil means miss.
+// cap). Either way the proof's validity interval must contain the
+// requested cap. The returned design is remapped onto the requester's
+// graph/pool; nil means miss.
 //
 // Only proofs are served — entries are proofs by construction (Store
 // rejects anything else), so a budget-exhausted or heuristic result can
@@ -194,18 +205,19 @@ func (c *Cache) Lookup(p *Probe) *Hit {
 	var best *entry
 	exact := false
 	for _, e := range s.families[p.canon.family] {
+		if !e.covers(p.canon.limit) {
+			continue
+		}
 		if e.key == p.canon.key {
 			best, exact = e, true
 			break
 		}
-		if e.covers(p.canon.limit) && (best == nil || e.nodes > best.nodes) {
+		if best == nil || e.nodes > best.nodes {
 			best = e
 		}
 	}
 	if best != nil {
-		if el, ok := s.byKey[best.key]; ok {
-			s.lru.MoveToFront(el)
-		}
+		s.touch(best)
 	}
 	s.mu.Unlock()
 
@@ -268,6 +280,17 @@ func (c *Cache) serve(e *entry, p *Probe, exact bool) (*Hit, error) {
 // proofs for this request, but valid warm incumbents for any engine
 // (each is feasibility-checked downstream before use).
 func (c *Cache) WarmStarts(p *Probe, max int) []*schedule.Design {
+	out := c.warm(p, p.canon.limit, max)
+	if len(out) > 0 {
+		c.tel.Inc(telemetry.CtrCacheNearHits)
+		c.tel.Emit(telemetry.EvCache, 0, float64(len(out)), "near")
+	}
+	return out
+}
+
+// warm returns up to max cached designs of the probe's family feasible
+// at bound limit, best objective first, remapped into the probe's frame.
+func (c *Cache) warm(p *Probe, limit float64, max int) []*schedule.Design {
 	if max <= 0 {
 		return nil
 	}
@@ -275,7 +298,7 @@ func (c *Cache) WarmStarts(p *Probe, max int) []*schedule.Design {
 	s.mu.Lock()
 	var cands []*entry
 	for _, e := range s.families[p.canon.family] {
-		if !e.infeasible && e.designLimit <= p.canon.limit+limitEps {
+		if !e.infeasible && e.designLimit <= limit+limitEps {
 			cands = append(cands, e)
 		}
 	}
@@ -297,10 +320,6 @@ func (c *Cache) WarmStarts(p *Probe, max int) []*schedule.Design {
 		if d, err := remapDesign(e, p); err == nil {
 			out = append(out, d)
 		}
-	}
-	if len(out) > 0 {
-		c.tel.Inc(telemetry.CtrCacheNearHits)
-		c.tel.Emit(telemetry.EvCache, 0, float64(len(out)), "near")
 	}
 	return out
 }
@@ -354,7 +373,9 @@ func (c *Cache) Store(p *Probe, r StoreResult) bool {
 			e.designLimit = r.Design.Cost
 		}
 	}
-	if !c.insert(e) {
+	added, evicted := c.insert(e)
+	c.countEvictions(evicted)
+	if !added {
 		return false
 	}
 	c.tel.Emit(telemetry.EvCache, 0, e.limit, "store")
@@ -362,45 +383,61 @@ func (c *Cache) Store(p *Probe, r StoreResult) bool {
 	return true
 }
 
-// insert adds the entry to its shard unless the key is already present,
-// evicting LRU overflow. Reports whether the entry was added.
-func (c *Cache) insert(e *entry) bool {
+func (c *Cache) countEvictions(n int) {
+	if n > 0 {
+		c.tel.Add(telemetry.CtrCacheEvictions, int64(n))
+		c.tel.Emit(telemetry.EvCache, 0, float64(n), "evict")
+	}
+}
+
+// insert adds the entry to its shard, evicting LRU overflow, and reports
+// whether it was added and how many entries it evicted. A key that is
+// already present keeps its entry — proofs for one key are
+// interchangeable — unless e is tightened and the incumbent is not: a
+// tightened proof also answers frontier walks, so it replaces the other.
+func (c *Cache) insert(e *entry) (added bool, evicted int) {
 	s := c.shardFor(e.family)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if el, ok := s.byKey[e.key]; ok {
-		// Already proved (a concurrent solver beat us); proofs for one
-		// key are interchangeable, keep the incumbent.
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
-		return false
+		if !e.tightened || el.Value.(*entry).tightened {
+			s.lru.MoveToFront(el)
+			return false, 0
+		}
+		s.remove(el)
 	}
 	s.byKey[e.key] = s.lru.PushFront(e)
 	s.families[e.family] = append(s.families[e.family], e)
-	var evicted int
 	for s.lru.Len() > c.capPerShard {
-		back := s.lru.Back()
-		old := back.Value.(*entry)
-		s.lru.Remove(back)
-		delete(s.byKey, old.key)
-		fam := s.families[old.family]
-		for i, fe := range fam {
-			if fe == old {
-				fam[i] = fam[len(fam)-1]
-				fam = fam[:len(fam)-1]
-				break
-			}
-		}
-		if len(fam) == 0 {
-			delete(s.families, old.family)
-		} else {
-			s.families[old.family] = fam
-		}
+		s.remove(s.lru.Back())
 		evicted++
 	}
-	s.mu.Unlock()
-	if evicted > 0 {
-		c.tel.Add(telemetry.CtrCacheEvictions, int64(evicted))
-		c.tel.Emit(telemetry.EvCache, 0, float64(evicted), "evict")
+	return true, evicted
+}
+
+// touch marks an entry most recently used. Callers hold s.mu.
+func (s *shard) touch(e *entry) {
+	if el, ok := s.byKey[e.key]; ok {
+		s.lru.MoveToFront(el)
 	}
-	return true
+}
+
+// remove drops one entry from the shard. Callers hold s.mu.
+func (s *shard) remove(el *list.Element) {
+	old := el.Value.(*entry)
+	s.lru.Remove(el)
+	delete(s.byKey, old.key)
+	fam := s.families[old.family]
+	for i, fe := range fam {
+		if fe == old {
+			fam[i] = fam[len(fam)-1]
+			fam = fam[:len(fam)-1]
+			break
+		}
+	}
+	if len(fam) == 0 {
+		delete(s.families, old.family)
+	} else {
+		s.families[old.family] = fam
+	}
 }

@@ -16,7 +16,7 @@ import (
 
 // prove runs the exact engine and stores the proof into c under the
 // probe, failing the test if the solve is not a proof.
-func prove(t *testing.T, c *Cache, p *Probe) *exact.Result {
+func prove(t testing.TB, c *Cache, p *Probe) *exact.Result {
 	t.Helper()
 	res, err := exact.Synthesize(context.Background(), p.Req.Graph, p.Req.Pool, p.Req.Topo, exact.Options{
 		Objective: exact.Objective(p.Req.Objective),
@@ -42,7 +42,7 @@ func prove(t *testing.T, c *Cache, p *Probe) *exact.Result {
 	return res
 }
 
-func newCache(t *testing.T, opts Options) *Cache {
+func newCache(t testing.TB, opts Options) *Cache {
 	t.Helper()
 	c, err := New(opts)
 	if err != nil {
@@ -132,6 +132,13 @@ func TestCoverDown(t *testing.T) {
 	// serving the cost-13 proof would be wrong, so it must miss.
 	if hit := c.Lookup(mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p, CostCap: 14})); hit != nil {
 		t.Fatalf("cap above the proved cap must miss")
+	}
+	// The cover rule holds on an exact key too: a cost-13 design filed
+	// under cap 5 is no answer there.
+	p5 := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p, CostCap: 5})
+	c.Store(p5, StoreResult{Optimal: true, Design: res.Design, Bound: res.Bound})
+	if hit := c.Lookup(p5); hit != nil {
+		t.Fatalf("exact key served a design over its own cap: cost %v", hit.Design.Cost)
 	}
 
 	// Infeasible cover: cap 3 is below the cheapest capable design (4).

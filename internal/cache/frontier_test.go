@@ -14,20 +14,15 @@ import (
 	"sos/internal/telemetry"
 )
 
-func newFrontierStore(t *testing.T, opts FrontierOptions) *FrontierStore {
-	t.Helper()
-	fs, err := NewFrontierStore(opts)
-	if err != nil {
-		t.Fatalf("NewFrontierStore: %v", err)
-	}
-	t.Cleanup(func() { fs.Close() })
-	return fs
-}
+// example1Chain is the number of entries one full Example 1 sweep
+// stores: a tightened proof per Table2Full point plus the infeasible
+// final cap.
+var example1Chain = len(expts.Table2Full) + 1
 
 // sweepThrough runs one combinatorial sweep with the view plugged in as
 // its frontier source (nil view = cold sweep) and finishes it against
-// the store.
-func sweepThrough(t *testing.T, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology,
+// the cache.
+func sweepThrough(t testing.TB, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology,
 	v *FrontierView, tel *telemetry.Collector, startCap float64) []pareto.Point {
 	t.Helper()
 	opts := pareto.Options{
@@ -50,7 +45,7 @@ func sweepThrough(t *testing.T, g *taskgraph.Graph, pool *arch.Instances, topo a
 }
 
 // solverWork sums every counter that a solver invocation would bump, so
-// zero means the sweep was answered entirely from the store.
+// zero means the sweep was answered entirely from the cache.
 func solverWork(tel *telemetry.Collector) int64 {
 	return tel.Get(telemetry.CtrMapNodes) + tel.Get(telemetry.CtrSchedNodes) +
 		tel.Get(telemetry.CtrNodesExpanded)
@@ -74,7 +69,7 @@ func samePoints(t *testing.T, want, got []pareto.Point) {
 	}
 }
 
-// TestFrontierHitRoundTrip: a cold sweep stores its frontier; an
+// TestFrontierHitRoundTrip: a cold sweep stores its chain; an
 // identical repeat sweep and a renamed/reordered one must both be served
 // bit-identically with zero solver invocations.
 func TestFrontierHitRoundTrip(t *testing.T) {
@@ -82,10 +77,10 @@ func TestFrontierHitRoundTrip(t *testing.T) {
 	pool := expts.Example1Pool(lib)
 	p2p := arch.PointToPoint{}
 	tel := telemetry.New(nil)
-	fs := newFrontierStore(t, FrontierOptions{Telemetry: tel})
+	c := newCache(t, Options{Telemetry: tel})
 	p := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p})
 
-	cold := sweepThrough(t, g, pool, p2p, fs.View(p, 1, 0), tel, 0)
+	cold := sweepThrough(t, g, pool, p2p, c.View(p, 1, 0), tel, 0)
 	if len(cold) != len(expts.Table2Full) {
 		t.Fatalf("cold sweep found %d points, want %d", len(cold), len(expts.Table2Full))
 	}
@@ -95,13 +90,13 @@ func TestFrontierHitRoundTrip(t *testing.T) {
 	if got := tel.Get(telemetry.CtrFrontierStores); got != 1 {
 		t.Fatalf("frontier_stores = %d, want 1", got)
 	}
-	if fs.Len() != 1 {
-		t.Fatalf("store holds %d frontiers, want 1", fs.Len())
+	if c.Len() != example1Chain {
+		t.Fatalf("cache holds %d entries, want %d (one chain)", c.Len(), example1Chain)
 	}
 
 	tel2 := telemetry.New(nil)
-	fs.tel = tel2
-	warm := sweepThrough(t, g, pool, p2p, fs.View(p, 1, 0), tel2, 0)
+	c.tel = tel2
+	warm := sweepThrough(t, g, pool, p2p, c.View(p, 1, 0), tel2, 0)
 	samePoints(t, cold, warm)
 	if w := solverWork(tel2); w != 0 {
 		t.Fatalf("repeat sweep did solver work (%d nodes), want 0", w)
@@ -111,14 +106,14 @@ func TestFrontierHitRoundTrip(t *testing.T) {
 	}
 
 	// A renamed/reordered presentation of the same problem must hit the
-	// same frontier, with every served design remapped onto its own
+	// same chain, with every served design remapped onto its own
 	// graph and pool.
 	pg, plib := permute(g, lib, []int{3, 1, 0, 2}, []int{2, 0, 1}, []int{2, 0, 1})
 	ppool := arch.InstancePool(plib, permutedCounts([]int{2, 2, 2}, []int{2, 0, 1}))
 	pp := mustProbe(t, Request{Graph: pg, Pool: ppool, Topo: p2p})
 	tel3 := telemetry.New(nil)
-	fs.tel = tel3
-	perm := sweepThrough(t, pg, ppool, p2p, fs.View(pp, 1, 0), tel3, 0)
+	c.tel = tel3
+	perm := sweepThrough(t, pg, ppool, p2p, c.View(pp, 1, 0), tel3, 0)
 	samePoints(t, cold, perm)
 	if w := solverWork(tel3); w != 0 {
 		t.Fatalf("permuted sweep did solver work (%d nodes), want 0", w)
@@ -130,7 +125,7 @@ func TestFrontierHitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrontierDeltaResolve: a frontier stored from a capped sweep only
+// TestFrontierDeltaResolve: a chain stored from a capped sweep only
 // partially covers the full range; the full sweep must solve exactly the
 // uncovered caps (pinned by the delta-points counter) and still return
 // the cold frontier bit-identically — after which the spliced chain
@@ -148,14 +143,14 @@ func TestFrontierDeltaResolve(t *testing.T) {
 	mid := full[0].Cost() - 1
 
 	tel := telemetry.New(nil)
-	fs := newFrontierStore(t, FrontierOptions{Telemetry: tel})
+	c := newCache(t, Options{Telemetry: tel})
 	p := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p})
-	part := sweepThrough(t, g, pool, p2p, fs.View(p, 1, mid), tel, mid)
+	part := sweepThrough(t, g, pool, p2p, c.View(p, 1, mid), tel, mid)
 	samePoints(t, full[1:], part)
 
 	tel2 := telemetry.New(nil)
-	fs.tel = tel2
-	merged := sweepThrough(t, g, pool, p2p, fs.View(p, 1, 0), tel2, 0)
+	c.tel = tel2
+	merged := sweepThrough(t, g, pool, p2p, c.View(p, 1, 0), tel2, 0)
 	samePoints(t, full, merged)
 	if got := tel2.Get(telemetry.CtrFrontierPartialHits); got != 1 {
 		t.Fatalf("frontier_partial_hits = %d, want 1", got)
@@ -167,11 +162,11 @@ func TestFrontierDeltaResolve(t *testing.T) {
 		t.Fatal("delta sweep reported no solver work but had an uncovered cap")
 	}
 
-	// The merge spliced the head point in: the full range now serves
+	// The delta sweep stored the head point: the full range now serves
 	// without any solver work at all.
 	tel3 := telemetry.New(nil)
-	fs.tel = tel3
-	again := sweepThrough(t, g, pool, p2p, fs.View(p, 1, 0), tel3, 0)
+	c.tel = tel3
+	again := sweepThrough(t, g, pool, p2p, c.View(p, 1, 0), tel3, 0)
 	samePoints(t, full, again)
 	if w := solverWork(tel3); w != 0 {
 		t.Fatalf("post-splice sweep did solver work (%d nodes), want 0", w)
@@ -181,30 +176,30 @@ func TestFrontierDeltaResolve(t *testing.T) {
 	}
 }
 
-// TestFrontierPersistRoundTrip: a stored frontier (whose head point
-// carries a non-finite +Inf cap from the uncapped start) survives a
-// restart through the JSONL spill and serves a repeat sweep with zero
-// solver invocations.
+// TestFrontierPersistRoundTrip: a stored chain (whose head point sits
+// at the non-finite +Inf cap of the uncapped start) survives a restart
+// through the JSONL spill and serves a repeat sweep with zero solver
+// invocations.
 func TestFrontierPersistRoundTrip(t *testing.T) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	p2p := arch.PointToPoint{}
 	path := filepath.Join(t.TempDir(), "frontiers.jsonl")
 
-	fs1 := newFrontierStore(t, FrontierOptions{PersistPath: path})
+	c1 := newCache(t, Options{PersistPath: path})
 	p := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p})
-	cold := sweepThrough(t, g, pool, p2p, fs1.View(p, 1, 0), nil, 0)
-	if err := fs1.Close(); err != nil {
+	cold := sweepThrough(t, g, pool, p2p, c1.View(p, 1, 0), nil, 0)
+	if err := c1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
 	tel := telemetry.New(nil)
-	fs2 := newFrontierStore(t, FrontierOptions{PersistPath: path, Telemetry: tel})
-	restored, skipped := fs2.Loaded()
-	if restored != 1 || skipped != 0 {
-		t.Fatalf("Loaded = (%d, %d), want (1, 0)", restored, skipped)
+	c2 := newCache(t, Options{PersistPath: path, Telemetry: tel})
+	restored, skipped := c2.Loaded()
+	if restored != example1Chain || skipped != 0 {
+		t.Fatalf("Loaded = (%d, %d), want (%d, 0)", restored, skipped, example1Chain)
 	}
-	warm := sweepThrough(t, g, pool, p2p, fs2.View(p, 1, 0), tel, 0)
+	warm := sweepThrough(t, g, pool, p2p, c2.View(p, 1, 0), tel, 0)
 	samePoints(t, cold, warm)
 	if w := solverWork(tel); w != 0 {
 		t.Fatalf("restored sweep did solver work (%d nodes), want 0", w)
@@ -215,7 +210,8 @@ func TestFrontierPersistRoundTrip(t *testing.T) {
 }
 
 // TestFrontierTerminalProof: a sweep whose start cap is below the
-// cheapest feasible design stores a pure terminal proof (no points); a
+// cheapest feasible design stores a pure terminal proof (an Infeasible
+// entry at the start cap, no points); a
 // repeat sweep is answered "empty, done" without a solver, and the proof
 // survives a restart.
 func TestFrontierTerminalProof(t *testing.T) {
@@ -230,18 +226,18 @@ func TestFrontierTerminalProof(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "frontiers.jsonl")
 
 	tel := telemetry.New(nil)
-	fs := newFrontierStore(t, FrontierOptions{Telemetry: tel, PersistPath: path})
+	c := newCache(t, Options{Telemetry: tel, PersistPath: path})
 	p := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p})
-	if pts := sweepThrough(t, g, pool, p2p, fs.View(p, 1, below), tel, below); len(pts) != 0 {
+	if pts := sweepThrough(t, g, pool, p2p, c.View(p, 1, below), tel, below); len(pts) != 0 {
 		t.Fatalf("sweep below min cost returned %d points, want 0", len(pts))
 	}
-	if fs.Len() != 1 {
-		t.Fatalf("terminal proof was not stored (len %d)", fs.Len())
+	if c.Len() != 1 {
+		t.Fatalf("terminal proof was not stored (len %d)", c.Len())
 	}
 
 	tel2 := telemetry.New(nil)
-	fs.tel = tel2
-	if pts := sweepThrough(t, g, pool, p2p, fs.View(p, 1, below), tel2, below); len(pts) != 0 {
+	c.tel = tel2
+	if pts := sweepThrough(t, g, pool, p2p, c.View(p, 1, below), tel2, below); len(pts) != 0 {
 		t.Fatalf("repeat sweep returned %d points, want 0", len(pts))
 	}
 	if w := solverWork(tel2); w != 0 {
@@ -250,10 +246,10 @@ func TestFrontierTerminalProof(t *testing.T) {
 	if got := tel2.Get(telemetry.CtrFrontierHits); got != 1 {
 		t.Fatalf("frontier_hits = %d, want 1", got)
 	}
-	fs.Close()
+	c.Close()
 
-	fs2 := newFrontierStore(t, FrontierOptions{PersistPath: path})
-	if restored, _ := fs2.Loaded(); restored != 1 {
+	c2 := newCache(t, Options{PersistPath: path})
+	if restored, _ := c2.Loaded(); restored != 1 {
 		t.Fatalf("terminal proof did not survive restart (restored %d)", restored)
 	}
 }

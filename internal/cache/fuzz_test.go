@@ -1,14 +1,62 @@
 package cache
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sos/internal/arch"
 	"sos/internal/expts"
 	"sos/internal/taskgraph"
 )
+
+// FuzzSpillLine fuzzes the one spill loader: arbitrary line bytes must
+// never panic, and every entry they restore must pass the load-time
+// re-check (bound = design objective, design within its own cap and
+// deadline, simulator replay agrees). Seeded with a real single-solve
+// proof line and the real lines of a swept chain (tightened points and
+// the infeasible final cap).
+func FuzzSpillLine(f *testing.F) {
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	p2p := arch.PointToPoint{}
+	path := filepath.Join(f.TempDir(), "seed.jsonl")
+	c := newCache(f, Options{PersistPath: path})
+	prove(f, c, mustProbe(f, Request{Graph: g, Pool: pool, Topo: p2p, CostCap: 14}))
+	sweepThrough(f, g, pool, p2p, c.View(mustProbe(f, Request{Graph: g, Pool: pool, Topo: p2p}), 1, 0), nil, 0)
+	if err := c.Close(); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		f.Add(line)
+	}
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		c := newCache(t, Options{})
+		restored, _ := c.loadSpill(bytes.NewReader(line))
+		if n := c.Len(); n > restored {
+			t.Fatalf("cache holds %d entries after restoring %d lines", n, restored)
+		}
+		for _, s := range c.shards {
+			for el := s.lru.Front(); el != nil; el = el.Next() {
+				e := el.Value.(*entry)
+				if e.infeasible {
+					continue
+				}
+				if err := recheck(&e.req, e.design, e.objVal); err != nil {
+					t.Fatalf("restored entry fails its re-check: %v", err)
+				}
+			}
+		}
+	})
+}
 
 // FuzzCanonicalKey is the soundness fuzzer for the canonical hasher:
 //

@@ -4,7 +4,9 @@
 // specifications differing only in node order, node names, or same-type
 // instance numbering; a sharded in-memory LRU of *proved* results with
 // single-flight deduplication of concurrent identical requests; and an
-// optional JSONL spill for warm restarts.
+// optional JSONL spill for warm restarts, re-checked on load. Swept
+// Pareto frontiers are kept as the same proofs, one per chain cap
+// (frontier.go).
 //
 // Soundness rests on two pillars. First, the key is the SHA-256 of a full
 // canonical serialization of the problem — two specs share a key only if
@@ -315,11 +317,16 @@ func canonicalize(req *Request) (*canon, error) {
 	}
 
 	c.family = sha256.Sum256(cert)
-	var keyed []byte
-	keyed = append(keyed, c.family[:]...)
-	keyed = binary.BigEndian.AppendUint64(keyed, normBits(c.limit))
-	c.key = sha256.Sum256(keyed)
+	c.key = limitKey(c.family, c.limit)
 	return c, nil
+}
+
+// limitKey is the full key of the family's proof at bound limit.
+func limitKey(f FamilyKey, limit float64) Key {
+	var keyed []byte
+	keyed = append(keyed, f[:]...)
+	keyed = binary.BigEndian.AppendUint64(keyed, normBits(limit))
+	return sha256.Sum256(keyed)
 }
 
 // refineNodes computes one refinement round of the node colors: each

@@ -54,7 +54,7 @@ func permutedCounts(counts []int, typeOrder []int) []int {
 	return out
 }
 
-func mustProbe(t *testing.T, req Request) *Probe {
+func mustProbe(t testing.TB, req Request) *Probe {
 	t.Helper()
 	p, err := Prepare(req)
 	if err != nil {

@@ -2,13 +2,16 @@ package cache
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
 	"sos/internal/arch"
 	"sos/internal/schedule"
+	"sos/internal/sim"
 	"sos/internal/specfile"
 )
 
@@ -39,6 +42,8 @@ type spillRecord struct {
 	Bound       spillFloat      `json:"bound,omitempty"`
 	Nodes       int64           `json:"nodes,omitempty"`
 	Design      json.RawMessage `json:"design,omitempty"`
+	// Tightened marks a swept chain point (entry.tightened).
+	Tightened bool `json:"tightened,omitempty"`
 }
 
 // spillFloat is a float64 that survives JSON at non-finite values:
@@ -158,6 +163,7 @@ func recordOf(e *entry) (*spillRecord, error) {
 		Memory:      e.req.Memory,
 		NoOverlapIO: e.req.NoOverlapIO,
 		Nodes:       e.nodes,
+		Tightened:   e.tightened,
 	}
 	if e.req.Objective == MinCost {
 		rec.Objective = "cost"
@@ -178,30 +184,44 @@ func recordOf(e *entry) (*spillRecord, error) {
 	return rec, nil
 }
 
-// loadSpill replays the spill file into the in-memory cache. Corrupt,
-// stale, or otherwise unusable lines are skipped — the spill is advisory.
-// Every restored proof is re-keyed from its own decoded problem, so a
-// spill written by an older canonicalizer can only miss, never mislead.
-func (c *Cache) loadSpill(sp *spill) (restored, skipped int) {
-	if _, err := sp.f.Seek(0, 0); err != nil {
-		return 0, 0
-	}
-	sc := bufio.NewScanner(sp.f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+// maxSpillLine bounds one spill line; longer lines are skipped.
+const maxSpillLine = 1 << 24
+
+// loadSpill replays spill lines into the in-memory cache. Corrupt,
+// stale, oversize, or otherwise unusable lines are skipped and counted —
+// the spill is advisory — and loading goes on with the next line. Every
+// restored proof is re-keyed from its own decoded problem, so a spill
+// written by an older canonicalizer can only miss, never mislead.
+func (c *Cache) loadSpill(in io.Reader) (restored, skipped int) {
+	r := bufio.NewReader(in)
+	var line []byte
+	long := false
+	for {
+		chunk, err := r.ReadSlice('\n')
+		if !long && len(line)+len(chunk) > maxSpillLine {
+			long, line = true, line[:0]
 		}
-		if c.loadLine(line) {
+		if !long {
+			line = append(line, chunk...)
+		}
+		if err == bufio.ErrBufferFull {
+			continue // the line goes on
+		}
+		line = bytes.TrimRight(line, "\r\n")
+		switch {
+		case long:
+			skipped++
+		case len(line) == 0:
+		case c.loadLine(line):
 			restored++
-		} else {
+		default:
 			skipped++
 		}
+		line, long = line[:0], false
+		if err != nil {
+			return restored, skipped // io.EOF, or a read error: keep what loaded
+		}
 	}
-	// Position at end for appends regardless of scan outcome.
-	sp.f.Seek(0, 2)
-	return restored, skipped
 }
 
 func (c *Cache) loadLine(line []byte) bool {
@@ -259,11 +279,12 @@ func (c *Cache) loadLine(line []byte) bool {
 		e.designLimit = math.Inf(1)
 	case "optimal":
 		d, err := schedule.DecodeDesign(rec.Design, req.Graph, req.Pool, topo)
-		if err != nil {
+		if err != nil || recheck(&req, d, float64(rec.Bound)) != nil {
 			return false
 		}
 		e.design = d
 		e.objVal = float64(rec.Bound)
+		e.tightened = rec.Tightened
 		if req.Objective == MinCost {
 			e.designLimit = d.Makespan
 		} else {
@@ -272,5 +293,36 @@ func (c *Cache) loadLine(line []byte) bool {
 	default:
 		return false
 	}
-	return c.insert(e)
+	added, evicted := c.insert(e)
+	c.countEvictions(evicted)
+	return added
+}
+
+// recheck re-derives what a persisted Optimal line claims instead of
+// trusting it: its bound must be the design's objective (makespan, or
+// cost under MinCost), the design must meet the line's own cap and
+// deadline, and a simulator replay must reach the design's makespan.
+// DecodeDesign has already validated the schedule itself.
+func recheck(req *Request, d *schedule.Design, bound float64) error {
+	obj := d.Makespan
+	if req.Objective == MinCost {
+		obj = d.Cost
+	}
+	if !(math.Abs(bound-obj) <= 1e-6*math.Max(1, math.Abs(obj))) {
+		return fmt.Errorf("cache: bound %g is not the design's objective %g", bound, obj)
+	}
+	if req.CostCap > 0 && d.Cost > req.CostCap+limitEps {
+		return fmt.Errorf("cache: design cost %g exceeds cap %g", d.Cost, req.CostCap)
+	}
+	if req.Deadline > 0 && d.Makespan > req.Deadline+limitEps {
+		return fmt.Errorf("cache: design makespan %g exceeds deadline %g", d.Makespan, req.Deadline)
+	}
+	tr, err := sim.Replay(d)
+	if err != nil {
+		return err
+	}
+	if tr.Makespan != d.Makespan {
+		return fmt.Errorf("cache: replay makespan %g, design says %g", tr.Makespan, d.Makespan)
+	}
+	return nil
 }

@@ -10,21 +10,15 @@ import (
 	"sos/internal/taskgraph"
 )
 
-// remapDesign translates a cached entry's design into the probe's frame.
+// remapDesign translates a cached entry's design into the probe's frame:
+// same canonical key family means the two problems are isomorphic (equal
+// certificates serialize the identical structure), so composing the two
+// canonical orders yields node/type/proc bijections. The rebuilt design
+// references the probe's own Graph, Pool, and Topo, and is re-derived
+// and re-validated before being served; any failure is reported as an
+// error and the caller treats it as a miss.
 func remapDesign(e *entry, p *Probe) (*schedule.Design, error) {
-	return remapDesignFrom(e.design, e.canon, &e.req, p)
-}
-
-// remapDesignFrom translates a design stored under one canonicalization
-// into the probe's frame: same canonical key family means the two
-// problems are isomorphic (equal certificates serialize the identical
-// structure), so composing the two canonical orders yields
-// node/type/proc bijections. The rebuilt design references the probe's
-// own Graph, Pool, and Topo, and is re-derived and re-validated before
-// being served; any failure is reported as an error and the caller
-// treats it as a miss. Shared by the per-limit proof cache and the
-// frontier store.
-func remapDesignFrom(src *schedule.Design, from *canon, fromReq *Request, p *Probe) (*schedule.Design, error) {
+	src, from, fromReq := e.design, e.canon, &e.req
 	if src == nil {
 		return nil, fmt.Errorf("cache: no design to remap")
 	}

@@ -32,13 +32,21 @@ type flight struct {
 // before done closes, so the next arrival elects a fresh leader rather
 // than piling onto a doomed solve.
 func (c *Cache) Do(ctx context.Context, key Key, fn func() error) (shared bool, err error) {
+	return c.do(ctx, key, fn, func() {
+		c.tel.Inc(telemetry.CtrCacheCoalesced)
+		c.tel.Emit(telemetry.EvCache, 0, 0, "coalesced")
+	})
+}
+
+// do is the one single-flight protocol behind Do and FrontierView.Do;
+// coalesced runs when a follower wakes on a finished flight.
+func (c *Cache) do(ctx context.Context, key Key, fn func() error, coalesced func()) (shared bool, err error) {
 	c.flightMu.Lock()
 	if f, ok := c.flights[key]; ok {
 		c.flightMu.Unlock()
 		select {
 		case <-f.done:
-			c.tel.Inc(telemetry.CtrCacheCoalesced)
-			c.tel.Emit(telemetry.EvCache, 0, 0, "coalesced")
+			coalesced()
 			return true, f.err
 		case <-ctx.Done():
 			return true, ctx.Err()

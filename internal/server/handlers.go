@@ -248,7 +248,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.cfg.Cache != nil {
 		stats["cache_len"] = s.cfg.Cache.Len()
-		stats["frontier_len"] = s.cfg.Cache.FrontierLen()
 	}
 	writeJSON(w, http.StatusOK, stats)
 }

@@ -132,21 +132,21 @@ const (
 	// rung finished first.
 	CtrRaceCanceled
 
-	// CtrFrontierHits counts sweeps answered entirely from the frontier
-	// store (every chain point served, zero solver invocations).
+	// CtrFrontierHits counts sweeps answered entirely from the result
+	// cache's stored chain points (zero solver invocations).
 	CtrFrontierHits
 	// CtrFrontierPartialHits counts sweeps partially served from the
-	// frontier store: some chain points came from the cache and the
-	// uncovered cap regions were delta-resolved.
+	// cache: some chain points came from it and the uncovered cap
+	// regions were delta-resolved.
 	CtrFrontierPartialHits
-	// CtrFrontierMisses counts sweeps the frontier store could not help
-	// with at all (cold family or uncovered range).
+	// CtrFrontierMisses counts sweeps the cache could not help with at
+	// all (cold family or uncovered range).
 	CtrFrontierMisses
 	// CtrFrontierDeltaPoints counts the frontier points actually solved
 	// during partial-hit sweeps — the delta the cache did not cover.
 	CtrFrontierDeltaPoints
-	// CtrFrontierStores counts frontiers (or frontier deltas) merged into
-	// the store after a sweep.
+	// CtrFrontierStores counts sweeps that stored new chain points (or
+	// a new final infeasible cap) in the cache.
 	CtrFrontierStores
 
 	numCounters
@@ -233,10 +233,11 @@ const (
 	// winning rung ("milp", "combinatorial", "heuristic") or "none";
 	// Value is the number of entrants canceled.
 	EvRace
-	// EvFrontier: a frontier-store interaction. Label is "hit",
-	// "partial", "miss", or "store"; Value is the number of points served
-	// (hit/partial), delta-resolved (store), or the sweep's start cap
-	// (miss).
+	// EvFrontier: a sweep's interaction with the result cache. Label is
+	// "hit", "partial", "miss", "store", "evict", or "coalesced"; Value is
+	// the number of points served (hit) or delta-resolved (partial), of
+	// entries stored or evicted, or the sweep's start cap (miss,
+	// coalesced).
 	EvFrontier
 
 	numEventKinds

@@ -538,14 +538,13 @@ type FrontierPoint struct {
 // Tables II, IV, and V. Spec.CostCap, when > 0, is the sweep's starting
 // cap (0 sweeps the whole frontier); Spec.Objective/Deadline are ignored.
 //
-// When Spec.Cache was built with CacheOptions.Frontiers, whole swept
-// frontiers are cached across requests: a repeat sweep of the same
-// problem family is served from the store without running a solver, and
-// a sweep whose cap range is only partially covered delta-resolves just
-// the uncovered caps (seeding those solves with adjacent cached designs)
-// before the new points are spliced back into the stored chain. Only
-// certified chains are cached, so served frontiers are bit-identical to
-// cold sweeps. See DESIGN.md §15.
+// When Spec.Cache is set, every certified point of the sweep is stored
+// there as a proof at its chain cap: a repeat sweep of the same problem
+// family is served from the cache without running a solver, and a sweep
+// whose cap range is only partially covered delta-resolves just the
+// uncovered caps (seeding those solves with adjacent cached designs).
+// Only certified chains are cached, so served frontiers are
+// bit-identical to cold sweeps. See DESIGN.md §15.
 func Frontier(ctx context.Context, spec Spec) ([]FrontierPoint, error) {
 	sp, err := spec.withDefaults()
 	if err != nil {
