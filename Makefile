@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 vet build test bench-smoke bench perf perf-sweep perf-sweep-check perf-lp perf-lp-check perf-cache perf-cache-check perf-race perf-race-check perf-frontier perf-frontier-check perf-scale fuzz-smoke lint soak-smoke server-race bench-check
+.PHONY: tier1 vet build test bench-smoke bench perf perf-check fuzz-smoke lint soak-smoke server-race bench-check
 
 ## tier1: the gate every change must pass — vet, build, race-enabled
 ## tests, a one-iteration smoke of the headline benchmark, and a short
@@ -43,75 +43,18 @@ bench-check:
 bench:
 	$(GO) test -run 'NO_TESTS' -bench . -benchmem .
 
-## perf: machine-readable solver-throughput report (BENCH_<date>.json).
+## perf: run sosbench's perf workload table (sweep, lp, cache, race,
+## frontier, scale; DESIGN.md §16) and merge the rows into
+## BENCH_perf.json. Commit the refreshed file with perf-affecting PRs.
 perf:
-	$(GO) run ./cmd/sosbench -perf
+	$(GO) run ./cmd/sosbench -perf all
 
-## perf-sweep: sweep-scaling report for the speculative-parallel Pareto
-## sweep (DESIGN.md §10) — Table II at 1/2/4 workers, frontier asserted
-## identical, written to BENCH_sweep.json.
-perf-sweep:
-	$(GO) run ./cmd/sosbench -perf-sweep
-
-## perf-sweep-check: re-measure the sweep-scaling workloads and fail on a
-## >20% ns/op slowdown against the committed BENCH_sweep.json (CI gate).
-perf-sweep-check:
-	$(GO) run ./cmd/sosbench -perf-sweep -check-baseline
-
-## perf-lp: LP-kernel throughput report (dense tableau vs sparse revised
-## simplex vs sparse+presolve) on pinned workloads, written to
-## BENCH_lp.json. Commit the refreshed file with perf-affecting PRs.
-perf-lp:
-	$(GO) run ./cmd/sosbench -perf-lp
-
-## perf-lp-check: re-measure the pinned LP benchmarks and fail on a >20%
-## ns/op slowdown against the committed BENCH_lp.json (the CI perf gate).
-perf-lp-check:
-	$(GO) run ./cmd/sosbench -perf-lp -check-baseline
-
-## perf-cache: result-cache report — repeat-heavy p50 with/without the
-## cache, zero-hit overhead, near-miss warm-start node counts — written
-## to BENCH_cache.json.
-perf-cache:
-	$(GO) run ./cmd/sosbench -perf-cache
-
-## perf-cache-check: re-measure and fail unless the cache holds its
-## bars: >=5x repeat-heavy p50, <5% zero-hit overhead, warm starts never
-## enlarging the MILP search (the CI cache gate).
-perf-cache-check:
-	$(GO) run ./cmd/sosbench -perf-cache -check-baseline
-
-## perf-race: engine-portfolio racing report — budget-constrained Table II
-## sweep, sequential ladder vs concurrent race on the shared incumbent
-## bus — written to BENCH_race.json.
-perf-race:
-	$(GO) run ./cmd/sosbench -perf-race
-
-## perf-race-check: re-measure and fail unless racing beats the
-## sequential ladder's wall-clock AND returns the bit-identical frontier
-## (the CI racing gate — invariants, not machine-speed ratchets).
-perf-race-check:
-	$(GO) run ./cmd/sosbench -perf-race -check-baseline
-
-## perf-frontier: frontier-store report — repeat sweeps of the paper's
-## three frontiers through the store vs cold, plus delta-resolve point
-## accounting — written to BENCH_frontier.json.
-perf-frontier:
-	$(GO) run ./cmd/sosbench -perf-frontier
-
-## perf-frontier-check: re-measure and fail unless the store holds its
-## bars: >=1000x repeat-sweep p50 on the Example 2 workloads (>=25x on
-## the millisecond-scale Table II stream), every cached frontier
-## bit-identical to the cold sweep, and delta-resolve solving exactly
-## the uncovered points (the CI frontier gate).
-perf-frontier-check:
-	$(GO) run ./cmd/sosbench -perf-frontier -check-baseline
-
-## perf-scale: large-instance scaling sweep — structured 50-800-subtask
-## forced-mapping instances through the sparse MILP stack — written to
-## BENCH_scale.json. Reporting only; no gate.
-perf-scale:
-	$(GO) run ./cmd/sosbench -perf-scale
+## perf-check: re-measure the whole table and fail on any failed bar:
+## every row's invariants (frontiers, kernel agreement, cache/race/
+## frontier/scale bars), and the sweep and LP rows' p50 against the
+## committed BENCH_perf.json (>20% slowdown fails). ~2 min (the CI gate).
+perf-check:
+	$(GO) run ./cmd/sosbench -perf all -check-baseline
 
 ## server-race: the sosd chaos suite — fault injection, hostile clients,
 ## saturation storms, shutdown under load — under the race detector.
@@ -124,10 +67,12 @@ server-race:
 soak-smoke:
 	SOSD_SOAK=30s $(GO) test -race -count=1 -run 'TestSoakSmoke$$' -v -timeout 5m ./internal/server
 
-## fuzz-smoke: ~60s of coverage-guided fuzzing over the two parsing
+## fuzz-smoke: ~75s of coverage-guided fuzzing over the two parsing
 ## surfaces (spec files and task-graph JSON), the cache's canonical key
-## (rename/reorder invariance, no semantic collisions) and the cache's
-## spill loader (no panics; every restored proof passes its re-check).
+## (rename/reorder invariance, no semantic collisions), the cache's
+## spill loader (no panics; every restored proof passes its re-check) and
+## the MILP-vs-combinatorial agreement on random instances (both Optimal
+## designs replayed through the simulator).
 ## The corpus under testdata/ pins every crasher ever found; plain
 ## `go test` replays it as seeds.
 fuzz-smoke:
@@ -135,3 +80,4 @@ fuzz-smoke:
 	$(GO) test -run NO_TESTS -fuzz 'FuzzGraphValidate$$' -fuzztime 15s ./internal/taskgraph
 	$(GO) test -run NO_TESTS -fuzz 'FuzzCanonicalKey$$' -fuzztime 15s ./internal/cache
 	$(GO) test -run NO_TESTS -fuzz 'FuzzSpillLine$$' -fuzztime 15s ./internal/cache
+	$(GO) test -run NO_TESTS -fuzz 'FuzzCrossEngine$$' -fuzztime 15s ./internal/model

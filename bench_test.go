@@ -448,25 +448,12 @@ func example2Cap15(b *testing.B) *model.Model {
 // forcedPipelineModel builds an n-subtask series-parallel instance where
 // subtask i runs only on processor type i: the mapping collapses and the
 // root relaxation becomes a large sparse scheduling LP — the scaling
-// workload the sparse kernel exists for (mirrors cmd/sosbench -perf-lp).
+// workload the sparse kernel exists for (the lp rows of sosbench -perf).
 func forcedPipelineModel(b *testing.B, n int) *model.Model {
 	b.Helper()
 	rng := rand.New(rand.NewSource(13))
 	g := taskgraph.SeriesParallel(rng, taskgraph.StructuredSpec{Subtasks: n, MaxFan: 4})
-	lib := arch.NewLibrary("forced", 1, 1, 0)
-	for i := 0; i < n; i++ {
-		exec := make([]float64, n)
-		for a := range exec {
-			exec[a] = arch.NoTime
-		}
-		exec[i] = float64(1 + rng.Intn(5))
-		lib.AddType("", 1, exec)
-	}
-	copies := make([]int, n)
-	for i := range copies {
-		copies[i] = 1
-	}
-	m, err := model.Build(g, arch.InstancePool(lib, copies), arch.PointToPoint{},
+	m, err := model.Build(g, arch.ForcedPool(rng, n), arch.PointToPoint{},
 		model.Options{Objective: model.MinMakespan})
 	if err != nil {
 		b.Fatal(err)

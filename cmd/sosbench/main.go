@@ -13,12 +13,9 @@
 //	-baseline          heuristic (ETF) synthesizer vs exact optima
 //	-ring              §5 ring-interconnect frontier (extension)
 //	-all               everything above
-//	-perf              solver-throughput report, written to BENCH_<date>.json
-//	-perf-lp           LP kernel report (dense vs sparse vs presolve), BENCH_lp.json
-//	-perf-cache        result-cache report (hit p50, zero-hit overhead), BENCH_cache.json
-//	-perf-race         engine-racing vs sequential-ladder report, BENCH_race.json
-//	-perf-frontier     frontier-store report (repeat-sweep p50, delta-resolve), BENCH_frontier.json
-//	-perf-scale        large-instance MILP scaling sweep (50-800 subtasks), BENCH_scale.json
+//	-perf all|names    the perf workload table (sweep, lp, cache, race, frontier,
+//	                   scale), merged into BENCH_perf.json; with -check-baseline,
+//	                   checked against it instead (DESIGN.md §16)
 //
 // By default frontiers are traced with the combinatorial engine (exact and
 // fast). -engine milp uses the paper's MILP method for everything it can
@@ -79,13 +76,8 @@ func main() {
 		basel   = flag.Bool("baseline", false, "")
 		ring    = flag.Bool("ring", false, "")
 		scaling = flag.Bool("scaling", false, "beyond-paper: engine runtime vs problem size")
-		perf    = flag.Bool("perf", false, "measure solver throughput and write BENCH_<date>.json")
-		perfSw  = flag.Bool("perf-sweep", false, "measure Table II sweep scaling over worker counts and write BENCH_sweep.json")
-		perfLP  = flag.Bool("perf-lp", false, "measure LP kernel throughput (dense vs sparse vs presolve) and write BENCH_lp.json")
-		perfCa  = flag.Bool("perf-cache", false, "measure the result cache (repeat-heavy p50, zero-hit overhead, warm starts) and write BENCH_cache.json")
-		perfRa  = flag.Bool("perf-race", false, "measure engine-portfolio racing vs the sequential ladder on the budget-constrained Table II sweep and write BENCH_race.json")
-		perfFr  = flag.Bool("perf-frontier", false, "measure the frontier store (repeat-sweep p50, delta-resolve accounting) on the paper workloads and write BENCH_frontier.json")
-		perfSc  = flag.Bool("perf-scale", false, "sweep structured 50-800-subtask forced-mapping instances through the sparse MILP stack and write BENCH_scale.json")
+		perf    = flag.String("perf", "", "run the perf workload table: all, or a comma-separated list of sweep, lp, cache, race, frontier, scale; merges the rows into BENCH_perf.json")
+		check   = flag.Bool("check-baseline", false, "with -perf: check every row's bars against the committed BENCH_perf.json instead of writing it; exit nonzero on any failure")
 	)
 	flag.Parse()
 
@@ -135,13 +127,7 @@ func main() {
 	run(*basel, Baseline)
 	run(*ring, RingStudy)
 	run(*scaling, ScalingStudy)
-	run(*perf, Perf)
-	run(*perfSw, PerfSweep)
-	run(*perfLP, PerfLP)
-	run(*perfCa, PerfCache)
-	run(*perfRa, PerfRace)
-	run(*perfFr, PerfFrontier)
-	run(*perfSc, PerfScale)
+	run(*perf != "", func() error { return Perf(*perf, *check) })
 	if !ran {
 		flag.Usage()
 		os.Exit(2)

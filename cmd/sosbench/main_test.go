@@ -1,8 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
+	"fmt"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -81,34 +80,31 @@ func TestBenchSweepWorkers(t *testing.T) {
 	}
 }
 
-// TestBenchPerfSweep smokes the -perf-sweep report: it must measure
-// workers 1/2/4, find the full 5-point frontier at each, and write a
-// parseable BENCH_sweep.json.
+// TestBenchPerfSweep runs the sweep entry of the perf workload table
+// through the driver: it must report workers 1/2/4, each finding the
+// 5-point Table II frontier, in a parseable BENCH_perf.json.
 func TestBenchPerfSweep(t *testing.T) {
 	bin := buildBench(t)
 	dir := t.TempDir()
-	cmd := exec.Command(bin, "-perf-sweep", "-budget", "3m")
+	cmd := exec.Command(bin, "-perf", "sweep", "-budget", "3m")
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_sweep.json"))
+	rows, err := readRows(filepath.Join(dir, perfFile))
 	if err != nil {
-		t.Fatalf("report not written: %v\n%s", err, out)
+		t.Fatalf("report: %v\n%s", err, out)
 	}
-	var rep sweepScalingReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("unmarshal report: %v\n%s", err, data)
-	}
-	if len(rep.Results) != 3 {
-		t.Fatalf("report has %d results, want 3:\n%s", len(rep.Results), data)
+	if len(rows) != 3 {
+		t.Fatalf("report has %d rows, want 3:\n%+v", len(rows), rows)
 	}
 	for i, workers := range []int{1, 2, 4} {
-		r := rep.Results[i]
-		if r.Workers != workers || r.Points != 5 || r.NsPerOp <= 0 {
-			t.Errorf("result %d: workers=%d points=%d ns/op=%d, want workers=%d points=5 ns/op>0",
-				i, r.Workers, r.Points, r.NsPerOp, workers)
+		r := rows[i]
+		want := fmt.Sprintf("sweep/workers-%d", workers)
+		if r.Workload != want || r.Counters["points"] != 5 || r.E2E.P50Ns <= 0 || r.E2E.N != reps ||
+			!r.Invariants["table2_frontier"] || r.Host.CPUs <= 0 || r.Date == "" {
+			t.Errorf("row %d = %+v, want %s with 5 points, %d runs, p50 > 0, the Table II frontier, host and date", i, r, want, reps)
 		}
 	}
 }

@@ -1,170 +1,247 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"math"
 	"os"
 	"runtime"
-	"testing"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
-
-	"sos/internal/arch"
-	"sos/internal/expts"
-	"sos/internal/milp"
-	"sos/internal/model"
-	"sos/internal/pareto"
 )
 
-// perfResult is one machine-readable measurement in the BENCH_<date>.json
-// report (the CI/throughput counterpart of the human-readable tables).
-type perfResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Nodes       int     `json:"nodes_explored,omitempty"`
-	NodesPerSec float64 `json:"nodes_per_sec,omitempty"`
-	Iterations  int     `json:"iterations"`
+// perfFile is the one committed perf report: the latest row of every
+// workload, and the baselines the ratchet compares against.
+const perfFile = "BENCH_perf.json"
+
+// ratchetTolerance is the fraction by which a ratcheted row's p50 may
+// exceed its committed p50 before the check fails it.
+const ratchetTolerance = 0.20
+
+// reps is the number of timed runs behind the p50 bars of the sweep, LP,
+// race and zero-hit cache rows.
+const reps = 5
+
+// A perfRow is one measurement in the schema every workload reports.
+// E2E times the row's operation; Counters hold its measured values, the
+// inputs of its bars among them; Invariants hold each bar's verdict.
+type perfRow struct {
+	Workload string `json:"workload"`
+	Host     struct {
+		CPUs int    `json:"cpus"`
+		Go   string `json:"go"`
+	} `json:"host"`
+	Date       string             `json:"date"`
+	E2E        perfE2E            `json:"e2e"`
+	Counters   map[string]float64 `json:"counters,omitempty"`
+	Invariants map[string]bool    `json:"invariants,omitempty"`
+
+	ratchet bool // set from the workload table; not part of the report
 }
 
-type perfReport struct {
-	Date      string       `json:"date"`
-	GoVersion string       `json:"go_version"`
-	NumCPU    int          `json:"num_cpu"`
-	Results   []perfResult `json:"results"`
+// perfE2E summarizes a row's per-operation wall-clock times: P50Ns is the
+// upper median, P95Ns the nearest-rank 95th percentile of N samples.
+type perfE2E struct {
+	N     int   `json:"n"`
+	P50Ns int64 `json:"p50_ns"`
+	P95Ns int64 `json:"p95_ns"`
 }
 
-// sanitize replaces non-finite metric values so the report always encodes:
-// encoding/json rejects NaN/Inf outright, and a degenerate measurement
-// (zero-duration run, failed benchmark) would otherwise poison the whole
-// BENCH file.
-func (r *perfReport) sanitize() {
-	for i := range r.Results {
-		if v := r.Results[i].NodesPerSec; math.IsNaN(v) || math.IsInf(v, 0) {
-			r.Results[i].NodesPerSec = 0
+// perfWorkloads is the workload table (DESIGN.md §16). ratchet marks the
+// entries whose regression is a slowdown: their rows' p50 is held to the
+// committed baseline on top of every row's invariants.
+var perfWorkloads = []struct {
+	name    string
+	ratchet bool
+	run     func() ([]perfRow, error)
+}{
+	{"sweep", true, perfSweep},
+	{"lp", true, perfLP},
+	{"cache", false, perfCache},
+	{"race", false, perfRace},
+	{"frontier", false, perfFrontier},
+	{"scale", false, perfScale},
+}
+
+// Perf runs the named workloads ("all" or a comma-separated list; empty
+// means all), prints every row and the check's verdicts, and fails when a
+// bar does. With check it ratchets the rows against BENCH_perf.json and
+// writes nothing; otherwise it merges them into the file, unratcheted.
+func Perf(names string, check bool) error {
+	want := map[string]bool{}
+	for _, name := range strings.Split(names, ",") {
+		want[strings.TrimSpace(name)] = true
+	}
+	all := names == "" || want["all"]
+	var known []string
+	matched := 0
+	for _, w := range perfWorkloads {
+		known = append(known, w.name)
+		if want[w.name] {
+			matched++
 		}
 	}
-}
-
-// Perf measures the MILP engine's node throughput and the warm-vs-cold
-// re-solve costs, then writes BENCH_<date>.json next to the working
-// directory. Configurations mirror bench_test.go so the two stay
-// comparable.
-func Perf() error {
-	fmt.Println("== Performance report ==")
-	g, lib := expts.Example1()
-	pool := expts.Example1Pool(lib)
-
-	report := perfReport{
-		Date:      time.Now().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
+	if !all && matched != len(want) {
+		return fmt.Errorf("-perf %q: want all, or a comma-separated list of %s", names, strings.Join(known, ", "))
+	}
+	var rows []perfRow
+	for _, w := range perfWorkloads {
+		if !all && !want[w.name] {
+			continue
+		}
+		fmt.Printf("== perf: %s ==\n", w.name)
+		got, err := w.run()
+		if err != nil {
+			return fmt.Errorf("perf %s: %w", w.name, err)
+		}
+		for i := range got {
+			got[i].Host.CPUs, got[i].Host.Go = runtime.NumCPU(), runtime.Version()
+			got[i].Date = time.Now().Format("2006-01-02")
+			got[i].ratchet = w.ratchet
+			printRow(os.Stdout, got[i])
+		}
+		rows = append(rows, got...)
 	}
 
-	// Benchmark closures cannot return errors (and b.Fatalf segfaults
-	// outside a test binary, which has no logger) — capture the first
-	// failure here and bail out once testing.Benchmark hands control back.
-	var benchErr error
-	sweep := func(opts milp.Options) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				o := opts
-				o.TimeLimit = *budget
-				pts, err := pareto.Sweep(context.Background(), g, pool, arch.PointToPoint{}, pareto.Options{
-					Engine: pareto.EngineMILP, MILP: &o,
-				})
-				if err != nil || len(pts) == 0 {
-					if benchErr == nil {
-						benchErr = fmt.Errorf("perf sweep failed (budget too small?): %v (%d points)", err, len(pts))
-					}
-					return
-				}
+	base, err := readRows(perfFile)
+	if err != nil && (check || !errors.Is(err, fs.ErrNotExist)) {
+		return fmt.Errorf("read baseline: %w", err)
+	}
+	committed := base
+	if !check {
+		committed = nil // a refresh holds its rows to their invariants only
+	}
+	fmt.Println("== perf check ==")
+	failed := checkRows(os.Stdout, rows, committed)
+	if !check {
+		for _, r := range rows {
+			if i := slices.IndexFunc(base, func(b perfRow) bool { return b.Workload == r.Workload }); i >= 0 {
+				base[i] = r
+			} else {
+				base = append(base, r)
 			}
 		}
-	}
-
-	add := func(name string, nodes int, r testing.BenchmarkResult) {
-		pr := perfResult{
-			Name:        name,
-			NsPerOp:     r.NsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Nodes:       nodes,
-			Iterations:  r.N,
+		sanitize(base)
+		data, err := json.MarshalIndent(base, "", "  ")
+		if err == nil {
+			err = os.WriteFile(perfFile, append(data, '\n'), 0o644)
 		}
-		if nodes > 0 && r.T > 0 {
-			pr.NodesPerSec = float64(nodes*r.N) / r.T.Seconds()
+		if err != nil {
+			return err
 		}
-		report.Results = append(report.Results, pr)
-		fmt.Printf("  %-26s %12d ns/op %10d B/op %8d allocs/op",
-			name, pr.NsPerOp, pr.BytesPerOp, pr.AllocsPerOp)
-		if nodes > 0 {
-			fmt.Printf(" %6d nodes (%.0f nodes/s)", nodes, pr.NodesPerSec)
-		}
-		fmt.Println()
+		fmt.Printf("wrote %s\n", perfFile)
 	}
-
-	add("table2-sweep-warm-2w", 0, testing.Benchmark(sweep(milp.Options{
-		Branch: milp.BranchPseudoCost, Order: milp.BestFirst, Workers: 2,
-	})))
-	add("table2-sweep-warm-seq", 0, testing.Benchmark(sweep(milp.Options{
-		Branch: milp.BranchPseudoCost, Order: milp.BestFirst,
-	})))
-	add("table2-sweep-cold-dfs", 0, testing.Benchmark(sweep(milp.Options{ColdLP: true})))
-	if benchErr != nil {
-		return benchErr
+	if len(failed) > 0 {
+		return fmt.Errorf("perf gate: %d bar(s) failed: %v", len(failed), failed)
 	}
-
-	// Single hardest sweep point, tracking nodes explored.
-	m, err := model.Build(g, pool, arch.PointToPoint{}, model.Options{Objective: model.MinMakespan, CostCap: 14})
-	if err != nil {
-		return err
-	}
-	var nodes int
-	solve := func(opts milp.Options) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			nodes = 0
-			for i := 0; i < b.N; i++ {
-				o := opts
-				o.TimeLimit = *budget
-				design, sol, err := m.Solve(context.Background(), &o)
-				if err != nil || sol.Status != milp.Optimal || math.Abs(design.Makespan-2.5) > 1e-6 {
-					if benchErr == nil {
-						benchErr = fmt.Errorf("perf cap-14 solve failed (budget too small?): err=%v status=%v", err, sol.Status)
-					}
-					return
-				}
-				nodes = sol.Nodes
-			}
-		}
-	}
-	r := testing.Benchmark(solve(milp.Options{Branch: milp.BranchPseudoCost, Order: milp.BestFirst}))
-	add("cap14-solve-warm-bestfirst", nodes, r)
-	r = testing.Benchmark(solve(milp.Options{ColdLP: true}))
-	add("cap14-solve-cold-dfs", nodes, r)
-	if benchErr != nil {
-		return benchErr
-	}
-
-	out := fmt.Sprintf("BENCH_%s.json", report.Date)
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	report.sanitize()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n\n", out)
 	return nil
+}
+
+// checkRows is the one perf check. Every invariant of every row must hold,
+// and a ratcheted row's p50 may exceed the p50 of the committed row of the
+// same workload by at most ratchetTolerance; a ratcheted row with no
+// committed p50 is skipped. It prints a verdict per bar and returns the
+// failed ones.
+func checkRows(w io.Writer, rows, base []perfRow) []string {
+	committed := map[string]perfRow{}
+	for _, r := range base {
+		committed[r.Workload] = r
+	}
+	var failed []string
+	for _, r := range rows {
+		for _, name := range sortedKeys(r.Invariants) {
+			verdict := "ok"
+			if !r.Invariants[name] {
+				verdict = "FAIL"
+				failed = append(failed, r.Workload+": "+name)
+			}
+			fmt.Fprintf(w, "  %-34s %-32s %s\n", r.Workload, name, verdict)
+		}
+		if !r.ratchet {
+			continue
+		}
+		b, ok := committed[r.Workload]
+		if !ok || b.E2E.P50Ns <= 0 {
+			fmt.Fprintf(w, "  %-34s %-32s no baseline; skipped\n", r.Workload, "p50 ratchet")
+			continue
+		}
+		ratio := float64(r.E2E.P50Ns) / float64(b.E2E.P50Ns)
+		verdict := "ok"
+		if ratio > 1+ratchetTolerance {
+			verdict = "REGRESSION"
+			failed = append(failed, fmt.Sprintf("%s: p50 %.3fx baseline", r.Workload, ratio))
+		}
+		fmt.Fprintf(w, "  %-34s %-32s %.3fx (%v -> %v; baseline %s, %d CPU, %s) %s\n",
+			r.Workload, "p50 ratchet", ratio, time.Duration(b.E2E.P50Ns), time.Duration(r.E2E.P50Ns),
+			b.Date, b.Host.CPUs, b.Host.Go, verdict)
+	}
+	return failed
+}
+
+func printRow(w io.Writer, r perfRow) {
+	fmt.Fprintf(w, "  %-34s n=%-3d p50 %-12v p95 %-12v", r.Workload, r.E2E.N,
+		time.Duration(r.E2E.P50Ns), time.Duration(r.E2E.P95Ns))
+	for _, k := range sortedKeys(r.Counters) {
+		fmt.Fprintf(w, " %s=%s", k, strconv.FormatFloat(r.Counters[k], 'f', -1, 64))
+	}
+	fmt.Fprintln(w)
+}
+
+func readRows(path string) ([]perfRow, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rows []perfRow
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		return nil, fmt.Errorf("parse %s: %w", path, err)
+	}
+	return rows, nil
+}
+
+// sanitize zeroes non-finite counters, which encoding/json rejects, so
+// one degenerate measurement cannot poison the whole report. Bars are
+// evaluated before this, on the raw values.
+func sanitize(rows []perfRow) {
+	for _, r := range rows {
+		for k, v := range r.Counters {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				r.Counters[k] = 0
+			}
+		}
+	}
+}
+
+// e2eOf summarizes per-operation times.
+func e2eOf(samples []time.Duration) perfE2E {
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	return perfE2E{N: len(s), P50Ns: int64(s[len(s)/2]), P95Ns: int64(s[(len(s)*95+99)/100-1])}
+}
+
+// timed runs op n times and returns each run's wall-clock time.
+func timed(n int, op func() error) ([]time.Duration, error) {
+	lat := make([]time.Duration, n)
+	for i := range lat {
+		t0 := time.Now()
+		if err := op(); err != nil {
+			return nil, err
+		}
+		lat[i] = time.Since(t0)
+	}
+	return lat, nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -240,3 +240,35 @@ func TestRandomLibraryCoverage(t *testing.T) {
 		}
 	}
 }
+
+// TestForcedPool pins the forced-mapping pool: type i runs only subtask i,
+// in 1-5 time units, one instance per type, and the pool consumes exactly
+// one rng.Intn(5) per type, in type order (the scale workloads' instances
+// depend on that order).
+func TestForcedPool(t *testing.T) {
+	const n = 12
+	rng := rand.New(rand.NewSource(5))
+	twin := rand.New(rand.NewSource(5))
+	pool := ForcedPool(rng, n)
+	if pool.NumProcs() != n || pool.Library().NumTypes() != n {
+		t.Fatalf("%d instances of %d types, want %d of %d", pool.NumProcs(), pool.Library().NumTypes(), n, n)
+	}
+	for _, p := range pool.Procs() {
+		want := float64(1 + twin.Intn(5))
+		for a := 0; a < n; a++ {
+			id := taskgraph.SubtaskID(a)
+			switch {
+			case a == int(p.Type) && pool.Exec(p.ID, id) != want:
+				t.Errorf("type %d runs subtask %d in %g, want %g", p.Type, a, pool.Exec(p.ID, id), want)
+			case a != int(p.Type) && pool.CanRun(p.ID, id):
+				t.Errorf("type %d can run subtask %d", p.Type, a)
+			}
+		}
+		if pool.Cost(p.ID) != 1 {
+			t.Errorf("type %d costs %g, want 1", p.Type, pool.Cost(p.ID))
+		}
+	}
+	if rng.Int63() != twin.Int63() {
+		t.Error("ForcedPool drew more than one rng.Intn(5) per type")
+	}
+}

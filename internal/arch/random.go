@@ -50,3 +50,24 @@ func RandomLibrary(rng *rand.Rand, g *taskgraph.Graph, nTypes int) *Library {
 }
 
 func isInf(f float64) bool { return f > 1e300 }
+
+// ForcedPool generates the forced-mapping pool of the large-instance
+// workloads: n processor types, one instance each, where type i runs only
+// subtask i, in 1+rng.Intn(5) time units, so capability alone fixes the
+// mapping. Callers draw their n-subtask graph from the same rng first;
+// the draw order is part of the workloads' identity. Communication
+// parameters: C_L=1, D_CR=1, D_CL=0; every type costs 1.
+func ForcedPool(rng *rand.Rand, n int) *Instances {
+	lib := NewLibrary("forced", 1, 1, 0)
+	copies := make([]int, n)
+	for i := range copies {
+		exec := make([]float64, n)
+		for a := range exec {
+			exec[a] = NoTime
+		}
+		exec[i] = float64(1 + rng.Intn(5))
+		lib.AddType("", 1, exec)
+		copies[i] = 1
+	}
+	return InstancePool(lib, copies)
+}

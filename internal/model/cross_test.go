@@ -11,6 +11,7 @@ import (
 	"sos/internal/exact"
 	"sos/internal/milp"
 	"sos/internal/schedule"
+	"sos/internal/sim"
 	"sos/internal/taskgraph"
 )
 
@@ -19,91 +20,155 @@ import (
 // the paper (solved by LP-based branch and bound) and the independent
 // combinatorial branch-and-bound must compute the same optimal makespan,
 // under every topology, and both designs must pass the independent
-// validator.
+// validator and the simulator replay.
 func TestEnginesAgreeOnRandomInstances(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-engine sweep in -short mode")
 	}
-	rng := rand.New(rand.NewSource(2024))
-	trials := 40
-	for trial := 0; trial < trials; trial++ {
-		g := taskgraph.Random(rng, taskgraph.RandomSpec{
-			Subtasks:  2 + rng.Intn(4), // up to 5 subtasks
-			ArcProb:   0.3 + rng.Float64()*0.4,
-			MaxVol:    3,
-			Fractions: trial%2 == 0,
-		})
-		g.MustFreeze()
-		lib := arch.RandomLibrary(rng, g, 2)
-		pool := arch.AutoPool(lib, g, 2)
-		if pool.NumProcs() == 0 || pool.NumProcs() > 6 {
-			continue
-		}
-		var topo arch.Topology
-		switch trial % 3 {
-		case 0:
-			topo = arch.PointToPoint{}
-		case 1:
-			topo = arch.Bus{}
-		default:
-			topo = arch.Ring{}
-		}
-		// Random cost cap: between the cheapest single type and the sum
-		// of everything, or uncapped.
-		costCap := 0.0
-		if rng.Intn(2) == 0 {
-			total := 0.0
-			for _, p := range pool.Procs() {
-				total += pool.Cost(p.ID)
-			}
-			costCap = 2 + rng.Float64()*total
-		}
+	rng := rand.New(rand.NewSource(crossSeed))
+	for trial := 0; trial < crossTrials; trial++ {
+		crossEngineTrial(t, rng, trial)
+	}
+}
 
-		m, err := Build(g, pool, topo, Options{Objective: MinMakespan, CostCap: costCap})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+// FuzzCrossEngine runs the cross-engine trial on fuzzed instances. The
+// seed corpus is TestEnginesAgreeOnRandomInstances's trials: an input
+// (seed, trial) replays the instance draws of trials 0..trial-1 from
+// seed before running trial, so (crossSeed, k) is that test's trial k.
+func FuzzCrossEngine(f *testing.F) {
+	for trial := 0; trial < crossTrials; trial++ {
+		f.Add(int64(crossSeed), uint8(trial))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, trial uint8) {
+		if testing.Short() {
+			t.Skip("cross-engine trial in -short mode")
 		}
-		design, sol, err := m.Solve(context.Background(), &milp.Options{TimeLimit: 90 * time.Second})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		if raceEnabled {
+			// The seeds are TestEnginesAgreeOnRandomInstances's trials, which
+			// that test already runs under the race detector (~70 s there).
+			t.Skip("cross-engine seed replay under the race detector")
 		}
+		rng := rand.New(rand.NewSource(seed))
+		for k := 0; k < int(trial); k++ {
+			drawCrossInstance(rng, k)
+		}
+		crossEngineTrial(t, rng, int(trial))
+	})
+}
 
-		res, err := exact.Synthesize(context.Background(), g, pool, topo, exact.Options{
-			Objective: exact.MinMakespan, CostCap: costCap, TimeLimit: 90 * time.Second,
-		})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !res.Optimal {
-			t.Fatalf("trial %d: combinatorial engine not exhausted", trial)
-		}
+const (
+	crossSeed   = 2024
+	crossTrials = 40
+)
 
-		switch sol.Status {
-		case milp.Optimal:
-			if res.Design == nil {
-				t.Fatalf("trial %d (%s): MILP optimal %g but combinatorial infeasible",
-					trial, topo.Name(), design.Makespan)
-			}
-			if math.Abs(design.Makespan-res.Design.Makespan) > 1e-6 {
-				t.Fatalf("trial %d (%s, cap %g): MILP %g vs combinatorial %g\nMILP:\n%s\nexact:\n%s",
-					trial, topo.Name(), costCap, design.Makespan, res.Design.Makespan,
-					design.Gantt(60), res.Design.Gantt(60))
-			}
-			if err := design.Validate(nil); err != nil {
-				t.Fatalf("trial %d: MILP design invalid: %v", trial, err)
-			}
-			if err := res.Design.Validate(nil); err != nil {
-				t.Fatalf("trial %d: combinatorial design invalid: %v", trial, err)
-			}
-		case milp.Infeasible:
-			if res.Design != nil {
-				t.Fatalf("trial %d (%s, cap %g): MILP infeasible but combinatorial found %v",
-					trial, topo.Name(), costCap, res.Design)
-			}
-		default:
-			t.Logf("trial %d: MILP hit budget (%v after %d nodes); skipping comparison",
-				trial, sol.Status, sol.Nodes)
+// crossInstance is one random cross-engine instance.
+type crossInstance struct {
+	g       *taskgraph.Graph
+	pool    *arch.Instances
+	topo    arch.Topology
+	costCap float64
+}
+
+// drawCrossInstance draws trial's instance from rng: up to 5 subtasks,
+// a random 2-type library, the topology cycling p2p/bus/ring with the
+// trial, and half the time a random cost cap. It returns nil, after the
+// graph and library draws, when the pool is empty or over 6 instances.
+func drawCrossInstance(rng *rand.Rand, trial int) *crossInstance {
+	g := taskgraph.Random(rng, taskgraph.RandomSpec{
+		Subtasks:  2 + rng.Intn(4), // up to 5 subtasks
+		ArcProb:   0.3 + rng.Float64()*0.4,
+		MaxVol:    3,
+		Fractions: trial%2 == 0,
+	})
+	g.MustFreeze()
+	lib := arch.RandomLibrary(rng, g, 2)
+	pool := arch.AutoPool(lib, g, 2)
+	if pool.NumProcs() == 0 || pool.NumProcs() > 6 {
+		return nil
+	}
+	in := &crossInstance{g: g, pool: pool}
+	switch trial % 3 {
+	case 0:
+		in.topo = arch.PointToPoint{}
+	case 1:
+		in.topo = arch.Bus{}
+	default:
+		in.topo = arch.Ring{}
+	}
+	// Random cost cap: between the cheapest single type and the sum
+	// of everything, or uncapped.
+	if rng.Intn(2) == 0 {
+		total := 0.0
+		for _, p := range pool.Procs() {
+			total += pool.Cost(p.ID)
 		}
+		in.costCap = 2 + rng.Float64()*total
+	}
+	return in
+}
+
+// crossEngineTrial draws trial's instance from rng and solves it with the
+// MILP and the combinatorial engine: the two must agree on feasibility
+// and on the optimal makespan, and every Optimal design must pass the
+// validator and replay through the simulator to its own makespan.
+func crossEngineTrial(t testing.TB, rng *rand.Rand, trial int) {
+	t.Helper()
+	in := drawCrossInstance(rng, trial)
+	if in == nil {
+		return
+	}
+	g, pool, topo, costCap := in.g, in.pool, in.topo, in.costCap
+
+	m, err := Build(g, pool, topo, Options{Objective: MinMakespan, CostCap: costCap})
+	if err != nil {
+		t.Fatalf("trial %d: %v", trial, err)
+	}
+	design, sol, err := m.Solve(context.Background(), &milp.Options{TimeLimit: 90 * time.Second})
+	if err != nil {
+		t.Fatalf("trial %d: %v", trial, err)
+	}
+
+	res, err := exact.Synthesize(context.Background(), g, pool, topo, exact.Options{
+		Objective: exact.MinMakespan, CostCap: costCap, TimeLimit: 90 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("trial %d: %v", trial, err)
+	}
+	if !res.Optimal {
+		t.Fatalf("trial %d: combinatorial engine not exhausted", trial)
+	}
+
+	switch sol.Status {
+	case milp.Optimal:
+		if res.Design == nil {
+			t.Fatalf("trial %d (%s): MILP optimal %g but combinatorial infeasible",
+				trial, topo.Name(), design.Makespan)
+		}
+		if math.Abs(design.Makespan-res.Design.Makespan) > 1e-6 {
+			t.Fatalf("trial %d (%s, cap %g): MILP %g vs combinatorial %g\nMILP:\n%s\nexact:\n%s",
+				trial, topo.Name(), costCap, design.Makespan, res.Design.Makespan,
+				design.Gantt(60), res.Design.Gantt(60))
+		}
+		for engine, d := range map[string]*schedule.Design{"MILP": design, "combinatorial": res.Design} {
+			if err := d.Validate(nil); err != nil {
+				t.Fatalf("trial %d: %s design invalid: %v", trial, engine, err)
+			}
+			tr, err := sim.Replay(d)
+			if err != nil {
+				t.Fatalf("trial %d: %s design fails replay: %v", trial, engine, err)
+			}
+			if math.Abs(tr.Makespan-d.Makespan) > 1e-6*math.Max(1, math.Abs(d.Makespan)) {
+				t.Fatalf("trial %d: %s design replays to makespan %g, says %g", trial, engine, tr.Makespan, d.Makespan)
+			}
+		}
+	case milp.Infeasible:
+		if res.Design != nil {
+			t.Fatalf("trial %d (%s, cap %g): MILP infeasible but combinatorial found %v",
+				trial, topo.Name(), costCap, res.Design)
+		}
+	default:
+		t.Logf("trial %d: MILP hit budget (%v after %d nodes); skipping comparison",
+			trial, sol.Status, sol.Nodes)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -14,36 +15,18 @@ import (
 	"sos/internal/taskgraph"
 )
 
-// forcedMappingInstance builds a pipeline-shaped instance where subtask i
-// can run ONLY on processor type i (one instance each). The mapping σ is
-// forced by capability, so the MILP's combinatorics collapse: the LP root
-// is integral and branch and bound closes at the root node. What remains
-// is a large pure-LP scheduling problem — exactly the regime that
-// separates the dense tableau (quadratic memory, dense pivots) from the
-// sparse revised simplex with presolve (which eliminates the forced
+// buildForced builds a pipeline-shaped instance where subtask i can run
+// ONLY on processor type i (one instance each, arch.ForcedPool). The
+// mapping σ is forced by capability, so the MILP's combinatorics collapse:
+// the LP root is integral and branch and bound closes at the root node.
+// What remains is a large pure-LP scheduling problem — exactly the regime
+// that separates the dense tableau (quadratic memory, dense pivots) from
+// the sparse revised simplex with presolve (which eliminates the forced
 // binaries outright).
-func forcedMappingInstance(rng *rand.Rand, n int) (*taskgraph.Graph, *arch.Instances) {
-	g := taskgraph.SeriesParallel(rng, taskgraph.StructuredSpec{Subtasks: n, MaxFan: 4})
-	lib := arch.NewLibrary("forced", 1, 1, 0)
-	for i := 0; i < n; i++ {
-		exec := make([]float64, n)
-		for a := range exec {
-			exec[a] = arch.NoTime
-		}
-		exec[i] = float64(1 + rng.Intn(5))
-		lib.AddType("", 1, exec)
-	}
-	copies := make([]int, n)
-	for i := range copies {
-		copies[i] = 1
-	}
-	return g, arch.InstancePool(lib, copies)
-}
-
 func buildForced(t *testing.T, rng *rand.Rand, n int) *Model {
 	t.Helper()
-	g, pool := forcedMappingInstance(rng, n)
-	m, err := Build(g, pool, arch.PointToPoint{}, Options{Objective: MinMakespan})
+	g := taskgraph.SeriesParallel(rng, taskgraph.StructuredSpec{Subtasks: n, MaxFan: 4})
+	m, err := Build(g, arch.ForcedPool(rng, n), arch.PointToPoint{}, Options{Objective: MinMakespan})
 	if err != nil {
 		t.Fatalf("Build(%d subtasks): %v", n, err)
 	}
@@ -83,6 +66,12 @@ func TestSparseOutscalesDense(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock budget assertion is meaningless under race instrumentation")
 	}
+	// The dense solve below grows the heap to several GB. Return it before
+	// the package's later tests run: their allocations would otherwise
+	// grow toward the stale multi-GB heap goal, past the memory of a small
+	// host (the cross-engine fuzz seeds, which run last, thrashed for
+	// minutes on an 8 GB one).
+	defer debug.FreeOSMemory()
 	rng := rand.New(rand.NewSource(13))
 	m := buildForced(t, rng, 1200)
 	budget := 15 * time.Second
