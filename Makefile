@@ -67,12 +67,14 @@ server-race:
 soak-smoke:
 	SOSD_SOAK=30s $(GO) test -race -count=1 -run 'TestSoakSmoke$$' -v -timeout 5m ./internal/server
 
-## fuzz-smoke: ~75s of coverage-guided fuzzing over the two parsing
+## fuzz-smoke: ~90s of coverage-guided fuzzing over the two parsing
 ## surfaces (spec files and task-graph JSON), the cache's canonical key
 ## (rename/reorder invariance, no semantic collisions), the cache's
-## spill loader (no panics; every restored proof passes its re-check) and
+## spill loader (no panics; every restored proof passes its re-check),
 ## the MILP-vs-combinatorial agreement on random instances (both Optimal
-## designs replayed through the simulator).
+## designs replayed through the simulator) and the entry points'
+## agreement (Synthesize, SolveBatch and Frontier answer each cap alike,
+## for both engines, raced and not).
 ## The corpus under testdata/ pins every crasher ever found; plain
 ## `go test` replays it as seeds.
 fuzz-smoke:
@@ -81,3 +83,4 @@ fuzz-smoke:
 	$(GO) test -run NO_TESTS -fuzz 'FuzzCanonicalKey$$' -fuzztime 15s ./internal/cache
 	$(GO) test -run NO_TESTS -fuzz 'FuzzSpillLine$$' -fuzztime 15s ./internal/cache
 	$(GO) test -run NO_TESTS -fuzz 'FuzzCrossEngine$$' -fuzztime 15s ./internal/model
+	$(GO) test -run NO_TESTS -fuzz 'FuzzEntryPoints$$' -fuzztime 15s .

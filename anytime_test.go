@@ -50,8 +50,8 @@ func TestStatusMappingCombinatorial(t *testing.T) {
 }
 
 // TestStatusMappingHeuristic: heuristic designs are never proofs — they
-// carry StatusFeasible with an unbounded gap, and a heuristic miss maps
-// to StatusInfeasible alongside the legacy Infeasible flag.
+// carry StatusFeasible with an unbounded gap, and a heuristic miss proves
+// nothing: budget-exhausted, no design, no infeasibility claim.
 func TestStatusMappingHeuristic(t *testing.T) {
 	res, err := Synthesize(context.Background(), example1Spec(EngineHeuristic))
 	if err != nil {
@@ -70,8 +70,9 @@ func TestStatusMappingHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusInfeasible || !res.Infeasible {
-		t.Fatalf("heuristic at cap 3: status %v infeasible %v", res.Status, res.Infeasible)
+	if res.Status != StatusBudgetExhausted || res.Design != nil || res.Infeasible {
+		t.Fatalf("heuristic at cap 3: status %v design %v infeasible %v, want budget-exhausted with no design",
+			res.Status, res.Design, res.Infeasible)
 	}
 
 	// The greedy design is 2.5 fast; a MinCost deadline it cannot meet

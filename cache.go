@@ -5,11 +5,8 @@ import (
 
 	icache "sos/internal/cache"
 	"sos/internal/pareto"
-	"sos/internal/schedule"
+	"sos/internal/race"
 )
-
-// maxWarmStarts bounds how many cached near-miss designs seed one solve.
-const maxWarmStarts = 4
 
 // CacheOptions configures NewCache.
 type CacheOptions struct {
@@ -121,8 +118,7 @@ func (c *Cache) synthesize(ctx context.Context, sp Spec) (*Result, error, bool) 
 // solveStore solves with cached near-miss warm starts injected and
 // stores the result back when it is a proof.
 func (c *Cache) solveStore(ctx context.Context, sp Spec, p *icache.Probe) (*Result, error) {
-	warm := c.c.WarmStarts(p, maxWarmStarts)
-	res, err := solve(ctx, sp, warm)
+	res, err := solvePoint(ctx, sp, newFamily(sp), c.c.WarmStarts(p, race.MaxWarm))
 	if err == nil {
 		c.storeProof(p, res)
 	}
@@ -146,15 +142,8 @@ func resultFromHit(sp Spec, hit *icache.Hit) *Result {
 	return res
 }
 
-// warmDesignsFor exposes cached near-miss designs for a spec (used by
-// the batch path to seed grouped solves).
-func (c *Cache) warmDesignsFor(p *icache.Probe, max int) []*schedule.Design {
-	return c.c.WarmStarts(p, max)
-}
-
-// frontierStep is the cost-cap decrement of Frontier sweeps. The facade
-// never overrides pareto's default step of 1.
-const frontierStep = 1.0
+// frontierStep is the cost-cap decrement of Frontier sweeps.
+const frontierStep = pareto.CostStep
 
 // frontierProbe canonicalizes a defaulted spec for a sweep. Frontiers
 // are always chains of min-makespan proofs, so the probe is keyed under

@@ -149,9 +149,8 @@ func (v *FrontierView) Warm(w float64, max int) []*schedule.Design {
 // (hit / partial hit / miss telemetry) and, when every returned point is
 // a certified optimum, stores the chain — the whole chain on a complete
 // sweep (sweepErr == nil), the certified prefix on a budget-truncated
-// one. pts must be the sweep's ordered output and the sweep must have
-// run without MaxPoints, so chain caps reconstruct exactly from the
-// start cap and the cost step.
+// one. pts must be the sweep's ordered output, so chain caps
+// reconstruct exactly from the start cap and the cost step.
 func (v *FrontierView) Finish(pts []pareto.Point, sweepErr error) {
 	tel := v.c.tel
 	delta := max(len(pts)-v.served, 0)

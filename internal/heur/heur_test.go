@@ -1,9 +1,11 @@
 package heur
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"sos/internal/arch"
 	"sos/internal/expts"
@@ -160,6 +162,61 @@ func TestSynthesizeBusAndRing(t *testing.T) {
 		if err := d.Validate(nil); err != nil {
 			t.Fatalf("%s: invalid design: %v", topo.Name(), err)
 		}
+	}
+}
+
+// TestSynthesizeOnPoolCanceled: a canceled context stops the
+// configuration walk promptly. Every type of the library runs every
+// subtask, so no cut applies and a full walk visits 2^16 count vectors.
+func TestSynthesizeOnPoolCanceled(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := taskgraph.Random(rng, taskgraph.RandomSpec{Subtasks: 8, ArcProb: 0.4, MaxVol: 3})
+	g.MustFreeze()
+	const types = 16
+	lib := arch.NewLibrary("wide", 1, 1, 0)
+	copies := make([]int, types)
+	for i := range copies {
+		exec := make([]float64, g.NumSubtasks())
+		for a := range exec {
+			exec[a] = float64(1 + rng.Intn(5))
+		}
+		lib.AddType("", float64(1+rng.Intn(6)), exec)
+		copies[i] = 1
+	}
+	pool := arch.InstancePool(lib, copies)
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if d := SynthesizeOnPool(canceled, g, pool, arch.PointToPoint{}, 0); d != nil {
+		t.Errorf("a walk canceled before it started returned a design")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	SynthesizeOnPool(ctx, g, pool, arch.PointToPoint{}, 0)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("walk ran %v past a 20ms context deadline", took)
+	}
+}
+
+// TestSynthesizeOnPoolForcedPool: on a forced-mapping pool every subtask
+// has one capable type, so the capability cut leaves a single count
+// vector of the 2^24 and the walk finishes at once, using every instance.
+func TestSynthesizeOnPoolForcedPool(t *testing.T) {
+	const n = 24
+	rng := rand.New(rand.NewSource(n))
+	g := taskgraph.ForkJoin(rng, taskgraph.StructuredSpec{Subtasks: n, MaxFan: 4}).MustFreeze()
+	pool := arch.ForcedPool(rng, n)
+	start := time.Now()
+	d := SynthesizeOnPool(context.Background(), g, pool, arch.PointToPoint{}, 0)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("forced-pool walk took %v", took)
+	}
+	if d == nil || len(d.Procs) != n {
+		t.Fatalf("forced-pool design %v, want one using all %d instances", d, n)
+	}
+	if c := SynthesizeOnPool(context.Background(), g, pool, arch.PointToPoint{}, n-1); c != nil {
+		t.Errorf("cap %d admits no design of %d unit-cost processors, got cost %g", n-1, n, c.Cost)
 	}
 }
 

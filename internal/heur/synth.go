@@ -1,8 +1,10 @@
 package heur
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"sos/internal/arch"
 	"sos/internal/schedule"
@@ -22,31 +24,32 @@ type SynthOptions struct {
 	MaxCounts []int
 }
 
-// SynthesizeOnPool runs Synthesize under costCap with no more instances
-// of a type than pool offers, and returns the design remapped onto pool
-// and canonicalized, or nil when nothing valid fits within the cap. It is
-// how an exact engine's pool receives a greedy design: as a warm start,
-// as a degradation rung, or on a race's incumbent bus.
-func SynthesizeOnPool(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, costCap float64) *schedule.Design {
-	// The synthesizer may not use more instances of a type than the
-	// pool offers, or the remap back onto the pool fails.
+// SynthesizeOnPool runs Synthesize under costCap on pool's own
+// instances — a configuration with c instances of a type uses that type's
+// first c copies — and returns the design canonicalized (except on a
+// ring, whose instance positions are fixed), or nil when nothing valid
+// fits within the cap. It is how an exact engine's pool receives a greedy
+// design: as a warm start, as a portfolio rung, or on a race's incumbent
+// bus. A canceled ctx stops the configuration walk, keeping the best
+// design found so far.
+func SynthesizeOnPool(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, costCap float64) *schedule.Design {
 	maxCounts := make([]int, pool.Library().NumTypes())
 	for _, p := range pool.Procs() {
 		maxCounts[p.Type]++
 	}
-	hd, err := Synthesize(g, pool.Library(), topo, SynthOptions{CostCap: costCap, MaxCounts: maxCounts})
+	d, err := synthesize(ctx, g, pool.Library(), topo, SynthOptions{CostCap: costCap, MaxCounts: maxCounts}, pool)
 	if err != nil {
 		return nil
 	}
-	remapped, err := schedule.RemapPool(hd, pool)
-	if err != nil {
+	if _, ring := topo.(arch.Ring); !ring {
+		if d, err = schedule.Canonicalize(d); err != nil {
+			return nil
+		}
+	}
+	if d.Validate(nil) != nil {
 		return nil
 	}
-	canon, err := schedule.Canonicalize(remapped)
-	if err != nil || canon.Validate(nil) != nil {
-		return nil
-	}
-	return canon
+	return d
 }
 
 // Synthesize is a heuristic multiprocessor synthesizer in the spirit of
@@ -61,16 +64,54 @@ func SynthesizeOnPool(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topolo
 // winning configuration; use schedule.RemapPool to move it onto another
 // pool if needed.
 func Synthesize(g *taskgraph.Graph, lib *arch.Library, topo arch.Topology, opts SynthOptions) (*schedule.Design, error) {
+	return synthesize(context.Background(), g, lib, topo, opts, nil)
+}
+
+// synthesize walks the count vectors type by type, scheduling each on
+// arch.InstancePool(lib, counts), or on the matching copies of onto when
+// it is non-nil. A partial vector is cut once its processors already
+// cost more than the cap (when no type costs less than zero) or once some
+// subtask has no capable type left; every leaf under such a cut fails the
+// leaf's own checks, so the cuts change the walk's cost, never its result.
+func synthesize(ctx context.Context, g *taskgraph.Graph, lib *arch.Library, topo arch.Topology, opts SynthOptions, onto *arch.Instances) (*schedule.Design, error) {
 	maxPer := opts.MaxPerType
 	if maxPer <= 0 {
 		maxPer = 2
 	}
 	nt := lib.NumTypes()
+	subs := g.Subtasks()
+	limit := make([]int, nt)
+	costPrune := opts.CostCap > 0
+	for t := range limit {
+		limit[t] = maxPer
+		if opts.MaxCounts != nil {
+			limit[t] = opts.MaxCounts[t]
+		}
+		costPrune = costPrune && lib.Type(arch.TypeID(t)).Cost >= 0
+	}
+	// left[t][s]: some type u >= t with limit[u] > 0 runs subtask s.
+	left := make([][]bool, nt+1)
+	left[nt] = make([]bool, len(subs))
+	for t := nt - 1; t >= 0; t-- {
+		left[t] = slices.Clone(left[t+1])
+		for i, s := range subs {
+			left[t][i] = left[t][i] || (limit[t] > 0 && lib.CanRun(arch.TypeID(t), s.ID))
+		}
+	}
 	counts := make([]int, nt)
+	have := make([]int, len(subs)) // chosen types so far that run each subtask
 	var best *schedule.Design
 
-	var walk func(t int)
-	walk = func(t int) {
+	var walk func(t int, procCost float64)
+	walk = func(t int, procCost float64) {
+		if ctx.Err() != nil || (costPrune && procCost > opts.CostCap) {
+			return
+		}
+		for i := range subs {
+			if have[i] == 0 && !left[t][i] {
+				return
+			}
+		}
 		if t == nt {
 			any := false
 			for _, c := range counts {
@@ -83,23 +124,17 @@ func Synthesize(g *taskgraph.Graph, lib *arch.Library, topo arch.Topology, opts 
 				return
 			}
 			// Quick price check on processors alone.
-			procCost := 0.0
-			for ti, c := range counts {
-				procCost += float64(c) * lib.Type(arch.TypeID(ti)).Cost
-			}
 			if opts.CostCap > 0 && procCost > opts.CostCap {
 				return
 			}
-			pool := arch.InstancePool(lib, counts)
-			// Every subtask needs a capable instance.
-			for _, s := range g.Subtasks() {
-				if len(pool.Capable(s.ID)) == 0 {
-					return
-				}
+			pool, procs := onto, []arch.ProcID(nil)
+			if onto == nil {
+				pool = arch.InstancePool(lib, counts)
 			}
-			procs := make([]arch.ProcID, pool.NumProcs())
-			for i := range procs {
-				procs[i] = arch.ProcID(i)
+			for _, p := range pool.Procs() {
+				if p.Index < counts[p.Type] {
+					procs = append(procs, p.ID)
+				}
 			}
 			d, err := ETF(g, pool, topo, procs)
 			if err != nil {
@@ -114,17 +149,28 @@ func Synthesize(g *taskgraph.Graph, lib *arch.Library, topo arch.Topology, opts 
 			}
 			return
 		}
-		limit := maxPer
-		if opts.MaxCounts != nil {
-			limit = opts.MaxCounts[t]
-		}
-		for c := 0; c <= limit; c++ {
+		cost := lib.Type(arch.TypeID(t)).Cost
+		for c := 0; c <= limit[t]; c++ {
+			if c == 1 {
+				for i, s := range subs {
+					if lib.CanRun(arch.TypeID(t), s.ID) {
+						have[i]++
+					}
+				}
+			}
 			counts[t] = c
-			walk(t + 1)
+			walk(t+1, procCost+float64(c)*cost)
+		}
+		if limit[t] > 0 {
+			for i, s := range subs {
+				if lib.CanRun(arch.TypeID(t), s.ID) {
+					have[i]--
+				}
+			}
 		}
 		counts[t] = 0
 	}
-	walk(0)
+	walk(0, 0)
 	if best == nil {
 		return nil, fmt.Errorf("heur: no feasible configuration within cost cap %g", opts.CostCap)
 	}

@@ -40,7 +40,7 @@ func TestPointMarshalWithDesign(t *testing.T) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	pts, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine: EngineCombinatorial, MILP: &milp.Options{}, MaxPoints: 1,
+		Engine: EngineCombinatorial, MILP: &milp.Options{}, StartCap: 4, // the one-point chain (4, 17)
 	})
 	if err != nil || len(pts) == 0 {
 		t.Fatalf("sweep: %v (%d points)", err, len(pts))

@@ -12,14 +12,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
-	"sync"
 	"time"
 
 	"sos/internal/arch"
 	"sos/internal/budget"
 	"sos/internal/exact"
-	"sos/internal/heur"
 	"sos/internal/milp"
 	"sos/internal/model"
 	"sos/internal/race"
@@ -32,9 +29,6 @@ import (
 // anytime quality annotation.
 type Point struct {
 	Design *schedule.Design
-	// PerfSol is the min-makespan solve, CostSol the cost-tightening solve.
-	PerfSol *milp.Solution
-	CostSol *milp.Solution
 
 	// Status records how the point's solve terminated: StatusOptimal for a
 	// certified point, StatusFeasible for a budget-limited incumbent.
@@ -116,10 +110,6 @@ type FrontierSource interface {
 	Warm(w float64, max int) []*schedule.Design
 }
 
-// maxWarmFrontier bounds the adjacent stored designs a delta solve is
-// seeded with; vetting each candidate costs a pass over the model rows.
-const maxWarmFrontier = 4
-
 // Engine selects which exact solver traces the frontier.
 type Engine int
 
@@ -145,13 +135,6 @@ type Options struct {
 	// ModelOpts carries variant switches (memory, no-overlap, ...). Its
 	// Objective/CostCap/Deadline fields are managed by the sweep.
 	ModelOpts model.Options
-	// CostStep is how far below a found design's cost the next cap is set
-	// (default 1, matching the paper's unit-cost processors and links).
-	CostStep float64
-	// MaxPoints caps the frontier size (0 = unlimited).
-	MaxPoints int
-	// NoIncumbent disables heuristic warm starts.
-	NoIncumbent bool
 	// StartCap, when positive, begins the sweep at this cost cap instead
 	// of an uncapped solve.
 	StartCap float64
@@ -209,12 +192,9 @@ type Options struct {
 	Telemetry *telemetry.Collector
 }
 
-func (o *Options) costStep() float64 {
-	if o != nil && o.CostStep > 0 {
-		return o.CostStep
-	}
-	return 1
-}
+// CostStep is how far below a found design's cost the next cap of a
+// Sweep is set, matching the paper's unit-cost processors and links.
+const CostStep = 1.0
 
 // Sweep traces the non-inferior set from best performance to lowest cost.
 // The returned points are ordered by decreasing cost and strictly
@@ -246,9 +226,6 @@ func Sweep(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo a
 		resolve = q.resolve
 	}
 	for {
-		if opts.MaxPoints > 0 && len(points) >= opts.MaxPoints {
-			return points, nil
-		}
 		if opts.Ladder == nil && opts.Governor.Exhausted() {
 			return points, budget.Exhausted(ctx, "pareto: sweep budget exhausted before cap %g", costCap)
 		}
@@ -267,7 +244,7 @@ func Sweep(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo a
 			return points, budget.Exhausted(ctx, "pareto: cap %g not proven optimal (%v, gap %.3g)",
 				costCap, pt.Status, pt.Gap)
 		}
-		if costCap = pt.Cost() - opts.costStep(); costCap <= 0 {
+		if costCap = pt.Cost() - CostStep; costCap <= 0 {
 			return points, nil
 		}
 		// Mid-chain holes: a partially covered store may resume coverage
@@ -304,9 +281,6 @@ func SweepByDeadline(ctx context.Context, g *taskgraph.Graph, pool *arch.Instanc
 	lastPerf := math.Inf(1)
 	var points []Point
 	for {
-		if opts.MaxPoints > 0 && len(points) >= opts.MaxPoints {
-			return points, nil
-		}
 		if opts.Ladder == nil && opts.Governor.Exhausted() {
 			return points, budget.Exhausted(ctx, "pareto: sweep budget exhausted before deadline %g", deadline)
 		}
@@ -341,37 +315,16 @@ func SweepByDeadline(ctx context.Context, g *taskgraph.Graph, pool *arch.Instanc
 	}
 }
 
-// sweeper is one sweep's shared state: the problem, its options and
-// resolved portfolio, the two solve templates every MILP solve retargets,
-// and the cross-point incumbent pool. Speculative workers share it.
+// sweeper is one sweep's shared state: its options and the problem
+// family that solves every chain bound — on the deadline axis (the
+// family's MinCost) each bound is a deadline and a point's first solve
+// minimizes cost. Speculative workers share it.
 type sweeper struct {
-	g    *taskgraph.Graph
-	pool *arch.Instances
-	topo arch.Topology
 	opts Options
-	vo   *schedule.ValidateOptions
-	// byDeadline marks the deadline axis: each chain bound is a deadline,
-	// and a point's first solve minimizes cost.
-	byDeadline bool
-	rungs      budget.Ladder
-
-	// The templates — a MinMakespan model with a placeholder cap row and a
-	// MinCost model with a placeholder deadline row — are built once, on
-	// the sweep's first MILP solve, and retargeted per solve with
-	// SetCostCap/SetDeadline. A sweep whose rungs never reach the MILP
-	// builds nothing.
-	tplOnce          sync.Once
-	perfTpl, costTpl *model.Model
-	tplErr           error
-
-	mu   sync.Mutex
-	incs [][]float64 // incumbent vectors in the templates' column layout
+	fam  *race.Family
 }
 
 func newSweeper(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, byDeadline bool) *sweeper {
-	if opts.MILP == nil {
-		opts.MILP = &milp.Options{}
-	}
 	ladder := opts.Ladder
 	if len(ladder) == 0 {
 		first := budget.RungMILP
@@ -383,9 +336,16 @@ func newSweeper(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, op
 			ladder = budget.DefaultLadder(first)
 		}
 	}
-	return &sweeper{g: g, pool: pool, topo: topo, opts: opts, byDeadline: byDeadline,
-		vo:    &schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO},
-		rungs: race.Resolve(ladder, byDeadline, opts.Race)}
+	fam := &race.Family{G: g, Pool: pool, Topo: topo, ModelOpts: opts.ModelOpts,
+		MinCost: byDeadline, Rungs: race.Resolve(ladder, byDeadline, opts.Race), Race: opts.Race,
+		Frontier: true, Governor: opts.Governor, Telemetry: opts.Telemetry}
+	if opts.MILP != nil {
+		fam.MILP = *opts.MILP
+	}
+	if opts.Exact != nil {
+		fam.Exact = *opts.Exact
+	}
+	return &sweeper{opts: opts, fam: fam}
 }
 
 // inline solves chain bound w on the caller's goroutine. Time left over
@@ -417,7 +377,7 @@ func (sw *sweeper) inline(ctx context.Context, w float64) (Point, error) {
 func (sw *sweeper) appendPoint(points []Point, pt Point) []Point {
 	tel := sw.opts.Telemetry
 	other := Point.Perf
-	if sw.byDeadline {
+	if sw.fam.MinCost {
 		other = Point.Cost
 	}
 	for len(points) > 0 {
@@ -436,337 +396,39 @@ func (sw *sweeper) appendPoint(points []Point, pt Point) []Point {
 // drain appends every stored frontier point covering the chain from
 // costCap, and returns the grown frontier, the next uncovered cap, and
 // done=true when the sweep is finished (the store proved the chain
-// complete, the next cap fell ≤ 0, or MaxPoints was reached).
+// complete, or the next cap fell ≤ 0).
 func (sw *sweeper) drain(points []Point, costCap float64) ([]Point, float64, bool) {
 	if sw.opts.Source == nil {
 		return points, costCap, false
 	}
 	served, done := sw.opts.Source.Serve(costCap)
 	for _, pt := range served {
-		if sw.opts.MaxPoints > 0 && len(points) >= sw.opts.MaxPoints {
-			return points, costCap, true
-		}
 		points = sw.appendPoint(points, pt)
-		costCap = pt.Cost() - sw.opts.costStep()
+		costCap = pt.Cost() - CostStep
 	}
 	return points, costCap, done || (len(served) > 0 && costCap <= 0)
 }
 
 // point solves one chain bound — a cost cap, or a deadline on the
-// deadline axis — through the sweep's portfolio: a walk down its rungs,
-// or a race of them when Options.Race is set. The rungs of one point
-// share one greedy design.
+// deadline axis — as a frontier point of the sweep's family: a walk down
+// its rungs, or a race of them when Options.Race is set, seeded with the
+// frontier source's stored designs next to the bound.
 func (sw *sweeper) point(ctx context.Context, w float64) (Point, error) {
-	var hm heurMemo
-	var bus *race.Bus
-	if sw.opts.Race {
-		bus = race.NewBusFor(sw.g, sw.pool, sw.topo, sw.vo, sw.byDeadline, w)
+	var warm []*schedule.Design
+	if sw.opts.Source != nil {
+		warm = sw.opts.Source.Warm(w, race.MaxWarm)
 	}
-	tel := sw.opts.Telemetry
-	p := race.Portfolio{MinCost: sw.byDeadline, Telemetry: tel}
-	for i, r := range sw.rungs {
-		p.Rungs = append(p.Rungs, race.Rung{Rung: r, Run: func(ctx context.Context) (race.Answer, error) {
-			if i > 0 && bus == nil {
-				tel.Inc(telemetry.CtrDegrades)
-				tel.Emit(telemetry.EvDegrade, 0, w, r.String())
-			}
-			switch r {
-			case budget.RungMILP:
-				return sw.solveMILP(ctx, w, &hm, bus)
-			case budget.RungHeuristic:
-				return sw.solveHeur(w, &hm, bus), nil
-			default:
-				return sw.solveExact(ctx, w, bus)
-			}
-		}})
-	}
-	var s race.Settled
-	if bus != nil {
-		s = p.Race(ctx)
-	} else {
-		s = p.Walk(ctx)
-	}
+	s := sw.fam.Point(ctx, w, warm)
 	if s.Err != nil {
 		return Point{}, s.Err
 	}
-	pt, _ := s.Value.(Point)
-	pt.Design, pt.Status, pt.Gap = s.Design, s.Status, s.Gap
+	pt := Point{Design: s.Design, Status: s.Status, Gap: s.Gap}
 	if sw.opts.Ladder != nil || sw.opts.Race {
 		// A strict sweep names no ladder rung, like the certified points
 		// a FrontierSource serves.
 		pt.Rung = s.Rung
 	}
 	return pt, nil
-}
-
-// solveMILP is the lexicographic pair of MILP solves at one chain bound:
-// the bound's own objective first (makespan under a cost cap, cost under
-// a deadline), then the other objective at the value the first one
-// achieved, which makes the point non-inferior. Both solves retarget the
-// sweep's templates, and every design they find joins the cross-point
-// incumbent pool.
-func (sw *sweeper) solveMILP(ctx context.Context, w float64, hm *heurMemo, bus *race.Bus) (race.Answer, error) {
-	first, second := sw.perfAt, sw.costAt
-	if sw.byDeadline {
-		first, second = sw.costAt, sw.perfAt
-	}
-	m, err := first(w)
-	if err != nil {
-		return race.Answer{}, err
-	}
-	o := sw.milpOptions()
-	if !sw.byDeadline && !sw.opts.NoIncumbent {
-		if d := sw.greedy(hm, w); d != nil {
-			if inc, err := m.IncumbentVector(d); err == nil {
-				o.Incumbent = inc
-			}
-		}
-	}
-	o.IncumbentPool = sw.candidates()
-	if sw.opts.Source != nil {
-		// Delta-resolve seeding: stored designs adjacent to this cap join
-		// the untrusted pool; the solver keeps the best one feasible here.
-		for _, d := range sw.opts.Source.Warm(w, maxWarmFrontier) {
-			if inc, err := m.IncumbentVector(d); err == nil {
-				o.IncumbentPool = append(o.IncumbentPool, inc)
-			}
-		}
-	}
-	bus.AttachMILP(&o, m, budget.RungMILP)
-	design, sol, err := m.Solve(ctx, &o)
-	if err != nil {
-		return race.Answer{}, err
-	}
-	sw.share(m, design)
-	sols := func(tighten *milp.Solution) Point {
-		if sw.byDeadline {
-			return Point{PerfSol: tighten, CostSol: sol}
-		}
-		return Point{PerfSol: sol, CostSol: tighten}
-	}
-	switch sol.Status {
-	case milp.Infeasible:
-		return race.Answer{Status: budget.StatusInfeasible}, nil
-	case milp.Optimal:
-	case milp.Feasible:
-		// Budget-limited incumbent: the tightening solve's premise (that
-		// the first objective is optimal) is unproven, so skip it.
-		if design == nil {
-			return race.Answer{Status: budget.StatusBudgetExhausted, Bound: sol.Bound}, nil
-		}
-		if err := sw.validate(design, w); err != nil {
-			return race.Answer{}, err
-		}
-		return race.Answer{Design: design, Status: budget.StatusFeasible, Bound: sol.Bound, Gap: sol.Gap,
-			Value: sols(nil)}, nil
-	case milp.NoSolution:
-		return race.Answer{Status: budget.StatusBudgetExhausted, Bound: sol.Bound}, nil
-	default:
-		return race.Answer{}, fmt.Errorf("pareto: bound %g relaxation unbounded (modeling bug?)", w)
-	}
-	if design == nil {
-		return race.Answer{}, fmt.Errorf("pareto: optimal status without a design at bound %g", w)
-	}
-
-	// Lexicographic tightening on the other objective.
-	at := design.Makespan
-	if sw.byDeadline {
-		at = design.Cost
-	}
-	tm, err := second(at)
-	if err != nil {
-		return race.Answer{}, err
-	}
-	to := sw.milpOptions()
-	if inc, err := tm.IncumbentVector(design); err == nil {
-		to.Incumbent = inc
-	}
-	to.IncumbentPool = sw.candidates()
-	better, tsol, err := tm.Solve(ctx, &to)
-	if err != nil {
-		return race.Answer{}, err
-	}
-	if tsol.Status == milp.Optimal && better != nil {
-		design = better
-		sw.share(tm, better)
-	}
-	if err := sw.validate(design, w); err != nil {
-		return race.Answer{}, err
-	}
-	return race.Answer{Design: design, Status: budget.StatusOptimal, Value: sols(tsol)}, nil
-}
-
-// solveExact is solveMILP on the combinatorial engine.
-func (sw *sweeper) solveExact(ctx context.Context, w float64, bus *race.Bus) (race.Answer, error) {
-	eo := exact.Options{}
-	if sw.opts.Exact != nil {
-		eo = *sw.opts.Exact
-	}
-	if eo.Telemetry == nil {
-		eo.Telemetry = sw.opts.Telemetry
-	}
-	if sw.byDeadline {
-		eo.Objective, eo.Deadline, eo.CostCap = exact.MinCost, w, 0
-	} else {
-		eo.Objective, eo.CostCap, eo.Deadline = exact.MinMakespan, w, 0
-	}
-	eo.TimeLimit = sw.opts.Governor.Limit(eo.TimeLimit)
-	if eo.Warm == nil && sw.opts.Source != nil {
-		// Delta-resolve seeding: the engine vets the design before adoption.
-		if ws := sw.opts.Source.Warm(w, 1); len(ws) > 0 {
-			eo.Warm = ws[0]
-		}
-	}
-	bus.AttachExact(&eo, budget.RungCombinatorial)
-	res, err := exact.Synthesize(ctx, sw.g, sw.pool, sw.topo, eo)
-	if err != nil {
-		return race.Answer{}, err
-	}
-	switch res.Status {
-	case budget.StatusOptimal:
-	case budget.StatusFeasible:
-		if err := sw.validate(res.Design, w); err != nil {
-			return race.Answer{}, err
-		}
-		return race.Answer{Design: res.Design, Status: budget.StatusFeasible, Bound: res.Bound, Gap: res.Gap}, nil
-	default: // a proven Infeasible, or no design within budget
-		return race.Answer{Status: res.Status, Bound: res.Bound}, nil
-	}
-	design := res.Design
-
-	// The tightening solve minimizes on the other axis: its incumbents are
-	// not comparable on the bus, so it runs unhooked.
-	co := eo
-	co.OnIncumbent, co.Foreign = nil, nil
-	if sw.byDeadline {
-		co.Objective, co.CostCap, co.Deadline = exact.MinMakespan, design.Cost, 0
-	} else {
-		co.Objective, co.Deadline, co.CostCap = exact.MinCost, design.Makespan+1e-9, 0
-	}
-	co.TimeLimit = sw.opts.Governor.Limit(co.TimeLimit)
-	cres, err := exact.Synthesize(ctx, sw.g, sw.pool, sw.topo, co)
-	if err != nil {
-		return race.Answer{}, err
-	}
-	if cres.Optimal && cres.Design != nil {
-		design = cres.Design
-	}
-	if err := sw.validate(design, w); err != nil {
-		return race.Answer{}, err
-	}
-	return race.Answer{Design: design, Status: budget.StatusOptimal}, nil
-}
-
-// solveHeur is the cheapest rung: the point's greedy design, validated,
-// StatusFeasible with no bound. It proves nothing. On the deadline axis
-// the greedy design is uncapped and kept only when it meets the deadline.
-func (sw *sweeper) solveHeur(w float64, hm *heurMemo, bus *race.Bus) race.Answer {
-	d := sw.greedy(hm, w)
-	if d == nil || sw.validate(d, w) != nil || (sw.byDeadline && d.Makespan > w+1e-9) {
-		return race.Answer{Status: budget.StatusBudgetExhausted}
-	}
-	obj := d.Makespan
-	if sw.byDeadline {
-		obj = d.Cost
-	}
-	bus.Publish(budget.RungHeuristic, d, obj)
-	return race.Answer{Design: d, Status: budget.StatusFeasible, Gap: math.Inf(1)}
-}
-
-// heurMemo holds one point's greedy design: the MILP warm start and the
-// heuristic rung want the same design, so walk and race entrants share
-// one computation of it.
-type heurMemo struct {
-	once   sync.Once
-	design *schedule.Design
-}
-
-// greedy returns the point's greedy design, computing it at most once.
-func (sw *sweeper) greedy(hm *heurMemo, w float64) *schedule.Design {
-	hm.once.Do(func() {
-		costCap := w
-		if sw.byDeadline {
-			costCap = 0
-		}
-		hm.design = heur.SynthesizeOnPool(sw.g, sw.pool, sw.topo, costCap)
-	})
-	return hm.design
-}
-
-func (sw *sweeper) validate(d *schedule.Design, w float64) error {
-	if err := d.Validate(sw.vo); err != nil {
-		return fmt.Errorf("pareto: bound %g produced invalid design: %w", w, err)
-	}
-	return nil
-}
-
-func (sw *sweeper) milpOptions() milp.Options {
-	o := *sw.opts.MILP
-	if o.Telemetry == nil {
-		o.Telemetry = sw.opts.Telemetry
-	}
-	o.TimeLimit = sw.opts.Governor.Limit(o.TimeLimit)
-	return o
-}
-
-// templates builds the two solve templates on first use.
-func (sw *sweeper) templates() error {
-	sw.tplOnce.Do(func() {
-		pmo := sw.opts.ModelOpts
-		pmo.Objective, pmo.CostCap, pmo.Deadline = model.MinMakespan, 1, 0 // placeholder cap row
-		if sw.perfTpl, sw.tplErr = model.Build(sw.g, sw.pool, sw.topo, pmo); sw.tplErr != nil {
-			return
-		}
-		cmo := sw.opts.ModelOpts
-		cmo.Objective, cmo.Deadline, cmo.CostCap = model.MinCost, 1, 0 // placeholder deadline row
-		sw.costTpl, sw.tplErr = model.Build(sw.g, sw.pool, sw.topo, cmo)
-	})
-	return sw.tplErr
-}
-
-func (sw *sweeper) perfAt(costCap float64) (*model.Model, error) {
-	if err := sw.templates(); err != nil {
-		return nil, err
-	}
-	return sw.perfTpl.SetCostCap(costCap)
-}
-
-func (sw *sweeper) costAt(deadline float64) (*model.Model, error) {
-	if err := sw.templates(); err != nil {
-		return nil, err
-	}
-	return sw.costTpl.SetDeadline(deadline)
-}
-
-// maxIncumbentPool bounds the cross-point candidate pool offered to each
-// MILP solve: feasibility-checking a candidate costs one pass over the
-// rows, so an unbounded pool would slowly tax every solve of a long sweep.
-const maxIncumbentPool = 32
-
-// share offers a solved design to every later (and concurrent) MILP solve
-// of the sweep. Both templates build identical column sets, so one vector
-// serves the perf and cost sides alike.
-func (sw *sweeper) share(m *model.Model, d *schedule.Design) {
-	if d == nil {
-		return
-	}
-	x, err := m.IncumbentVector(d)
-	if err != nil {
-		return
-	}
-	sw.mu.Lock()
-	if len(sw.incs) < maxIncumbentPool {
-		sw.incs = append(sw.incs, x)
-	}
-	sw.mu.Unlock()
-}
-
-// candidates returns the pool as untrusted seeds: a design found at one
-// bound may violate another, so the solver checks each before use.
-func (sw *sweeper) candidates() [][]float64 {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return slices.Clone(sw.incs)
 }
 
 // Dominates reports whether point a dominates point b (no worse in both

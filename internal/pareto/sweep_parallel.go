@@ -211,11 +211,11 @@ func (q *specQueue) cancelAll() {
 
 // speculativeCaps enumerates the candidate chain caps: every distinct
 // achievable cost level l (subset sums of processor and link costs) at or
-// below the sweep's starting region contributes the cap l − costStep that
+// below the sweep's starting region contributes the cap l − CostStep that
 // the chain would set after landing a point of cost l. The grid is purely
 // a performance hint — caps it misses are solved inline by the chain walk.
-func (sw *sweeper) speculativeCaps(start float64) []float64 {
-	g, pool, topo, opts := sw.g, sw.pool, sw.topo, sw.opts
+func (sw *sweeper) speculativeCaps(ctx context.Context, start float64) []float64 {
+	g, pool, topo, opts := sw.fam.G, sw.fam.Pool, sw.fam.Topo, sw.opts
 	if opts.ModelOpts.Memory {
 		return nil // memory cost is continuous; no finite level grid
 	}
@@ -277,13 +277,12 @@ func (sw *sweeper) speculativeCaps(start float64) []float64 {
 	// start can only re-derive the first point.
 	limit := start
 	if limit <= 0 {
-		if d := heur.SynthesizeOnPool(g, pool, topo, 0); d != nil {
+		if d := heur.SynthesizeOnPool(ctx, g, pool, topo, 0); d != nil {
 			limit = d.Cost
 		} else {
 			limit = total
 		}
 	}
-	step := opts.costStep()
 	startKey := capKey(start)
 	seen := map[float64]struct{}{}
 	var caps []float64
@@ -291,7 +290,7 @@ func (sw *sweeper) speculativeCaps(start float64) []float64 {
 		if s <= 0 || s > limit+capEps {
 			continue
 		}
-		c := s - step
+		c := s - CostStep
 		if c <= 0 || math.Abs(capKey(c)-startKey) <= capEps {
 			continue
 		}
@@ -321,7 +320,7 @@ func (sw *sweeper) speculate(ctx context.Context, start float64) *specQueue {
 		})
 	}
 	addJob(start, false)
-	for _, c := range sw.speculativeCaps(start) {
+	for _, c := range sw.speculativeCaps(ctx, start) {
 		addJob(c, true)
 	}
 	sort.SliceStable(q.jobs, func(i, k int) bool {

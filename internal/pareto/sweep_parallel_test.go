@@ -134,7 +134,9 @@ func TestParallelSweepMatchesSequentialCombinatorial(t *testing.T) {
 // any worker count — performs exactly two full Builds (one MinMakespan
 // template, one MinCost template) however many points and speculative
 // jobs it solves, and at least one clone per lexicographic solve. A sweep
-// whose rungs never reach the MILP builds nothing.
+// whose rungs never reach the MILP builds nothing. A raced sweep builds
+// at most the same two templates: its MILP rung may lose every point
+// before it reaches the tightening template.
 func TestParallelSweepBuildAmortization(t *testing.T) {
 	forceParallel(t, 4)
 	if testing.Short() {
@@ -160,10 +162,13 @@ func TestParallelSweepBuildAmortization(t *testing.T) {
 	engines := []struct {
 		name   string
 		engine Engine
-		builds int64
+		race   bool
+		builds int64 // exact; an upper bound when race is set
 	}{
-		{"milp", EngineMILP, 2},
-		{"combinatorial", EngineCombinatorial, 0},
+		{"milp", EngineMILP, false, 2},
+		{"combinatorial", EngineCombinatorial, false, 0},
+		{"milp-raced", EngineMILP, true, 2},
+		{"combinatorial-raced", EngineCombinatorial, true, 2},
 	}
 	for _, sweep := range sweeps {
 		for _, workers := range []int{0, 1, 4} {
@@ -177,6 +182,7 @@ func TestParallelSweepBuildAmortization(t *testing.T) {
 						MILP:         &milp.Options{TimeLimit: 2 * time.Minute},
 						Exact:        &exact.Options{TimeLimit: 2 * time.Minute},
 						SweepWorkers: workers,
+						Race:         e.race,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -184,7 +190,14 @@ func TestParallelSweepBuildAmortization(t *testing.T) {
 					if err := FrontierEquals(points, want, 1e-6); err != nil {
 						t.Fatal(err)
 					}
-					if got := model.BuildCount() - b0; got != builds {
+					got := model.BuildCount() - b0
+					if e.race {
+						if got > builds {
+							t.Errorf("raced sweep performed %d full Builds, want at most %d", got, builds)
+						}
+						return
+					}
+					if got != builds {
 						t.Errorf("sweep performed %d full Builds, want exactly %d", got, builds)
 					}
 					// Each MILP frontier point needs a clone per solve of its

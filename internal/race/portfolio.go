@@ -5,19 +5,24 @@ import (
 	"math"
 
 	"sos/internal/budget"
+	"sos/internal/model"
 	"sos/internal/schedule"
 	"sos/internal/telemetry"
 )
 
 // Answer is the one result every portfolio rung returns, whatever its
 // engine: the design it found (nil when none), how its solve terminated,
-// and the bound and gap it certified on the portfolio's objective. Value
-// carries the caller's own result through settlement untouched.
+// the bound and gap it certified on the portfolio's objective, and the
+// search nodes it explored (with the MILP's model statistics when the
+// rung built one). Value carries the caller's own result through
+// settlement untouched.
 type Answer struct {
 	Design *schedule.Design
 	Status budget.Status
 	Bound  float64
 	Gap    float64
+	Nodes  int
+	Model  *model.Stats
 	Value  any
 }
 
@@ -49,8 +54,10 @@ type Portfolio struct {
 
 // Settled is a finished portfolio run.
 type Settled struct {
-	// Answer is the proof, else the best incumbent; with neither, it is
-	// empty with StatusBudgetExhausted (StatusCanceled once ctx is done).
+	// Answer is the proof, else the best incumbent; with neither, it has
+	// no design, StatusBudgetExhausted (StatusCanceled once ctx is done)
+	// and the largest bound any rung certified, and a run of one rung
+	// keeps that rung's Nodes and Model.
 	Answer
 	// Rung produced Answer; meaningful only when Won.
 	Rung budget.Rung
@@ -173,11 +180,15 @@ func (p Portfolio) settle(ctx context.Context, outs []outcome, winner int) Settl
 		if errs > 0 && errs == len(outs) {
 			return Settled{Err: firstErr}
 		}
-		st := budget.StatusBudgetExhausted
+		a := Answer{Status: budget.StatusBudgetExhausted, Bound: bound, Gap: math.Inf(1)}
 		if ctx.Err() != nil {
-			st = budget.StatusCanceled
+			a.Status = budget.StatusCanceled
 		}
-		return Settled{Answer: Answer{Status: st, Gap: math.Inf(1)}}
+		if len(outs) == 1 {
+			// A lone rung's search is the whole run's.
+			a.Nodes, a.Model = outs[0].ans.Nodes, outs[0].ans.Model
+		}
+		return Settled{Answer: a}
 	}
 	a := outs[best].ans
 	a.Status = budget.StatusFeasible

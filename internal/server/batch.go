@@ -51,7 +51,8 @@ func (s *Server) runBatch(j *job, gov *budget.Governor) *Response {
 			resp.Batch[i] = BatchEntry{Status: OutcomeError, Error: "no result"}
 			failures++
 		default:
-			resp.Batch[i] = BatchEntry{Status: br.Result.Status.String(), Result: br.Result}
+			resp.Batch[i] = BatchEntry{Status: br.Result.Status.String(), Raced: br.Result.Raced,
+				Rung: br.Result.Rung, Result: br.Result}
 			if br.Result.Status == sos.StatusOptimal || br.Result.Status == sos.StatusInfeasible {
 				proofs++
 			}

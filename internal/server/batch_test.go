@@ -16,6 +16,8 @@ type wireBatchResponse struct {
 	wireResponse
 	Batch []struct {
 		Status string          `json:"status"`
+		Raced  bool            `json:"raced"`
+		Rung   string          `json:"rung"`
 		Result json.RawMessage `json:"result"`
 		Error  string          `json:"error"`
 	} `json:"batch"`
@@ -80,6 +82,28 @@ func TestBatchBasic(t *testing.T) {
 	}
 	if cache.Len() == 0 {
 		t.Error("batch proofs did not land in the shared cache")
+	}
+}
+
+// TestBatchRacedSlots: under -race-engines every solved member of a MILP
+// batch races, like a solve, and its slot names the winning rung.
+func TestBatchRacedSlots(t *testing.T) {
+	_, url, _ := newCachedServer(t, Config{RaceEngines: true})
+	body := fmt.Sprintf(`{"requests": [
+		{"spec": %s, "engine": "milp", "cost_cap": 8},
+		{"spec": %s, "engine": "milp", "cost_cap": 4}
+	]}`, testSpec, testSpec)
+	code, r := postBatch(t, url+"/v1/batch", body)
+	if code != http.StatusOK || len(r.Batch) != 2 {
+		t.Fatalf("code %d, %d slots (%+v)", code, len(r.Batch), r)
+	}
+	for i, e := range r.Batch {
+		if strings.Contains(string(e.Result), `"cached":true`) {
+			continue // served by cover-down: no solve ran
+		}
+		if !e.Raced || e.Rung == "" {
+			t.Errorf("slot %d: raced=%v rung=%q, want a raced member with its rung", i, e.Raced, e.Rung)
+		}
 	}
 }
 

@@ -72,7 +72,11 @@ type BatchRequest struct {
 // the request's Requests array.
 type BatchEntry struct {
 	// Status is the slot's solver status, or "error".
-	Status string      `json:"status"`
+	Status string `json:"status"`
+	// Raced and Rung report a raced member and its winning engine, as on
+	// a solve response.
+	Raced  bool        `json:"raced,omitempty"`
+	Rung   string      `json:"rung,omitempty"`
 	Result *sos.Result `json:"result,omitempty"`
 	Error  string      `json:"error,omitempty"`
 }

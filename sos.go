@@ -36,13 +36,11 @@ package sos
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"sos/internal/arch"
 	"sos/internal/budget"
 	"sos/internal/exact"
-	"sos/internal/heur"
 	"sos/internal/lp"
 	"sos/internal/milp"
 	"sos/internal/model"
@@ -242,10 +240,13 @@ type Spec struct {
 	// publishes every feasible design it finds, each adopts the others'
 	// (feasibility-vetted) designs to tighten its own pruning — and the
 	// first engine to produce a proof (Optimal or Infeasible) wins while
-	// the rest are canceled. Results carry Raced/Rung attribution. In
-	// Frontier/FrontierByDeadline each point is raced (composing with
-	// SweepWorkers); the frontier is identical to the sequential one.
-	// EngineHeuristic specs ignore Race — there is only one rung to run.
+	// the rest are canceled. Results carry Raced/Rung attribution.
+	// Synthesize, every SolveBatch member and every Frontier/
+	// FrontierByDeadline point race alike, because all of them solve
+	// their bound as one point of the same portfolio; a sweep's raced
+	// points compose with SweepWorkers, and the frontier is identical to
+	// the sequential one. EngineHeuristic specs ignore Race — there is
+	// only one rung to run.
 	Race bool
 
 	// LPKernel selects the simplex kernel for EngineMILP node relaxations
@@ -328,14 +329,18 @@ type Result struct {
 	// Optimal reports whether optimality was proven. Heuristic results
 	// and budget-limited searches report false.
 	Optimal bool
-	// Infeasible reports a proven-infeasible spec.
+	// Infeasible reports a proven-infeasible spec: only an exact engine
+	// proves it. A heuristic miss is StatusBudgetExhausted with no design
+	// and Infeasible false.
 	Infeasible bool
 	// Engine that produced the result.
 	Engine Engine
-	// Nodes explored by the search (0 for the heuristic, and 0 when the
-	// result was served from the cache — no search ran).
+	// Nodes explored by the search that produced the result (0 for the
+	// heuristic, for a raced result with neither a design nor a proof, and
+	// when the result was served from the cache — no search ran).
 	Nodes int
-	// ModelStats describes the MILP when EngineMILP ran.
+	// ModelStats describes the MILP's model when the MILP ran alone or
+	// produced a raced result (nil on a cache hit).
 	ModelStats *model.Stats
 	// Cached reports that the result was served from Spec.Cache (an exact
 	// or cover-down proof hit) without running a solver.
@@ -359,7 +364,7 @@ func Synthesize(ctx context.Context, spec Spec) (*Result, error) {
 			return res, err
 		}
 	}
-	return solve(ctx, sp, nil)
+	return solvePoint(ctx, sp, newFamily(sp), nil)
 }
 
 // cacheEligible reports whether a spec may be served by / stored into the
@@ -371,149 +376,66 @@ func cacheEligible(sp Spec) bool {
 	return sp.Engine != EngineHeuristic && sp.Hooks == nil
 }
 
-// milpSolve runs one already-built MILP model and maps the solver status
-// onto a Result. The batch path shares this with the single-solve path:
-// it is where cloned sweep-template models and accumulated incumbent
-// pools enter; a non-nil bus hooks the solve onto a race. The returned
-// design is not yet validated — callers go through finishSolve.
-func milpSolve(ctx context.Context, sp Spec, m *model.Model, pool [][]float64, bus *race.Bus) (*Result, error) {
-	res := &Result{Engine: sp.Engine}
-	st := m.Stats
-	res.ModelStats = &st
-	opts := &milp.Options{
-		TimeLimit:     sp.Budget,
-		Telemetry:     sp.Telemetry,
-		RootCuts:      sp.RootCuts,
-		Hooks:         sp.Hooks,
-		IncumbentPool: pool,
-		LP:            &lp.Options{Kernel: sp.LPKernel, Presolve: sp.LPPresolve},
+// bound returns a defaulted spec's ε-bound on its objective's axis: the
+// deadline under MinCost, otherwise the cost cap.
+func (sp Spec) bound() float64 {
+	if sp.Objective == MinCost {
+		return sp.Deadline
 	}
-	bus.AttachMILP(opts, m, budget.RungMILP)
-	design, sol, err := m.Solve(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Nodes = sol.Nodes
-	res.Design = design
-	res.Optimal = sol.Status == milp.Optimal
-	res.Infeasible = sol.Status == milp.Infeasible
-	switch sol.Status {
-	case milp.Optimal:
-		res.Status = StatusOptimal
-		res.Bound = sol.Obj
-	case milp.Feasible:
-		res.Status = StatusFeasible
-		res.Bound = sol.Bound
-		res.Gap = sol.Gap
-	case milp.Infeasible:
-		res.Status = StatusInfeasible
-	case milp.Unbounded:
-		return nil, fmt.Errorf("sos: MILP relaxation unbounded (model bug)")
-	default: // milp.NoSolution: budget or cancellation before any incumbent
-		res.Status = StatusBudgetExhausted
-		if ctx.Err() != nil {
-			res.Status = StatusCanceled
-		}
-	}
-	return res, nil
+	return sp.CostCap
 }
 
-// solve runs one defaulted spec: the raced portfolio when Spec.Race asks
-// for it, otherwise the spec's engine. warm optionally carries untrusted
-// incumbent designs (cache near-misses) that seed the exact engines'
-// pruning; each engine feasibility-checks them itself.
-func solve(ctx context.Context, sp Spec, warm []*schedule.Design) (*Result, error) {
-	if sp.Race && sp.Engine != EngineHeuristic {
-		return solveRace(ctx, sp, warm)
-	}
-	res, err := engineSolve(ctx, sp, warm, nil)
-	if err != nil {
-		return nil, err
-	}
-	return finishSolve(sp, res)
-}
-
-// engineSolve dispatches one spec to its engine, hooked onto bus when it
-// is non-nil. The result is not yet validated — callers go through
-// finishSolve.
-func engineSolve(ctx context.Context, sp Spec, warm []*schedule.Design, bus *race.Bus) (*Result, error) {
-	res := &Result{Engine: sp.Engine}
+// newFamily returns the problem family of a defaulted spec: every spec
+// that differs from it only in its bound. The family runs the spec's
+// engine, or the raced portfolio when Spec.Race asks for it.
+func newFamily(sp Spec) *race.Family {
+	first := budget.RungCombinatorial
 	switch sp.Engine {
 	case EngineMILP:
-		mo := model.Options{CostCap: sp.CostCap, Deadline: sp.Deadline,
-			Memory: sp.Memory, NoOverlapIO: sp.NoOverlapIO}
-		if sp.Objective == MinCost {
-			mo.Objective = model.MinCost
-		}
-		m, err := model.Build(sp.Graph, sp.Pool, sp.Topology, mo)
-		if err != nil {
-			return nil, err
-		}
-		var pool [][]float64
-		for _, w := range warm {
-			if v, err := m.IncumbentVector(w); err == nil {
-				pool = append(pool, v)
-			}
-		}
-		return milpSolve(ctx, sp, m, pool, bus)
+		first = budget.RungMILP
 	case EngineHeuristic:
-		maxCounts := make([]int, sp.Library.NumTypes())
-		for _, p := range sp.Pool.Procs() {
-			maxCounts[p.Type]++
-		}
-		hd, err := heur.Synthesize(sp.Graph, sp.Library, sp.Topology, heur.SynthOptions{
-			CostCap: sp.CostCap, MaxCounts: maxCounts,
-		})
-		if err != nil {
-			res.Infeasible = true
-			res.Status = StatusInfeasible
-			return res, nil
-		}
-		if sp.Objective == MinCost && hd.Makespan > sp.Deadline+1e-9 {
-			// The greedy synthesizer ignores deadlines: a design that
-			// misses this one is no answer, and missing it proves nothing.
-			res.Status = StatusBudgetExhausted
-			return res, nil
-		}
-		res.Design = hd
-		res.Status = StatusFeasible
-		res.Gap = math.Inf(1)
-	default: // EngineAuto, EngineCombinatorial
-		eo := exact.Options{CostCap: sp.CostCap, Deadline: sp.Deadline,
-			TimeLimit: sp.Budget, NoOverlapIO: sp.NoOverlapIO, Telemetry: sp.Telemetry}
-		if sp.Objective == MinCost {
-			eo.Objective = exact.MinCost
-		}
-		if len(warm) > 0 {
-			eo.Warm = warm[0] // best-objective candidate; exact vets it
-		}
-		bus.AttachExact(&eo, budget.RungCombinatorial)
-		r, err := exact.Synthesize(ctx, sp.Graph, sp.Pool, sp.Topology, eo)
-		if err != nil {
-			return nil, err
-		}
-		res.Design = r.Design
-		res.Optimal = r.Optimal && r.Design != nil
-		res.Infeasible = r.Optimal && r.Design == nil
-		res.Status = r.Status
-		res.Bound = r.Bound
-		res.Gap = r.Gap
-		res.Nodes = r.Nodes
+		first = budget.RungHeuristic
 	}
-	return res, nil
+	racing := sp.Race && sp.Engine != EngineHeuristic
+	ladder := budget.Ladder{first}
+	if racing {
+		ladder = budget.DefaultLadder(first)
+	}
+	minCost := sp.Objective == MinCost
+	return &race.Family{
+		G: sp.Graph, Pool: sp.Pool, Topo: sp.Topology,
+		ModelOpts: model.Options{Memory: sp.Memory, NoOverlapIO: sp.NoOverlapIO},
+		MinCost:   minCost,
+		Rungs:     race.Resolve(ladder, minCost, racing),
+		Race:      racing,
+		MILP: milp.Options{TimeLimit: sp.Budget, RootCuts: sp.RootCuts, Hooks: sp.Hooks,
+			LP: &lp.Options{Kernel: sp.LPKernel, Presolve: sp.LPPresolve}},
+		Exact:     exact.Options{TimeLimit: sp.Budget, NoOverlapIO: sp.NoOverlapIO},
+		Telemetry: sp.Telemetry,
+	}
 }
 
-// finishSolve applies the result invariants every solve path shares:
-// unknown-gap normalization and the independent schedule re-validation.
-func finishSolve(sp Spec, res *Result) (*Result, error) {
-	if res.Status == StatusBudgetExhausted || res.Status == StatusCanceled {
-		// No incumbent and no proof: the optimality gap is unknown, which
-		// Result documents as +Inf (not 0, which would read as "proven").
-		res.Gap = math.Inf(1)
+// solvePoint solves a defaulted spec as the point of fam at the spec's
+// bound, seeded with untrusted warm designs (cache near misses), and
+// reports the settlement. A raced result names the rung that produced
+// it, and its Engine is that rung's engine.
+func solvePoint(ctx context.Context, sp Spec, fam *race.Family, warm []*schedule.Design) (*Result, error) {
+	s := fam.Point(ctx, sp.bound(), warm)
+	if s.Err != nil {
+		return nil, s.Err
 	}
-	if res.Design != nil {
-		if err := res.Design.Validate(&schedule.ValidateOptions{NoOverlapIO: sp.NoOverlapIO}); err != nil {
-			return nil, fmt.Errorf("sos: synthesized design failed validation: %w", err)
+	res := &Result{Design: s.Design, Status: s.Status, Bound: s.Bound, Gap: s.Gap,
+		Optimal: s.Status == StatusOptimal, Infeasible: s.Status == StatusInfeasible,
+		Engine: sp.Engine, Nodes: s.Nodes, ModelStats: s.Model, Raced: fam.Race}
+	if fam.Race && s.Won {
+		res.Rung = s.Rung.String()
+		switch s.Rung {
+		case budget.RungMILP:
+			res.Engine = EngineMILP
+		case budget.RungHeuristic:
+			res.Engine = EngineHeuristic
+		default:
+			res.Engine = EngineCombinatorial
 		}
 	}
 	return res, nil
