@@ -73,8 +73,8 @@ soak-smoke:
 ## spill loader (no panics; every restored proof passes its re-check),
 ## the MILP-vs-combinatorial agreement on random instances (both Optimal
 ## designs replayed through the simulator) and the entry points'
-## agreement (Synthesize, SolveBatch and Frontier answer each cap alike,
-## for both engines, raced and not).
+## agreement (Synthesize, SolveBatch, Frontier and the Anytime walk of
+## Synthesize answer each cap alike, for both engines, raced and not).
 ## The corpus under testdata/ pins every crasher ever found; plain
 ## `go test` replays it as seeds.
 fuzz-smoke:

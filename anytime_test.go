@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sos/internal/expts"
+	"sos/internal/telemetry"
 )
 
 // TestStatusMappingCombinatorial pins the Synthesize status taxonomy for
@@ -309,5 +310,49 @@ func TestFrontierMidSweepCancellation(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+	}
+}
+
+// TestSynthesizeAnytimeDegrades: Anytime makes Synthesize walk the ladder
+// from its engine. A MILP rung that crashes at its first node hands over
+// to the combinatorial rung, whose optimum is the answer, named by its
+// rung; the crash and the step down are each counted once.
+func TestSynthesizeAnytimeDegrades(t *testing.T) {
+	spec := example1Spec(EngineMILP)
+	spec.Anytime = true
+	spec.Hooks = &SolverHooks{OnNode: func(int) { panic("injected MILP node crash") }}
+	tel := telemetry.New(nil)
+	spec.Telemetry = tel
+	res, err := Synthesize(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("crashed rung was not degraded around: %v", err)
+	}
+	if !res.Optimal || res.Design == nil || math.Abs(res.Design.Makespan-2.5) > 1e-9 {
+		t.Fatalf("status %v design %v, want the combinatorial optimum (makespan 2.5)", res.Status, res.Design)
+	}
+	if res.Rung != "combinatorial" || res.Engine != EngineCombinatorial || res.Raced {
+		t.Errorf("rung %q engine %v raced %v, want the combinatorial rung of a walk", res.Rung, res.Engine, res.Raced)
+	}
+	if got := tel.Get(telemetry.CtrReqPanics); got != 1 {
+		t.Errorf("req_panics %d, want 1", got)
+	}
+	if got := tel.Get(telemetry.CtrDegrades); got != 1 {
+		t.Errorf("degrades %d, want 1", got)
+	}
+}
+
+// TestFrontierAnytimeCountsPanics: a MILP rung that crashes inside an
+// anytime sweep point is degraded around, and its panic is still counted.
+func TestFrontierAnytimeCountsPanics(t *testing.T) {
+	spec := example1Spec(EngineMILP)
+	spec.Anytime = true
+	spec.Hooks = &SolverHooks{OnNode: func(int) { panic("injected MILP node crash") }}
+	tel := telemetry.New(nil)
+	spec.Telemetry = tel
+	if _, err := Frontier(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.Get(telemetry.CtrReqPanics); got < 1 {
+		t.Errorf("req_panics %d, want at least 1", got)
 	}
 }

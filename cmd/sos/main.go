@@ -92,7 +92,7 @@ func run() error {
 		rootCuts    = flag.Bool("root-cuts", false, "generate knapsack cover cuts at the MILP root before branching")
 		budgetFlag  = flag.Duration("budget", 5*time.Minute, "per-solve time budget (0 = unlimited)")
 		totalBudget = flag.Duration("total-budget", 0, "one wall-clock budget for a whole -frontier sweep (0 = unlimited)")
-		anytime     = flag.Bool("anytime", false, "degrade starved -frontier points down the MILP→combinatorial→heuristic ladder instead of stopping")
+		anytime     = flag.Bool("anytime", false, "degrade a starved or failed solve, or -frontier point, down the MILP→combinatorial→heuristic ladder instead of stopping")
 		sweepWork   = flag.Int("sweep-workers", 1, "concurrent -frontier point solvers; >1 enables the speculative-parallel sweep (same frontier, overlapped solves)")
 		raceFlag    = flag.Bool("race-engines", false, "race the engine portfolio concurrently on a shared incumbent bus; first proof wins, losers' incumbents tighten it while they run")
 		frontier    = flag.Bool("frontier", false, "trace the whole non-inferior cost/performance set")

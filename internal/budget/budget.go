@@ -70,6 +70,12 @@ func (s Status) Proven() bool { return s == StatusOptimal || s == StatusInfeasib
 // errors.Is(err, context.Canceled) also holds.
 var ErrExhausted = errors.New("budget exhausted")
 
+// ErrPanic is the sentinel wrapped by every error a recovered panic
+// becomes — in an engine's search workers, in a portfolio rung, at sosd's
+// request boundary — so a caller tells a crash from a failure with
+// errors.Is, never by matching text.
+var ErrPanic = errors.New("panic")
+
 // Exhausted builds the typed error for a budget/cancel exit. The result
 // wraps ErrExhausted and, when ctx is non-nil and done, ctx.Err() as well.
 func Exhausted(ctx context.Context, format string, args ...any) error {

@@ -67,27 +67,34 @@ func (m *MultiGovernor) Peak() int {
 	return m.peak
 }
 
-// Acquire admits one request and returns its apportioned Governor plus a
-// release function that MUST be called exactly once when the request
-// finishes (the release is idempotent-unsafe by design: it decrements the
-// active count). requested is the client's own budget ask (0 = none);
-// deadline is the wall-clock point the response must exist by (zero =
-// none).
+// Acquire is AcquireN for a request of one tenant.
 func (m *MultiGovernor) Acquire(requested time.Duration, deadline time.Time) (*Governor, func()) {
+	return m.AcquireN(1, requested, deadline)
+}
+
+// AcquireN admits one request as n concurrent tenants (n < 1 counts as
+// 1) and returns its apportioned Governor plus the release to call when
+// the request finishes, which frees all n seats (a repeated release is a
+// no-op). requested is the client's own budget ask (0 = none); deadline
+// is the wall-clock point the response must exist by (zero = none). A
+// racing request runs n engines at once, each occupying a capacity slot,
+// so its fair share is capacity divided by the active count *after* all
+// n are admitted: it buys concurrency with a thinner share rather than by
+// multiplying its allotment, and its engines race in that one wall-clock
+// window together.
+func (m *MultiGovernor) AcquireN(n int, requested time.Duration, deadline time.Time) (*Governor, func()) {
+	n = max(n, 1)
 	var nowf func() time.Time = time.Now
 	share := time.Duration(0)
 	release := func() {}
 	if m != nil {
 		m.mu.Lock()
-		m.active++
+		m.active += n
 		if m.active > m.peak {
 			m.peak = m.active
 		}
 		if m.capacity > 0 {
-			share = m.capacity / time.Duration(m.active)
-			if share < m.floor {
-				share = m.floor
-			}
+			share = max(m.capacity/time.Duration(m.active), m.floor)
 		}
 		nowf = m.now
 		m.mu.Unlock()
@@ -95,7 +102,7 @@ func (m *MultiGovernor) Acquire(requested time.Duration, deadline time.Time) (*G
 		release = func() {
 			once.Do(func() {
 				m.mu.Lock()
-				m.active--
+				m.active -= n
 				m.mu.Unlock()
 			})
 		}
@@ -130,78 +137,4 @@ func (m *MultiGovernor) Acquire(requested time.Duration, deadline time.Time) (*G
 		g.deadline = nowf().Add(total)
 	}
 	return g, release
-}
-
-// AcquireN admits one racing request as n concurrent tenants and returns
-// one Governor per racer plus a single release for all of them. Racing
-// engines run simultaneously, so each occupies a capacity slot: the fair
-// share every racer receives is capacity divided by the active count
-// *after* all n are admitted. That keeps a racing request honest against
-// its sequential neighbors — it buys concurrency with a thinner
-// per-engine share rather than by multiplying its allotment.
-//
-// All n governors open the same wall-clock window (tightest of the
-// request budget, the deadline headroom, and the per-racer share), which
-// is exactly what a race wants: every entrant gets the full window
-// concurrently instead of consuming decaying slices in sequence.
-func (m *MultiGovernor) AcquireN(n int, requested time.Duration, deadline time.Time) ([]*Governor, func()) {
-	if n < 1 {
-		n = 1
-	}
-	var nowf func() time.Time = time.Now
-	share := time.Duration(0)
-	release := func() {}
-	if m != nil {
-		m.mu.Lock()
-		m.active += n
-		if m.active > m.peak {
-			m.peak = m.active
-		}
-		if m.capacity > 0 {
-			share = m.capacity / time.Duration(m.active)
-			if share < m.floor {
-				share = m.floor
-			}
-		}
-		nowf = m.now
-		m.mu.Unlock()
-		var once sync.Once
-		release = func() {
-			once.Do(func() {
-				m.mu.Lock()
-				m.active -= n
-				m.mu.Unlock()
-			})
-		}
-	}
-
-	total := requested
-	tighten := func(d time.Duration) {
-		if d != 0 && (total == 0 || d < total) {
-			total = d
-		}
-	}
-	tighten(share)
-	exhausted := false
-	if !deadline.IsZero() {
-		head := deadline.Sub(nowf())
-		if head <= 0 {
-			exhausted = true
-		} else {
-			tighten(head)
-		}
-	}
-
-	gs := make([]*Governor, n)
-	for i := range gs {
-		g := &Governor{frac: defaultFrac, floor: defaultFloor, now: nowf}
-		switch {
-		case exhausted:
-			g.deadline = nowf()
-		case total > 0:
-			g.deadline = nowf().Add(total)
-		}
-		gs[i] = g
-	}
-	return gs, release
 }

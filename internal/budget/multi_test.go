@@ -12,17 +12,12 @@ func TestAcquireNThinsShare(t *testing.T) {
 
 	// A racing request admitted as 3 tenants pays for its concurrency:
 	// each racer's window is capacity/3, not capacity.
-	gs, rel := m.AcquireN(3, 0, time.Time{})
-	if len(gs) != 3 {
-		t.Fatalf("got %d governors, want 3", len(gs))
-	}
+	g, rel := m.AcquireN(3, 0, time.Time{})
 	if m.Active() != 3 {
 		t.Fatalf("active %d after AcquireN(3), want 3", m.Active())
 	}
-	for i, g := range gs {
-		if got := g.Remaining(); got != 4*time.Second {
-			t.Errorf("racer %d remaining %v, want 4s (12s / 3 tenants)", i, got)
-		}
+	if got := g.Remaining(); got != 4*time.Second {
+		t.Errorf("racer remaining %v, want 4s (12s / 3 tenants)", got)
 	}
 
 	// A sequential neighbor admitted while the race runs sees 4 tenants.
@@ -53,15 +48,15 @@ func TestAcquireNTightensLikeAcquire(t *testing.T) {
 	m.now = clock.now
 
 	// The requested budget is tighter than the share: it wins.
-	gs, rel := m.AcquireN(2, time.Second, time.Time{})
-	if got := gs[0].Remaining(); got != time.Second {
+	g, rel := m.AcquireN(2, time.Second, time.Time{})
+	if got := g.Remaining(); got != time.Second {
 		t.Errorf("remaining %v with a 1s request, want 1s", got)
 	}
 	rel()
 
 	// Deadline headroom tighter than both: it wins.
-	gs, rel = m.AcquireN(2, time.Second, clock.t.Add(300*time.Millisecond))
-	if got := gs[1].Remaining(); got != 300*time.Millisecond {
+	g, rel = m.AcquireN(2, time.Second, clock.t.Add(300*time.Millisecond))
+	if got := g.Remaining(); got != 300*time.Millisecond {
 		t.Errorf("remaining %v with 300ms headroom, want 300ms", got)
 	}
 	rel()
@@ -71,23 +66,21 @@ func TestAcquireNPastDeadlineExhaustedFromBirth(t *testing.T) {
 	m := NewMulti(time.Minute)
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	m.now = clock.now
-	gs, rel := m.AcquireN(2, 0, clock.t.Add(-time.Millisecond))
+	g, rel := m.AcquireN(2, 0, clock.t.Add(-time.Millisecond))
 	defer rel()
-	for i, g := range gs {
-		if !g.Exhausted() {
-			t.Errorf("racer %d not exhausted despite a passed deadline", i)
-		}
+	if !g.Exhausted() {
+		t.Error("racer not exhausted despite a passed deadline")
 	}
 }
 
 func TestAcquireNNilAndDegenerate(t *testing.T) {
 	var nilm *MultiGovernor
-	gs, rel := nilm.AcquireN(0, 2*time.Second, time.Time{})
+	g, rel := nilm.AcquireN(0, 2*time.Second, time.Time{})
 	defer rel()
-	if len(gs) != 1 {
-		t.Fatalf("AcquireN(0) returned %d governors, want 1", len(gs))
+	if g == nil {
+		t.Fatal("AcquireN(0) returned no governor")
 	}
-	if got := gs[0].Remaining(); got < 1900*time.Millisecond || got > 2*time.Second {
+	if got := g.Remaining(); got < 1900*time.Millisecond || got > 2*time.Second {
 		t.Errorf("nil-multi remaining %v, want ~2s (request bound only)", got)
 	}
 }

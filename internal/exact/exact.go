@@ -215,7 +215,7 @@ func (s *search) foldTelemetry() {
 func (s *search) runDFS(start int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("exact: search panic: %v", r)
+			err = fmt.Errorf("exact: search %w: %v", budget.ErrPanic, r)
 		}
 	}()
 	s.dfs(start)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sos/internal/arch"
+	"sos/internal/budget"
 	"sos/internal/schedule"
 	"sos/internal/taskgraph"
 )
@@ -147,7 +148,7 @@ func SynthesizeParallel(ctx context.Context, g *taskgraph.Graph, pool *arch.Inst
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
-							fail(fmt.Errorf("exact: worker panic: %v", r))
+							fail(fmt.Errorf("exact: worker %w: %v", budget.ErrPanic, r))
 						}
 					}()
 					s := newSearch(g, pool, topo, opts, order)

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sos/internal/budget"
 	"sos/internal/lp"
 	"sos/internal/telemetry"
 )
@@ -351,7 +352,7 @@ func (st *bbState) refixLocked() {
 // Must be installed with defer on every goroutine that runs search code.
 func (st *bbState) capturePanic() {
 	if r := recover(); r != nil {
-		st.fail(fmt.Errorf("milp: worker panic: %v", r))
+		st.fail(fmt.Errorf("milp: worker %w: %v", budget.ErrPanic, r))
 	}
 }
 

@@ -66,8 +66,9 @@ type Family struct {
 	// Governor, when non-nil, caps every engine solve's time limit with
 	// its next slice.
 	Governor *budget.Governor
-	// Telemetry receives race attribution and degradation events, and
-	// reaches every engine solve whose options carry no collector.
+	// Telemetry receives race attribution, degradation events and
+	// isolated panics, and reaches every engine solve whose options carry
+	// no collector.
 	Telemetry *telemetry.Collector
 
 	tplOnce [2]sync.Once
@@ -294,7 +295,7 @@ func (pt *point) heuristic(ctx context.Context, bus *Bus) Answer {
 
 // greedyDesign returns the point's greedy design, computing it at most
 // once: the frontier MILP's warm start and the heuristic rung want the
-// same design, so walk and race entrants share one computation.
+// same design, so the rungs of a walk or a race share one computation.
 func (pt *point) greedyDesign(ctx context.Context) *schedule.Design {
 	pt.greedyOnce.Do(func() {
 		costCap := pt.w

@@ -2,7 +2,10 @@ package race
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"sync"
 
 	"sos/internal/budget"
 	"sos/internal/model"
@@ -14,8 +17,7 @@ import (
 // engine: the design it found (nil when none), how its solve terminated,
 // the bound and gap it certified on the portfolio's objective, and the
 // search nodes it explored (with the MILP's model statistics when the
-// rung built one). Value carries the caller's own result through
-// settlement untouched.
+// rung built one).
 type Answer struct {
 	Design *schedule.Design
 	Status budget.Status
@@ -23,7 +25,6 @@ type Answer struct {
 	Gap    float64
 	Nodes  int
 	Model  *model.Stats
-	Value  any
 }
 
 // Rung is one engine of a portfolio.
@@ -42,13 +43,18 @@ type Rung struct {
 //     going to the earlier rung, reported StatusFeasible with its gap
 //     measured against the largest bound any rung certified.
 //   - An error comes back only when every rung that ran returned one.
+//
+// Either mode turns a rung's panic into that rung's error, so settlement
+// degrades around a crashing rung as around a failing one.
 type Portfolio struct {
 	Rungs []Rung
 	// MinCost selects the objective: design cost when set, makespan
 	// otherwise.
 	MinCost bool
-	// Telemetry, when non-nil, receives race attribution: the winning
-	// rung's counter, canceled losers, and one EvRace event per race.
+	// Telemetry, when non-nil, receives race attribution — the winning
+	// rung's counter, canceled losers, and one EvRace event per race —
+	// and one CtrReqPanics tick per rung whose error wraps
+	// budget.ErrPanic.
 	Telemetry *telemetry.Collector
 }
 
@@ -115,44 +121,71 @@ func proves(r budget.Rung, a Answer) bool {
 }
 
 // Walk runs the rungs in order on the caller's goroutine and stops at the
-// first proof; a done ctx stops the walk before the next rung. Walk
-// starts no goroutines, so a rung's panic reaches the caller, whose own
-// recovery applies.
+// first proof; a done ctx stops the walk before the next rung.
 func (p Portfolio) Walk(ctx context.Context) Settled {
 	outs := make([]outcome, 0, len(p.Rungs))
 	for _, r := range p.Rungs {
 		if ctx.Err() != nil {
 			break
 		}
-		a, err := r.Run(ctx)
-		outs = append(outs, outcome{r.Rung, a, err})
-		if err == nil && proves(r.Rung, a) {
+		o := p.run(ctx, r)
+		outs = append(outs, o)
+		if o.err == nil && proves(r.Rung, o.ans) {
 			return p.settle(ctx, outs, len(outs)-1)
 		}
 	}
 	return p.settle(ctx, outs, -1)
 }
 
-// Race runs every rung at once through Run: the first proof wins, the
-// rest are canceled and joined before Race returns, and a rung's panic
-// is isolated into its error.
+// Race runs every rung at once, one goroutine each, under a context the
+// first proof cancels. It joins every rung before it settles, so no rung
+// outlives the race and the caller may reuse whatever the rungs shared.
 func (p Portfolio) Race(ctx context.Context) Settled {
-	entrants := make([]Entrant, len(p.Rungs))
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	outs := make([]outcome, len(p.Rungs))
+	winner, finished, canceled := -1, 0, 0
+	var (
+		mu sync.Mutex
+		wg sync.WaitGroup
+	)
 	for i, r := range p.Rungs {
-		entrants[i] = Entrant{Rung: r.Rung, Run: func(ctx context.Context) (any, bool, error) {
-			a, err := r.Run(ctx)
-			return a, err == nil && proves(r.Rung, a), err
-		}}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := p.run(rctx, r)
+			mu.Lock()
+			defer mu.Unlock()
+			outs[i] = o
+			finished++
+			if winner < 0 && o.err == nil && proves(r.Rung, o.ans) {
+				// Every rung still running is now a canceled loser.
+				winner, canceled = i, len(p.Rungs)-finished
+				cancel()
+			}
+		}()
 	}
-	res := Run(ctx, entrants)
-	outs := make([]outcome, len(res.Outcomes))
-	for i, o := range res.Outcomes {
-		a, _ := o.Value.(Answer)
-		outs[i] = outcome{rung: o.Rung, ans: a, err: o.Err}
-	}
-	s := p.settle(ctx, outs, res.Winner)
-	p.attribute(s, res.Canceled)
+	wg.Wait()
+	s := p.settle(ctx, outs, winner)
+	p.attribute(s, canceled)
 	return s
+}
+
+// run runs one rung, turning its panic into its error; every rung error
+// that wraps budget.ErrPanic — recovered here or by the engine's own
+// workers — ticks CtrReqPanics once.
+func (p Portfolio) run(ctx context.Context, r Rung) (o outcome) {
+	o.rung = r.Rung
+	defer func() {
+		if v := recover(); v != nil {
+			o.ans, o.err = Answer{}, fmt.Errorf("race: %s rung %w: %v", r.Rung, budget.ErrPanic, v)
+		}
+		if errors.Is(o.err, budget.ErrPanic) {
+			p.Telemetry.Inc(telemetry.CtrReqPanics)
+		}
+	}()
+	o.ans, o.err = r.Run(ctx)
+	return o
 }
 
 // settle applies the settlement rule to the rungs that ran, in rung

@@ -1,16 +1,18 @@
 // Package race runs the synthesis engine portfolio: one Portfolio of
 // rungs, walked in order (Walk) or raced concurrently (Race), settled by
-// one rule. Every caller — a single solve, a frontier point, an sosd
-// request — builds its rungs with Resolve and runs them here.
+// one rule. Every solve in the stack — a single solve, a batch member, a
+// frontier point, an sosd request — is one Family.Point, whose rungs
+// Resolve derives. Either mode turns a rung's panic into that rung's
+// error, so one crashing engine costs its rung, never the solve.
 //
 // A race runs over a shared incumbent bus. It generalizes
 // milp.Options.IncumbentPool from "warm starts across sweep points" to
-// "incumbents across engines while they run": every entrant publishes
-// each feasible design it finds, every entrant polls for designs the
-// others found, and the first entrant to produce a *proof* (Optimal or
-// Infeasible) wins the race while the rest are canceled. Losing engines
-// are not wasted — their incumbents tighten the eventual winner's pruning
-// bound the moment they land on the bus.
+// "incumbents across engines while they run": every rung publishes each
+// feasible design it finds, every rung polls for designs the others
+// found, and the first rung to produce a *proof* (Optimal or Infeasible)
+// wins the race while the rest are canceled. Losing engines are not
+// wasted — their incumbents tighten the eventual winner's pruning bound
+// the moment they land on the bus.
 //
 // The bus trusts nobody. Every published design is vetted by the
 // constructor-supplied predicate before adoption (the same stance the
@@ -20,8 +22,6 @@
 package race
 
 import (
-	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -35,7 +35,7 @@ import (
 )
 
 // Bus is the cross-engine incumbent bus: the best feasible design any
-// entrant has published so far, with a version counter so engines can
+// rung has published so far, with a version counter so engines can
 // poll for "anything new since I last looked?" with one atomic load.
 type Bus struct {
 	vet func(*schedule.Design, float64) bool
@@ -163,86 +163,3 @@ func (b *Bus) Peek(seen uint64) (d *schedule.Design, version uint64, ok bool) {
 
 // Version returns the bus's current version counter (0 = never written).
 func (b *Bus) Version() uint64 { return b.version.Load() }
-
-// Entrant is one engine in a race.
-type Entrant struct {
-	// Rung identifies the engine for attribution and telemetry.
-	Rung budget.Rung
-	// Run executes the engine under ctx. It returns the engine-specific
-	// result value, whether that result is a proof (Optimal or
-	// Infeasible — a certificate that ends the race), and an error.
-	// Run must honor ctx cancellation: the orchestrator waits for every
-	// entrant to return before the race result is published, so a Run
-	// that ignores ctx delays everyone.
-	Run func(ctx context.Context) (value any, proof bool, err error)
-}
-
-// Outcome is one entrant's terminal state.
-type Outcome struct {
-	Rung  budget.Rung
-	Value any  // engine-specific result; nil if Run panicked before returning
-	Proof bool // Value is a certificate (Optimal or Infeasible)
-	Err   error
-}
-
-// Result is the outcome of one race.
-type Result struct {
-	// Winner indexes Outcomes at the entrant whose proof was adopted;
-	// -1 when no entrant proved anything (the caller falls back to the
-	// best incumbent on the bus).
-	Winner int
-	// Outcomes holds every entrant's terminal state, in entrant order.
-	Outcomes []Outcome
-	// Canceled counts entrants that were still running when the winner
-	// proved and were canceled (the race_canceled telemetry value).
-	Canceled int
-}
-
-// Run races the entrants on a shared cancelable context derived from
-// ctx. The first entrant to return a proof (with a nil error) wins:
-// the derived context is canceled and the remaining entrants are
-// counted as canceled. Run returns only after every entrant goroutine
-// has exited — canceled losers are joined, not leaked — so the caller
-// may immediately reuse any state the entrants shared. A panicking
-// entrant is isolated into its Outcome.Err; if every entrant fails, the
-// race simply has no winner.
-func Run(ctx context.Context, entrants []Entrant) Result {
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	res := Result{Winner: -1, Outcomes: make([]Outcome, len(entrants))}
-	var (
-		mu       sync.Mutex
-		finished int
-		wg       sync.WaitGroup
-	)
-	for i := range entrants {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			e := entrants[i]
-			out := Outcome{Rung: e.Rung}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						out.Err = fmt.Errorf("race: %s entrant panic: %v", e.Rung, r)
-						out.Proof = false
-					}
-				}()
-				out.Value, out.Proof, out.Err = e.Run(rctx)
-			}()
-			mu.Lock()
-			res.Outcomes[i] = out
-			finished++
-			if out.Proof && out.Err == nil && res.Winner < 0 {
-				res.Winner = i
-				// Everyone still running is now a canceled loser.
-				res.Canceled = len(entrants) - finished
-				cancel()
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	return res
-}

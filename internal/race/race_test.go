@@ -3,13 +3,14 @@ package race
 import (
 	"context"
 	"errors"
-	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sos/internal/budget"
 	"sos/internal/leakcheck"
 	"sos/internal/schedule"
+	"sos/internal/telemetry"
 )
 
 func TestBusVetRejects(t *testing.T) {
@@ -69,103 +70,137 @@ func TestBusPeekVersioning(t *testing.T) {
 	}
 }
 
+// The race-run tests: Portfolio.Race starts one goroutine per rung,
+// settles on the first proof, and joins every rung before it returns.
+
 func TestRunFirstProofWinsAndCancels(t *testing.T) {
 	defer leakcheck.Check(t)
-	entrants := []Entrant{
-		{Rung: budget.RungMILP, Run: func(ctx context.Context) (any, bool, error) {
+	var joined atomic.Int32
+	loser := func(r budget.Rung) Rung {
+		return Rung{Rung: r, Run: func(ctx context.Context) (Answer, error) {
 			<-ctx.Done() // loses: blocked until the winner cancels
-			return "milp-incumbent", false, nil
-		}},
-		{Rung: budget.RungCombinatorial, Run: func(context.Context) (any, bool, error) {
-			return "comb-proof", true, nil
-		}},
-		{Rung: budget.RungHeuristic, Run: func(ctx context.Context) (any, bool, error) {
-			<-ctx.Done()
-			return "heur-incumbent", false, nil
-		}},
+			joined.Add(1)
+			return Answer{Design: design(9, 9), Status: budget.StatusFeasible}, nil
+		}}
 	}
-	res := Run(context.Background(), entrants)
-	if res.Winner != 1 {
-		t.Fatalf("winner %d, want 1", res.Winner)
+	tel := telemetry.New(nil)
+	p := Portfolio{Telemetry: tel, Rungs: []Rung{
+		loser(budget.RungMILP),
+		{Rung: budget.RungCombinatorial, Run: func(context.Context) (Answer, error) {
+			return Answer{Design: design(4, 9), Status: budget.StatusOptimal}, nil
+		}},
+		loser(budget.RungHeuristic),
+	}}
+	s := p.Race(context.Background())
+	if !s.Won || s.Rung != budget.RungCombinatorial || s.Status != budget.StatusOptimal {
+		t.Fatalf("settled %+v, want the combinatorial proof", s)
 	}
-	if res.Canceled != 2 {
-		t.Errorf("canceled %d, want 2", res.Canceled)
+	if got := tel.Get(telemetry.CtrRaceCanceled); got != 2 {
+		t.Errorf("race_canceled %d, want 2", got)
 	}
-	for i, o := range res.Outcomes {
-		if o.Value == nil {
-			t.Errorf("outcome %d not recorded (losers must be joined, not dropped)", i)
-		}
+	if got := joined.Load(); got != 2 {
+		t.Errorf("%d losers returned before Race did, want 2 (losers must be joined, not dropped)", got)
 	}
 }
 
 func TestRunPanicIsolated(t *testing.T) {
 	defer leakcheck.Check(t)
-	entrants := []Entrant{
-		{Rung: budget.RungMILP, Run: func(context.Context) (any, bool, error) {
+	tel := telemetry.New(nil)
+	p := Portfolio{Telemetry: tel, Rungs: []Rung{
+		{Rung: budget.RungMILP, Run: func(context.Context) (Answer, error) {
 			panic("worker crashed")
 		}},
-		{Rung: budget.RungCombinatorial, Run: func(context.Context) (any, bool, error) {
+		{Rung: budget.RungCombinatorial, Run: func(context.Context) (Answer, error) {
 			time.Sleep(10 * time.Millisecond) // let the panic land first
-			return "proof", true, nil
+			return Answer{Design: design(4, 9), Status: budget.StatusOptimal}, nil
 		}},
+	}}
+	s := p.Race(context.Background())
+	if !s.Won || s.Rung != budget.RungCombinatorial {
+		t.Fatalf("settled %+v, want the surviving rung's proof adopted", s)
 	}
-	res := Run(context.Background(), entrants)
-	if res.Winner != 1 {
-		t.Fatalf("winner %d, want 1 (surviving entrant's proof adopted)", res.Winner)
+	if got := tel.Get(telemetry.CtrReqPanics); got != 1 {
+		t.Errorf("req_panics %d, want 1", got)
 	}
-	perr := res.Outcomes[0].Err
-	if perr == nil || !strings.Contains(perr.Error(), "panic") {
-		t.Errorf("panic not isolated into Outcome.Err: %v", perr)
+	if got := tel.Get(telemetry.CtrRaceWinsMILP); got != 0 {
+		t.Errorf("race_wins_milp %d for the crashed rung, want 0", got)
+	}
+
+	// A lone crashing rung: its panic is the race's error.
+	p.Rungs = p.Rungs[:1]
+	if s := p.Race(context.Background()); !errors.Is(s.Err, budget.ErrPanic) {
+		t.Errorf("err %v, want the isolated panic", s.Err)
 	}
 }
 
 func TestRunNoWinner(t *testing.T) {
-	res := Run(context.Background(), []Entrant{
-		{Rung: budget.RungMILP, Run: func(context.Context) (any, bool, error) {
-			return "incumbent", false, nil
+	tel := telemetry.New(nil)
+	s := Portfolio{Telemetry: tel, Rungs: []Rung{
+		{Rung: budget.RungMILP, Run: func(context.Context) (Answer, error) {
+			return Answer{Design: design(5, 9), Status: budget.StatusFeasible}, nil
 		}},
-		{Rung: budget.RungCombinatorial, Run: func(context.Context) (any, bool, error) {
-			return nil, false, errors.New("boom")
+		{Rung: budget.RungCombinatorial, Run: func(context.Context) (Answer, error) {
+			return Answer{}, errors.New("boom")
 		}},
-	})
-	if res.Winner != -1 {
-		t.Fatalf("winner %d without any proof, want -1", res.Winner)
+	}}.Race(context.Background())
+	if s.Status != budget.StatusFeasible || s.Rung != budget.RungMILP {
+		t.Fatalf("settled %+v without any proof, want the MILP incumbent", s)
 	}
-	if res.Canceled != 0 {
-		t.Errorf("canceled %d without a winner, want 0", res.Canceled)
+	if got := tel.Get(telemetry.CtrRaceCanceled); got != 0 {
+		t.Errorf("race_canceled %d without a winner, want 0", got)
 	}
 }
 
 func TestRunProofWithErrorDoesNotWin(t *testing.T) {
-	res := Run(context.Background(), []Entrant{
-		{Rung: budget.RungMILP, Run: func(context.Context) (any, bool, error) {
-			return "tainted", true, errors.New("failed after proving")
+	s := Portfolio{Rungs: []Rung{
+		{Rung: budget.RungMILP, Run: func(context.Context) (Answer, error) {
+			return Answer{Design: design(4, 9), Status: budget.StatusOptimal}, errors.New("failed after proving")
 		}},
-	})
-	if res.Winner != -1 {
-		t.Fatalf("errored proof won the race: winner %d", res.Winner)
+	}}.Race(context.Background())
+	if s.Won || s.Err == nil {
+		t.Fatalf("errored proof won the race: %+v", s)
 	}
 }
 
 func TestRunHonorsParentCancel(t *testing.T) {
 	defer leakcheck.Check(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan Result, 1)
+	done := make(chan Settled, 1)
 	go func() {
-		done <- Run(ctx, []Entrant{
-			{Rung: budget.RungMILP, Run: func(rctx context.Context) (any, bool, error) {
+		done <- Portfolio{Rungs: []Rung{
+			{Rung: budget.RungMILP, Run: func(rctx context.Context) (Answer, error) {
 				<-rctx.Done()
-				return nil, false, rctx.Err()
+				return Answer{Status: budget.StatusCanceled}, nil
 			}},
-		})
+		}}.Race(ctx)
 	}()
 	cancel()
 	select {
-	case res := <-done:
-		if res.Winner != -1 {
-			t.Errorf("winner %d after cancel, want -1", res.Winner)
+	case s := <-done:
+		if s.Won || s.Status != budget.StatusCanceled {
+			t.Errorf("settled %+v after cancel, want canceled without a winner", s)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after parent cancellation")
+		t.Fatal("Race did not return after parent cancellation")
+	}
+}
+
+// TestWalkIsolatesPanic: a walk turns a crashing rung into that rung's
+// error and degrades to the next rung, on the caller's goroutine.
+func TestWalkIsolatesPanic(t *testing.T) {
+	tel := telemetry.New(nil)
+	s := Portfolio{Telemetry: tel, Rungs: []Rung{
+		{Rung: budget.RungMILP, Run: func(context.Context) (Answer, error) {
+			panic("worker crashed")
+		}},
+		{Rung: budget.RungCombinatorial, Run: func(context.Context) (Answer, error) {
+			return Answer{Design: design(4, 9), Status: budget.StatusOptimal}, nil
+		}},
+	}}.Walk(context.Background())
+	if !s.Won || s.Rung != budget.RungCombinatorial || s.Status != budget.StatusOptimal {
+		t.Fatalf("settled %+v, want the next rung's proof", s)
+	}
+	if got := tel.Get(telemetry.CtrReqPanics); got != 1 {
+		t.Errorf("req_panics %d, want 1", got)
 	}
 }

@@ -2,12 +2,10 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 
 	"sos"
 	"sos/internal/budget"
-	"sos/internal/telemetry"
 )
 
 // runBatch executes one admitted batch job: every member solves through
@@ -38,7 +36,15 @@ func (s *Server) runBatch(j *job, gov *budget.Governor) *Response {
 		specs[i].Budget = allowance
 	}
 
-	results := s.solveBatch(ctx, specs)
+	results, err := isolated(s.tel, func() ([]sos.BatchResult, error) {
+		return sos.SolveBatch(ctx, specs, s.cfg.Cache), nil
+	})
+	if err != nil {
+		results = make([]sos.BatchResult, len(specs))
+		for i := range results {
+			results[i].Err = err
+		}
+	}
 
 	resp := &Response{HTTP: http.StatusOK, Batch: make([]BatchEntry, len(results))}
 	proofs, failures := 0, 0
@@ -73,21 +79,4 @@ func (s *Server) runBatch(j *job, gov *budget.Governor) *Response {
 		resp.Status = sos.StatusFeasible.String()
 	}
 	return resp
-}
-
-// solveBatch wraps sos.SolveBatch with the same request-boundary panic
-// isolation as synthesize: a panic becomes per-slot errors, not a dead
-// worker.
-func (s *Server) solveBatch(ctx context.Context, specs []sos.Spec) (out []sos.BatchResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.tel.Inc(telemetry.CtrReqPanics)
-			err := fmt.Errorf("solver panic: %v", r)
-			out = make([]sos.BatchResult, len(specs))
-			for i := range out {
-				out[i].Err = err
-			}
-		}
-	}()
-	return sos.SolveBatch(ctx, specs, s.cfg.Cache)
 }

@@ -190,3 +190,24 @@ func TestStatsWithoutCache(t *testing.T) {
 		t.Error("counters missing")
 	}
 }
+
+// TestSweepHeuristicRunsCombinatorial: a sweep certifies its points, so a
+// heuristic sweep runs the combinatorial engine, says so, and is cached
+// like one — the repeat is a frontier hit.
+func TestSweepHeuristicRunsCombinatorial(t *testing.T) {
+	tel := telemetry.New(nil)
+	_, url, _ := newCachedServer(t, Config{Telemetry: tel})
+	for i := 0; i < 2; i++ {
+		code, _, r := post(t, url+"/v1/sweep", solveBody(`"engine": "heuristic"`))
+		if code != http.StatusOK || r.Status != "optimal" {
+			t.Fatalf("sweep %d: code %d status %q", i, code, r.Status)
+		}
+		if r.Rung != "combinatorial" || r.Degraded {
+			t.Errorf("sweep %d: rung %q degraded %v, want combinatorial, not degraded", i, r.Rung, r.Degraded)
+		}
+	}
+	hits, misses := tel.Get(telemetry.CtrFrontierHits), tel.Get(telemetry.CtrFrontierMisses)
+	if hits != 1 || misses != 1 {
+		t.Errorf("frontier hits %d misses %d, want 1 and 1", hits, misses)
+	}
+}

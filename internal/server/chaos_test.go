@@ -316,3 +316,20 @@ func TestChaosStorm(t *testing.T) {
 	t.Logf("storm: admitted=%d served=%d shed=%d degraded=%d canceled=%d",
 		admitted, served, shed, s.tel.Get(telemetry.CtrReqDegraded), canceled)
 }
+
+// TestChaosPanicDegradesOnce: the request of TestChaosPanicDegrades walks
+// one family, so its crashed MILP rung is one panic and its step down to
+// the combinatorial rung one degradation.
+func TestChaosPanicDegradesOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{Hooks: panicHooks()})
+	code, _, r := post(t, ts.URL+"/v1/solve", solveBody(`"engine": "milp"`))
+	if code != http.StatusOK || r.Status != "optimal" || r.Rung != "combinatorial" {
+		t.Fatalf("code %d status %q rung %q, want 200 optimal combinatorial", code, r.Status, r.Rung)
+	}
+	if got := s.tel.Get(telemetry.CtrDegrades); got != 1 {
+		t.Errorf("degrades %d, want 1", got)
+	}
+	if got := s.tel.Get(telemetry.CtrReqPanics); got != 1 {
+		t.Errorf("req_panics %d, want 1", got)
+	}
+}

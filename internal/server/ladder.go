@@ -3,14 +3,12 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
 	"sos"
 	"sos/internal/budget"
 	"sos/internal/race"
-	"sos/internal/telemetry"
 )
 
 // rungFor maps a requested engine onto its ladder entry rung.
@@ -37,30 +35,34 @@ func engineFor(r budget.Rung) sos.Engine {
 	}
 }
 
-// runSolve walks the degradation ladder for one request: the entry rung
-// is the requested engine stepped down by current queue pressure; each
-// rung runs under a governor allowance; the portfolio's settlement rule
-// picks the answer (the first proof, else the best incumbent). The walk
-// is honest: the response carries the rung that produced the result and
-// whether the request was degraded at all.
-func (s *Server) runSolve(j *job, gov *budget.Governor, workerID int) *Response {
-	if j.spec.Race && j.spec.Engine != sos.EngineHeuristic {
-		if resp := s.runRace(j, gov); resp != nil {
-			return resp
+// runSolve serves one solve request with one facade call under one
+// governor allowance. An anytime request walks the ladder from its
+// requested engine, stepped down by current queue pressure; a raced
+// request races the ladder; a strict request runs its engine alone. The
+// response is honest: it names the rung that produced the result and
+// whether the request was degraded.
+func (s *Server) runSolve(j *job, gov *budget.Governor) *Response {
+	sp := j.spec
+	requested := rungFor(sp.Engine)
+	raced := sp.Race && sp.Engine != sos.EngineHeuristic
+	ladder := race.Resolve(budget.DefaultLadder(requested), sp.Objective == sos.MinCost, raced)
+	allowance, aerr := gov.Allowance(0)
+	switch {
+	case aerr == nil:
+		if j.anytime && !raced {
+			sp.Engine = engineFor(ladder[min(s.pressure(), len(ladder)-1)])
 		}
-		// The race could not start (budget spent at admission); fall
-		// through to the ladder, whose terminal-heuristic contract still
-		// hands the client an incumbent when degradation is allowed.
-		j.spec.Race = false
+	case j.anytime && ladder[len(ladder)-1] == budget.RungHeuristic:
+		// Budget spent. The terminal heuristic is effectively free and
+		// always terminates, so an anytime request still gets an
+		// incumbent instead of nothing. Every other rung is skipped —
+		// the no-floor-slice-spin contract (budget.Allowance).
+		sp.Engine, raced = sos.EngineHeuristic, false
+	default:
+		return &Response{Status: sos.StatusBudgetExhausted.String(), HTTP: http.StatusOK,
+			Rung: requested.String()}
 	}
-	requested := rungFor(j.spec.Engine)
-	minCost := j.spec.Objective == sos.MinCost
-	ladder := race.Resolve(budget.DefaultLadder(requested), minCost, false)
-	if j.anytime {
-		ladder = ladder[min(s.pressure(), len(ladder)-1):]
-	} else {
-		ladder = ladder[:1] // degradation forbidden: one rung only
-	}
+	sp.Anytime, sp.Budget = j.anytime, allowance
 
 	ctx := j.ctx
 	if !j.deadline.IsZero() {
@@ -68,66 +70,33 @@ func (s *Server) runSolve(j *job, gov *budget.Governor, workerID int) *Response 
 		ctx, cancel = context.WithDeadline(ctx, j.deadline)
 		defer cancel()
 	}
+	res, err := isolated(s.tel, func() (*sos.Result, error) { return sos.Synthesize(ctx, sp) })
 
-	found := false // some rung has produced a design
-	p := race.Portfolio{MinCost: minCost}
-	for i, r := range ladder {
-		p.Rungs = append(p.Rungs, race.Rung{Rung: r, Run: func(ctx context.Context) (race.Answer, error) {
-			if i > 0 {
-				s.tel.Emit(telemetry.EvDegrade, workerID, 0, r.String())
-			}
-			allowance, aerr := gov.Allowance(0)
-			if aerr != nil {
-				// Budget spent. The terminal heuristic is effectively free and
-				// always terminates: when degradation is allowed and no design
-				// exists yet, run it once so the client gets an incumbent
-				// instead of nothing. Every other rung is skipped — this is the
-				// no-floor-slice-spin contract (budget.Allowance).
-				if !(j.anytime && !found && r == budget.RungHeuristic) {
-					return race.Answer{Status: sos.StatusBudgetExhausted}, nil
-				}
-				allowance = 0 // the heuristic ignores its budget
-			}
-			sp := j.spec
-			sp.Engine = engineFor(r)
-			sp.Budget = allowance
-			res, err := s.synthesize(ctx, sp)
-			if err != nil {
-				// A crashed or failed rung is degraded around: the next
-				// (cheaper, independent) rung still gets its chance.
-				return race.Answer{}, err
-			}
-			found = found || res.Design != nil
-			return race.Answer{Design: res.Design, Status: res.Status, Bound: res.Bound, Gap: res.Gap, Value: res}, nil
-		}})
-	}
-	st := p.Walk(ctx)
-
-	res, _ := st.Value.(*sos.Result)
+	resp := &Response{HTTP: http.StatusOK, Raced: raced}
 	if res != nil {
-		res.Status, res.Bound, res.Gap = st.Status, st.Bound, st.Gap
+		rung := rungFor(res.Engine)
+		resp.Status, resp.Result, resp.Rung = res.Status.String(), res, rung.String()
+		// A raced request asks any rung for a proof; any other request
+		// asks for its own rung.
+		resp.Degraded = rung != requested
+		if raced {
+			resp.Degraded = !res.Status.Proven()
+		}
 	}
-	degraded := st.Won && st.Rung != requested
 	switch {
 	case j.ctx.Err() != nil:
 		// Client disconnect or shutdown cancel: keep the best anytime
 		// incumbent on the record rather than discarding the work.
-		resp := s.solveResponse(j, res, st.Rung, degraded)
-		resp.Status = OutcomeCanceled
-		resp.HTTP = StatusClientClosedRequest
+		resp.Status, resp.HTTP = OutcomeCanceled, StatusClientClosedRequest
 		resp.Error = "request canceled: " + j.ctx.Err().Error()
-		return resp
-	case st.Won:
-		return s.solveResponse(j, res, st.Rung, degraded)
-	case st.Err != nil:
-		// Every rung that ran failed outright.
-		return &Response{Status: OutcomeError, HTTP: http.StatusInternalServerError,
-			Error: st.Err.Error()}
-	default:
-		// No incumbent, no proof, budget gone: the honest answer.
-		return &Response{Status: sos.StatusBudgetExhausted.String(), HTTP: http.StatusOK,
-			Rung: requested.String(), Degraded: ladder[0] != requested}
+	case err != nil:
+		resp.Status, resp.HTTP, resp.Error = OutcomeError, http.StatusInternalServerError, err.Error()
+	case res.Status == sos.StatusCanceled:
+		// The response deadline passed before any design: the honest
+		// answer is the one a spent budget gets.
+		resp.Status = sos.StatusBudgetExhausted.String()
 	}
+	return resp
 }
 
 // raceTenants is the number of engines a racing solve runs concurrently
@@ -141,69 +110,6 @@ func raceTenants(j *job) int {
 	return len(race.Resolve(budget.DefaultLadder(rungFor(j.spec.Engine)), j.spec.Objective == sos.MinCost, true))
 }
 
-// runRace serves one racing solve: the whole remaining allowance becomes
-// the shared wall-clock window every portfolio engine runs in at once,
-// and the facade's race decides the winner. A nil return means the race
-// could not start (budget already spent) and the caller should fall back
-// to the sequential ladder.
-func (s *Server) runRace(j *job, gov *budget.Governor) *Response {
-	allowance, aerr := gov.Allowance(0)
-	if aerr != nil {
-		return nil
-	}
-	ctx := j.ctx
-	if !j.deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, j.deadline)
-		defer cancel()
-	}
-	sp := j.spec
-	sp.Budget = allowance
-	res, err := s.synthesize(ctx, sp)
-	if err != nil {
-		if j.ctx.Err() != nil {
-			return &Response{Status: OutcomeCanceled, HTTP: StatusClientClosedRequest,
-				Raced: true, Error: "request canceled: " + j.ctx.Err().Error()}
-		}
-		return &Response{Status: OutcomeError, HTTP: http.StatusInternalServerError,
-			Raced: true, Error: err.Error()}
-	}
-	resp := s.solveResponse(j, res, rungFor(res.Engine), false)
-	resp.Raced = true
-	if res.Rung != "" {
-		resp.Rung = res.Rung
-	}
-	switch res.Status {
-	case sos.StatusOptimal, sos.StatusInfeasible:
-		// Certified: a different winning rung is not degradation.
-	case sos.StatusCanceled:
-		resp.Status = OutcomeCanceled
-		resp.HTTP = StatusClientClosedRequest
-		resp.Error = "request canceled"
-		if cerr := ctx.Err(); cerr != nil {
-			resp.Error = "request canceled: " + cerr.Error()
-		}
-	default:
-		// An incumbent (or nothing) is weaker than the proof the request
-		// implicitly asked for; report it the way the ladder does.
-		resp.Degraded = true
-	}
-	return resp
-}
-
-// solveResponse builds the common served-response shape.
-func (s *Server) solveResponse(j *job, res *sos.Result, rung budget.Rung, degraded bool) *Response {
-	resp := &Response{HTTP: http.StatusOK, Degraded: degraded}
-	if res != nil {
-		resp.Status = res.Status.String()
-		resp.Result = res
-		resp.Rung = rung.String()
-	} else {
-		resp.Status = sos.StatusBudgetExhausted.String()
-	}
-	return resp
-}
-
 // runSweep runs a frontier sweep under the request governor: the whole
 // remaining allowance becomes the sweep budget, the engine is stepped
 // down under pressure, and per-point degradation inside the sweep is
@@ -211,6 +117,11 @@ func (s *Server) solveResponse(j *job, res *sos.Result, rung budget.Rung, degrad
 func (s *Server) runSweep(j *job, gov *budget.Governor) *Response {
 	sp := j.spec
 	requested := rungFor(sp.Engine)
+	if requested == budget.RungHeuristic {
+		// A sweep certifies its points: sos.Frontier runs the
+		// combinatorial engine for a heuristic request.
+		requested = budget.RungCombinatorial
+	}
 	rung := requested
 	if j.anytime {
 		sp.Anytime = true
@@ -237,7 +148,7 @@ func (s *Server) runSweep(j *job, gov *budget.Governor) *Response {
 		defer cancel()
 	}
 
-	pts, err := s.frontier(ctx, sp)
+	pts, err := isolated(s.tel, func() ([]sos.FrontierPoint, error) { return sos.Frontier(ctx, sp) })
 	resp := &Response{HTTP: http.StatusOK, Frontier: pts,
 		Rung: rung.String(), Degraded: rung != requested}
 	for _, p := range pts {
@@ -269,16 +180,4 @@ func (s *Server) runSweep(j *job, gov *budget.Governor) *Response {
 		resp.Error = err.Error()
 	}
 	return resp
-}
-
-// frontier wraps the sweep with the same request-boundary panic isolation
-// as synthesize.
-func (s *Server) frontier(ctx context.Context, sp sos.Spec) (pts []sos.FrontierPoint, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.tel.Inc(telemetry.CtrReqPanics)
-			err = fmt.Errorf("solver panic: %v", r)
-		}
-	}()
-	return sos.Frontier(ctx, sp)
 }

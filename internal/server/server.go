@@ -14,16 +14,21 @@
 //     context, which is already threaded through every engine; the best
 //     anytime incumbent is kept on the job record with the outcome
 //     "canceled" instead of being thrown away.
-//   - Graceful degradation: under queue pressure (or per-request budget
-//     exhaustion) a request steps down the existing degradation Ladder
-//     (MILP → combinatorial → heuristic), and the response labels the
-//     degradation honestly (Degraded, Rung, and the result's Status/Gap).
+//   - Graceful degradation: every solve is one facade call under one
+//     governor allowance. An anytime request walks the degradation ladder
+//     (MILP → combinatorial → heuristic; sos.Spec.Anytime) from its
+//     requested engine, stepped down by queue pressure, and a request
+//     whose budget is already spent gets the terminal heuristic alone.
+//     The response labels the degradation honestly (Degraded, Rung, and
+//     the result's Status/Gap).
 //   - Graceful shutdown: drain stops admitting, lets queued and running
 //     solves finish inside a grace period, then cancels their contexts so
 //     they return partial (anytime) results instead of being killed.
-//   - Panic isolation at the request boundary: a solver panic becomes a
-//     well-formed JSON error response and a req_panics counter tick, not
-//     a dead process.
+//   - Panic isolation: a panicking engine costs its portfolio rung — an
+//     anytime walk degrades around it, otherwise it is an error response
+//     — and any other panic under the facade is recovered at the request
+//     boundary into a well-formed JSON error. Each ticks req_panics once;
+//     none kills the process.
 //
 // See DESIGN.md §12 for the architecture and failure-mode table.
 package server
@@ -32,7 +37,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,7 +196,7 @@ func New(cfg Config) *Server {
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
-		go s.worker(i)
+		go s.worker()
 	}
 	return s
 }
@@ -243,16 +247,16 @@ func (s *Server) pressure() int {
 }
 
 // worker runs jobs off the queue until the queue is closed and drained.
-func (s *Server) worker(id int) {
+func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
-		s.run(id, j)
+		s.run(j)
 	}
 }
 
 // run executes one job end to end: deadline shed check, governor
-// acquisition, ladder walk, response construction.
-func (s *Server) run(workerID int, j *job) {
+// acquisition, solve, response construction.
+func (s *Server) run(j *job) {
 	j.setState(stateRunning)
 	now := time.Now()
 	queued := now.Sub(j.enqueued)
@@ -277,14 +281,7 @@ func (s *Server) run(workerID int, j *job) {
 	// A racing solve runs one engine per rung concurrently, so it is
 	// admitted as that many tenants: its fair share thins instead of its
 	// allotment multiplying (budget.MultiGovernor.AcquireN).
-	var gov *budget.Governor
-	var release func()
-	if n := raceTenants(j); n > 1 {
-		govs, rel := s.gov.AcquireN(n, j.budget, j.deadline)
-		gov, release = govs[0], rel
-	} else {
-		gov, release = s.gov.Acquire(j.budget, j.deadline)
-	}
+	gov, release := s.gov.AcquireN(raceTenants(j), j.budget, j.deadline)
 	defer release()
 
 	solveStart := time.Now()
@@ -295,7 +292,7 @@ func (s *Server) run(workerID int, j *job) {
 	case kindBatch:
 		resp = s.runBatch(j, gov)
 	default:
-		resp = s.runSolve(j, gov, workerID)
+		resp = s.runSolve(j, gov)
 	}
 	s.finish(j, resp, queued, time.Since(solveStart))
 }
@@ -330,22 +327,17 @@ func (s *Server) finish(j *job, resp *Response, queued, solve time.Duration) {
 	j.complete(resp)
 }
 
-// synthesize wraps one engine run with request-boundary panic isolation:
-// a panic anywhere under the facade becomes an error response and a
-// req_panics tick, never a dead worker. Panics the MILP layer already
-// converted to errors are recognized and counted the same way.
-func (s *Server) synthesize(ctx context.Context, sp sos.Spec) (res *sos.Result, err error) {
+// isolated runs one facade call at the request boundary: a panic no
+// portfolio rung isolated becomes an error wrapping budget.ErrPanic and a
+// req_panics tick, never a dead worker.
+func isolated[T any](tel *telemetry.Collector, solve func() (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.tel.Inc(telemetry.CtrReqPanics)
-			err = fmt.Errorf("solver panic: %v", r)
+			tel.Inc(telemetry.CtrReqPanics)
+			err = fmt.Errorf("solver %w: %v", budget.ErrPanic, r)
 		}
 	}()
-	res, err = sos.Synthesize(ctx, sp)
-	if err != nil && strings.Contains(err.Error(), "panic") {
-		s.tel.Inc(telemetry.CtrReqPanics)
-	}
-	return res, err
+	return solve()
 }
 
 // Shutdown drains the server: admission stops immediately (readyz goes

@@ -61,8 +61,8 @@ const (
 	// CtrRollovers counts points that finished under their slice, rolling
 	// the unused time over to later points.
 	CtrRollovers
-	// CtrDegrades counts ladder rungs entered below the first (each one is
-	// a degradation of a starved point).
+	// CtrDegrades counts ladder rungs a walk entered below the first
+	// (each one degrades a starved or failed point or solve).
 	CtrDegrades
 	// CtrDominatedDropped counts degraded frontier points removed because a
 	// later, cheaper point dominated them.
@@ -101,8 +101,9 @@ const (
 	// CtrReqCanceled counts requests whose context was canceled (client
 	// disconnect or shutdown) before a response could be delivered.
 	CtrReqCanceled
-	// CtrReqPanics counts solves that panicked and were isolated at the
-	// request boundary.
+	// CtrReqPanics counts isolated panics: one per portfolio rung whose
+	// error wraps budget.ErrPanic (an engine worker's panic, or the rung's
+	// own), plus one per panic sosd recovers at its request boundary.
 	CtrReqPanics
 
 	// CtrCacheHits counts result-cache lookups served with a proof —
@@ -196,8 +197,9 @@ const (
 	// EvRollover: a sweep point finished under its slice. Value is the
 	// unused time in seconds, which rolls over to later points.
 	EvRollover
-	// EvDegrade: a starved sweep point moved down the ladder. Label is the
-	// rung entered.
+	// EvDegrade: a walked point — a sweep point or an anytime solve —
+	// moved down its ladder. Label is the rung entered; Value is the
+	// point's bound.
 	EvDegrade
 	// EvPoint: a sweep point was resolved. Label is its status; Value is
 	// the wall-clock spend in seconds.

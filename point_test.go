@@ -16,8 +16,9 @@ import (
 )
 
 // The entry-point contract: Synthesize, SolveBatch and Frontier solve
-// every bound through one problem family and one portfolio point, so they
-// agree on every answer, race alike, and build alike.
+// every bound through one problem family and one portfolio point, raced,
+// walked under Anytime or run alone, so they agree on every answer, race
+// alike, and build alike.
 
 // TestRacedBatchMembersRace: the members of a raced multi-cap MILP batch
 // race, as the same specs do when solved alone — every solved member is
@@ -253,12 +254,13 @@ func TestHeuristicMissNeverInfeasible(t *testing.T) {
 	t.Logf("%d heuristic misses", misses)
 }
 
-// FuzzEntryPoints checks that the three entry points answer one bound
+// FuzzEntryPoints checks that the four entry points answer one bound
 // alike: on instances drawn as FuzzCrossEngine draws them, Synthesize, a
-// two-cap SolveBatch and the covering Frontier point agree on the
-// makespan (or on infeasibility) at each cap, for the MILP and the
-// combinatorial engine, raced and not. An input (seed, trial) replays
-// the draws of trials 0..trial-1 from seed before drawing trial.
+// two-cap SolveBatch, the covering Frontier point and an Anytime
+// Synthesize (the ladder walk from the engine) agree on the makespan (or
+// on infeasibility) at each cap, for the MILP and the combinatorial
+// engine, raced and not. An input (seed, trial) replays the draws of
+// trials 0..trial-1 from seed before drawing trial.
 func FuzzEntryPoints(f *testing.F) {
 	for _, trial := range []uint8{0, 1, 2, 5} {
 		f.Add(int64(7), trial)
@@ -306,7 +308,7 @@ func FuzzEntryPoints(f *testing.F) {
 						if !sameMakespan(v, want[i]) {
 							t.Fatalf("trial %d (%s), cap %g, %v raced=%v: %s makespan %g, want %g",
 								trial, in.topo.Name(), caps[i], engine, raced,
-								[]string{"Synthesize", "SolveBatch", "Frontier"}[j], v, want[i])
+								[]string{"Synthesize", "SolveBatch", "Frontier", "Anytime Synthesize"}[j], v, want[i])
 						}
 					}
 				}
@@ -315,11 +317,11 @@ func FuzzEntryPoints(f *testing.F) {
 	})
 }
 
-// entryPointMakespans answers each cap three ways — Synthesize, one
-// SolveBatch of every cap, the covering point of one Frontier — and
-// returns the makespans per cap (+Inf for a proven infeasible cap). ok is
-// false when some solve ended without a proof.
-func entryPointMakespans(t *testing.T, base Spec, caps []float64) (got [][3]float64, ok bool) {
+// entryPointMakespans answers each cap four ways — Synthesize, one
+// SolveBatch of every cap, the covering point of one Frontier, an Anytime
+// Synthesize — and returns the makespans per cap (+Inf for a proven
+// infeasible cap). ok is false when some solve ended without a proof.
+func entryPointMakespans(t *testing.T, base Spec, caps []float64) (got [][4]float64, ok bool) {
 	t.Helper()
 	ctx := context.Background()
 	makespan := func(r *Result) (float64, bool) {
@@ -341,20 +343,29 @@ func entryPointMakespans(t *testing.T, base Spec, caps []float64) (got [][3]floa
 	if err != nil {
 		return nil, false
 	}
-	got = make([][3]float64, len(caps))
+	got = make([][4]float64, len(caps))
 	for i, sp := range specs {
 		res, err := Synthesize(ctx, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk := sp
+		walk.Anytime = true
+		walked, err := Synthesize(ctx, walk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if batch[i].Err != nil {
 			t.Fatal(batch[i].Err)
 		}
-		var okS, okB bool
+		var okS, okB, okW bool
 		if got[i][0], okS = makespan(res); !okS {
 			return nil, false
 		}
 		if got[i][1], okB = makespan(batch[i].Result); !okB {
+			return nil, false
+		}
+		if got[i][3], okW = makespan(walked); !okW {
 			return nil, false
 		}
 		// The frontier is a step function of the cap: the covering point

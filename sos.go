@@ -214,17 +214,21 @@ type Spec struct {
 
 	// Engine (default EngineAuto).
 	Engine Engine
-	// Budget caps each solve's wall time (0 = unlimited).
+	// Budget caps the wall time of each engine solve (0 = unlimited): of
+	// the one engine, or of each rung an Anytime walk or a Race runs.
 	Budget time.Duration
 	// SweepBudget, used by Frontier/FrontierByDeadline, is one total
 	// wall-clock budget apportioned across the whole sweep (exponentially
 	// decaying per-point slices, unused time rolling over). 0 = unlimited.
 	SweepBudget time.Duration
-	// Anytime enables graceful degradation in Frontier/FrontierByDeadline:
-	// a point whose exact solve exhausts its budget slice, or fails,
-	// degrades down the ladder (MILP → combinatorial → heuristic) instead
-	// of stopping the sweep, and the resulting FrontierPoint is annotated
-	// with its Status and Gap.
+	// Anytime enables graceful degradation: Synthesize, every SolveBatch
+	// member and every Frontier/FrontierByDeadline point walk the ladder
+	// from the requested engine (MILP → combinatorial → heuristic; the
+	// heuristic is no fallback under MinCost), each rung under Budget. A
+	// rung that proves ends the walk; a rung that exhausts its budget, or
+	// fails, hands over to the next; with no proof the best incumbent
+	// wins, annotated with its Status and Gap. A degraded sweep keeps
+	// going instead of stopping.
 	Anytime bool
 	// SweepWorkers, when > 1, runs Frontier with that many concurrent
 	// point solvers: speculative caps drawn from the design-cost lattice
@@ -333,7 +337,8 @@ type Result struct {
 	// proves it. A heuristic miss is StatusBudgetExhausted with no design
 	// and Infeasible false.
 	Infeasible bool
-	// Engine that produced the result.
+	// Engine that produced the result: the rung Rung names when set,
+	// otherwise the spec's engine.
 	Engine Engine
 	// Nodes explored by the search that produced the result (0 for the
 	// heuristic, for a raced result with neither a design nor a proof, and
@@ -347,8 +352,10 @@ type Result struct {
 	Cached bool
 	// Raced reports that the engine portfolio was raced (Spec.Race).
 	Raced bool
-	// Rung names the ladder rung that produced the result of a raced
-	// solve ("milp", "combinatorial", "heuristic"); empty otherwise.
+	// Rung names the ladder rung that produced the result ("milp",
+	// "combinatorial", "heuristic") when the solve ran more than one rung
+	// — raced, or walked under Anytime — and some rung produced it; empty
+	// otherwise.
 	Rung string
 }
 
@@ -387,7 +394,8 @@ func (sp Spec) bound() float64 {
 
 // newFamily returns the problem family of a defaulted spec: every spec
 // that differs from it only in its bound. The family runs the spec's
-// engine, or the raced portfolio when Spec.Race asks for it.
+// engine, or the ladder from it when Spec.Race or Spec.Anytime asks for
+// one, raced or walked.
 func newFamily(sp Spec) *race.Family {
 	first := budget.RungCombinatorial
 	switch sp.Engine {
@@ -398,7 +406,7 @@ func newFamily(sp Spec) *race.Family {
 	}
 	racing := sp.Race && sp.Engine != EngineHeuristic
 	ladder := budget.Ladder{first}
-	if racing {
+	if sp.Race || sp.Anytime {
 		ladder = budget.DefaultLadder(first)
 	}
 	minCost := sp.Objective == MinCost
@@ -417,8 +425,8 @@ func newFamily(sp Spec) *race.Family {
 
 // solvePoint solves a defaulted spec as the point of fam at the spec's
 // bound, seeded with untrusted warm designs (cache near misses), and
-// reports the settlement. A raced result names the rung that produced
-// it, and its Engine is that rung's engine.
+// reports the settlement. A result some rung of a several-rung family
+// produced names that rung, and its Engine is that rung's engine.
 func solvePoint(ctx context.Context, sp Spec, fam *race.Family, warm []*schedule.Design) (*Result, error) {
 	s := fam.Point(ctx, sp.bound(), warm)
 	if s.Err != nil {
@@ -427,7 +435,7 @@ func solvePoint(ctx context.Context, sp Spec, fam *race.Family, warm []*schedule
 	res := &Result{Design: s.Design, Status: s.Status, Bound: s.Bound, Gap: s.Gap,
 		Optimal: s.Status == StatusOptimal, Infeasible: s.Status == StatusInfeasible,
 		Engine: sp.Engine, Nodes: s.Nodes, ModelStats: s.Model, Raced: fam.Race}
-	if fam.Race && s.Won {
+	if len(fam.Rungs) > 1 && s.Won {
 		res.Rung = s.Rung.String()
 		switch s.Rung {
 		case budget.RungMILP:
@@ -467,10 +475,16 @@ type FrontierPoint struct {
 // uncovered caps (seeding those solves with adjacent cached designs).
 // Only certified chains are cached, so served frontiers are
 // bit-identical to cold sweeps. See DESIGN.md §15.
+//
+// A sweep certifies its points, so EngineHeuristic sweeps run the
+// combinatorial engine, as EngineAuto does, and are cached like it.
 func Frontier(ctx context.Context, spec Spec) ([]FrontierPoint, error) {
 	sp, err := spec.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	if sp.Engine == EngineHeuristic {
+		sp.Engine = EngineCombinatorial
 	}
 	if sp.Cache != nil && cacheEligible(sp) {
 		if pts, err, ok := sp.Cache.frontier(ctx, sp); ok {
@@ -529,7 +543,8 @@ func frontierPoints(pts []pareto.Point) []FrontierPoint {
 // FrontierByDeadline traces the same non-inferior set as Frontier but from
 // the timing side: repeatedly minimize cost under a deadline just below
 // the previous design's makespan. perfStep is the deadline decrement
-// (0 = default 1e-3; it must exceed solver noise).
+// (0 = default 1e-3; it must exceed solver noise). EngineHeuristic runs
+// the combinatorial engine, as in Frontier.
 func FrontierByDeadline(ctx context.Context, spec Spec, perfStep float64) ([]FrontierPoint, error) {
 	sp, err := spec.withDefaults()
 	if err != nil {
