@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sos/internal/expts"
+	"sos/internal/schedule"
 	"sos/internal/telemetry"
 )
 
@@ -136,13 +137,13 @@ func TestStatusMappingMILP(t *testing.T) {
 }
 
 // TestFrontierAnytimeDegrades is the headline acceptance check: a sweep
-// whose MILP rung is starved (microsecond per-solve budget) degrades down
-// the ladder instead of erroring, and the combinatorial rung still
-// certifies the paper's full Table II frontier. Every returned design
-// must be Validate-clean.
+// whose MILP rung is starved (every node relaxation capped at one LP
+// iteration) degrades down the ladder instead of erroring, and the
+// combinatorial rung still certifies the paper's full Table II frontier.
+// Every returned design must be Validate-clean.
 func TestFrontierAnytimeDegrades(t *testing.T) {
 	spec := example1Spec(EngineMILP)
-	spec.Budget = time.Microsecond
+	spec.Hooks = &SolverHooks{LP: &LPHooks{ForceIterLimit: 1}}
 	spec.Anytime = true
 	pts, err := Frontier(context.Background(), spec)
 	if err != nil {
@@ -173,6 +174,34 @@ func TestFrontierAnytimeDegrades(t *testing.T) {
 	for i, want := range expts.Table2Full {
 		if math.Abs(pts[i].Cost-want.Cost) > 1e-9 || math.Abs(pts[i].Perf-want.Perf) > 1e-9 {
 			t.Errorf("point %d: (%g,%g), want (%g,%g)", i, pts[i].Cost, pts[i].Perf, want.Cost, want.Perf)
+		}
+	}
+}
+
+// TestFrontierAnytimeRungsKeepSpec: every rung of an anytime sweep runs
+// with the options a Synthesize of the same spec gets. With the MILP rung
+// crashing at every node, the combinatorial rung must still honour
+// NoOverlapIO and certify that variant's whole frontier.
+func TestFrontierAnytimeRungsKeepSpec(t *testing.T) {
+	spec := example1Spec(EngineMILP)
+	spec.Anytime = true
+	spec.NoOverlapIO = true
+	spec.Hooks = &SolverHooks{OnNode: func(int) { panic("injected MILP node crash") }}
+	pts, err := Frontier(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]float64{{16, 4}, {8, 5}, {7, 6}, {5, 7}, {4, 17}}
+	if len(pts) != len(want) {
+		t.Fatalf("frontier has %d points, want %d", len(pts), len(want))
+	}
+	for i, w := range want {
+		p := pts[i]
+		if math.Abs(p.Cost-w[0]) > 1e-9 || math.Abs(p.Perf-w[1]) > 1e-9 || p.Status != StatusOptimal {
+			t.Errorf("point %d: (%g,%g) %v, want (%g,%g) optimal", i, p.Cost, p.Perf, p.Status, w[0], w[1])
+		}
+		if err := p.Design.Validate(&schedule.ValidateOptions{NoOverlapIO: true}); err != nil {
+			t.Errorf("point %d breaks NoOverlapIO: %v", i, err)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"sos/internal/arch"
+	"sos/internal/budget"
 	"sos/internal/exact"
 	"sos/internal/expts"
 	"sos/internal/heur"
@@ -24,33 +25,44 @@ import (
 	"sos/internal/milp"
 	"sos/internal/model"
 	"sos/internal/pareto"
+	"sos/internal/race"
 	"sos/internal/schedule"
 	"sos/internal/sim"
 	"sos/internal/taskgraph"
 )
 
-func requireFrontier(b *testing.B, pts []pareto.Point, want []expts.ParetoPoint) {
+func requireFrontier(b *testing.B, pts []FrontierPoint, want []expts.ParetoPoint) {
 	b.Helper()
 	if len(pts) < len(want) {
 		b.Fatalf("frontier has %d points, want at least %d", len(pts), len(want))
 	}
 	for i, w := range want {
-		if math.Abs(pts[i].Cost()-w.Cost) > 1e-6 || math.Abs(pts[i].Perf()-w.Perf) > 1e-6 {
-			b.Fatalf("point %d: (%g,%g), paper (%g,%g)", i, pts[i].Cost(), pts[i].Perf(), w.Cost, w.Perf)
+		if math.Abs(pts[i].Cost-w.Cost) > 1e-6 || math.Abs(pts[i].Perf-w.Perf) > 1e-6 {
+			b.Fatalf("point %d: (%g,%g), paper (%g,%g)", i, pts[i].Cost, pts[i].Perf, w.Cost, w.Perf)
 		}
 	}
 }
 
-func exactSweep(b *testing.B, g *Graph, pool *Pool, topo Topology) []pareto.Point {
+func exactSweep(b *testing.B, g *Graph, pool *Pool, topo Topology) []FrontierPoint {
 	b.Helper()
-	pts, err := pareto.Sweep(context.Background(), g, pool, topo, pareto.Options{
-		Engine: pareto.EngineCombinatorial,
-		Exact:  &exact.Options{TimeLimit: 10 * time.Minute},
-	})
+	pts, err := Frontier(context.Background(), Spec{Graph: g, Library: pool.Library(), Pool: pool,
+		Topology: topo, Engine: EngineCombinatorial, Budget: 10 * time.Minute})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return pts
+}
+
+// milpSweep traces a point-to-point frontier with the MILP alone under
+// search options Spec does not expose.
+func milpSweep(b *testing.B, g *Graph, pool *Pool, mo milp.Options, opts pareto.Options) []FrontierPoint {
+	b.Helper()
+	pts, err := pareto.Sweep(context.Background(), &race.Family{G: g, Pool: pool, Topo: arch.PointToPoint{},
+		Rungs: budget.Ladder{budget.RungMILP}, Frontier: true, MILP: mo}, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return frontierPoints(pts)
 }
 
 // BenchmarkTable2MILP regenerates Table II with the paper's own MILP
@@ -88,14 +100,7 @@ func benchTable2(b *testing.B, opts *milp.Options) {
 	pool := expts.Example1Pool(lib)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pts, err := pareto.Sweep(context.Background(), g, pool, arch.PointToPoint{}, pareto.Options{
-			Engine: pareto.EngineMILP,
-			MILP:   opts,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		requireFrontier(b, pts, expts.Table2)
+		requireFrontier(b, milpSweep(b, g, pool, *opts, pareto.Options{}), expts.Table2)
 	}
 }
 
@@ -117,15 +122,8 @@ func benchSweepWorkers(b *testing.B, workers int) {
 	pool := expts.Example1Pool(lib)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pts, err := pareto.Sweep(context.Background(), g, pool, arch.PointToPoint{}, pareto.Options{
-			Engine:       pareto.EngineMILP,
-			MILP:         &milp.Options{TimeLimit: 10 * time.Minute, Branch: milp.BranchPseudoCost, Order: milp.BestFirst},
-			StartCap:     14,
-			SweepWorkers: workers,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		pts := milpSweep(b, g, pool, milp.Options{TimeLimit: 10 * time.Minute, Branch: milp.BranchPseudoCost, Order: milp.BestFirst},
+			pareto.Options{StartCap: 14, SweepWorkers: workers})
 		requireFrontier(b, pts, expts.Table2Full)
 	}
 }
@@ -363,10 +361,10 @@ func BenchmarkExp2(b *testing.B) {
 	}
 }
 
-func paperRange(pts []pareto.Point) []pareto.Point {
-	var out []pareto.Point
+func paperRange(pts []FrontierPoint) []FrontierPoint {
+	var out []FrontierPoint
 	for _, p := range pts {
-		if p.Cost() >= 5-1e-9 {
+		if p.Cost >= 5-1e-9 {
 			out = append(out, p)
 		}
 	}

@@ -177,9 +177,7 @@ func (c *Cache) frontier(ctx context.Context, sp Spec) ([]FrontierPoint, error, 
 	var out []FrontierPoint
 	var sweepErr error
 	run := func() error {
-		opts := sweepOptions(sp)
-		opts.Source = v
-		pts, err := pareto.Sweep(ctx, sp.Graph, sp.Pool, sp.Topology, opts)
+		pts, err := sweep(ctx, sp, v)
 		v.Finish(pts, err)
 		out, sweepErr = frontierPoints(pts), err
 		return err

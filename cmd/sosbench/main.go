@@ -37,20 +37,20 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"sos"
 	"sos/internal/arch"
 	"sos/internal/exact"
 	"sos/internal/expts"
 	"sos/internal/heur"
 	"sos/internal/milp"
 	"sos/internal/model"
-	"sos/internal/pareto"
 	"sos/internal/schedule"
 	"sos/internal/taskgraph"
 )
 
 var (
 	engineFlag   = flag.String("engine", "combinatorial", "frontier engine: combinatorial or milp")
-	budget       = flag.Duration("budget", 5*time.Minute, "per-solve time budget")
+	budgetFlag   = flag.Duration("budget", 5*time.Minute, "per-solve time budget")
 	sweepWorkers = flag.Int("sweep-workers", 1, "concurrent frontier-point solvers; >1 enables the speculative-parallel sweep (DESIGN.md §10)")
 	milpVerify   = flag.Bool("milp-verify", false, "cross-check each frontier point with a budgeted MILP solve")
 	pprofPath    = flag.String("pprof", "", "write a CPU profile of the run to the given path")
@@ -211,7 +211,7 @@ func Fig2() error {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	res, err := exact.Synthesize(context.Background(), g, pool, arch.PointToPoint{},
-		exact.Options{Objective: exact.MinMakespan, CostCap: 14, TimeLimit: *budget})
+		exact.Options{Objective: exact.MinMakespan, CostCap: 14, TimeLimit: *budgetFlag})
 	if err != nil {
 		return fmt.Errorf("fig2: %w", err)
 	}
@@ -234,17 +234,13 @@ func Fig2() error {
 // before the error propagates to the exit point.
 func frontierTable(title string, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, paper []expts.ParetoPoint) error {
 	fmt.Printf("== %s ==\n", title)
-	opts := pareto.Options{SweepWorkers: *sweepWorkers}
-	switch *engineFlag {
-	case "milp":
-		opts.Engine = pareto.EngineMILP
-		opts.MILP = &milp.Options{TimeLimit: *budget}
-	default:
-		opts.Engine = pareto.EngineCombinatorial
-		opts.Exact = &exact.Options{TimeLimit: *budget}
+	engine := sos.EngineCombinatorial
+	if *engineFlag == "milp" {
+		engine = sos.EngineMILP
 	}
 	start := time.Now()
-	pts, sweepErr := pareto.Sweep(context.Background(), g, pool, topo, opts)
+	pts, sweepErr := sos.Frontier(context.Background(), sos.Spec{Graph: g, Library: pool.Library(), Pool: pool,
+		Topology: topo, Engine: engine, Budget: *budgetFlag, SweepWorkers: *sweepWorkers})
 	if sweepErr != nil {
 		fmt.Printf("(sweep stopped early: %v)\n", sweepErr)
 	}
@@ -257,13 +253,13 @@ func frontierTable(title string, g *taskgraph.Graph, pool *arch.Instances, topo 
 		paperCell, match := "- (not reported)", "extra"
 		if i < len(paper) {
 			paperCell = fmt.Sprintf("(%g, %g)", paper[i].Cost, paper[i].Perf)
-			if math.Abs(p.Cost()-paper[i].Cost) < 1e-6 && math.Abs(p.Perf()-paper[i].Perf) < 1e-6 {
+			if math.Abs(p.Cost-paper[i].Cost) < 1e-6 && math.Abs(p.Perf-paper[i].Perf) < 1e-6 {
 				match = "yes"
 			} else {
 				match = "NO"
 			}
 		}
-		fmt.Printf("| %d | %g | %g | %s | %s |\n", i+1, p.Cost(), p.Perf(), paperCell, match)
+		fmt.Printf("| %d | %g | %g | %s | %s |\n", i+1, p.Cost, p.Perf, paperCell, match)
 	}
 	workersNote := ""
 	if *sweepWorkers > 1 {
@@ -283,10 +279,10 @@ func frontierTable(title string, g *taskgraph.Graph, pool *arch.Instances, topo 
 // milpVerifyFrontier re-solves each frontier cap with the paper's MILP
 // under the time budget, warm-started with the exact design, and reports
 // agreement.
-func milpVerifyFrontier(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, pts []pareto.Point) error {
+func milpVerifyFrontier(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, pts []sos.FrontierPoint) error {
 	fmt.Println("MILP verification (budgeted, warm-started):")
 	for _, p := range pts {
-		m, err := model.Build(g, pool, topo, model.Options{Objective: model.MinMakespan, CostCap: p.Cost()})
+		m, err := model.Build(g, pool, topo, model.Options{Objective: model.MinMakespan, CostCap: p.Cost})
 		if err != nil {
 			return err
 		}
@@ -297,23 +293,23 @@ func milpVerifyFrontier(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topo
 			}
 		}
 		start := time.Now()
-		design, sol, err := m.Solve(context.Background(), &milp.Options{TimeLimit: *budget, Incumbent: inc})
+		design, sol, err := m.Solve(context.Background(), &milp.Options{TimeLimit: *budgetFlag, Incumbent: inc})
 		if err != nil {
 			return err
 		}
 		verdict := "?"
 		switch {
-		case sol.Status == milp.Optimal && design != nil && math.Abs(design.Makespan-p.Perf()) < 1e-6:
+		case sol.Status == milp.Optimal && design != nil && math.Abs(design.Makespan-p.Perf) < 1e-6:
 			verdict = "proved optimal, agrees"
 		case sol.Status == milp.Optimal:
-			verdict = fmt.Sprintf("DISAGREES: milp %g vs exact %g", design.Makespan, p.Perf())
+			verdict = fmt.Sprintf("DISAGREES: milp %g vs exact %g", design.Makespan, p.Perf)
 		case design != nil:
-			verdict = fmt.Sprintf("budget hit; best %g (exact %g), bound gap %.1f%%", design.Makespan, p.Perf(), 100*sol.Gap)
+			verdict = fmt.Sprintf("budget hit; best %g (exact %g), bound gap %.1f%%", design.Makespan, p.Perf, 100*sol.Gap)
 		default:
 			verdict = "budget hit, no solution"
 		}
 		fmt.Printf("  cap %4g: %-10s %6d nodes %8v  %s\n",
-			p.Cost(), sol.Status, sol.Nodes, time.Since(start).Round(time.Millisecond), verdict)
+			p.Cost, sol.Status, sol.Nodes, time.Since(start).Round(time.Millisecond), verdict)
 	}
 	return nil
 }
@@ -352,7 +348,7 @@ func Exp1() error {
 		}
 		fmt.Printf("volume ×%g: %d non-inferior designs in the paper's cost range:", k, len(pts))
 		for _, p := range pts {
-			fmt.Printf(" (%g,%g;%dproc)", p.Cost(), p.Perf(), len(p.Design.Procs))
+			fmt.Printf(" (%g,%g;%dproc)", p.Cost, p.Perf, len(p.Design.Procs))
 		}
 		fmt.Println()
 	}
@@ -372,7 +368,7 @@ func Exp2() error {
 		}
 		fmt.Printf("size ×%g: %d non-inferior designs in the paper's cost range:", k, len(pts))
 		for _, p := range pts {
-			fmt.Printf(" (%g,%g;%v)", p.Cost(), p.Perf(), p.Design.NumProcsByType())
+			fmt.Printf(" (%g,%g;%v)", p.Cost, p.Perf, p.Design.NumProcsByType())
 		}
 		fmt.Println()
 	}
@@ -383,17 +379,15 @@ func Exp2() error {
 
 // sweepExact runs a combinatorial sweep filtered to the paper's cost
 // range (>= 5).
-func sweepExact(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology) ([]pareto.Point, error) {
-	pts, err := pareto.Sweep(context.Background(), g, pool, topo, pareto.Options{
-		Engine: pareto.EngineCombinatorial,
-		Exact:  &exact.Options{TimeLimit: *budget},
-	})
+func sweepExact(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology) ([]sos.FrontierPoint, error) {
+	pts, err := sos.Frontier(context.Background(), sos.Spec{Graph: g, Library: pool.Library(), Pool: pool,
+		Topology: topo, Engine: sos.EngineCombinatorial, Budget: *budgetFlag})
 	if err != nil {
 		return nil, err
 	}
-	var out []pareto.Point
+	var out []sos.FrontierPoint
 	for _, p := range pts {
-		if p.Cost() >= 5-1e-9 {
+		if p.Cost >= 5-1e-9 {
 			out = append(out, p)
 		}
 	}
@@ -452,7 +446,7 @@ func Baseline() error {
 				aPerf = ad.Makespan
 			}
 			res, err := exact.Synthesize(context.Background(), g, pool, topo,
-				exact.Options{Objective: exact.MinMakespan, CostCap: pt.Cost, TimeLimit: *budget})
+				exact.Options{Objective: exact.MinMakespan, CostCap: pt.Cost, TimeLimit: *budgetFlag})
 			if err != nil {
 				return fmt.Errorf("baseline: %w", err)
 			}
@@ -487,7 +481,7 @@ func RingStudy() error {
 	}
 	fmt.Printf("Example 1 ring frontier:")
 	for _, p := range pts {
-		fmt.Printf(" (%g,%g)", p.Cost(), p.Perf())
+		fmt.Printf(" (%g,%g)", p.Cost, p.Perf)
 	}
 	fmt.Println()
 	g2, lib2 := expts.Example2()
@@ -497,7 +491,7 @@ func RingStudy() error {
 	}
 	fmt.Printf("Example 2 ring frontier:")
 	for _, p := range pts {
-		fmt.Printf(" (%g,%g)", p.Cost(), p.Perf())
+		fmt.Printf(" (%g,%g)", p.Cost, p.Perf)
 	}
 	fmt.Println()
 	fmt.Println("(ring delays are hop-count multiples of D_CR; segments cost C_L each)")
@@ -523,7 +517,7 @@ func ScalingStudy() error {
 
 		t0 := time.Now()
 		res, err := exact.Synthesize(context.Background(), g, pool, arch.PointToPoint{},
-			exact.Options{Objective: exact.MinMakespan, TimeLimit: *budget})
+			exact.Options{Objective: exact.MinMakespan, TimeLimit: *budgetFlag})
 		if err != nil {
 			return err
 		}
@@ -531,7 +525,7 @@ func ScalingStudy() error {
 
 		t0 = time.Now()
 		par, err := exact.SynthesizeParallel(context.Background(), g, pool, arch.PointToPoint{},
-			exact.Options{Objective: exact.MinMakespan, TimeLimit: *budget}, 4)
+			exact.Options{Objective: exact.MinMakespan, TimeLimit: *budgetFlag}, 4)
 		if err != nil {
 			return err
 		}
@@ -561,9 +555,7 @@ func ScalingStudy() error {
 	return nil
 }
 
-func ringSweep(g *taskgraph.Graph, pool *arch.Instances) ([]pareto.Point, error) {
-	return pareto.Sweep(context.Background(), g, pool, arch.Ring{}, pareto.Options{
-		Engine: pareto.EngineCombinatorial,
-		Exact:  &exact.Options{TimeLimit: *budget},
-	})
+func ringSweep(g *taskgraph.Graph, pool *arch.Instances) ([]sos.FrontierPoint, error) {
+	return sos.Frontier(context.Background(), sos.Spec{Graph: g, Library: pool.Library(), Pool: pool,
+		Topology: sos.Ring(), Engine: sos.EngineCombinatorial, Budget: *budgetFlag})
 }

@@ -11,11 +11,13 @@ import (
 
 	"sos"
 	"sos/internal/arch"
+	"sos/internal/budget"
 	"sos/internal/expts"
 	"sos/internal/lp"
 	"sos/internal/milp"
 	"sos/internal/model"
 	"sos/internal/pareto"
+	"sos/internal/race"
 	"sos/internal/sim"
 	"sos/internal/taskgraph"
 	"sos/internal/telemetry"
@@ -37,13 +39,12 @@ func perfSweep() ([]perfRow, error) {
 		b0, c0 := model.BuildCount(), model.CloneCount()
 		points, table2 := 0, true
 		lat, err := timed(reps, func() error {
-			pts, err := pareto.Sweep(context.Background(), g, pool, arch.PointToPoint{}, pareto.Options{
-				Engine:       pareto.EngineMILP,
-				MILP:         &milp.Options{TimeLimit: *budget, Branch: milp.BranchPseudoCost, Order: milp.BestFirst},
-				StartCap:     14,
-				SweepWorkers: workers,
-				Telemetry:    tel,
-			})
+			// The search options are ones Spec does not expose, so the
+			// row builds its MILP family by hand.
+			fam := &race.Family{G: g, Pool: pool, Topo: arch.PointToPoint{},
+				Rungs: budget.Ladder{budget.RungMILP}, Frontier: true, Telemetry: tel,
+				MILP: milp.Options{TimeLimit: *budgetFlag, Branch: milp.BranchPseudoCost, Order: milp.BestFirst}}
+			pts, err := pareto.Sweep(context.Background(), fam, pareto.Options{StartCap: 14, SweepWorkers: workers})
 			points = len(pts)
 			table2 = table2 && err == nil && pareto.FrontierEquals(pts, want, 1e-6) == nil
 			return err

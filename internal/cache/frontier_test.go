@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"sos/internal/arch"
+	"sos/internal/budget"
 	"sos/internal/exact"
 	"sos/internal/expts"
 	"sos/internal/pareto"
+	"sos/internal/race"
 	"sos/internal/taskgraph"
 	"sos/internal/telemetry"
 )
@@ -25,16 +27,13 @@ var example1Chain = len(expts.Table2Full) + 1
 func sweepThrough(t testing.TB, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology,
 	v *FrontierView, tel *telemetry.Collector, startCap float64) []pareto.Point {
 	t.Helper()
-	opts := pareto.Options{
-		Engine:    pareto.EngineCombinatorial,
-		Exact:     &exact.Options{TimeLimit: 2 * time.Minute},
-		Telemetry: tel,
-		StartCap:  startCap,
-	}
+	fam := &race.Family{G: g, Pool: pool, Topo: topo, Rungs: budget.Ladder{budget.RungCombinatorial},
+		Frontier: true, Exact: exact.Options{TimeLimit: 2 * time.Minute}, Telemetry: tel}
+	opts := pareto.Options{StartCap: startCap}
 	if v != nil {
 		opts.Source = v
 	}
-	pts, err := pareto.Sweep(context.Background(), g, pool, topo, opts)
+	pts, err := pareto.Sweep(context.Background(), fam, opts)
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}

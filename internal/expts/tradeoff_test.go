@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"sos/internal/arch"
+	"sos/internal/budget"
 	"sos/internal/exact"
 	"sos/internal/pareto"
+	"sos/internal/race"
 	"sos/internal/taskgraph"
 )
 
@@ -27,10 +29,9 @@ func paperRange(pts []pareto.Point) []pareto.Point {
 func sweepExact(t *testing.T, g *taskgraph.Graph, lib *arch.Library) []pareto.Point {
 	t.Helper()
 	pool := Example1Pool(lib)
-	pts, err := pareto.Sweep(context.Background(), g, pool, arch.PointToPoint{}, pareto.Options{
-		Engine: pareto.EngineCombinatorial,
-		Exact:  &exact.Options{TimeLimit: 3 * time.Minute},
-	})
+	pts, err := pareto.Sweep(context.Background(), &race.Family{G: g, Pool: pool, Topo: arch.PointToPoint{},
+		Rungs: budget.Ladder{budget.RungCombinatorial}, Frontier: true,
+		Exact: exact.Options{TimeLimit: 3 * time.Minute}}, pareto.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,7 @@ import (
 
 	"sos/internal/arch"
 	"sos/internal/budget"
-	"sos/internal/exact"
 	"sos/internal/expts"
-	"sos/internal/milp"
 	"sos/internal/telemetry"
 )
 
@@ -39,14 +37,11 @@ func TestDegradedSweepFrontierInvariant(t *testing.T) {
 	pool := expts.Example1Pool(lib)
 	sink := &telemetry.CountingSink{}
 	tel := telemetry.New(sink)
-	opts := Options{
-		Engine:    EngineCombinatorial,
-		Exact:     &exact.Options{MaxNodes: 32},
-		MILP:      &milp.Options{},
-		Ladder:    budget.Ladder{budget.RungCombinatorial, budget.RungHeuristic},
-		Telemetry: tel,
-	}
-	pts, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, opts)
+	fam := family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 0)
+	fam.Rungs = budget.Ladder{budget.RungCombinatorial, budget.RungHeuristic}
+	fam.Exact.MaxNodes = 32
+	fam.Telemetry = tel
+	pts, err := Sweep(context.Background(), fam, Options{Anytime: true})
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
@@ -82,13 +77,9 @@ func TestUndegradedSweepDropsNothing(t *testing.T) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	tel := telemetry.New(nil)
-	opts := Options{
-		Engine:    EngineCombinatorial,
-		Exact:     &exact.Options{},
-		MILP:      &milp.Options{},
-		Telemetry: tel,
-	}
-	pts, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, opts)
+	fam := family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 0)
+	fam.Telemetry = tel
+	pts, err := Sweep(context.Background(), fam, Options{})
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}

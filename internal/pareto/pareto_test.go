@@ -8,13 +8,29 @@ import (
 	"time"
 
 	"sos/internal/arch"
+	"sos/internal/budget"
 	"sos/internal/exact"
 	"sos/internal/expts"
 	"sos/internal/milp"
-	"sos/internal/model"
+	"sos/internal/race"
 	"sos/internal/schedule"
 	"sos/internal/taskgraph"
 )
+
+// family returns a frontier family on the makespan axis that runs one
+// rung with both engines' per-solve time limit set to limit; tests adjust
+// the rest before the sweep.
+func family(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, rung budget.Rung, limit time.Duration) *race.Family {
+	return &race.Family{G: g, Pool: pool, Topo: topo, Rungs: budget.Ladder{rung}, Frontier: true,
+		MILP: milp.Options{TimeLimit: limit}, Exact: exact.Options{TimeLimit: limit}}
+}
+
+// deadlineFamily is family on the cost axis, for SweepByDeadline.
+func deadlineFamily(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, rung budget.Rung, limit time.Duration) *race.Family {
+	fam := family(g, pool, topo, rung, limit)
+	fam.MinCost = true
+	return fam
+}
 
 // TestExample1SweepMILP traces Table II with the paper's own method: MILP
 // solves at decreasing cost caps.
@@ -24,10 +40,7 @@ func TestExample1SweepMILP(t *testing.T) {
 	}
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	points, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine: EngineMILP,
-		MILP:   &milp.Options{TimeLimit: 2 * time.Minute},
-	})
+	points, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,17 +66,11 @@ func TestExample1SweepBothEnginesAgree(t *testing.T) {
 	}
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	milpPts, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine: EngineMILP,
-		MILP:   &milp.Options{TimeLimit: 2 * time.Minute},
-	})
+	milpPts, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactPts, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine: EngineCombinatorial,
-		Exact:  &exact.Options{TimeLimit: 2 * time.Minute},
-	})
+	exactPts, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 2*time.Minute), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +99,7 @@ func TestExample2SweepExact(t *testing.T) {
 		{arch.Bus{}, expts.Table5},
 	}
 	for _, c := range cases {
-		points, err := Sweep(context.Background(), g, pool, c.topo, Options{
-			Engine: EngineCombinatorial,
-			Exact:  &exact.Options{TimeLimit: 3 * time.Minute},
-		})
+		points, err := Sweep(context.Background(), family(g, pool, c.topo, budget.RungCombinatorial, 3*time.Minute), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.topo.Name(), err)
 		}
@@ -127,10 +131,7 @@ func TestFrontierInvariantsOnRandomInstances(t *testing.T) {
 		g.MustFreeze()
 		lib := arch.RandomLibrary(rng, g, 2+rng.Intn(2))
 		pool := arch.AutoPool(lib, g, 2)
-		pts, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-			Engine: EngineCombinatorial,
-			Exact:  &exact.Options{TimeLimit: time.Minute},
-		})
+		pts, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, time.Minute), Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -164,17 +165,12 @@ func TestFrontierInvariantsOnRandomInstances(t *testing.T) {
 func TestDeadlineSweepMatchesCostSweep(t *testing.T) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	byCost, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine: EngineCombinatorial,
-		Exact:  &exact.Options{TimeLimit: time.Minute},
-	})
+	byCost, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, time.Minute), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byDeadline, err := SweepByDeadline(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine: EngineCombinatorial,
-		Exact:  &exact.Options{TimeLimit: time.Minute},
-	}, 1e-3)
+	byDeadline, err := SweepByDeadline(context.Background(),
+		deadlineFamily(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, time.Minute), Options{}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +195,8 @@ func TestDeadlineSweepMILP(t *testing.T) {
 	}
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	pts, err := SweepByDeadline(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine: EngineMILP,
-		MILP:   &milp.Options{TimeLimit: 2 * time.Minute},
-	}, 1e-3)
+	pts, err := SweepByDeadline(context.Background(),
+		deadlineFamily(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute), Options{}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,4 +246,20 @@ func TestFrontierEqualsMismatch(t *testing.T) {
 	}
 }
 
-var _ = model.Options{}
+// TestSweepRejectsOffAxisFamily: a sweep solves its chain bounds on its
+// own axis, as frontier points; any other family is a caller bug.
+func TestSweepRejectsOffAxisFamily(t *testing.T) {
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	notFrontier := family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 0)
+	notFrontier.Frontier = false
+	if _, err := Sweep(context.Background(), notFrontier, Options{}); err == nil {
+		t.Error("Sweep accepted a family without frontier points")
+	}
+	if _, err := Sweep(context.Background(), deadlineFamily(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 0), Options{}); err == nil {
+		t.Error("Sweep accepted a cost-axis family")
+	}
+	if _, err := SweepByDeadline(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 0), Options{}, 0); err == nil {
+		t.Error("SweepByDeadline accepted a makespan-axis family")
+	}
+}

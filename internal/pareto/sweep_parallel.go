@@ -215,8 +215,8 @@ func (q *specQueue) cancelAll() {
 // the chain would set after landing a point of cost l. The grid is purely
 // a performance hint — caps it misses are solved inline by the chain walk.
 func (sw *sweeper) speculativeCaps(ctx context.Context, start float64) []float64 {
-	g, pool, topo, opts := sw.fam.G, sw.fam.Pool, sw.fam.Topo, sw.opts
-	if opts.ModelOpts.Memory {
+	g, pool, topo := sw.fam.G, sw.fam.Pool, sw.fam.Topo
+	if sw.fam.ModelOpts.Memory {
 		return nil // memory cost is continuous; no finite level grid
 	}
 	lib := pool.Library()
@@ -360,7 +360,7 @@ func (q *specQueue) resolve(ctx context.Context, w float64) (Point, error) {
 	var pt Point
 	if j != nil {
 		pt = j.pt
-		q.sw.opts.Telemetry.Emit(telemetry.EvPoint, 0, j.spend.Seconds(), pt.Status.String())
+		q.sw.fam.Telemetry.Emit(telemetry.EvPoint, 0, j.spend.Seconds(), pt.Status.String())
 	} else {
 		var err error
 		if pt, err = q.sw.inline(ctx, w); err != nil {
@@ -378,7 +378,7 @@ func (q *specQueue) resolve(ctx context.Context, w float64) (Point, error) {
 func (q *specQueue) close() {
 	q.cancelAll()
 	q.wg.Wait()
-	tel := q.sw.opts.Telemetry
+	tel := q.sw.fam.Telemetry
 	for _, j := range q.jobs {
 		if !j.spec {
 			continue

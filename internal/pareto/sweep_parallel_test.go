@@ -11,11 +11,11 @@ import (
 
 	"sos/internal/arch"
 	"sos/internal/budget"
-	"sos/internal/exact"
 	"sos/internal/expts"
 	"sos/internal/leakcheck"
 	"sos/internal/milp"
 	"sos/internal/model"
+	"sos/internal/race"
 	"sos/internal/taskgraph"
 	"sos/internal/telemetry"
 )
@@ -64,18 +64,13 @@ func TestParallelSweepMatchesSequentialMILP(t *testing.T) {
 	}
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	base := Options{
-		Engine: EngineMILP,
-		MILP:   &milp.Options{TimeLimit: 2 * time.Minute},
-	}
-	seq, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, base)
+	seq, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		po := base
-		po.SweepWorkers = workers
-		par, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, po)
+		par, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute),
+			Options{SweepWorkers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -110,17 +105,12 @@ func TestParallelSweepMatchesSequentialCombinatorial(t *testing.T) {
 	}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
-			base := Options{
-				Engine: EngineCombinatorial,
-				Exact:  &exact.Options{TimeLimit: 2 * time.Minute},
-			}
-			seq, err := Sweep(context.Background(), w.g, w.pool, w.topo, base)
+			seq, err := Sweep(context.Background(), family(w.g, w.pool, w.topo, budget.RungCombinatorial, 2*time.Minute), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			po := base
-			po.SweepWorkers = 4
-			par, err := Sweep(context.Background(), w.g, w.pool, w.topo, po)
+			par, err := Sweep(context.Background(), family(w.g, w.pool, w.topo, budget.RungCombinatorial, 2*time.Minute),
+				Options{SweepWorkers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,26 +139,27 @@ func TestParallelSweepBuildAmortization(t *testing.T) {
 		want[i] = [2]float64{pt.Cost, pt.Perf}
 	}
 	sweeps := []struct {
-		name string
-		run  func(Options) ([]Point, error)
+		name    string
+		minCost bool
+		run     func(*race.Family, Options) ([]Point, error)
 	}{
-		{"Sweep", func(o Options) ([]Point, error) {
-			return Sweep(context.Background(), g, pool, arch.PointToPoint{}, o)
+		{"Sweep", false, func(fam *race.Family, o Options) ([]Point, error) {
+			return Sweep(context.Background(), fam, o)
 		}},
-		{"SweepByDeadline", func(o Options) ([]Point, error) {
-			return SweepByDeadline(context.Background(), g, pool, arch.PointToPoint{}, o, 1e-3)
+		{"SweepByDeadline", true, func(fam *race.Family, o Options) ([]Point, error) {
+			return SweepByDeadline(context.Background(), fam, o, 1e-3)
 		}},
 	}
 	engines := []struct {
 		name   string
-		engine Engine
+		first  budget.Rung
 		race   bool
 		builds int64 // exact; an upper bound when race is set
 	}{
-		{"milp", EngineMILP, false, 2},
-		{"combinatorial", EngineCombinatorial, false, 0},
-		{"milp-raced", EngineMILP, true, 2},
-		{"combinatorial-raced", EngineCombinatorial, true, 2},
+		{"milp", budget.RungMILP, false, 2},
+		{"combinatorial", budget.RungCombinatorial, false, 0},
+		{"milp-raced", budget.RungMILP, true, 2},
+		{"combinatorial-raced", budget.RungCombinatorial, true, 2},
 	}
 	for _, sweep := range sweeps {
 		for _, workers := range []int{0, 1, 4} {
@@ -176,14 +167,13 @@ func TestParallelSweepBuildAmortization(t *testing.T) {
 				builds := e.builds
 				t.Run(fmt.Sprintf("%s/workers=%d/%s", sweep.name, workers, e.name), func(t *testing.T) {
 					leakcheck.Check(t)
+					fam := family(g, pool, arch.PointToPoint{}, e.first, 2*time.Minute)
+					fam.MinCost, fam.Race = sweep.minCost, e.race
+					if e.race {
+						fam.Rungs = race.Resolve(budget.DefaultLadder(e.first), sweep.minCost, true)
+					}
 					b0, c0 := model.BuildCount(), model.CloneCount()
-					points, err := sweep.run(Options{
-						Engine:       e.engine,
-						MILP:         &milp.Options{TimeLimit: 2 * time.Minute},
-						Exact:        &exact.Options{TimeLimit: 2 * time.Minute},
-						SweepWorkers: workers,
-						Race:         e.race,
-					})
+					points, err := sweep.run(fam, Options{SweepWorkers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -220,14 +210,13 @@ func TestWalkDegradesAroundFailingRung(t *testing.T) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	var fired atomic.Int64
-	points, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine: EngineMILP,
-		MILP: &milp.Options{Hooks: &milp.Hooks{OnNode: func(int) {
-			fired.Add(1)
-			panic("injected solver crash")
-		}}},
-		Ladder: budget.DefaultLadder(budget.RungMILP),
-	})
+	fam := family(g, pool, arch.PointToPoint{}, budget.RungMILP, 0)
+	fam.Rungs = budget.DefaultLadder(budget.RungMILP)
+	fam.MILP.Hooks = &milp.Hooks{OnNode: func(int) {
+		fired.Add(1)
+		panic("injected solver crash")
+	}}
+	points, err := Sweep(context.Background(), fam, Options{Anytime: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,18 +250,13 @@ func TestParallelSweepFaultInjection(t *testing.T) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	var fired atomic.Bool
-	points, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine: EngineMILP,
-		MILP: &milp.Options{
-			TimeLimit: 2 * time.Minute,
-			Hooks: &milp.Hooks{OnNode: func(int) {
-				if fired.CompareAndSwap(false, true) {
-					panic("injected solver crash")
-				}
-			}},
-		},
-		SweepWorkers: 4,
-	})
+	fam := family(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute)
+	fam.MILP.Hooks = &milp.Hooks{OnNode: func(int) {
+		if fired.CompareAndSwap(false, true) {
+			panic("injected solver crash")
+		}
+	}}
+	points, err := Sweep(context.Background(), fam, Options{SweepWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +284,9 @@ func TestParallelSweepSpeculationTelemetry(t *testing.T) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	tel := telemetry.New(nil)
-	_, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine:       EngineCombinatorial,
-		Exact:        &exact.Options{TimeLimit: 2 * time.Minute},
-		StartCap:     14,
-		SweepWorkers: 4,
-		Telemetry:    tel,
-	})
+	fam := family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 2*time.Minute)
+	fam.Telemetry = tel
+	_, err := Sweep(context.Background(), fam, Options{StartCap: 14, SweepWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,13 +309,10 @@ func TestParallelSweepGovernedLadder(t *testing.T) {
 	leakcheck.Check(t)
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	points, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine:       EngineMILP,
-		MILP:         &milp.Options{TimeLimit: 2 * time.Minute},
-		Governor:     budget.New(50 * time.Millisecond),
-		Ladder:       budget.DefaultLadder(budget.RungMILP),
-		SweepWorkers: 4,
-	})
+	fam := family(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute)
+	fam.Rungs = budget.DefaultLadder(budget.RungMILP)
+	fam.Governor = budget.New(50 * time.Millisecond)
+	points, err := Sweep(context.Background(), fam, Options{SweepWorkers: 4, Anytime: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,13 @@ func rungFor(e sos.Engine) budget.Rung {
 	}
 }
 
+// ladderFor returns the rungs a solve of sp may run, resolved as the
+// facade resolves them: the default ladder from the requested engine,
+// raced or walked.
+func ladderFor(sp sos.Spec, raced bool) budget.Ladder {
+	return race.Resolve(budget.DefaultLadder(rungFor(sp.Engine)), sp.Objective == sos.MinCost, raced)
+}
+
 // engineFor maps a ladder rung back onto the engine that runs it.
 func engineFor(r budget.Rung) sos.Engine {
 	switch r {
@@ -45,7 +52,7 @@ func (s *Server) runSolve(j *job, gov *budget.Governor) *Response {
 	sp := j.spec
 	requested := rungFor(sp.Engine)
 	raced := sp.Race && sp.Engine != sos.EngineHeuristic
-	ladder := race.Resolve(budget.DefaultLadder(requested), sp.Objective == sos.MinCost, raced)
+	ladder := ladderFor(sp, raced)
 	allowance, aerr := gov.Allowance(0)
 	switch {
 	case aerr == nil:
@@ -107,13 +114,13 @@ func raceTenants(j *job) int {
 	if j.kind != kindSolve || !j.spec.Race || j.spec.Engine == sos.EngineHeuristic {
 		return 1
 	}
-	return len(race.Resolve(budget.DefaultLadder(rungFor(j.spec.Engine)), j.spec.Objective == sos.MinCost, true))
+	return len(ladderFor(j.spec, true))
 }
 
 // runSweep runs a frontier sweep under the request governor: the whole
 // remaining allowance becomes the sweep budget, the engine is stepped
 // down under pressure, and per-point degradation inside the sweep is
-// delegated to the pareto ladder (Spec.Anytime).
+// delegated to the facade's sweep (Spec.Anytime).
 func (s *Server) runSweep(j *job, gov *budget.Governor) *Response {
 	sp := j.spec
 	requested := rungFor(sp.Engine)

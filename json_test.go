@@ -98,6 +98,29 @@ func TestFrontierPointJSON(t *testing.T) {
 			t.Errorf("point %d: status %v", i, m["status"])
 		}
 	}
+
+	// A degraded point with no known bound (a heuristic incumbent)
+	// carries Gap = +Inf, which encoding/json rejects: it must go out as
+	// null.
+	degraded := pts[0]
+	degraded.Status, degraded.Gap = StatusFeasible, math.Inf(1)
+	data, err = json.Marshal(degraded)
+	if err != nil {
+		t.Fatalf("marshal point with +Inf gap: %v", err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("point JSON invalid: %v", err)
+	}
+	if gap, ok := m["gap"]; !ok || gap != nil {
+		t.Errorf("gap = %v (present %v), want null", gap, ok)
+	}
+	if m["status"] != "feasible" || m["cost"].(float64) != degraded.Cost {
+		t.Errorf("degraded point: status %v cost %v", m["status"], m["cost"])
+	}
+	if _, ok := m["design"]; !ok {
+		t.Error("design missing from marshaled point")
+	}
 }
 
 // TestTelemetryViaFacade: Spec.Telemetry threads down to the engines and the

@@ -215,7 +215,9 @@ type Spec struct {
 	// Engine (default EngineAuto).
 	Engine Engine
 	// Budget caps the wall time of each engine solve (0 = unlimited): of
-	// the one engine, or of each rung an Anytime walk or a Race runs.
+	// the one engine, or of each rung an Anytime walk or a Race runs. A
+	// Frontier/FrontierByDeadline point is solved like a Synthesize of
+	// the spec at its bound, so Budget caps every rung of every point.
 	Budget time.Duration
 	// SweepBudget, used by Frontier/FrontierByDeadline, is one total
 	// wall-clock budget apportioned across the whole sweep (exponentially
@@ -224,11 +226,14 @@ type Spec struct {
 	// Anytime enables graceful degradation: Synthesize, every SolveBatch
 	// member and every Frontier/FrontierByDeadline point walk the ladder
 	// from the requested engine (MILP → combinatorial → heuristic; the
-	// heuristic is no fallback under MinCost), each rung under Budget. A
-	// rung that proves ends the walk; a rung that exhausts its budget, or
-	// fails, hands over to the next; with no proof the best incumbent
-	// wins, annotated with its Status and Gap. A degraded sweep keeps
-	// going instead of stopping.
+	// heuristic is no fallback under MinCost), each rung under Budget and
+	// the spec's variant switches (Memory, NoOverlapIO). A rung that
+	// proves ends the walk; a rung that exhausts its budget, or fails,
+	// hands over to the next; with no proof the best incumbent wins,
+	// annotated with its Status and Gap. Anytime also decides what a
+	// sweep does with a point it cannot certify: it keeps the point and
+	// goes on, where a sweep without Anytime, raced or not, stops there
+	// with ErrBudgetExhausted and returns the frontier so far.
 	Anytime bool
 	// SweepWorkers, when > 1, runs Frontier with that many concurrent
 	// point solvers: speculative caps drawn from the design-cost lattice
@@ -247,10 +252,12 @@ type Spec struct {
 	// the rest are canceled. Results carry Raced/Rung attribution.
 	// Synthesize, every SolveBatch member and every Frontier/
 	// FrontierByDeadline point race alike, because all of them solve
-	// their bound as one point of the same portfolio; a sweep's raced
-	// points compose with SweepWorkers, and the frontier is identical to
-	// the sequential one. EngineHeuristic specs ignore Race — there is
-	// only one rung to run.
+	// their bound as one point of the same portfolio, built from the spec
+	// the same way; a sweep's raced points compose with SweepWorkers, and
+	// the frontier is identical to the sequential one. Race does not make
+	// a sweep degrade; Anytime does. EngineHeuristic specs ignore Race —
+	// there is only one rung to run — except in a sweep, which runs the
+	// combinatorial engine for them.
 	Race bool
 
 	// LPKernel selects the simplex kernel for EngineMILP node relaxations
@@ -467,6 +474,9 @@ type FrontierPoint struct {
 // set of a spec by sweeping the cost cap, the way the paper generates its
 // Tables II, IV, and V. Spec.CostCap, when > 0, is the sweep's starting
 // cap (0 sweeps the whole frontier); Spec.Objective/Deadline are ignored.
+// Each chain cap is solved as Synthesize would solve the spec at that
+// cap (same engine options, same rungs, walked or raced alike), with the
+// point made non-inferior by a lexicographic second solve.
 //
 // When Spec.Cache is set, every certified point of the sweep is stored
 // there as a proof at its chain cap: a repeat sweep of the same problem
@@ -479,56 +489,46 @@ type FrontierPoint struct {
 // A sweep certifies its points, so EngineHeuristic sweeps run the
 // combinatorial engine, as EngineAuto does, and are cached like it.
 func Frontier(ctx context.Context, spec Spec) ([]FrontierPoint, error) {
-	sp, err := spec.withDefaults()
+	sp, err := sweepSpec(spec, MinMakespan)
 	if err != nil {
 		return nil, err
-	}
-	if sp.Engine == EngineHeuristic {
-		sp.Engine = EngineCombinatorial
 	}
 	if sp.Cache != nil && cacheEligible(sp) {
 		if pts, err, ok := sp.Cache.frontier(ctx, sp); ok {
 			return pts, err
 		}
 	}
-	opts := sweepOptions(sp)
-	pts, err := pareto.Sweep(ctx, sp.Graph, sp.Pool, sp.Topology, opts)
+	pts, err := sweep(ctx, sp, nil)
 	return frontierPoints(pts), err
 }
 
-// sweepOptions translates a Spec into pareto sweep options, wiring the
-// budget governor and degradation ladder when the spec asks for them.
-func sweepOptions(sp Spec) pareto.Options {
-	opts := pareto.Options{
-		ModelOpts:    model.Options{Memory: sp.Memory, NoOverlapIO: sp.NoOverlapIO},
-		Telemetry:    sp.Telemetry,
-		SweepWorkers: sp.SweepWorkers,
-		StartCap:     sp.CostCap,
+// sweepSpec defaults a spec for a sweep on objective's axis. A sweep
+// certifies its points, so EngineHeuristic runs the combinatorial engine.
+func sweepSpec(spec Spec, objective Objective) (Spec, error) {
+	spec.Objective = objective
+	if spec.Engine == EngineHeuristic {
+		spec.Engine = EngineCombinatorial
 	}
-	var first budget.Rung
-	switch sp.Engine {
-	case EngineMILP:
-		opts.Engine = pareto.EngineMILP
-		opts.MILP = &milp.Options{
-			TimeLimit: sp.Budget,
-			RootCuts:  sp.RootCuts,
-			Hooks:     sp.Hooks,
-			LP:        &lp.Options{Kernel: sp.LPKernel, Presolve: sp.LPPresolve},
-		}
-		first = budget.RungMILP
-	default:
-		opts.Engine = pareto.EngineCombinatorial
-		opts.Exact = &exact.Options{TimeLimit: sp.Budget, NoOverlapIO: sp.NoOverlapIO}
-		first = budget.RungCombinatorial
-	}
+	return spec.withDefaults()
+}
+
+// sweepFamily returns the family that solves every chain bound of a sweep
+// of sp: the spec's own family (newFamily) on the sweep's axis, with
+// frontier points and the SweepBudget governor.
+func sweepFamily(sp Spec) *race.Family {
+	fam := newFamily(sp)
+	fam.Frontier = true
 	if sp.SweepBudget > 0 {
-		opts.Governor = budget.New(sp.SweepBudget).WithTelemetry(sp.Telemetry)
+		fam.Governor = budget.New(sp.SweepBudget).WithTelemetry(sp.Telemetry)
 	}
-	if sp.Anytime {
-		opts.Ladder = budget.DefaultLadder(first)
-	}
-	opts.Race = sp.Race
-	return opts
+	return fam
+}
+
+// sweep runs the cost-cap sweep of a Frontier spec, served from src where
+// it covers the chain (src nil: solve every cap).
+func sweep(ctx context.Context, sp Spec, src pareto.FrontierSource) ([]pareto.Point, error) {
+	return pareto.Sweep(ctx, sweepFamily(sp), pareto.Options{StartCap: sp.CostCap, Source: src,
+		SweepWorkers: sp.SweepWorkers, Anytime: sp.Anytime})
 }
 
 func frontierPoints(pts []pareto.Point) []FrontierPoint {
@@ -543,15 +543,15 @@ func frontierPoints(pts []pareto.Point) []FrontierPoint {
 // FrontierByDeadline traces the same non-inferior set as Frontier but from
 // the timing side: repeatedly minimize cost under a deadline just below
 // the previous design's makespan. perfStep is the deadline decrement
-// (0 = default 1e-3; it must exceed solver noise). EngineHeuristic runs
-// the combinatorial engine, as in Frontier.
+// (0 = default 1e-3; it must exceed solver noise). Each deadline is solved
+// as Synthesize would solve the spec under MinCost at that deadline;
+// EngineHeuristic runs the combinatorial engine, as in Frontier.
 func FrontierByDeadline(ctx context.Context, spec Spec, perfStep float64) ([]FrontierPoint, error) {
-	sp, err := spec.withDefaults()
+	sp, err := sweepSpec(spec, MinCost)
 	if err != nil {
 		return nil, err
 	}
-	opts := sweepOptions(sp)
-	pts, err := pareto.SweepByDeadline(ctx, sp.Graph, sp.Pool, sp.Topology, opts, perfStep)
+	pts, err := pareto.SweepByDeadline(ctx, sweepFamily(sp), pareto.Options{Anytime: sp.Anytime}, perfStep)
 	return frontierPoints(pts), err
 }
 

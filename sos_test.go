@@ -93,34 +93,52 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestFrontierAuto sweeps Table II. A sweep runs on its own axis, so a
+// spec whose point objective is MinCost under a deadline sweeps the same
+// frontier.
 func TestFrontierAuto(t *testing.T) {
-	spec := example1Spec(EngineAuto)
-	pts, err := Frontier(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(expts.Table2Full) {
-		t.Fatalf("frontier has %d points, want %d", len(pts), len(expts.Table2Full))
-	}
-	for i, want := range expts.Table2Full {
-		if math.Abs(pts[i].Cost-want.Cost) > 1e-9 || math.Abs(pts[i].Perf-want.Perf) > 1e-9 {
-			t.Errorf("point %d: (%g,%g), want (%g,%g)", i, pts[i].Cost, pts[i].Perf, want.Cost, want.Perf)
+	minCost := example1Spec(EngineAuto)
+	minCost.Objective, minCost.Deadline = MinCost, 3
+	for _, spec := range []Spec{example1Spec(EngineAuto), minCost} {
+		pts, err := Frontier(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != len(expts.Table2Full) {
+			t.Fatalf("objective %v: frontier has %d points, want %d", spec.Objective, len(pts), len(expts.Table2Full))
+		}
+		for i, want := range expts.Table2Full {
+			if math.Abs(pts[i].Cost-want.Cost) > 1e-9 || math.Abs(pts[i].Perf-want.Perf) > 1e-9 || pts[i].Status != StatusOptimal {
+				t.Errorf("objective %v point %d: (%g,%g) %v, want (%g,%g) optimal",
+					spec.Objective, i, pts[i].Cost, pts[i].Perf, pts[i].Status, want.Cost, want.Perf)
+			}
 		}
 	}
 }
 
 func TestFrontierByDeadline(t *testing.T) {
-	spec := example1Spec(EngineAuto)
-	pts, err := FrontierByDeadline(context.Background(), spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(expts.Table2Full) {
-		t.Fatalf("deadline frontier has %d points, want %d", len(pts), len(expts.Table2Full))
-	}
-	// Slow-to-fast order: last point is the 2.5 design.
-	if math.Abs(pts[len(pts)-1].Perf-2.5) > 1e-9 {
-		t.Errorf("fastest point %g, want 2.5", pts[len(pts)-1].Perf)
+	raced := example1Spec(EngineCombinatorial)
+	raced.Race = true
+	for _, spec := range []Spec{example1Spec(EngineAuto), example1Spec(EngineHeuristic), example1Spec(EngineMILP), raced} {
+		pts, err := FrontierByDeadline(context.Background(), spec, 0)
+		if err != nil {
+			t.Fatalf("%v (race %v): %v", spec.Engine, spec.Race, err)
+		}
+		if len(pts) != len(expts.Table2Full) {
+			t.Fatalf("%v (race %v): deadline frontier has %d points, want %d", spec.Engine, spec.Race, len(pts), len(expts.Table2Full))
+		}
+		// Slow-to-fast order: last point is the 2.5 design.
+		if math.Abs(pts[len(pts)-1].Perf-2.5) > 1e-9 {
+			t.Errorf("%v (race %v): fastest point %g, want 2.5", spec.Engine, spec.Race, pts[len(pts)-1].Perf)
+		}
+		// The same Table II points, slow to fast, all certified.
+		for i, p := range pts {
+			want := expts.Table2Full[len(pts)-1-i]
+			if math.Abs(p.Cost-want.Cost) > 1e-9 || math.Abs(p.Perf-want.Perf) > 1e-9 || p.Status != StatusOptimal {
+				t.Errorf("%v (race %v) point %d: (%g,%g) %v, want (%g,%g) optimal",
+					spec.Engine, spec.Race, i, p.Cost, p.Perf, p.Status, want.Cost, want.Perf)
+			}
+		}
 	}
 }
 
