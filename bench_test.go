@@ -68,19 +68,8 @@ func milpSweep(b *testing.B, g *Graph, pool *Pool, mo milp.Options, opts pareto.
 // BenchmarkTable2MILP regenerates Table II with the paper's own MILP
 // method (Figure 1 graph, Table I processors, point-to-point), using the
 // tuned search configuration: warm-started node re-solves, pseudo-cost
-// branching, best-first search, and a two-worker shared-incumbent pool.
+// branching and best-first search.
 func BenchmarkTable2MILP(b *testing.B) {
-	benchTable2(b, &milp.Options{
-		TimeLimit: 10 * time.Minute,
-		Branch:    milp.BranchPseudoCost,
-		Order:     milp.BestFirst,
-		Workers:   2,
-	})
-}
-
-// BenchmarkTable2MILPSequential is BenchmarkTable2MILP without the worker
-// pool (warm starts and search strategy unchanged).
-func BenchmarkTable2MILPSequential(b *testing.B) {
 	benchTable2(b, &milp.Options{
 		TimeLimit: 10 * time.Minute,
 		Branch:    milp.BranchPseudoCost,
@@ -89,8 +78,8 @@ func BenchmarkTable2MILPSequential(b *testing.B) {
 }
 
 // BenchmarkTable2MILPColdDFS is the pre-optimization baseline: cold
-// tableau rebuilds at every node, depth-first search, most-fractional
-// branching, one worker (the seed's only configuration).
+// tableau rebuilds at every node, depth-first search and most-fractional
+// branching (the seed's only configuration).
 func BenchmarkTable2MILPColdDFS(b *testing.B) {
 	benchTable2(b, &milp.Options{TimeLimit: 10 * time.Minute, ColdLP: true})
 }

@@ -170,16 +170,8 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown lp-kernel %q (%w)", *lpKernel, errUsage)
 	}
-	switch *topoName {
-	case "p2p":
-		spec.Topology = sos.PointToPoint()
-	case "bus":
-		spec.Topology = sos.Bus()
-	case "ring":
-		spec.Topology = sos.Ring()
-	case "shmem":
-		spec.Topology = sos.SharedMemory(0)
-	default:
+	var err error
+	if spec.Topology, err = arch.ParseTopology(*topoName, 0); err != nil {
 		return fmt.Errorf("unknown topology %q (%w)", *topoName, errUsage)
 	}
 	switch *objective {
@@ -190,16 +182,7 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown objective %q (%w)", *objective, errUsage)
 	}
-	switch *engine {
-	case "auto":
-		spec.Engine = sos.EngineAuto
-	case "milp":
-		spec.Engine = sos.EngineMILP
-	case "combinatorial":
-		spec.Engine = sos.EngineCombinatorial
-	case "heuristic":
-		spec.Engine = sos.EngineHeuristic
-	default:
+	if spec.Engine, err = sos.ParseEngine(*engine); err != nil {
 		return fmt.Errorf("unknown engine %q (%w)", *engine, errUsage)
 	}
 

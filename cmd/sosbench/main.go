@@ -500,12 +500,12 @@ func RingStudy() error {
 }
 
 // ScalingStudy is a beyond-paper experiment: how synthesis time grows with
-// problem size for the combinatorial engine (serial and parallel) and the
-// heuristic, on random graphs with random 3-type libraries. The paper
-// could only speculate about scaling; this measures it.
+// problem size for the combinatorial engine and the heuristic, on random
+// graphs with random 3-type libraries. The paper could only speculate
+// about scaling; this measures it.
 func ScalingStudy() error {
 	fmt.Println("== Beyond-paper: synthesis time vs problem size (uncapped min-makespan) ==")
-	fmt.Printf("%-10s %-8s %-14s %-14s %-14s\n", "subtasks", "arcs", "exact-serial", "exact-par(4)", "heuristic")
+	fmt.Printf("%-10s %-8s %-14s %-14s\n", "subtasks", "arcs", "exact-serial", "heuristic")
 	rng := rand.New(rand.NewSource(12345))
 	for _, n := range []int{4, 6, 8, 10, 12} {
 		g := taskgraph.Random(rng, taskgraph.RandomSpec{Subtasks: n, ArcProb: 0.3, MaxVol: 3})
@@ -524,20 +524,6 @@ func ScalingStudy() error {
 		serial := time.Since(t0)
 
 		t0 = time.Now()
-		par, err := exact.SynthesizeParallel(context.Background(), g, pool, arch.PointToPoint{},
-			exact.Options{Objective: exact.MinMakespan, TimeLimit: *budgetFlag}, 4)
-		if err != nil {
-			return err
-		}
-		parallel := time.Since(t0)
-		// Cross-check only when both searches finished: budget-hit runs
-		// legitimately return different unproven incumbents.
-		if res.Optimal && par.Optimal && res.Design != nil && par.Design != nil &&
-			math.Abs(res.Design.Makespan-par.Design.Makespan) > 1e-9 {
-			return fmt.Errorf("scaling: serial %g vs parallel %g", res.Design.Makespan, par.Design.Makespan)
-		}
-
-		t0 = time.Now()
 		if _, err := heur.Synthesize(g, lib, arch.PointToPoint{}, heur.SynthOptions{MaxPerType: 2}); err != nil {
 			return err
 		}
@@ -547,9 +533,8 @@ func ScalingStudy() error {
 		if !res.Optimal {
 			status = " (budget hit)"
 		}
-		fmt.Printf("%-10d %-8d %-14v %-14v %-14v%s\n", n, g.NumArcs(),
-			serial.Round(time.Millisecond), parallel.Round(time.Millisecond),
-			heurT.Round(time.Microsecond), status)
+		fmt.Printf("%-10d %-8d %-14v %-14v%s\n", n, g.NumArcs(),
+			serial.Round(time.Millisecond), heurT.Round(time.Microsecond), status)
 	}
 	fmt.Println()
 	return nil

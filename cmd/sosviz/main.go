@@ -60,19 +60,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	spec := sos.Spec{Graph: g, Library: lib, Pool: pool, CostCap: *costCap, Budget: *budget}
-	switch *topoName {
-	case "p2p":
-		spec.Topology = sos.PointToPoint()
-	case "bus":
-		spec.Topology = sos.Bus()
-	case "ring":
-		spec.Topology = sos.Ring()
-	case "shmem":
-		spec.Topology = sos.SharedMemory(0)
-	default:
+	topo, err := arch.ParseTopology(*topoName, 0)
+	if err != nil {
 		log.Fatalf("unknown topology %q", *topoName)
 	}
+	spec := sos.Spec{Graph: g, Library: lib, Pool: pool, Topology: topo, CostCap: *costCap, Budget: *budget}
 	res, err := sos.Synthesize(context.Background(), spec)
 	if err != nil {
 		log.Fatal(err)

@@ -230,6 +230,21 @@ func TestLinkNames(t *testing.T) {
 	}
 }
 
+// TestParseTopology checks that every style's Name parses back to the
+// same topology, carrying the bus or shared-memory module cost, and that
+// an unknown name is an error.
+func TestParseTopology(t *testing.T) {
+	for _, want := range []Topology{PointToPoint{}, Bus{Cost: 3}, SharedMemory{Cost: 3}, Ring{}} {
+		got, err := ParseTopology(want.Name(), 3)
+		if err != nil || got != want {
+			t.Errorf("ParseTopology(%q, 3) = %#v, %v; want %#v", want.Name(), got, err, want)
+		}
+	}
+	if _, err := ParseTopology("mesh", 0); err == nil {
+		t.Error("unknown topology parsed")
+	}
+}
+
 func TestRandomLibraryCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {

@@ -18,7 +18,8 @@ type LinkID int
 //
 // Resources are "created" (and billed) only if some transfer uses them.
 type Topology interface {
-	// Name identifies the style ("p2p", "bus", "ring").
+	// Name identifies the style ("p2p", "bus", "shmem", "ring");
+	// ParseTopology maps it back.
 	Name() string
 	// NumLinks is the number of distinct communication resources for a
 	// pool of n processor instances.
@@ -32,6 +33,17 @@ type Topology interface {
 	LinkCost(lib *Library, l LinkID) float64
 	// LinkName renders resource l for reports, given the instance pool.
 	LinkName(ins *Instances, l LinkID) string
+}
+
+// ParseTopology returns the topology whose Name is name. cost is the
+// module cost of a bus or shared memory; the other styles ignore it.
+func ParseTopology(name string, cost float64) (Topology, error) {
+	for _, t := range []Topology{PointToPoint{}, Bus{Cost: cost}, SharedMemory{Cost: cost}, Ring{}} {
+		if t.Name() == name {
+			return t, nil
+		}
+	}
+	return nil, fmt.Errorf("arch: unknown topology %q", name)
 }
 
 // PointToPoint is the paper's primary style: a dedicated directed link per

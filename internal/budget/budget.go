@@ -195,7 +195,7 @@ func (g *Governor) Limit(perSolve time.Duration) time.Duration {
 	}
 	if g != nil && g.tel != nil {
 		g.tel.Inc(telemetry.CtrSlices)
-		g.tel.Emit(telemetry.EvSlice, 0, granted.Seconds(), "")
+		g.tel.Emit(telemetry.EvSlice, granted.Seconds(), "")
 	}
 	return granted
 }

@@ -223,7 +223,7 @@ func (c *Cache) Lookup(p *Probe) *Hit {
 
 	if best == nil {
 		c.tel.Inc(telemetry.CtrCacheMisses)
-		c.tel.Emit(telemetry.EvCache, 0, p.canon.limit, "miss")
+		c.tel.Emit(telemetry.EvCache, p.canon.limit, "miss")
 		return nil
 	}
 	hit, err := c.serve(best, p, exact)
@@ -232,7 +232,7 @@ func (c *Cache) Lookup(p *Probe) *Hit {
 		// questionable. (Only reachable on hash collision or a corrupt
 		// spill entry that still validated.)
 		c.tel.Inc(telemetry.CtrCacheMisses)
-		c.tel.Emit(telemetry.EvCache, 0, p.canon.limit, "remap-fail")
+		c.tel.Emit(telemetry.EvCache, p.canon.limit, "remap-fail")
 		return nil
 	}
 	c.tel.Inc(telemetry.CtrCacheHits)
@@ -240,7 +240,7 @@ func (c *Cache) Lookup(p *Probe) *Hit {
 	if !exact {
 		label = "cover"
 	}
-	c.tel.Emit(telemetry.EvCache, 0, p.canon.limit, label)
+	c.tel.Emit(telemetry.EvCache, p.canon.limit, label)
 	return hit
 }
 
@@ -283,7 +283,7 @@ func (c *Cache) WarmStarts(p *Probe, max int) []*schedule.Design {
 	out := c.warm(p, p.canon.limit, max)
 	if len(out) > 0 {
 		c.tel.Inc(telemetry.CtrCacheNearHits)
-		c.tel.Emit(telemetry.EvCache, 0, float64(len(out)), "near")
+		c.tel.Emit(telemetry.EvCache, float64(len(out)), "near")
 	}
 	return out
 }
@@ -378,7 +378,7 @@ func (c *Cache) Store(p *Probe, r StoreResult) bool {
 	if !added {
 		return false
 	}
-	c.tel.Emit(telemetry.EvCache, 0, e.limit, "store")
+	c.tel.Emit(telemetry.EvCache, e.limit, "store")
 	c.appendSpill(e)
 	return true
 }
@@ -386,7 +386,7 @@ func (c *Cache) Store(p *Probe, r StoreResult) bool {
 func (c *Cache) countEvictions(n int) {
 	if n > 0 {
 		c.tel.Add(telemetry.CtrCacheEvictions, int64(n))
-		c.tel.Emit(telemetry.EvCache, 0, float64(n), "evict")
+		c.tel.Emit(telemetry.EvCache, float64(n), "evict")
 	}
 }
 

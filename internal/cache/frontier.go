@@ -77,7 +77,7 @@ type FrontierView struct {
 // and re-sweep, served from the cache in their own frame.
 func (v *FrontierView) Do(ctx context.Context, fn func() error) (shared bool, err error) {
 	return v.c.do(ctx, sweepKey(v.probe.canon.family, v.step, v.start), fn, func() {
-		v.c.tel.Emit(telemetry.EvFrontier, 0, frontierCap(v.start), "coalesced")
+		v.c.tel.Emit(telemetry.EvFrontier, frontierCap(v.start), "coalesced")
 	})
 }
 
@@ -158,15 +158,15 @@ func (v *FrontierView) Finish(pts []pareto.Point, sweepErr error) {
 	switch {
 	case covered && delta == 0:
 		tel.Inc(telemetry.CtrFrontierHits)
-		tel.Emit(telemetry.EvFrontier, 0, float64(v.served), "hit")
+		tel.Emit(telemetry.EvFrontier, float64(v.served), "hit")
 		return // nothing new was proved
 	case covered:
 		tel.Inc(telemetry.CtrFrontierPartialHits)
 		tel.Add(telemetry.CtrFrontierDeltaPoints, int64(delta))
-		tel.Emit(telemetry.EvFrontier, 0, float64(delta), "partial")
+		tel.Emit(telemetry.EvFrontier, float64(delta), "partial")
 	default:
 		tel.Inc(telemetry.CtrFrontierMisses)
-		tel.Emit(telemetry.EvFrontier, 0, frontierCap(v.start), "miss")
+		tel.Emit(telemetry.EvFrontier, frontierCap(v.start), "miss")
 	}
 	if sweepErr != nil && !errors.Is(sweepErr, budget.ErrExhausted) {
 		return
@@ -210,11 +210,11 @@ func (c *Cache) storeChain(p *Probe, step, startCap float64, pts []pareto.Point,
 		}
 	}
 	if evicted > 0 {
-		c.tel.Emit(telemetry.EvFrontier, 0, float64(evicted), "evict")
+		c.tel.Emit(telemetry.EvFrontier, float64(evicted), "evict")
 	}
 	if stored > 0 {
 		c.tel.Inc(telemetry.CtrFrontierStores)
-		c.tel.Emit(telemetry.EvFrontier, 0, float64(stored), "store")
+		c.tel.Emit(telemetry.EvFrontier, float64(stored), "store")
 	}
 }
 

@@ -233,17 +233,8 @@ func (c *Cache) loadLine(line []byte) bool {
 	if err != nil {
 		return false
 	}
-	var topo arch.Topology
-	switch rec.Topology {
-	case "p2p":
-		topo = arch.PointToPoint{}
-	case "bus":
-		topo = arch.Bus{Cost: rec.TopoCost}
-	case "shmem":
-		topo = arch.SharedMemory{Cost: rec.TopoCost}
-	case "ring":
-		topo = arch.Ring{}
-	default:
+	topo, err := arch.ParseTopology(rec.Topology, rec.TopoCost)
+	if err != nil {
 		return false
 	}
 	req := Request{

@@ -34,7 +34,7 @@ type flight struct {
 func (c *Cache) Do(ctx context.Context, key Key, fn func() error) (shared bool, err error) {
 	return c.do(ctx, key, fn, func() {
 		c.tel.Inc(telemetry.CtrCacheCoalesced)
-		c.tel.Emit(telemetry.EvCache, 0, 0, "coalesced")
+		c.tel.Emit(telemetry.EvCache, 0, "coalesced")
 	})
 }
 

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"sos/internal/arch"
@@ -98,11 +97,10 @@ type Options struct {
 	// is value-based, so an exhausted search still proves its answer.
 	Warm *schedule.Design
 
-	// OnIncumbent, when non-nil, is called with each installed improving
-	// incumbent (design, cost) — the cross-engine bus publish point for
-	// portfolio racing. In parallel mode calls can arrive out of order
-	// relative to objective value; consumers must tolerate non-improving
-	// calls. The callback must not call back into the search.
+	// OnIncumbent, when non-nil, is called on the searching goroutine
+	// with each installed improving incumbent (design, cost), in order of
+	// improvement — the cross-engine bus publish point for portfolio
+	// racing. The callback must not call back into the search.
 	OnIncumbent func(d *schedule.Design, cost float64)
 	// Foreign, when non-nil, is polled at the budget-check cadence for
 	// incumbents produced outside this search (another engine in a race).
@@ -117,12 +115,12 @@ type Options struct {
 
 	// Telemetry, when non-nil, receives search counters (mapping nodes,
 	// scheduling nodes, incumbents) and incumbent trace events. Node counts
-	// are accumulated locally per search goroutine and folded in when the
-	// goroutine finishes, so the hot DFS loop never touches shared state.
+	// are accumulated locally and folded in when the search finishes, so
+	// the hot DFS loop never touches the shared collector.
 	Telemetry *telemetry.Collector
 
 	// testHook, when non-nil, is called once per outer mapping node with
-	// the node count so far; it may panic to simulate a worker crash.
+	// the node count so far; it may panic to simulate a crash.
 	// Settable only from in-package fault-injection tests.
 	testHook func(nodes int)
 }
@@ -175,12 +173,13 @@ func Synthesize(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, t
 		if opts.Objective == MinMakespan {
 			objVal = s.best.Makespan
 		} else {
-			objVal = s.localCost
+			objVal = s.bestCost
 		}
 	}
-	s.foldTelemetry()
-	res := finishResult(ctx, s.best, objVal, !s.budgetHit, rootLB, s.nodes, s.schedNodes)
-	return res, nil
+	tel := opts.Telemetry
+	tel.Add(telemetry.CtrMapNodes, int64(s.nodes))
+	tel.Add(telemetry.CtrSchedNodes, int64(s.schedNodes))
+	return finishResult(ctx, s.best, objVal, !s.budgetHit, rootLB, s.nodes, s.schedNodes), nil
 }
 
 // warmUsable vets an untrusted warm incumbent: it must belong to this
@@ -199,14 +198,6 @@ func warmUsable(w *schedule.Design, g *taskgraph.Graph, pool *arch.Instances, to
 		return opts.CostCap <= 0 || w.Cost <= opts.CostCap+eps
 	}
 	return w.Makespan <= opts.Deadline+eps
-}
-
-// foldTelemetry adds this search goroutine's local node counts to the
-// collector (the per-worker aggregation point).
-func (s *search) foldTelemetry() {
-	tel := s.opts.Telemetry
-	tel.Add(telemetry.CtrMapNodes, int64(s.nodes))
-	tel.Add(telemetry.CtrSchedNodes, int64(s.schedNodes))
 }
 
 // runDFS runs the mapping DFS from index start, converting a panic anywhere
@@ -247,9 +238,9 @@ func (s *search) rootBound() float64 {
 	return lb
 }
 
-// finishResult assembles the anytime certificate shared by the sequential
-// and parallel searches. exhausted means the whole space was searched;
-// objVal is the incumbent's objective value (makespan or cost).
+// finishResult assembles the anytime certificate. exhausted means the
+// whole space was searched; objVal is the incumbent's objective value
+// (makespan or cost).
 func finishResult(ctx context.Context, d *schedule.Design, objVal float64, exhausted bool, rootLB float64, nodes, sched int) *Result {
 	res := &Result{Design: d, Optimal: exhausted, Nodes: nodes, Sched: sched, Bound: rootLB}
 	switch {
@@ -271,20 +262,20 @@ func finishResult(ctx context.Context, d *schedule.Design, objVal float64, exhau
 
 var errMinCostNeedsDeadline = fmt.Errorf("exact: MinCost requires a positive Deadline")
 
-// newSearch builds the per-goroutine search state for one DFS.
+// newSearch builds the search state for one DFS.
 func newSearch(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, order []taskgraph.SubtaskID) *search {
 	_, isRing := topo.(arch.Ring)
 	s := &search{
-		g:         g,
-		pool:      pool,
-		topo:      topo,
-		opts:      opts,
-		order:     order,
-		mapping:   make([]arch.ProcID, g.NumSubtasks()),
-		typeOf:    make([]arch.TypeID, pool.NumProcs()),
-		symmetry:  !opts.NoSymmetry && !isRing,
-		localPerf: math.Inf(1),
-		localCost: math.Inf(1),
+		g:        g,
+		pool:     pool,
+		topo:     topo,
+		opts:     opts,
+		order:    order,
+		mapping:  make([]arch.ProcID, g.NumSubtasks()),
+		typeOf:   make([]arch.TypeID, pool.NumProcs()),
+		symmetry: !opts.NoSymmetry && !isRing,
+		bestPerf: math.Inf(1),
+		bestCost: math.Inf(1),
 	}
 	for i := range s.mapping {
 		s.mapping[i] = -1
@@ -322,52 +313,18 @@ type search struct {
 	nodes       int
 	schedNodes  int
 	budgetHit   bool
-	worker      int    // telemetry attribution; 0 in sequential mode
-	foreignSeen uint64 // last Options.Foreign version this goroutine observed
+	foreignSeen uint64 // last Options.Foreign version observed
 
-	best      *schedule.Design
-	localPerf float64
-	localCost float64
-
-	// Parallel mode: shared incumbent and cooperative stop flag.
-	shared     *sharedIncumbent
-	sharedStop *atomic.Bool
+	// The incumbent and its pruning bounds.
+	best     *schedule.Design
+	bestPerf float64
+	bestCost float64
 }
 
-// bestPerf returns the current pruning bound on makespan (shared across
-// workers in parallel mode).
-func (s *search) bestPerf() float64 {
-	if s.shared != nil {
-		return s.shared.perf()
-	}
-	return s.localPerf
-}
-
-// bestCost returns the current pruning bound on cost.
-func (s *search) bestCost() float64 {
-	if s.shared != nil {
-		return s.shared.cost()
-	}
-	return s.localCost
-}
-
-// accept installs an improving design.
-func (s *search) accept(d *schedule.Design, cost float64) {
-	if s.shared != nil {
-		if s.shared.offer(d, cost, s.opts.Objective) {
-			s.noteIncumbent(d, cost)
-		}
-		return
-	}
-	s.best = d
-	s.localPerf = d.Makespan
-	s.localCost = cost
-	s.noteIncumbent(d, cost)
-}
-
-// noteIncumbent records an installed incumbent with the collector and
+// accept installs an improving design, records it with the collector, and
 // publishes it to the cross-engine bus when one is attached.
-func (s *search) noteIncumbent(d *schedule.Design, cost float64) {
+func (s *search) accept(d *schedule.Design, cost float64) {
+	s.best, s.bestPerf, s.bestCost = d, d.Makespan, cost
 	if s.opts.OnIncumbent != nil {
 		s.opts.OnIncumbent(d, cost)
 	}
@@ -380,7 +337,7 @@ func (s *search) noteIncumbent(d *schedule.Design, cost float64) {
 		obj = cost
 	}
 	tel.Inc(telemetry.CtrIncumbents)
-	tel.Emit(telemetry.EvIncumbent, s.worker, obj, "exact")
+	tel.Emit(telemetry.EvIncumbent, obj, "exact")
 }
 
 // overBudget checks node/time/context budgets.
@@ -400,9 +357,6 @@ func (s *search) overBudget() bool {
 	if s.opts.Foreign != nil && s.nodes%64 == 0 {
 		s.adoptForeign()
 	}
-	if s.sharedStop != nil && s.sharedStop.Load() {
-		return true
-	}
 	return s.budgetHit
 }
 
@@ -421,10 +375,10 @@ func (s *search) adoptForeign() {
 		return
 	}
 	if s.opts.Objective == MinMakespan {
-		if d.Makespan >= s.bestPerf() {
+		if d.Makespan >= s.bestPerf {
 			return
 		}
-	} else if d.Cost >= s.bestCost() {
+	} else if d.Cost >= s.bestCost {
 		return
 	}
 	s.accept(d, d.Cost)
@@ -480,7 +434,7 @@ func (s *search) dfs(idx int) {
 		s.opts.testHook(s.nodes)
 	}
 	if s.opts.Objective == MinMakespan {
-		if s.makespanLB() >= relCut(s.bestPerf(), incumbentTol) {
+		if s.makespanLB() >= relCut(s.bestPerf, incumbentTol) {
 			return
 		}
 		// Constraint feasibility (not incumbent-relative): absolute slack.
@@ -488,7 +442,7 @@ func (s *search) dfs(idx int) {
 			return
 		}
 	} else {
-		if s.procCost() >= relCut(s.bestCost(), incumbentTol) {
+		if s.procCost() >= relCut(s.bestCost, incumbentTol) {
 			return
 		}
 		if s.makespanLB() > s.opts.Deadline+1e-9 {
@@ -556,7 +510,7 @@ func (s *search) leaf() {
 		// Accept a strictly faster schedule, or an equally fast one that
 		// is cheaper (so the returned design is non-inferior at its own
 		// performance level).
-		bp, bc := s.bestPerf(), s.bestCost()
+		bp, bc := s.bestPerf, s.bestCost
 		cut := relCut(bp, incumbentTol)
 		if cost < relCut(bc, incumbentTol) {
 			cut = relPad(bp, incumbentTol)
@@ -570,7 +524,7 @@ func (s *search) leaf() {
 			s.accept(d, cost)
 		}
 	case MinCost:
-		if cost >= relCut(s.bestCost(), incumbentTol) {
+		if cost >= relCut(s.bestCost, incumbentTol) {
 			return
 		}
 		d, nodes := optimalSchedule(s.g, s.pool, s.topo, s.mapping, s.opts.Deadline+1e-6, s.opts.NoOverlapIO, &s.budgetHit, s.deadline)

@@ -2,10 +2,8 @@ package exact
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"sos/internal/arch"
 	"sos/internal/budget"
@@ -25,31 +23,6 @@ func TestFaultSearchPanic(t *testing.T) {
 	_, err := Synthesize(context.Background(), g, pool, arch.PointToPoint{}, opts)
 	if err == nil || !strings.Contains(err.Error(), "search panic") {
 		t.Fatalf("panic not converted to error: %v", err)
-	}
-}
-
-// TestFaultParallelPanicDrains: a crashing parallel worker must be
-// isolated per prefix — the pool reports the error, survivors drain the
-// unbuffered work channel, and no goroutines are left behind.
-func TestFaultParallelPanicDrains(t *testing.T) {
-	g, lib := expts.Example2()
-	pool := expts.Example2Pool(lib)
-	before := runtime.NumGoroutine()
-	opts := Options{Objective: MinMakespan, testHook: func(n int) {
-		if n%7 == 0 {
-			panic("injected crash")
-		}
-	}}
-	_, err := SynthesizeParallel(context.Background(), g, pool, arch.PointToPoint{}, opts, 4)
-	if err == nil || !strings.Contains(err.Error(), "worker panic") {
-		t.Fatalf("panic not converted to error: %v", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
 	}
 }
 

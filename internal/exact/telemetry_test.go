@@ -75,25 +75,3 @@ func TestExactTelemetryConsistency(t *testing.T) {
 		t.Errorf("incumbent events = %d, counter = %d", got, inc)
 	}
 }
-
-func TestExactTelemetryConsistencyParallel(t *testing.T) {
-	g, lib := expts.Example1()
-	pool := expts.Example1Pool(lib)
-	sink := &telemetry.CountingSink{}
-	tel := telemetry.New(sink)
-	res, err := SynthesizeParallel(context.Background(), g, pool, arch.PointToPoint{},
-		Options{Objective: MinMakespan, CostCap: 14, Telemetry: tel}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tel.Get(telemetry.CtrMapNodes); got != int64(res.Nodes) {
-		t.Errorf("map_nodes counter = %d, Result.Nodes = %d", got, res.Nodes)
-	}
-	if got := tel.Get(telemetry.CtrSchedNodes); got != int64(res.Sched) {
-		t.Errorf("sched_nodes counter = %d, Result.Sched = %d", got, res.Sched)
-	}
-	if tel.Get(telemetry.CtrIncumbents) != sink.Count(telemetry.EvIncumbent) {
-		t.Errorf("incumbent counter %d != events %d",
-			tel.Get(telemetry.CtrIncumbents), sink.Count(telemetry.EvIncumbent))
-	}
-}

@@ -342,9 +342,6 @@ type Options struct {
 	// events (warm/cold/fallback, pivot counts). Nil costs one pointer
 	// check per resolve; it is never consulted per pivot.
 	Telemetry *telemetry.Collector
-	// TelemetryWorker is the worker ID stamped on emitted trace events so
-	// parallel searches can attribute resolves.
-	TelemetryWorker int
 }
 
 func (o *Options) maxIters(p *Problem) int {

@@ -336,20 +336,20 @@ func (pr *presolveInfo) infeasibleSolution(out *Solution) {
 }
 
 // emitTelemetry records the reduction counters once per presolve.
-func (pr *presolveInfo) emitTelemetry(tel *telemetry.Collector, worker int) {
+func (pr *presolveInfo) emitTelemetry(tel *telemetry.Collector) {
 	if tel == nil {
 		return
 	}
 	tel.Add(telemetry.CtrLPPresolveRows, int64(pr.rowsCut))
 	tel.Add(telemetry.CtrLPPresolveCols, int64(pr.colsCut))
-	tel.Emit(telemetry.EvLPPresolve, worker, float64(pr.rowsCut+pr.colsCut), "reduce")
+	tel.Emit(telemetry.EvLPPresolve, float64(pr.rowsCut+pr.colsCut), "reduce")
 }
 
 // presolveSolve is the one-shot presolve → kernel → postsolve pipeline
 // behind Problem.Solve when Options.Presolve is set.
 func presolveSolve(p *Problem, opts *Options) *Solution {
 	pr := runPresolve(p, opts.BoundOverride)
-	pr.emitTelemetry(opts.Telemetry, opts.TelemetryWorker)
+	pr.emitTelemetry(opts.Telemetry)
 	sol := &Solution{}
 	if pr.infeasible {
 		pr.infeasibleSolution(sol)

@@ -35,8 +35,8 @@ import (
 // degenerate rows) falls back to a from-scratch cold solve, so results are
 // always as trustworthy as Problem.Solve.
 //
-// A Resolver is not safe for concurrent use; parallel searches give each
-// worker its own.
+// A Resolver is not safe for concurrent use; each branch-and-bound solve
+// owns its own.
 type Resolver struct {
 	p      *Problem
 	target *Problem // the problem kernels actually solve (reduced under presolve)
@@ -121,7 +121,7 @@ func (p *Problem) NewResolver(opts *Options) (*Resolver, error) {
 	if r.opts.Presolve {
 		r.opts.Presolve = false // kernels below run on the reduced problem
 		r.pre = runPresolve(p, nil)
-		r.pre.emitTelemetry(r.opts.Telemetry, r.opts.TelemetryWorker)
+		r.pre.emitTelemetry(r.opts.Telemetry)
 		if !r.pre.infeasible {
 			r.target = r.pre.reduced
 		}
@@ -231,7 +231,7 @@ func (r *Resolver) warm(bounds map[ColID][2]float64) *Solution {
 		tel.Inc(telemetry.CtrLPWarm)
 		tel.Add(telemetry.CtrLPDualIters, int64(dual))
 		tel.Add(telemetry.CtrLPPrimalIters, int64(s.iters-dual))
-		tel.Emit(telemetry.EvLPResolve, r.opts.TelemetryWorker, float64(s.iters), "warm")
+		tel.Emit(telemetry.EvLPResolve, float64(s.iters), "warm")
 	}
 	r.reusable = st == Optimal || st == Infeasible
 	s.finishInto(st, &r.sol)
@@ -256,7 +256,7 @@ func (r *Resolver) cold(bounds map[ColID][2]float64) *Solution {
 	r.sol = *r.s.run()
 	if tel := r.opts.Telemetry; tel != nil {
 		tel.Inc(telemetry.CtrLPCold)
-		tel.Emit(telemetry.EvLPResolve, r.opts.TelemetryWorker, float64(r.sol.Iters), "cold")
+		tel.Emit(telemetry.EvLPResolve, float64(r.sol.Iters), "cold")
 	}
 	r.setCur(bounds)
 	// Phase-1 infeasibility (and iteration limits) leave artificials in

@@ -169,7 +169,7 @@ func (b *sparseBasis) refactor() bool {
 	s.recomputeObj()
 	if o := s.opts; o != nil && o.Telemetry != nil {
 		o.Telemetry.Inc(telemetry.CtrLPRefactors)
-		o.Telemetry.Emit(telemetry.EvLPRefactor, o.TelemetryWorker, float64(pivots), "")
+		o.Telemetry.Emit(telemetry.EvLPRefactor, float64(pivots), "")
 	}
 	return true
 }

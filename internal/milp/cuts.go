@@ -204,7 +204,7 @@ func (st *bbState) addRootCuts() {
 		if st.ctx.Err() != nil || (!st.deadline.IsZero() && time.Now().After(st.deadline)) {
 			break
 		}
-		o := st.lpOpts(0)
+		o := st.lpOpts()
 		sol, err := cur.Solve(o)
 		if err != nil || sol.Status != lp.Optimal {
 			break // let the tree search surface whatever this is
@@ -235,7 +235,7 @@ func (st *bbState) addRootCuts() {
 			added++
 			st.cutsAdded++
 			tel.Inc(telemetry.CtrCutsAdded)
-			tel.Emit(telemetry.EvCut, 0, cut.viol, "cover")
+			tel.Emit(telemetry.EvCut, cut.viol, "cover")
 		}
 		if added == 0 {
 			break

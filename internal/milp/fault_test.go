@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"sos/internal/lp"
@@ -71,51 +70,26 @@ func TestFaultIterationCap(t *testing.T) {
 	}
 }
 
-// TestFaultWorkerPanic: a panic thrown mid-search must come back as an
-// error mentioning the panic — from the sequential path, the parallel
-// pre-phase, and the parallel workers — never kill the process or wedge
-// the pool.
+// TestFaultWorkerPanic: a panic thrown mid-search — at the root or deeper
+// in the tree — must come back as an error mentioning the panic, never
+// kill the process.
 func TestFaultWorkerPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	p, cols := buildRandomMIP(rng, 12, 4)
-	for _, workers := range []int{1, 4} {
-		for _, panicAt := range []int{1, 5} {
-			sol, err := New(p, cols).Solve(context.Background(), &Options{
-				Workers: workers,
-				Hooks: &Hooks{OnNode: func(n int) {
-					if n >= panicAt {
-						panic("injected crash")
-					}
-				}},
-			})
-			if err == nil {
-				t.Fatalf("workers=%d panicAt=%d: no error (sol %+v)", workers, panicAt, sol)
-			}
-			if !strings.Contains(err.Error(), "worker panic") || !strings.Contains(err.Error(), "injected crash") {
-				t.Fatalf("workers=%d panicAt=%d: error %q does not surface the panic", workers, panicAt, err)
-			}
+	for _, panicAt := range []int{1, 5} {
+		sol, err := New(p, cols).Solve(context.Background(), &Options{
+			Hooks: &Hooks{OnNode: func(n int) {
+				if n >= panicAt {
+					panic("injected crash")
+				}
+			}},
+		})
+		if err == nil {
+			t.Fatalf("panicAt=%d: no error (sol %+v)", panicAt, sol)
 		}
-	}
-}
-
-// TestFaultPanicOneWorkerOthersFinish: with the crash keyed to a single
-// node count, surviving workers must drain the work channel and the pool
-// must still return (error reported, no deadlock).
-func TestFaultPanicOneWorkerOthersFinish(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	p, cols := buildRandomMIP(rng, 14, 5)
-	_, err := New(p, cols).Solve(context.Background(), &Options{
-		Workers: 4,
-		Hooks: &Hooks{OnNode: func(n int) {
-			if n == 30 {
-				panic("late crash")
-			}
-		}},
-	})
-	// The panic may or may not be reached before the search finishes; both
-	// a clean result and a typed error are acceptable, a hang is not.
-	if err != nil && !strings.Contains(err.Error(), "worker panic") {
-		t.Fatalf("unexpected error kind: %v", err)
+		if !strings.Contains(err.Error(), "worker panic") || !strings.Contains(err.Error(), "injected crash") {
+			t.Fatalf("panicAt=%d: error %q does not surface the panic", panicAt, err)
+		}
 	}
 }
 
@@ -125,28 +99,25 @@ func TestFaultPanicOneWorkerOthersFinish(t *testing.T) {
 func TestFaultMidPivotCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	p, cols := buildRandomMIP(rng, 14, 5)
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var pivots atomic.Int64
-		sol, err := New(p, cols).Solve(ctx, &Options{
-			Workers: workers,
-			Hooks: &Hooks{LP: &lp.Hooks{OnPivot: func(int) {
-				if pivots.Add(1) == 10 {
-					cancel()
-				}
-			}}},
-		})
-		cancel()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if sol.Status != NoSolution && sol.Status != Feasible && sol.Status != Optimal {
-			t.Fatalf("workers=%d: status %v after mid-pivot cancel", workers, sol.Status)
-		}
-		// Whatever survived must be self-consistent: a reported objective
-		// only with a solution vector attached.
-		if (sol.Status == Feasible || sol.Status == Optimal) && sol.X == nil {
-			t.Fatalf("workers=%d: status %v with no solution vector", workers, sol.Status)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	pivots := 0
+	sol, err := New(p, cols).Solve(ctx, &Options{
+		Hooks: &Hooks{LP: &lp.Hooks{OnPivot: func(int) {
+			if pivots++; pivots == 10 {
+				cancel()
+			}
+		}}},
+	})
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != NoSolution && sol.Status != Feasible && sol.Status != Optimal {
+		t.Fatalf("status %v after mid-pivot cancel", sol.Status)
+	}
+	// Whatever survived must be self-consistent: a reported objective
+	// only with a solution vector attached.
+	if (sol.Status == Feasible || sol.Status == Optimal) && sol.X == nil {
+		t.Fatalf("status %v with no solution vector", sol.Status)
 	}
 }

@@ -9,16 +9,13 @@
 // reordering among siblings. A warm-start incumbent (e.g. from a heuristic
 // schedule) can be supplied to tighten pruning from the first node.
 //
-// Two solver-level optimizations carry the node throughput:
-//
-//   - Node LPs are solved through lp.Resolver: one persistent tableau per
-//     worker, re-optimized by dual simplex after each node's bound changes
-//     instead of rebuilding and running two phases cold (Options.ColdLP
-//     restores the old behaviour for ablation).
-//   - Options.Workers > 1 fans the frontier out to a pool of workers
-//     sharing an incumbent (atomic best-bound pruning), pseudo-cost
-//     history, and reduced-cost fixings, in the style of
-//     internal/exact.SynthesizeParallel.
+// Node LPs are solved through lp.Resolver, which carries the node
+// throughput: one persistent tableau per solve, re-optimized by dual
+// simplex after each node's bound changes instead of rebuilding and
+// running two phases cold (Options.ColdLP restores the old behaviour for
+// ablation). Each Solve searches on its caller's goroutine; concurrency
+// comes from running several solves at once (a portfolio race, a
+// speculative sweep), never from inside one.
 package milp
 
 import (
@@ -26,8 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sos/internal/budget"
@@ -78,18 +73,18 @@ type Solution struct {
 	Bound  float64   // best proven lower bound on the optimum
 	Gap    float64   // |Obj-Bound| relative gap (0 when Optimal)
 	Cuts   int       // cutting planes appended at the root (Options.RootCuts)
-	// LPStats aggregates how node relaxations were solved (warm vs cold)
-	// across all workers; zero when Options.ColdLP is set.
+	// LPStats counts how node relaxations were solved (warm vs cold);
+	// zero when Options.ColdLP is set.
 	LPStats lp.ResolveStats
 }
 
 // Hooks are failpoint injection points for fault testing; nil in
-// production. They let tests crash a worker mid-search, cancel between
+// production. They let tests crash the search mid-solve, cancel between
 // nodes, or force degraded LP exits without reaching into solver internals.
 type Hooks struct {
 	// OnNode is called once per branch-and-bound node, right after the node
-	// is counted, with the global node count so far. It may panic to
-	// simulate a worker crash; the solve converts the panic to an error.
+	// is counted, with the node count so far. It may panic to simulate a
+	// crash; the solve converts the panic to an error.
 	OnNode func(nodes int)
 
 	// LP injects failpoints into every node relaxation solve.
@@ -117,30 +112,26 @@ type Options struct {
 	IncumbentPool [][]float64
 	// LP passes options through to the LP relaxation solves.
 	LP *lp.Options
-	// OnIncumbent, when non-nil, is called with each strictly improving
-	// integer solution found (objective, values). Calls are serialized and
-	// strictly improving even with Workers > 1; the callback must not call
-	// back into the solver.
+	// OnIncumbent, when non-nil, is called on the solving goroutine with
+	// each strictly improving integer solution found (objective, values),
+	// in order of improvement; the callback must not call back into the
+	// solver.
 	OnIncumbent func(obj float64, x []float64)
 	// Foreign, when non-nil, is polled at the budget-check cadence for
 	// incumbents produced outside this solve — another engine in a
 	// portfolio race publishing to a shared bus. seen is the last bus
-	// version this worker observed; the function returns a candidate
+	// version this solve observed; the function returns a candidate
 	// vector, the current version, and whether the candidate is new.
 	// Candidates are NOT trusted: each is vetted against rows, bounds,
 	// and integrality exactly like an IncumbentPool entry, and adopted
-	// only if strictly improving. The function must be safe for
-	// concurrent calls (workers poll independently).
+	// only if strictly improving. The function is called on the solving
+	// goroutine while other engines publish, so its source must be safe
+	// for concurrent use.
 	Foreign func(seen uint64) (x []float64, version uint64, ok bool)
 	// Branch selects the branching rule (default most-fractional).
 	Branch BranchRule
 	// Order selects the node-selection strategy (default depth-first).
 	Order NodeOrder
-	// Workers sets the number of parallel search workers; 0 or 1 searches
-	// sequentially. The parallel search returns the same optimal objective
-	// as the sequential one (argmin may differ on ties) and the same
-	// proven status on unlimited budgets.
-	Workers int
 	// ColdLP disables warm-started node re-solves, rebuilding the simplex
 	// tableau from scratch at every node (the pre-resolver behaviour).
 	// Ablation/debugging only.
@@ -158,10 +149,10 @@ type Options struct {
 	Hooks *Hooks
 	// Telemetry, when non-nil, aggregates search counters (node
 	// expand/prune, incumbents, LP warm/cold) and emits trace events when a
-	// sink is attached. Workers aggregate locally and fold on exit, so the
-	// shared collector is touched O(workers) times for counters; events are
-	// emitted as they happen. Nil (the default) costs one pointer check per
-	// node.
+	// sink is attached. Node counters aggregate locally and fold in when
+	// the search ends, so a collector shared by concurrent solves is not
+	// touched per node; events are emitted as they happen. Nil (the
+	// default) costs one pointer check per node.
 	Telemetry *telemetry.Collector
 }
 
@@ -205,15 +196,16 @@ func rootNode() *node {
 	return &node{bounds: map[lp.ColID][2]float64{}, bound: math.Inf(-1), branchCol: -1}
 }
 
-// budgetStride amortizes time.Now and Foreign polling: workers only check
-// the wall clock and the foreign-incumbent source every budgetStride
-// processed nodes. Cancellation, node and incumbent pruning stay
-// per-node, so a canceled solve — a race's loser — stops within one node.
+// budgetStride amortizes time.Now and Foreign polling: the search only
+// checks the wall clock and the foreign-incumbent source every
+// budgetStride processed nodes. Cancellation, node and incumbent pruning
+// stay per-node, so a canceled solve — a race's loser — stops within one
+// node.
 const budgetStride = 64
 
-// bbState is the search state shared by every worker of one Solve call:
-// incumbent, pseudo-costs, root information, reduced-cost fixings, and
-// budget flags. All fields are safe for concurrent use as annotated.
+// bbState is the search state of one Solve call: incumbent, pseudo-costs,
+// root information, reduced-cost fixings, the open-node frontier with its
+// warm-start LP resolver, and budget flags.
 type bbState struct {
 	s        *Solver
 	opts     *Options
@@ -221,34 +213,34 @@ type bbState struct {
 	ctx      context.Context
 	deadline time.Time
 
-	mu       sync.Mutex    // guards bestX, firstErr, refix recompute
-	bestBits atomic.Uint64 // math.Float64bits of the incumbent objective
-	bestX    []float64
-	firstErr error
+	best  float64 // incumbent objective (+Inf before the first)
+	bestX []float64
 
-	pc *pseudoCost // internally locked
+	pc *pseudoCost
 
-	// Root facts, written once during the sequential root expansion
-	// (before any parallel worker starts) and read-only afterwards.
+	// Root facts, written once when the root is expanded and read-only
+	// afterwards.
 	rootDone      bool
 	rootUnbounded bool
 	rootBound     float64
 	rootRC        []float64
 
-	// fixed holds the current reduced-cost fixing snapshot as an immutable
-	// map; refixLocked publishes a fresh map on incumbent improvement.
-	fixed atomic.Pointer[map[lp.ColID][2]float64]
+	// fixed holds the reduced-cost fixings proven so far; refix extends it
+	// on incumbent improvement.
+	fixed map[lp.ColID][2]float64
 
-	nodes     atomic.Int64
-	stop      atomic.Bool // budget exhausted: halt the search
-	unproven  atomic.Bool // optimality can no longer be claimed
-	cutsAdded int         // root cutting planes (written before workers start)
+	res  *lp.Resolver // nil under Options.ColdLP
+	open *frontier
+	err  error // LP failure that ended the search
 
-	lpMu    sync.Mutex
-	lpStats lp.ResolveStats
+	nodes       int
+	stop        bool   // budget exhausted: halt the search
+	unproven    bool   // optimality can no longer be claimed
+	cutsAdded   int    // root cutting planes
+	foreignSeen uint64 // last Options.Foreign version observed
+
+	nExpand, nPrune int64 // telemetry aggregation
 }
-
-func (st *bbState) best() float64 { return math.Float64frombits(st.bestBits.Load()) }
 
 // pruneTol is the relative optimality slack used when cutting nodes
 // against the incumbent. Warm-started LP bounds carry round-off on the
@@ -283,104 +275,60 @@ func cutoff(best float64) float64 { return relCut(best, pruneTol) }
 // offer installs a strictly improving incumbent (x must be owned by the
 // caller and integral) and refreshes reduced-cost fixings.
 func (st *bbState) offer(x []float64, obj float64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if obj >= relCut(st.best(), improveTol) {
+	if obj >= relCut(st.best, improveTol) {
 		return
 	}
-	st.bestBits.Store(math.Float64bits(obj))
+	st.best = obj
 	st.bestX = x
-	st.refixLocked()
+	st.refix()
 	tel := st.opts.Telemetry
 	tel.Inc(telemetry.CtrIncumbents)
-	tel.Emit(telemetry.EvIncumbent, 0, obj, "")
+	tel.Emit(telemetry.EvIncumbent, obj, "")
 	if st.opts.OnIncumbent != nil {
 		st.opts.OnIncumbent(obj, x)
 	}
 }
 
-// refixLocked recomputes reduced-cost fixings from the root reduced costs
-// and the current incumbent, publishing an immutable snapshot. A nonbasic
-// binary whose root reduced cost exceeds the optimality gap cannot change
-// value in any improving solution, so fixing it globally is sound for the
-// incumbent objective used to derive it (and stays sound as the incumbent
-// only improves). Must hold st.mu.
-func (st *bbState) refixLocked() {
-	best := st.best()
-	if st.rootRC == nil || math.IsInf(best, 1) || math.IsInf(st.rootBound, -1) {
+// refix extends the reduced-cost fixings from the root reduced costs and
+// the current incumbent. A nonbasic binary whose root reduced cost exceeds
+// the optimality gap cannot change value in any improving solution, so
+// fixing it globally is sound for the incumbent objective used to derive
+// it (and stays sound as the incumbent only improves).
+func (st *bbState) refix() {
+	if st.rootRC == nil || math.IsInf(st.best, 1) || math.IsInf(st.rootBound, -1) {
 		return
 	}
-	gap := best - st.rootBound - pruneTol*math.Max(1, math.Abs(best))
-	cur := st.fixed.Load()
-	var nf map[lp.ColID][2]float64
+	gap := st.best - st.rootBound - pruneTol*math.Max(1, math.Abs(st.best))
 	for _, c := range st.s.integer {
-		if cur != nil {
-			if _, done := (*cur)[c]; done {
-				continue
-			}
+		if _, done := st.fixed[c]; done {
+			continue
 		}
 		col := st.s.prob.Col(c)
 		rc := st.rootRC[c]
-		var b [2]float64
 		switch {
 		case rc > gap && col.Ub-col.Lb >= 1:
 			// Nonbasic at lb with rc > gap: raising it by one unit already
 			// exceeds the incumbent; symmetric at ub.
-			b = [2]float64{col.Lb, col.Lb}
+			st.fixed[c] = [2]float64{col.Lb, col.Lb}
 		case -rc > gap && col.Ub-col.Lb >= 1:
-			b = [2]float64{col.Ub, col.Ub}
-		default:
-			continue
+			st.fixed[c] = [2]float64{col.Ub, col.Ub}
 		}
-		if nf == nil {
-			if cur != nil {
-				nf = cloneBounds(*cur)
-			} else {
-				nf = map[lp.ColID][2]float64{}
-			}
-		}
-		nf[c] = b
 	}
-	if nf != nil {
-		st.fixed.Store(&nf)
-	}
-}
-
-// capturePanic converts a panicking search unit into the shared
-// first-error state, so a crashing worker (real bug or injected fault)
-// degrades the solve into a typed error instead of killing the process.
-// Must be installed with defer on every goroutine that runs search code.
-func (st *bbState) capturePanic() {
-	if r := recover(); r != nil {
-		st.fail(fmt.Errorf("milp: worker %w: %v", budget.ErrPanic, r))
-	}
-}
-
-func (st *bbState) fail(err error) {
-	st.mu.Lock()
-	if st.firstErr == nil {
-		st.firstErr = err
-	}
-	st.mu.Unlock()
-	st.stop.Store(true)
-}
-
-func (st *bbState) err() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.firstErr
 }
 
 // result assembles the Solution after the search ends.
 func (st *bbState) result() *Solution {
-	res := &Solution{Nodes: int(st.nodes.Load()), LPStats: st.lpStats, Cuts: st.cutsAdded}
+	res := &Solution{Nodes: st.nodes, Cuts: st.cutsAdded}
+	if st.res != nil {
+		res.LPStats = st.res.Stats()
+	}
 	if st.rootUnbounded {
 		res.Status = Unbounded
 		res.Obj = math.Inf(-1)
 		return res
 	}
-	best := st.best()
-	budgetHit := st.stop.Load() || st.unproven.Load()
+	best := st.best
+	budgetHit := st.stop || st.unproven
 	res.Bound = st.rootBound
 	switch {
 	case st.bestX != nil && !budgetHit:
@@ -405,44 +353,13 @@ func (st *bbState) result() *Solution {
 	return res
 }
 
-// bbWorker is one search unit: a frontier of open nodes plus a private
-// warm-start LP resolver. Telemetry node counters accumulate locally and
-// fold into the shared collector on close, so concurrent workers do not
-// contend on the collector's atomics per node.
-type bbWorker struct {
-	st    *bbState
-	id    int          // worker index, stamped on trace events
-	res   *lp.Resolver // nil under Options.ColdLP
-	open  *frontier
-	local int64 // nodes processed by this worker (budget amortization)
-	err   error
-
-	foreignSeen uint64 // last Options.Foreign version this worker observed
-
-	nExpand, nPrune int64 // telemetry aggregation
-}
-
-func (st *bbState) newWorker(id int) *bbWorker {
-	w := &bbWorker{st: st, id: id, open: newFrontier(st.opts.Order)}
-	if !st.opts.ColdLP {
-		r, err := st.s.prob.NewResolver(st.lpOpts(id))
-		if err != nil {
-			w.err = err
-			return w
-		}
-		w.res = r
-	}
-	return w
-}
-
-func (st *bbState) lpOpts(worker int) *lp.Options {
+func (st *bbState) lpOpts() *lp.Options {
 	// Deadline lets an oversized node relaxation be interrupted by the
 	// MILP TimeLimit instead of running to completion; the kernel returns
 	// IterLimit, which expand() already treats as "bound untrusted".
 	o := &lp.Options{
-		Telemetry:       st.opts.Telemetry,
-		TelemetryWorker: worker,
-		Deadline:        st.deadline,
+		Telemetry: st.opts.Telemetry,
+		Deadline:  st.deadline,
 	}
 	if st.opts.LP != nil {
 		o.MaxIters = st.opts.LP.MaxIters
@@ -456,62 +373,34 @@ func (st *bbState) lpOpts(worker int) *lp.Options {
 	return o
 }
 
-func (w *bbWorker) solveLP(bounds map[lp.ColID][2]float64) (*lp.Solution, error) {
-	if w.res != nil {
-		return w.res.Solve(bounds)
+func (st *bbState) solveLP(bounds map[lp.ColID][2]float64) (*lp.Solution, error) {
+	if st.res != nil {
+		return st.res.Solve(bounds)
 	}
-	o := *w.st.lpOpts(w.id)
+	o := *st.lpOpts()
 	o.BoundOverride = bounds
-	return w.st.s.prob.Solve(&o)
-}
-
-// close folds the worker's LP statistics and telemetry counters into the
-// shared state (the per-worker aggregation point).
-func (w *bbWorker) close() {
-	tel := w.st.opts.Telemetry
-	tel.Add(telemetry.CtrNodesExpanded, w.nExpand)
-	tel.Add(telemetry.CtrNodesPruned, w.nPrune)
-	if w.res == nil {
-		return
-	}
-	st := w.st
-	st.lpMu.Lock()
-	addResolveStats(&st.lpStats, w.res.Stats())
-	st.lpMu.Unlock()
-}
-
-// addResolveStats adds every field of s into dst.
-func addResolveStats(dst *lp.ResolveStats, s lp.ResolveStats) {
-	dst.Cold += s.Cold
-	dst.Warm += s.Warm
-	dst.Fallbacks += s.Fallbacks
-	dst.DualIters += s.DualIters
-	dst.PrimalIters += s.PrimalIters
-	dst.PresolveCut += s.PresolveCut
+	return st.s.prob.Solve(&o)
 }
 
 // checkBudget reports whether the search must halt. Wall-clock polling
-// is amortized over budgetStride nodes; node-count, context and shared
-// stop checks are per-call.
-func (w *bbWorker) checkBudget() bool {
-	st := w.st
-	if st.stop.Load() {
+// is amortized over budgetStride nodes; node-count, context and stop
+// checks are per-call.
+func (st *bbState) checkBudget() bool {
+	if st.stop {
 		return true
 	}
-	if (st.opts.MaxNodes > 0 && int(st.nodes.Load()) >= st.opts.MaxNodes) || st.ctx.Err() != nil {
-		st.stop.Store(true)
-		st.unproven.Store(true)
+	if (st.opts.MaxNodes > 0 && st.nodes >= st.opts.MaxNodes) || st.ctx.Err() != nil {
+		st.stop, st.unproven = true, true
 		return true
 	}
-	if w.local%budgetStride == 0 {
+	if st.nodes%budgetStride == 0 {
 		if !st.deadline.IsZero() && time.Now().After(st.deadline) {
-			st.stop.Store(true)
-			st.unproven.Store(true)
+			st.stop, st.unproven = true, true
 			return true
 		}
 		if f := st.opts.Foreign; f != nil {
-			if cand, v, ok := f(w.foreignSeen); ok {
-				w.foreignSeen = v
+			if cand, v, ok := f(st.foreignSeen); ok {
+				st.foreignSeen = v
 				st.adoptForeign(cand)
 			}
 		}
@@ -528,54 +417,63 @@ func (st *bbState) adoptForeign(cand []float64) {
 	if len(cand) != s.prob.NumCols() || !s.checkFeasible(cand, st.tol) {
 		return
 	}
-	if obj := s.objOf(cand); obj < relCut(st.best(), improveTol) {
+	if obj := s.objOf(cand); obj < relCut(st.best, improveTol) {
 		st.offer(append([]float64(nil), cand...), obj)
 	}
 }
 
-// run drains the worker's frontier.
-func (w *bbWorker) run() {
-	for w.err == nil && !w.open.empty() {
-		if w.checkBudget() {
-			return
+// search drains the frontier from the root, converting a panic anywhere
+// in the search (real bug or injected fault) into an error instead of
+// killing the caller. Node counters fold into the collector on every
+// exit.
+func (st *bbState) search() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("milp: worker %w: %v", budget.ErrPanic, r)
 		}
-		w.expand(w.open.pop())
+		tel := st.opts.Telemetry
+		tel.Add(telemetry.CtrNodesExpanded, st.nExpand)
+		tel.Add(telemetry.CtrNodesPruned, st.nPrune)
+	}()
+	st.open.push(rootNode())
+	for st.err == nil && !st.open.empty() {
+		if st.checkBudget() {
+			break
+		}
+		st.expand(st.open.pop())
 	}
+	return st.err
 }
 
 // expand solves one node's relaxation and branches.
-func (w *bbWorker) expand(nd *node) {
-	st := w.st
+func (st *bbState) expand(nd *node) {
 	tel := st.opts.Telemetry
-	if nd.bound >= cutoff(st.best()) && !math.IsInf(nd.bound, -1) {
-		w.nPrune++
-		tel.Emit(telemetry.EvNodePrune, w.id, nd.bound, "")
+	if nd.bound >= cutoff(st.best) && !math.IsInf(nd.bound, -1) {
+		st.nPrune++
+		tel.Emit(telemetry.EvNodePrune, nd.bound, "")
 		return // pruned by incumbent
 	}
-	st.nodes.Add(1)
-	w.local++
-	w.nExpand++
-	tel.Emit(telemetry.EvNodeExpand, w.id, nd.bound, "")
+	st.nodes++
+	st.nExpand++
+	tel.Emit(telemetry.EvNodeExpand, nd.bound, "")
 	if h := st.opts.Hooks; h != nil && h.OnNode != nil {
-		h.OnNode(int(st.nodes.Load()))
+		h.OnNode(st.nodes)
 	}
 
 	bounds := nd.bounds
-	if fp := st.fixed.Load(); fp != nil && len(*fp) > 0 {
+	if len(st.fixed) > 0 {
 		bounds = cloneBounds(nd.bounds)
 		// Globally-proven fixings win: a subtree contradicting one
 		// contains no improving solution, so collapsing it is sound.
-		for c, b := range *fp {
+		for c, b := range st.fixed {
 			bounds[c] = b
 		}
 	}
-	sol, err := w.solveLP(bounds)
+	sol, err := st.solveLP(bounds)
 	if err != nil {
-		w.err = err
+		st.err = err
 		return
 	}
-	// Root facts are written only at the root, which is expanded before
-	// any parallel worker starts; later nodes only read them.
 	isRoot := !st.rootDone
 	switch sol.Status {
 	case lp.Infeasible:
@@ -587,22 +485,20 @@ func (w *bbWorker) expand(nd *node) {
 		if isRoot {
 			st.rootDone = true
 			st.rootUnbounded = true
-			st.stop.Store(true)
+			st.stop = true
 		}
 		return // below the root: should not happen; treat as cut off
 	case lp.IterLimit:
 		// Conservative: cannot trust the bound. Drop the subtree and
 		// record that optimality can no longer be proven.
-		st.unproven.Store(true)
+		st.unproven = true
 		return
 	}
 	if isRoot {
 		st.rootDone = true
 		st.rootBound = sol.Obj
 		st.rootRC = append([]float64(nil), sol.ReducedCosts...)
-		st.mu.Lock()
-		st.refixLocked()
-		st.mu.Unlock()
+		st.refix()
 	}
 	if nd.branchCol >= 0 && nd.branchFrac > st.tol && !math.IsInf(nd.bound, -1) {
 		// Pseudo-cost bookkeeping: degradation per unit fraction.
@@ -614,7 +510,7 @@ func (w *bbWorker) expand(nd *node) {
 			st.pc.observe(nd.branchCol, nd.branchUp, (sol.Obj-nd.bound)/width)
 		}
 	}
-	if sol.Obj >= cutoff(st.best()) {
+	if sol.Obj >= cutoff(st.best) {
 		return // bound-dominated
 	}
 
@@ -646,8 +542,8 @@ func (w *bbWorker) expand(nd *node) {
 	if f > 0.5 {
 		children[0], children[1] = children[1], children[0]
 	}
-	w.open.push(children[0])
-	w.open.push(children[1])
+	st.open.push(children[0])
+	st.open.push(children[1])
 }
 
 // Solve runs branch and bound. The context may cancel the search early; a
@@ -664,28 +560,30 @@ func (s *Solver) Solve(ctx context.Context, opts *Options) (*Solution, error) {
 		opts:      opts,
 		tol:       opts.intTol(),
 		ctx:       ctx,
+		best:      math.Inf(1),
 		pc:        newPseudoCost(),
 		rootBound: math.Inf(-1),
+		fixed:     map[lp.ColID][2]float64{},
+		open:      newFrontier(opts.Order),
 	}
 	if opts.TimeLimit > 0 {
 		st.deadline = time.Now().Add(opts.TimeLimit)
 	}
-	st.bestBits.Store(math.Float64bits(math.Inf(1)))
 	if opts.Incumbent != nil {
 		if len(opts.Incumbent) != s.prob.NumCols() {
 			return nil, fmt.Errorf("milp: incumbent has %d values, problem has %d columns",
 				len(opts.Incumbent), s.prob.NumCols())
 		}
 		st.bestX = append([]float64(nil), opts.Incumbent...)
-		st.bestBits.Store(math.Float64bits(s.objOf(opts.Incumbent)))
+		st.best = s.objOf(opts.Incumbent)
 	}
 	for _, cand := range opts.IncumbentPool {
 		if len(cand) != s.prob.NumCols() || !s.checkFeasible(cand, st.tol) {
 			continue
 		}
-		if obj := s.objOf(cand); obj < st.best() {
+		if obj := s.objOf(cand); obj < st.best {
 			st.bestX = append(st.bestX[:0], cand...)
-			st.bestBits.Store(math.Float64bits(obj))
+			st.best = obj
 		}
 	}
 
@@ -694,23 +592,14 @@ func (s *Solver) Solve(ctx context.Context, opts *Options) (*Solution, error) {
 		// path below reads the solver through st.s.
 		st.addRootCuts()
 	}
-	if opts.Workers > 1 {
-		return st.s.solveParallel(st)
+	if !opts.ColdLP {
+		r, err := st.s.prob.NewResolver(st.lpOpts())
+		if err != nil {
+			return nil, err
+		}
+		st.res = r
 	}
-	w := st.newWorker(0)
-	if w.err != nil {
-		return nil, w.err
-	}
-	w.open.push(rootNode())
-	func() {
-		defer st.capturePanic()
-		w.run()
-	}()
-	w.close()
-	if w.err != nil {
-		return nil, w.err
-	}
-	if err := st.err(); err != nil {
+	if err := st.search(); err != nil {
 		return nil, err
 	}
 	return st.result(), nil

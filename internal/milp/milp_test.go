@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sos/internal/leakcheck"
 	"sos/internal/lp"
 )
 
@@ -274,5 +275,73 @@ func TestLPStatsCountPresolveCut(t *testing.T) {
 	}
 	if sol.LPStats.PresolveCut != 1 {
 		t.Fatalf("LPStats %+v after %d nodes, want PresolveCut 1", sol.LPStats, sol.Nodes)
+	}
+}
+
+// TestWarmMatchesCold checks warm-started node re-solves change nothing
+// about the result: the ColdLP ablation and the default warm path prove
+// the same optimum.
+func TestWarmMatchesCold(t *testing.T) {
+	leakcheck.Check(t)
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 20; trial++ {
+		p, cols := buildRandomMIP(rng, 6+rng.Intn(8), 2+rng.Intn(4))
+		warm, err := New(p, cols).Solve(context.Background(), &Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := New(p, cols).Solve(context.Background(), &Options{ColdLP: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != cold.Status {
+			t.Fatalf("trial %d: warm %v vs cold %v", trial, warm.Status, cold.Status)
+		}
+		if warm.Status == Optimal && math.Abs(warm.Obj-cold.Obj) > 1e-6 {
+			t.Fatalf("trial %d: warm obj %g vs cold %g", trial, warm.Obj, cold.Obj)
+		}
+		if cold.LPStats != (lp.ResolveStats{}) {
+			t.Fatalf("ColdLP recorded resolver stats: %+v", cold.LPStats)
+		}
+	}
+}
+
+// TestCanceledContext checks a pre-canceled context stops the search
+// before any node is explored.
+func TestCanceledContext(t *testing.T) {
+	leakcheck.Check(t)
+	rng := rand.New(rand.NewSource(41))
+	p, cols := buildRandomMIP(rng, 12, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sol, err := New(p, cols).Solve(ctx, &Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != NoSolution {
+		t.Fatalf("canceled solve: %v, want no-solution", sol.Status)
+	}
+}
+
+// TestSharedIncumbent checks a supplied optimal incumbent seeds the
+// search: the solve keeps it.
+func TestSharedIncumbent(t *testing.T) {
+	leakcheck.Check(t)
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 10; trial++ {
+		p, cols := buildRandomMIP(rng, 8, 3)
+		ref, err := New(p, cols).Solve(context.Background(), &Options{})
+		if err != nil || ref.Status != Optimal {
+			t.Fatalf("reference: %v %v", err, ref.Status)
+		}
+		inc := append([]float64(nil), ref.X...)
+		sol, err := New(p, cols).Solve(context.Background(), &Options{Incumbent: inc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != Optimal || sol.Obj != ref.Obj {
+			t.Fatalf("trial %d: incumbent-seeded solve %v obj %v, want optimal %v",
+				trial, sol.Status, sol.Obj, ref.Obj)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package milp
 import (
 	"container/heap"
 	"math"
-	"sort"
-	"sync"
 
 	"sos/internal/lp"
 )
@@ -40,11 +38,8 @@ const (
 )
 
 // pseudoCost tracks per-column average objective degradation per unit of
-// fractionality, separately for down and up branches. It is safe for
-// concurrent use: parallel workers share one history so every worker
-// benefits from every observation.
+// fractionality, separately for down and up branches.
 type pseudoCost struct {
-	mu             sync.Mutex
 	downSum, upSum map[lp.ColID]float64
 	downCnt, upCnt map[lp.ColID]int
 }
@@ -62,7 +57,6 @@ func (pc *pseudoCost) observe(col lp.ColID, up bool, perUnit float64) {
 	if perUnit < 0 {
 		perUnit = 0
 	}
-	pc.mu.Lock()
 	if up {
 		pc.upSum[col] += perUnit
 		pc.upCnt[col]++
@@ -70,14 +64,12 @@ func (pc *pseudoCost) observe(col lp.ColID, up bool, perUnit float64) {
 		pc.downSum[col] += perUnit
 		pc.downCnt[col]++
 	}
-	pc.mu.Unlock()
 }
 
 // score rates col for branching given its fractional part f (product
 // rule with epsilon smoothing).
 func (pc *pseudoCost) score(col lp.ColID, f float64) float64 {
 	const eps = 1e-6
-	pc.mu.Lock()
 	down := 1.0
 	if c := pc.downCnt[col]; c > 0 {
 		down = pc.downSum[col] / float64(c)
@@ -86,7 +78,6 @@ func (pc *pseudoCost) score(col lp.ColID, f float64) float64 {
 	if c := pc.upCnt[col]; c > 0 {
 		up = pc.upSum[col] / float64(c)
 	}
-	pc.mu.Unlock()
 	return math.Max(down*f, eps) * math.Max(up*(1-f), eps)
 }
 
@@ -179,48 +170,4 @@ func (f *frontier) empty() bool {
 		return f.heap.Len() == 0
 	}
 	return len(f.stack) == 0
-}
-
-// size reports the number of open nodes.
-func (f *frontier) size() int {
-	if f.order == BestFirst {
-		return f.heap.Len()
-	}
-	return len(f.stack)
-}
-
-// drain removes and returns every open node, best bound first (the
-// parallel fan-out feeds subtree roots to workers in this order so the
-// incumbent improves as early as possible).
-func (f *frontier) drain() []*node {
-	var out []*node
-	if f.order == BestFirst {
-		out = append(out, f.heap...)
-		f.heap = f.heap[:0]
-	} else {
-		out = append(out, f.stack...)
-		f.stack = f.stack[:0]
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].bound < out[j].bound })
-	return out
-}
-
-// bestBound returns the smallest bound among open nodes (for gap
-// reporting), or +Inf when none are open.
-func (f *frontier) bestBound() float64 {
-	best := math.Inf(1)
-	if f.order == BestFirst {
-		for _, n := range f.heap {
-			if n.bound < best {
-				best = n.bound
-			}
-		}
-		return best
-	}
-	for _, n := range f.stack {
-		if n.bound < best {
-			best = n.bound
-		}
-	}
-	return best
 }

@@ -124,9 +124,6 @@ func TestFrontierContainer(t *testing.T) {
 	if n := bf.pop(); n.bound != 1 {
 		t.Errorf("best-first pop = %g, want 1", n.bound)
 	}
-	if b := bf.bestBound(); b != 3 {
-		t.Errorf("bestBound = %g, want 3", b)
-	}
 	if bf.pop(); bf.empty() {
 		// one node left
 		t.Error("frontier emptied early")

@@ -77,19 +77,6 @@ func TestLargeOffsetObjective(t *testing.T) {
 	}
 }
 
-func TestLargeOffsetObjectiveParallel(t *testing.T) {
-	const offset = 1e9
-	p, ints := largeOffsetKnapsack(offset)
-	sol := solveOK(t, New(p, ints), &Options{Workers: 4})
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", sol.Status)
-	}
-	trueOpt := offset - 20
-	if gap := sol.Obj - trueOpt; gap > pruneTol*math.Abs(trueOpt) {
-		t.Errorf("obj = %.9g, gap to optimum %.3g exceeds relative tolerance", sol.Obj, gap)
-	}
-}
-
 // telemetryProblem is a knapsack big enough to force real branching so node
 // and LP counters are nontrivial.
 func telemetryProblem() (*lp.Problem, []lp.ColID) {
@@ -144,17 +131,6 @@ func TestTelemetryConsistencySequential(t *testing.T) {
 	}
 	if sol.Nodes < 2 {
 		t.Fatalf("instance too easy (%d nodes): counters untested", sol.Nodes)
-	}
-	checkTelemetryConsistency(t, sol, tel, sink)
-}
-
-func TestTelemetryConsistencyParallel(t *testing.T) {
-	p, cols := telemetryProblem()
-	sink := &telemetry.CountingSink{}
-	tel := telemetry.New(sink)
-	sol := solveOK(t, New(p, cols), &Options{Telemetry: tel, Workers: 4})
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", sol.Status)
 	}
 	checkTelemetryConsistency(t, sol, tel, sink)
 }

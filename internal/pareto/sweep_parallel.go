@@ -360,7 +360,7 @@ func (q *specQueue) resolve(ctx context.Context, w float64) (Point, error) {
 	var pt Point
 	if j != nil {
 		pt = j.pt
-		q.sw.fam.Telemetry.Emit(telemetry.EvPoint, 0, j.spend.Seconds(), pt.Status.String())
+		q.sw.fam.Telemetry.Emit(telemetry.EvPoint, j.spend.Seconds(), pt.Status.String())
 	} else {
 		var err error
 		if pt, err = q.sw.inline(ctx, w); err != nil {
@@ -386,13 +386,13 @@ func (q *specQueue) close() {
 		switch {
 		case j.used:
 			tel.Inc(telemetry.CtrSpeculativeHits)
-			tel.Emit(telemetry.EvSpeculate, 0, j.costCap, "hit")
+			tel.Emit(telemetry.EvSpeculate, j.costCap, "hit")
 		case j.canceled:
 			tel.Inc(telemetry.CtrSpeculativeRetargeted)
-			tel.Emit(telemetry.EvSpeculate, 0, j.costCap, "retargeted")
+			tel.Emit(telemetry.EvSpeculate, j.costCap, "retargeted")
 		default:
 			tel.Inc(telemetry.CtrSpeculativeWasted)
-			tel.Emit(telemetry.EvSpeculate, 0, j.costCap, "wasted")
+			tel.Emit(telemetry.EvSpeculate, j.costCap, "wasted")
 		}
 	}
 }

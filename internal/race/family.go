@@ -109,7 +109,7 @@ func (f *Family) Point(ctx context.Context, w float64, warm []*schedule.Design) 
 		p.Rungs = append(p.Rungs, Rung{Rung: r, Run: func(ctx context.Context) (Answer, error) {
 			if i > 0 && bus == nil {
 				tel.Inc(telemetry.CtrDegrades)
-				tel.Emit(telemetry.EvDegrade, 0, w, r.String())
+				tel.Emit(telemetry.EvDegrade, w, r.String())
 			}
 			switch r {
 			case budget.RungMILP:

@@ -258,5 +258,5 @@ func (p Portfolio) attribute(s Settled, canceled int) {
 		}
 	}
 	tel.Add(telemetry.CtrRaceCanceled, int64(canceled))
-	tel.Emit(telemetry.EvRace, 0, float64(canceled), label)
+	tel.Emit(telemetry.EvRace, float64(canceled), label)
 }

@@ -13,18 +13,11 @@ import (
 // templates) under a single governor allowance, and each slot's outcome
 // lands positionally in Response.Batch. Per-slot failures never fail the
 // batch; a canceled batch keeps whatever slots completed.
-func (s *Server) runBatch(j *job, gov *budget.Governor) *Response {
+func (s *Server) runBatch(ctx context.Context, j *job, gov *budget.Governor) *Response {
 	allowance, aerr := gov.Allowance(0)
 	if aerr != nil {
 		return &Response{Status: sos.StatusBudgetExhausted.String(), HTTP: http.StatusOK,
 			Error: "batch budget exhausted before solving started"}
-	}
-
-	ctx := j.ctx
-	if !j.deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, j.deadline)
-		defer cancel()
 	}
 
 	specs := make([]sos.Spec, len(j.specs))

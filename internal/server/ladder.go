@@ -48,7 +48,7 @@ func engineFor(r budget.Rung) sos.Engine {
 // request races the ladder; a strict request runs its engine alone. The
 // response is honest: it names the rung that produced the result and
 // whether the request was degraded.
-func (s *Server) runSolve(j *job, gov *budget.Governor) *Response {
+func (s *Server) runSolve(ctx context.Context, j *job, gov *budget.Governor) *Response {
 	sp := j.spec
 	requested := rungFor(sp.Engine)
 	raced := sp.Race && sp.Engine != sos.EngineHeuristic
@@ -70,13 +70,6 @@ func (s *Server) runSolve(j *job, gov *budget.Governor) *Response {
 			Rung: requested.String()}
 	}
 	sp.Anytime, sp.Budget = j.anytime, allowance
-
-	ctx := j.ctx
-	if !j.deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, j.deadline)
-		defer cancel()
-	}
 	res, err := isolated(s.tel, func() (*sos.Result, error) { return sos.Synthesize(ctx, sp) })
 
 	resp := &Response{HTTP: http.StatusOK, Raced: raced}
@@ -121,7 +114,7 @@ func raceTenants(j *job) int {
 // remaining allowance becomes the sweep budget, the engine is stepped
 // down under pressure, and per-point degradation inside the sweep is
 // delegated to the facade's sweep (Spec.Anytime).
-func (s *Server) runSweep(j *job, gov *budget.Governor) *Response {
+func (s *Server) runSweep(ctx context.Context, j *job, gov *budget.Governor) *Response {
 	sp := j.spec
 	requested := rungFor(sp.Engine)
 	if requested == budget.RungHeuristic {
@@ -146,13 +139,6 @@ func (s *Server) runSweep(j *job, gov *budget.Governor) *Response {
 	}
 	if rem := gov.Remaining(); rem < time.Duration(1)<<62 {
 		sp.SweepBudget = rem
-	}
-
-	ctx := j.ctx
-	if !j.deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, j.deadline)
-		defer cancel()
 	}
 
 	pts, err := isolated(s.tel, func() ([]sos.FrontierPoint, error) { return sos.Frontier(ctx, sp) })

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"time"
 
 	"sos"
+	"sos/internal/arch"
 	"sos/internal/specfile"
 )
 
@@ -174,28 +176,10 @@ func (s *Server) toSpec(req *SolveRequest) (spec sos.Spec, budget time.Duration,
 	default:
 		return spec, 0, deadline, false, badRequestf("unknown objective %q", req.Objective)
 	}
-	switch req.Engine {
-	case "", "auto":
-		spec.Engine = sos.EngineAuto
-	case "milp":
-		spec.Engine = sos.EngineMILP
-	case "combinatorial":
-		spec.Engine = sos.EngineCombinatorial
-	case "heuristic":
-		spec.Engine = sos.EngineHeuristic
-	default:
+	if spec.Engine, err = sos.ParseEngine(cmp.Or(req.Engine, "auto")); err != nil {
 		return spec, 0, deadline, false, badRequestf("unknown engine %q", req.Engine)
 	}
-	switch req.Topology {
-	case "", "p2p":
-		spec.Topology = sos.PointToPoint()
-	case "bus":
-		spec.Topology = sos.Bus()
-	case "ring":
-		spec.Topology = sos.Ring()
-	case "shmem":
-		spec.Topology = sos.SharedMemory(0)
-	default:
+	if spec.Topology, err = arch.ParseTopology(cmp.Or(req.Topology, "p2p"), 0); err != nil {
 		return spec, 0, deadline, false, badRequestf("unknown topology %q", req.Topology)
 	}
 	spec.Race = s.cfg.RaceEngines

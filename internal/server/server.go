@@ -284,15 +284,24 @@ func (s *Server) run(j *job) {
 	gov, release := s.gov.AcquireN(raceTenants(j), j.budget, j.deadline)
 	defer release()
 
+	// The solve context ends at the response deadline as well as on a
+	// client cancel; each runner tells the two apart by j.ctx.Err().
+	ctx := j.ctx
+	if !j.deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, j.deadline)
+		defer cancel()
+	}
+
 	solveStart := time.Now()
 	var resp *Response
 	switch j.kind {
 	case kindSweep:
-		resp = s.runSweep(j, gov)
+		resp = s.runSweep(ctx, j, gov)
 	case kindBatch:
-		resp = s.runBatch(j, gov)
+		resp = s.runBatch(ctx, j, gov)
 	default:
-		resp = s.runSolve(j, gov)
+		resp = s.runSolve(ctx, j, gov)
 	}
 	s.finish(j, resp, queued, time.Since(solveStart))
 }
@@ -321,7 +330,7 @@ func (s *Server) finish(j *job, resp *Response, queued, solve time.Duration) {
 			s.tel.Inc(telemetry.CtrReqDegraded)
 		}
 	}
-	s.tel.Emit(telemetry.EvRequest, 0, (queued + solve).Seconds(), resp.Status)
+	s.tel.Emit(telemetry.EvRequest, (queued + solve).Seconds(), resp.Status)
 	s.cfg.Logf("job %s %s: %s (queued %v, solve %v, rung %s)",
 		j.id, resp.Kind, resp.Status, queued.Round(time.Microsecond), solve.Round(time.Microsecond), resp.Rung)
 	j.complete(resp)

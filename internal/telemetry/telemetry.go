@@ -27,7 +27,7 @@ import (
 )
 
 // Counter identifies one monotonic solver counter. Counters aggregate
-// across workers and across every solve attached to the same Collector.
+// across every solve attached to the same Collector.
 type Counter int
 
 // Counters, grouped by the layer that owns them.
@@ -102,8 +102,8 @@ const (
 	// disconnect or shutdown) before a response could be delivered.
 	CtrReqCanceled
 	// CtrReqPanics counts isolated panics: one per portfolio rung whose
-	// error wraps budget.ErrPanic (an engine worker's panic, or the rung's
-	// own), plus one per panic sosd recovers at its request boundary.
+	// error wraps budget.ErrPanic (an engine's panic, or the rung's own),
+	// plus one per panic sosd recovers at its request boundary.
 	CtrReqPanics
 
 	// CtrCacheHits counts result-cache lookups served with a proof —
@@ -280,11 +280,10 @@ func (k *EventKind) UnmarshalJSON(data []byte) error {
 // Event is one trace record. T is the offset from the Collector's start so
 // traces are self-contained and replayable without wall-clock context.
 type Event struct {
-	Kind   EventKind     `json:"kind"`
-	T      time.Duration `json:"t"`
-	Worker int           `json:"worker,omitempty"`
-	Value  float64       `json:"value,omitempty"`
-	Label  string        `json:"label,omitempty"`
+	Kind  EventKind     `json:"kind"`
+	T     time.Duration `json:"t"`
+	Value float64       `json:"value,omitempty"`
+	Label string        `json:"label,omitempty"`
 }
 
 // MarshalJSON guards the Value payload: bounds and objectives are ±Inf at
@@ -292,13 +291,12 @@ type Event struct {
 // they serialize as null instead.
 func (e Event) MarshalJSON() ([]byte, error) {
 	type wire struct {
-		Kind   EventKind     `json:"kind"`
-		T      time.Duration `json:"t"`
-		Worker int           `json:"worker,omitempty"`
-		Value  *float64      `json:"value,omitempty"`
-		Label  string        `json:"label,omitempty"`
+		Kind  EventKind     `json:"kind"`
+		T     time.Duration `json:"t"`
+		Value *float64      `json:"value,omitempty"`
+		Label string        `json:"label,omitempty"`
 	}
-	w := wire{Kind: e.Kind, T: e.T, Worker: e.Worker, Label: e.Label}
+	w := wire{Kind: e.Kind, T: e.T, Label: e.Label}
 	if !math.IsInf(e.Value, 0) && !math.IsNaN(e.Value) && e.Value != 0 {
 		v := e.Value
 		w.Value = &v
@@ -307,7 +305,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 }
 
 // Sink receives trace events. Implementations must be safe for concurrent
-// use: parallel workers emit without coordination.
+// use: concurrent solves sharing one Collector emit without coordination.
 type Sink interface {
 	Emit(Event)
 }
@@ -397,7 +395,7 @@ func (s *RingSink) Events() []Event {
 //
 // Shutdown contract: a canceled or truncated run still produces a
 // parseable trace. Close flushes the buffer and permanently quiesces the
-// sink — events emitted after Close (stragglers from draining workers)
+// sink — events emitted after Close (stragglers from solves still draining)
 // are dropped silently, never half-written into a file the caller is
 // about to close. The underlying writer is NOT closed (the caller may
 // have handed in os.Stderr); close it after Close returns.
@@ -520,11 +518,11 @@ func (c *Collector) Get(ctr Counter) int64 {
 
 // Emit sends one event to the sink, stamping the time offset. No-op when
 // disabled or when no sink is attached.
-func (c *Collector) Emit(kind EventKind, worker int, value float64, label string) {
+func (c *Collector) Emit(kind EventKind, value float64, label string) {
 	if c == nil || c.sink == nil {
 		return
 	}
-	c.sink.Emit(Event{Kind: kind, T: time.Since(c.start), Worker: worker, Value: value, Label: label})
+	c.sink.Emit(Event{Kind: kind, T: time.Since(c.start), Value: value, Label: label})
 }
 
 // Phase starts a named phase timer and returns its stop function; the

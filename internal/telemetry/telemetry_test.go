@@ -15,7 +15,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *Collector
 	c.Inc(CtrNodesExpanded)
 	c.Add(CtrLPWarm, 5)
-	c.Emit(EvIncumbent, 0, 1.5, "")
+	c.Emit(EvIncumbent, 1.5, "")
 	c.Phase("solve")()
 	c.Publish("never-registered")
 	if c.Tracing() {
@@ -67,9 +67,9 @@ func TestCountingSink(t *testing.T) {
 		t.Fatal("collector with sink not tracing")
 	}
 	for i := 0; i < 3; i++ {
-		c.Emit(EvNodeExpand, 1, float64(i), "")
+		c.Emit(EvNodeExpand, float64(i), "")
 	}
-	c.Emit(EvIncumbent, 0, 2.5, "")
+	c.Emit(EvIncumbent, 2.5, "")
 	if got := sink.Count(EvNodeExpand); got != 3 {
 		t.Errorf("node_expand count = %d, want 3", got)
 	}
@@ -86,7 +86,7 @@ func TestRingSinkBounds(t *testing.T) {
 	sink := NewRingSink(4)
 	c := New(sink)
 	for i := 0; i < 10; i++ {
-		c.Emit(EvNodeExpand, 0, float64(i), "")
+		c.Emit(EvNodeExpand, float64(i), "")
 	}
 	if sink.Total() != 10 {
 		t.Errorf("total = %d, want 10", sink.Total())
@@ -106,8 +106,8 @@ func TestStreamSinkJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewStreamSink(&buf)
 	c := New(sink)
-	c.Emit(EvIncumbent, 2, 3.5, "")
-	c.Emit(EvLPResolve, 0, math.Inf(1), "warm") // non-finite payload must not poison the stream
+	c.Emit(EvIncumbent, 3.5, "")
+	c.Emit(EvLPResolve, math.Inf(1), "warm") // non-finite payload must not poison the stream
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("stream error: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestStreamSinkJSONL(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &e); err != nil {
 		t.Fatalf("line 0 invalid JSON: %v", err)
 	}
-	if e.Kind != EvIncumbent || e.Value != 3.5 || e.Worker != 2 {
+	if e.Kind != EvIncumbent || e.Value != 3.5 {
 		t.Errorf("round-trip event = %+v", e)
 	}
 	// Non-finite Value serializes as absent/null, not an encode error.
@@ -133,8 +133,8 @@ func TestStreamSinkJSONL(t *testing.T) {
 }
 
 // TestStreamSinkCloseMidWrite is the truncated-run contract: a trace cut
-// off by cancellation/shutdown while workers are still emitting must
-// still be a parseable JSONL file. Close races with concurrent Emits;
+// off by cancellation/shutdown while concurrent solves are still emitting
+// must still be a parseable JSONL file. Close races with concurrent Emits;
 // whatever made it in before Close must be complete lines, and stragglers
 // after Close are dropped rather than half-written.
 func TestStreamSinkCloseMidWrite(t *testing.T) {
@@ -146,19 +146,19 @@ func TestStreamSinkCloseMidWrite(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				select {
 				case <-ctx.Done():
 					// Simulate a straggler emitting after shutdown began.
-					c.Emit(EvNodeExpand, worker, float64(i), "straggler")
+					c.Emit(EvNodeExpand, float64(i), "straggler")
 					return
 				default:
-					c.Emit(EvIncumbent, worker, float64(i), "mid-write")
+					c.Emit(EvIncumbent, float64(i), "mid-write")
 				}
 			}
-		}(w)
+		}()
 	}
 	time.Sleep(5 * time.Millisecond) // let the stream accumulate mid-write
 	cancel()
@@ -170,7 +170,7 @@ func TestStreamSinkCloseMidWrite(t *testing.T) {
 	if err := sink.Close(); err != nil { // idempotent
 		t.Fatalf("second close: %v", err)
 	}
-	c.Emit(EvIncumbent, 0, 1, "post-close") // dropped, not half-written
+	c.Emit(EvIncumbent, 1, "post-close") // dropped, not half-written
 	if buf.Len() != before {
 		t.Fatal("emit after Close leaked bytes into the stream")
 	}
@@ -221,7 +221,7 @@ func BenchmarkDisabledOverhead(b *testing.B) {
 	var c *Collector
 	for i := 0; i < b.N; i++ {
 		c.Inc(CtrNodesExpanded)
-		c.Emit(EvNodeExpand, 0, 1, "")
+		c.Emit(EvNodeExpand, 1, "")
 	}
 }
 
@@ -229,6 +229,6 @@ func BenchmarkCountersOnly(b *testing.B) {
 	c := New(nil)
 	for i := 0; i < b.N; i++ {
 		c.Inc(CtrNodesExpanded)
-		c.Emit(EvNodeExpand, 0, 1, "")
+		c.Emit(EvNodeExpand, 1, "")
 	}
 }

@@ -22,7 +22,8 @@ func (e Engine) String() string {
 	return "unknown"
 }
 
-func engineFromString(s string) (Engine, error) {
+// ParseEngine returns the engine whose String form is s.
+func ParseEngine(s string) (Engine, error) {
 	for _, e := range []Engine{EngineAuto, EngineMILP, EngineCombinatorial, EngineHeuristic} {
 		if e.String() == s {
 			return e, nil
@@ -106,7 +107,7 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 			st = s
 		}
 	}
-	eng, err := engineFromString(in.Engine)
+	eng, err := ParseEngine(in.Engine)
 	if err != nil {
 		return err
 	}

@@ -282,7 +282,7 @@ type Spec struct {
 	// Nil disables all instrumentation at negligible cost.
 	Telemetry *Telemetry
 
-	// Hooks injects solver failpoints — crash a worker mid-node, reject
+	// Hooks injects solver failpoints — crash the search mid-node, reject
 	// warm starts, cap LP iterations — into every MILP solve, sweep points
 	// and raced MILP rungs included, letting fault suites drive degraded
 	// paths from the very top of the stack (e.g. the sosd request
