@@ -423,7 +423,9 @@ func perfFrontier() ([]perfRow, error) {
 // subtasks, series-parallel and fork-join) with the sparse kernel,
 // presolve and root cuts. With the mapping forced and no link shared, the
 // optimum is the self-timed (ASAP) execution of the forced design, so the
-// MILP objective must equal sim.SelfTimed's makespan. E2E is build+solve.
+// MILP objective must equal sim.SelfTimed's makespan, and from 400
+// subtasks up the model build must take at most a fifth of build+solve.
+// E2E is build+solve.
 func perfScale() ([]perfRow, error) {
 	var rows []perfRow
 	for _, shape := range []struct {
@@ -455,7 +457,7 @@ func perfScale() ([]perfRow, error) {
 				oracle = err == nil && math.Abs(sol.Obj-tr.Makespan) <= 1e-6*math.Max(1, math.Abs(tr.Makespan))
 			}
 			st := m.Stats
-			rows = append(rows, perfRow{Workload: fmt.Sprintf("scale/%s-%d", shape.name, n), E2E: e2eOf([]time.Duration{total}),
+			row := perfRow{Workload: fmt.Sprintf("scale/%s-%d", shape.name, n), E2E: e2eOf([]time.Duration{total}),
 				Counters: map[string]float64{
 					"vars": float64(st.TimingVars + st.BinaryVars + st.ContinuousAux), "rows": float64(st.Constraints),
 					"nodes": float64(sol.Nodes), "objective": sol.Obj,
@@ -465,7 +467,12 @@ func perfScale() ([]perfRow, error) {
 					"optimal_at_1_node":       sol.Status == milp.Optimal && sol.Nodes == 1,
 					"objective_eq_self_timed": oracle,
 				},
-			})
+			}
+			if n >= 400 {
+				// Building the model must stay cheap next to solving it.
+				row.Invariants["build_under_20pct"] = build <= total/5
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

@@ -181,16 +181,26 @@ type Proc struct {
 type Instances struct {
 	lib   *Library
 	procs []Proc
+
+	// capable[a] is P_a, the instances able to run subtask a, ascending.
+	// Subtasks past every type's exec table have no entry.
+	capable [][]ProcID
 }
 
 // InstancePool builds an instance pool with copies[t] instances of each
-// type t. A nil copies slice defaults to one instance per type.
+// type t. A nil copies slice defaults to one instance per type. The
+// capable-instance list of every subtask the library's exec tables cover
+// is computed here, once.
 func InstancePool(lib *Library, copies []int) *Instances {
 	ins := &Instances{lib: lib}
+	nSub := 0
 	for _, t := range lib.Types() {
 		n := 1
 		if copies != nil {
 			n = copies[t.ID]
+		}
+		if n > 0 && len(t.exec) > nSub {
+			nSub = len(t.exec)
 		}
 		for k := 0; k < n; k++ {
 			ins.procs = append(ins.procs, Proc{
@@ -200,6 +210,16 @@ func InstancePool(lib *Library, copies []int) *Instances {
 				Name:  fmt.Sprintf("%s%c", t.Name, 'a'+k),
 			})
 		}
+	}
+	ins.capable = make([][]ProcID, nSub)
+	for a := range ins.capable {
+		var ps []ProcID
+		for _, p := range ins.procs {
+			if lib.CanRun(p.Type, taskgraph.SubtaskID(a)) {
+				ps = append(ps, p.ID)
+			}
+		}
+		ins.capable[a] = ps[:len(ps):len(ps)]
 	}
 	return ins
 }
@@ -250,15 +270,15 @@ func (ins *Instances) CanRun(p ProcID, a taskgraph.SubtaskID) bool {
 	return ins.lib.CanRun(ins.procs[p].Type, a)
 }
 
-// Capable returns P_a: the instances able to execute subtask a, in ID order.
+// Capable returns P_a: the instances able to execute subtask a, in ID order
+// (shared slice, built once by InstancePool; do not modify). Its capacity
+// is clipped to its length, so an append copies instead of writing into
+// storage every caller shares.
 func (ins *Instances) Capable(a taskgraph.SubtaskID) []ProcID {
-	var out []ProcID
-	for _, p := range ins.procs {
-		if ins.CanRun(p.ID, a) {
-			out = append(out, p.ID)
-		}
+	if int(a) >= len(ins.capable) {
+		return nil
 	}
-	return out
+	return ins.capable[a]
 }
 
 // Cost returns the cost C_d of instance p (its type's cost).

@@ -126,6 +126,70 @@ func TestAutoPool(t *testing.T) {
 	}
 }
 
+// TestCapableLists checks the capable-instance lists InstancePool builds
+// once against a fresh CanRun scan, on forced-mapping pools (one capable
+// instance per subtask) and on random-library pools (several, with gaps):
+// each list is the ascending scan, a subtask past every exec table has
+// none, and appending to a returned list copies it, so neither another
+// caller's append nor a later call sees the appended element.
+func TestCapableLists(t *testing.T) {
+	scan := func(pool *Instances, a taskgraph.SubtaskID) []ProcID {
+		var out []ProcID
+		for _, p := range pool.Procs() {
+			if pool.CanRun(p.ID, a) {
+				out = append(out, p.ID)
+			}
+		}
+		return out
+	}
+	same := func(a, b []ProcID) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(20)
+		g := taskgraph.SeriesParallel(rng, taskgraph.StructuredSpec{Subtasks: n})
+		lib := RandomLibrary(rng, g, 4)
+		pools := map[string]*Instances{
+			"forced": ForcedPool(rng, n),
+			"auto":   AutoPool(lib, g, 2),
+		}
+		for name, pool := range pools {
+			for a := 0; a < n; a++ {
+				id := taskgraph.SubtaskID(a)
+				if got, want := pool.Capable(id), scan(pool, id); !same(got, want) {
+					t.Fatalf("seed %d %s pool: Capable(%d) = %v, want %v", seed, name, a, got, want)
+				}
+			}
+			if got := pool.Capable(taskgraph.SubtaskID(n)); len(got) != 0 {
+				t.Errorf("seed %d %s pool: Capable past every exec table = %v, want none", seed, name, got)
+			}
+			for a := 0; a < n; a++ {
+				id := taskgraph.SubtaskID(a)
+				first := append(pool.Capable(id), -1)
+				_ = append(pool.Capable(id), -2)
+				if first[len(first)-1] != -1 {
+					t.Fatalf("seed %d %s pool: two appends to Capable(%d) share one array", seed, name, a)
+				}
+			}
+			for a := 0; a < n; a++ {
+				id := taskgraph.SubtaskID(a)
+				if got, want := pool.Capable(id), scan(pool, id); !same(got, want) {
+					t.Fatalf("seed %d %s pool: after appends, Capable(%d) = %v, want %v", seed, name, a, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPointToPointTopology(t *testing.T) {
 	topo := PointToPoint{}
 	n := 4

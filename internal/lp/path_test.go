@@ -235,18 +235,18 @@ func walkPath(t *testing.T, m *model.Model, c pathConfig) kernelPath {
 func TestKernelPivotPaths(t *testing.T) {
 	want := map[string]kernelPath{
 		"ex1-cap14/dense/presolve=false": {
-			cold:     "optimal/121/4003fffffffffffc/51dfe227cf243464",
-			steps:    "o121 o21 o17 o2 o15 o69 o3 i13 o124 o2 o91 o68 o31 o12 o18 o52 o6 o3 o5 o2 o71 i0 o13 o2 o30 o31 o10 i58 i60 o116 o82 i68 o96 o54 o6 o10 o6 o2 o3 o33",
-			digest:   0xc44e0eb6c5de7a1f,
-			stats:    lp.ResolveStats{Cold: 9, Warm: 31, Fallbacks: 1, DualIters: 606, PrimalIters: 28},
+			cold:     "optimal/128/4004000000000004/f7a7471a1a9a3a16",
+			steps:    "o128 o12 o11 o4 o2 o95 i8 o67 o108 o9 o24 o16 o3 o63 o20 o7 i10 o80 o4 o12 o101 o6 o4 o76 i70 o80 i75 o83 o2 o90 o102 o35 o42 o11 o43 o77 o4 o3 i49 o76",
+			digest:   0x70cc190fea6b114d,
+			stats:    lp.ResolveStats{Cold: 13, Warm: 27, Fallbacks: 4, DualIters: 580, PrimalIters: 24},
 			refactor: 0,
 		},
 		"ex1-cap14/sparse/presolve=false": {
-			cold:     "optimal/125/4003ffffffffffed/7b04b45d6ea18316",
-			steps:    "o125 o66 o106 i55 o91 o75 o3 i77 o101 o6 o44 o8 o38 o93 o16 o58 o97 o5 o12 i27 o99 o7 o2 o5 o91 o94 o9 o3 o6 o2 o6 i12 o88 o6 o3 o4 o8 o100 o2 o89",
-			digest:   0x50cafac85128a1ad,
-			stats:    lp.ResolveStats{Cold: 13, Warm: 27, Fallbacks: 5, DualIters: 467, PrimalIters: 23},
-			refactor: 39,
+			cold:     "optimal/133/400400000000001b/193bc02decdabea1",
+			steps:    "o133 o82 o23 i74 o93 o92 o97 o20 o3 i58 o133 i8 o93 i15 o87 o63 o75 i75 o61 o18 i59 o67 i42 o61 i57 o59 o86 o56 o3 o5 o107 i40 o95 o31 i0 o78 o21 o15 o11 i17",
+			digest:   0x3eb8827175595286,
+			stats:    lp.ResolveStats{Cold: 20, Warm: 20, Fallbacks: 11, DualIters: 542, PrimalIters: 12},
+			refactor: 56,
 		},
 		"ex2-cap15/dense/presolve=false": {
 			cold:     "optimal/422/4013ffffffffffff/810f434d0cbe089b",
@@ -263,32 +263,32 @@ func TestKernelPivotPaths(t *testing.T) {
 			refactor: 182,
 		},
 		"ex1-cap14-mem/dense/presolve=false": {
-			cold:     "optimal/127/4003fffffffffffc/4387b94c678f60be",
-			steps:    "o127 o21 o17 o2 o15 o75 o3 i13 o130 o2 o97 o68 o31 o12 o18 o52 o6 o3 o5 o2 o77 i0 o13 o2 o30 o31 o10 i64 i66 o122 o88 i68 o96 o54 o6 o10 o6 o2 o3 o33",
-			digest:   0x7583496f0348b40b,
-			stats:    lp.ResolveStats{Cold: 9, Warm: 31, Fallbacks: 1, DualIters: 606, PrimalIters: 28},
+			cold:     "optimal/134/4004000000000004/fca8fd910015dd18",
+			steps:    "o134 o12 o11 o4 o2 o95 i8 o67 o114 o9 o24 o16 o3 o69 o20 o7 i10 o86 o4 o12 o101 o6 o4 o82 i76 o86 i81 o89 o2 o96 o108 o35 o42 o11 o43 o83 o4 o3 i49 o82",
+			digest:   0x84a8711ad37a68dd,
+			stats:    lp.ResolveStats{Cold: 13, Warm: 27, Fallbacks: 4, DualIters: 580, PrimalIters: 24},
 			refactor: 0,
 		},
 		"ex1-cap14-mem/sparse/presolve=false": {
-			cold:     "optimal/131/4003ffffffffffd5/41fa53c8ca7c1466",
-			steps:    "o131 o92 o116 i66 o104 o82 o35 o21 i70 o60 o108 o4 o4 o15 o2 o71 i31 o96 o14 i84 o92 o88 o77 o80 i16 o85 o79 o3 o8 i9 o78 o69 o76 o82 o22 o10 i66 o87 i87 o79",
-			digest:   0xdbe1bc43aa2efec4,
-			stats:    lp.ResolveStats{Cold: 22, Warm: 18, Fallbacks: 11, DualIters: 463, PrimalIters: 14},
-			refactor: 57,
+			cold:     "optimal/141/4003ffffffffffec/a9b25a15d1cfc6c8",
+			steps:    "o141 o88 o23 i88 o92 o98 o103 o20 o3 i72 o136 i39 o109 i22 o89 o75 o54 i63 o67 o46 i65 o75 i9 o65 i23 o65 o98 o14 o46 i84 o128 o96 o4 o84 o4 o5 o22 i19 i68 o68",
+			digest:   0xc0b05a1b53563c0a,
+			stats:    lp.ResolveStats{Cold: 21, Warm: 19, Fallbacks: 11, DualIters: 629, PrimalIters: 13},
+			refactor: 59,
 		},
 		"ex1-cap14-mem/dense/presolve=true": {
-			cold:     "optimal/121/4003fffffffffffc/5a971361f73b16e0",
-			steps:    "o121 o21 o17 o2 o15 o69 o3 i13 o124 o2 o91 o68 o31 o12 o18 o52 o6 o3 o5 o2 o71 i0 o13 o2 o30 o31 o10 i58 i60 o116 o82 i68 o96 o54 o6 o10 o6 o2 o3 o33",
-			digest:   0xc70807793dc07825,
-			stats:    lp.ResolveStats{Cold: 9, Warm: 31, Fallbacks: 1, DualIters: 606, PrimalIters: 28},
+			cold:     "optimal/128/4004000000000004/5ad0b329276bcd76",
+			steps:    "o128 o12 o11 o4 o2 o95 i8 o67 o108 o9 o24 o16 o3 o63 o20 o7 i10 o80 o4 o12 o101 o6 o4 o76 i70 o80 i75 o83 o2 o90 o102 o35 o42 o11 o43 o77 o4 o3 i49 o76",
+			digest:   0x28b884019a81f25b,
+			stats:    lp.ResolveStats{Cold: 13, Warm: 27, Fallbacks: 4, DualIters: 580, PrimalIters: 24},
 			refactor: 0,
 		},
 		"ex1-cap14-mem/sparse/presolve=true": {
-			cold:     "optimal/125/4003ffffffffffed/7eab015414631fbe",
-			steps:    "o125 o66 o106 i55 o91 o75 o3 i77 o101 o6 o44 o8 o38 o93 o16 o58 o97 o5 o12 i27 o99 o7 o2 o5 o91 o94 o9 o3 o6 o2 o6 i12 o88 o6 o3 o4 o8 o100 o2 o89",
-			digest:   0xfb7c46207656c4b5,
-			stats:    lp.ResolveStats{Cold: 13, Warm: 27, Fallbacks: 5, DualIters: 467, PrimalIters: 23},
-			refactor: 39,
+			cold:     "optimal/133/400400000000001b/316a3250a2e26b31",
+			steps:    "o133 o82 o23 i74 o93 o92 o97 o20 o3 i58 o133 i8 o93 i15 o87 o63 o75 i75 o61 o18 i59 o67 i42 o61 i57 o59 o86 o56 o3 o5 o107 i40 o95 o31 i0 o78 o21 o15 o11 i17",
+			digest:   0x5f5793b0b6e452a4,
+			stats:    lp.ResolveStats{Cold: 20, Warm: 20, Fallbacks: 11, DualIters: 542, PrimalIters: 12},
+			refactor: 56,
 		},
 	}
 	models := map[string]*model.Model{}

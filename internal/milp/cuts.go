@@ -185,27 +185,30 @@ func appendKey(key []byte, col int, neg bool) []byte {
 }
 
 // addRootCuts runs the root separation loop: solve the relaxation, cut
-// the fractional point, repeat. When any cut lands, st.s is replaced by a
-// solver over the tightened clone; the original problem is never mutated.
-func (st *bbState) addRootCuts() {
+// the fractional point, repeat. Each round solves through the search's
+// own resolver (st.res; a plain cold solve under Options.ColdLP). When a
+// round adds cuts, st.s moves to a solver over the tightened clone and
+// st.res to a fresh resolver over it; the original problem is never
+// mutated. A loop that ends on an optimal solve therefore leaves st.res
+// holding the final problem's root basis, and the root node re-solves it
+// warm at unchanged bounds instead of cold a second time.
+func (st *bbState) addRootCuts() error {
 	s := st.s
 	if len(s.integer) == 0 {
-		return
+		return nil
 	}
 	rounds := st.opts.MaxCutRounds
 	if rounds <= 0 {
 		rounds = defaultCutRounds
 	}
 	var work *lp.Problem // clone, created lazily on the first cut
-	cur := s.prob
 	seen := map[string]bool{}
 	tel := st.opts.Telemetry
 	for round := 0; round < rounds; round++ {
 		if st.ctx.Err() != nil || (!st.deadline.IsZero() && time.Now().After(st.deadline)) {
 			break
 		}
-		o := st.lpOpts()
-		sol, err := cur.Solve(o)
+		sol, err := st.solveLP(nil)
 		if err != nil || sol.Status != lp.Optimal {
 			break // let the tree search surface whatever this is
 		}
@@ -221,7 +224,7 @@ func (st *bbState) addRootCuts() {
 			break // integral root: cuts have nothing to separate
 		}
 		added := 0
-		for _, kr := range s.knapsackRows(cur) {
+		for _, kr := range s.knapsackRows(st.s.prob) {
 			cut := separateCover(&kr, sol.X)
 			if cut == nil || seen[cut.key] {
 				continue
@@ -229,7 +232,7 @@ func (st *bbState) addRootCuts() {
 			seen[cut.key] = true
 			if work == nil {
 				work = s.prob.Clone()
-				cur = work
+				st.s = &Solver{prob: work, integer: s.integer, isInt: s.isInt}
 			}
 			work.AddRow("cut-cover", lp.Le, cut.rhs, cut.terms...)
 			added++
@@ -240,8 +243,11 @@ func (st *bbState) addRootCuts() {
 		if added == 0 {
 			break
 		}
+		if st.res != nil {
+			if st.res, err = work.NewResolver(st.lpOpts()); err != nil {
+				return err
+			}
+		}
 	}
-	if work != nil {
-		st.s = &Solver{prob: work, integer: s.integer, isInt: s.isInt}
-	}
+	return nil
 }

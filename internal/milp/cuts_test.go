@@ -153,8 +153,8 @@ func TestRootCutsFireOnFractionalKnapsack(t *testing.T) {
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
-	if sol.Cuts == 0 {
-		t.Fatal("no root cuts on a fractional knapsack root")
+	if sol.Cuts != 1 {
+		t.Fatalf("%d root cuts on a fractional knapsack root, want 1", sol.Cuts)
 	}
 	if !approxEq(sol.Obj, -15) { // three items fit
 		t.Fatalf("obj %g, want -15", sol.Obj)
@@ -191,3 +191,69 @@ func TestRootCutsWithSparseKernelAndPresolve(t *testing.T) {
 }
 
 func approxEq(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
+
+// assignmentMIP builds an n×n assignment problem with random integer
+// costs. Its constraint matrix is totally unimodular, so the root LP
+// optimum is integral and the search closes at the root.
+func assignmentMIP(rng *rand.Rand, n int) (*lp.Problem, []lp.ColID) {
+	p := lp.NewProblem("assign")
+	x := make([][]lp.ColID, n)
+	var cols []lp.ColID
+	for i := range x {
+		x[i] = make([]lp.ColID, n)
+		for j := range x[i] {
+			x[i][j] = p.AddCol("", 0, 1, float64(1+rng.Intn(20)))
+			cols = append(cols, x[i][j])
+		}
+	}
+	for i := 0; i < n; i++ {
+		row := make([]lp.Term, n)
+		col := make([]lp.Term, n)
+		for j := 0; j < n; j++ {
+			row[j] = lp.Term{Col: x[i][j], Coef: 1}
+			col[j] = lp.Term{Col: x[j][i], Coef: 1}
+		}
+		p.AddRow("row", lp.Eq, 1, row...)
+		p.AddRow("col", lp.Eq, 1, col...)
+	}
+	return p, cols
+}
+
+// TestRootCutsSolveRootLPOnce: when the cut loop finds the root integral,
+// the root node re-solves the loop's LP warm at unchanged bounds instead
+// of solving it cold a second time. The warm re-solve finds no violated
+// row and prices once, so it adds at most two pivot-hook calls.
+func TestRootCutsSolveRootLPOnce(t *testing.T) {
+	p, cols := assignmentMIP(rand.New(rand.NewSource(5)), 6)
+	for _, c := range []struct {
+		name string
+		lp   *lp.Options
+	}{
+		{"dense", nil},
+		{"sparse+presolve", &lp.Options{Kernel: lp.KernelSparse, Presolve: true}},
+	} {
+		solve := func(rootCuts bool) (int, *Solution) {
+			pivots := 0
+			sol := solveOK(t, New(p, cols), &Options{
+				RootCuts: rootCuts,
+				LP:       c.lp,
+				Hooks:    &Hooks{LP: &lp.Hooks{OnPivot: func(int) { pivots++ }}},
+			})
+			return pivots, sol
+		}
+		plain, ps := solve(false)
+		cut, cs := solve(true)
+		if ps.Nodes != 1 || cs.Nodes != 1 || cs.Cuts != 0 {
+			t.Fatalf("%s: %d and %d nodes, %d cuts; want an integral root", c.name, ps.Nodes, cs.Nodes, cs.Cuts)
+		}
+		if !approxEq(ps.Obj, cs.Obj) {
+			t.Fatalf("%s: obj %g with root cuts, %g without", c.name, cs.Obj, ps.Obj)
+		}
+		if cut < plain || cut > plain+2 {
+			t.Errorf("%s: %d pivot-hook calls with root cuts, want %d (+2 for the warm re-solve)", c.name, cut, plain)
+		}
+		if st := cs.LPStats; st.Cold != 1 || st.Warm != 1 {
+			t.Errorf("%s: LPStats %+v with root cuts, want 1 cold and 1 warm solve", c.name, st)
+		}
+	}
+}

@@ -73,8 +73,9 @@ type Solution struct {
 	Bound  float64   // best proven lower bound on the optimum
 	Gap    float64   // |Obj-Bound| relative gap (0 when Optimal)
 	Cuts   int       // cutting planes appended at the root (Options.RootCuts)
-	// LPStats counts how node relaxations were solved (warm vs cold);
-	// zero when Options.ColdLP is set.
+	// LPStats counts how node relaxations were solved (warm vs cold),
+	// including the root cut loop's solves of the final problem, which
+	// share the search's resolver; zero when Options.ColdLP is set.
 	LPStats lp.ResolveStats
 }
 
@@ -587,17 +588,19 @@ func (s *Solver) Solve(ctx context.Context, opts *Options) (*Solution, error) {
 		}
 	}
 
-	if opts.RootCuts {
-		// May replace st.s with a solver over a cut-tightened clone; every
-		// path below reads the solver through st.s.
-		st.addRootCuts()
-	}
 	if !opts.ColdLP {
-		r, err := st.s.prob.NewResolver(st.lpOpts())
+		r, err := s.prob.NewResolver(st.lpOpts())
 		if err != nil {
 			return nil, err
 		}
 		st.res = r
+	}
+	if opts.RootCuts {
+		// May replace st.s and st.res with a solver and a resolver over a
+		// cut-tightened clone; every path below reads them through st.
+		if err := st.addRootCuts(); err != nil {
+			return nil, err
+		}
 	}
 	if err := st.search(); err != nil {
 		return nil, err

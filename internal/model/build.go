@@ -818,9 +818,16 @@ func (m *Model) addObjective() {
 }
 
 // tightenBounds sets valid lower bounds on event times: the earliest start
-// of each subtask assuming every subtask runs at its fastest capable
-// processor and all communication is free. These are classic critical-path
-// bounds and cut the LP relaxation without excluding any feasible schedule.
+// and end of each subtask assuming every subtask runs at its fastest
+// capable processor and all communication is free. An input's f_R grace
+// lets its consumer start up to f_R of its own duration before the input
+// arrives. That duration is fixed only by the mapping, so the start bound
+// subtracts f_R times the consumer's longest capable duration: it must hold
+// under every mapping, including the one that puts the consumer on its
+// slowest processor. The end bound needs no such allowance, since
+// TSE = TSS + dur ≥ avail + (1−f_R)·dur holds with the shortest duration.
+// These are classic critical-path bounds and cut the LP relaxation without
+// excluding any feasible schedule.
 func (m *Model) tightenBounds() {
 	g := m.Graph
 	durMin := func(a taskgraph.SubtaskID) float64 {
@@ -832,32 +839,38 @@ func (m *Model) tightenBounds() {
 		}
 		return best
 	}
+	durMax := func(a taskgraph.SubtaskID) float64 {
+		longest := 0.0
+		for _, d := range m.Pool.Capable(a) {
+			longest = math.Max(longest, m.Pool.Exec(d, a))
+		}
+		return longest
+	}
 	order, err := g.TopoOrder()
 	if err != nil {
 		return
 	}
-	est := make([]float64, g.NumSubtasks())
+	est := make([]float64, g.NumSubtasks()) // earliest TSS
+	eet := make([]float64, g.NumSubtasks()) // earliest TSE
 	for _, v := range order {
+		short, long := durMin(v), durMax(v)
 		for _, aid := range g.In(v) {
 			a := g.Arc(aid)
 			// Earliest availability of the input minus the f_R grace.
 			avail := est[a.Src] + a.FA*durMin(a.Src)
-			if lo := avail - a.FR*durMin(v); lo > est[v] {
-				est[v] = lo
-			}
+			lo := avail - a.FR*long
+			est[v] = math.Max(est[v], lo)
+			// avail + (1−f_R)·short, written so that it is lo + short to
+			// the bit wherever every capable duration of v is the same.
+			eet[v] = math.Max(eet[v], lo+short+a.FR*(long-short))
 		}
-		if est[v] < 0 {
-			est[v] = 0
-		}
+		eet[v] = math.Max(eet[v], est[v]+short)
 	}
 	tfLo := 0.0
 	for _, v := range order {
 		m.Prob.SetBounds(m.TSS[v], est[v], m.TM)
-		lo := est[v] + durMin(v)
-		m.Prob.SetBounds(m.TSE[v], lo, m.TM)
-		if lo > tfLo {
-			tfLo = lo
-		}
+		m.Prob.SetBounds(m.TSE[v], eet[v], m.TM)
+		tfLo = math.Max(tfLo, eet[v])
 	}
 	for _, a := range g.Arcs() {
 		lo := est[a.Src] + a.FA*durMin(a.Src)

@@ -15,7 +15,8 @@ import (
 	"sos/internal/taskgraph"
 )
 
-// buildForced builds a pipeline-shaped instance where subtask i can run
+// buildForced builds an n-subtask instance of the given shape
+// (taskgraph.SeriesParallel or taskgraph.ForkJoin) where subtask i can run
 // ONLY on processor type i (one instance each, arch.ForcedPool). The
 // mapping σ is forced by capability, so the MILP's combinatorics collapse:
 // the LP root is integral and branch and bound closes at the root node.
@@ -23,9 +24,9 @@ import (
 // that separates the dense tableau (quadratic memory, dense pivots) from
 // the sparse revised simplex with presolve (which eliminates the forced
 // binaries outright).
-func buildForced(t *testing.T, rng *rand.Rand, n int) *Model {
+func buildForced(t *testing.T, rng *rand.Rand, n int, shape func(*rand.Rand, taskgraph.StructuredSpec) *taskgraph.Graph) *Model {
 	t.Helper()
-	g := taskgraph.SeriesParallel(rng, taskgraph.StructuredSpec{Subtasks: n, MaxFan: 4})
+	g := shape(rng, taskgraph.StructuredSpec{Subtasks: n, MaxFan: 4})
 	m, err := Build(g, arch.ForcedPool(rng, n), arch.PointToPoint{}, Options{Objective: MinMakespan})
 	if err != nil {
 		t.Fatalf("Build(%d subtasks): %v", n, err)
@@ -37,7 +38,7 @@ func buildForced(t *testing.T, rng *rand.Rand, n int) *Model {
 // already integral and the search must close at the root.
 func TestForcedMappingRootIntegral(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := buildForced(t, rng, 30)
+	m := buildForced(t, rng, 30, taskgraph.SeriesParallel)
 	design, sol, err := m.Solve(context.Background(), &milp.Options{
 		LP: &lp.Options{Kernel: lp.KernelSparse, Presolve: true},
 	})
@@ -73,7 +74,7 @@ func TestSparseOutscalesDense(t *testing.T) {
 	// minutes on an 8 GB one).
 	defer debug.FreeOSMemory()
 	rng := rand.New(rand.NewSource(13))
-	m := buildForced(t, rng, 1200)
+	m := buildForced(t, rng, 1200, taskgraph.SeriesParallel)
 	budget := 15 * time.Second
 
 	_, dense, err := m.Solve(context.Background(), &milp.Options{
@@ -115,7 +116,7 @@ func TestSmoke200Subtasks(t *testing.T) {
 		t.Skip("large MILP in -short mode")
 	}
 	rng := rand.New(rand.NewSource(200))
-	m := buildForced(t, rng, 200)
+	m := buildForced(t, rng, 200, taskgraph.SeriesParallel)
 	if m.Stats.Nonzeros == 0 {
 		t.Fatal("Stats.Nonzeros not populated")
 	}
