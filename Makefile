@@ -26,11 +26,12 @@ build:
 test:
 	$(GO) test -race ./...
 
-## bench-smoke: single iteration of BenchmarkTable2MILP; catches
-## regressions that break the reproduced Table II (the benchmark asserts
-## the frontier on every iteration) without a full measurement run.
+## bench-smoke: single iterations of BenchmarkTable2MILP (the MILP engine)
+## and BenchmarkTable4 (the default combinatorial engine); catches
+## regressions that break the reproduced Tables II and IV (each benchmark
+## asserts its frontier on every iteration) without a full measurement run.
 bench-smoke:
-	$(GO) test -run 'NO_TESTS' -bench 'BenchmarkTable2MILP$$' -benchtime 1x .
+	$(GO) test -run 'NO_TESTS' -bench 'BenchmarkTable2MILP$$|BenchmarkTable4$$' -benchtime 1x .
 
 ## bench-check: vet and race-test the benchmark module. bench/ is a Go
 ## module of its own (bench/go.mod), so the root `go test ./...` skips it

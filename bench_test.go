@@ -272,6 +272,7 @@ func resolveFixture(b *testing.B) (*model.Model, lp.ColID) {
 func BenchmarkTable2Exact(b *testing.B) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		requireFrontier(b, exactSweep(b, g, pool, arch.PointToPoint{}), expts.Table2)
 	}
@@ -283,6 +284,7 @@ func BenchmarkTable2Exact(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	g, lib := expts.Example2()
 	pool := expts.Example2Pool(lib)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		requireFrontier(b, exactSweep(b, g, pool, arch.PointToPoint{}), expts.Table4)
 	}
@@ -292,6 +294,7 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkTable5(b *testing.B) {
 	g, lib := expts.Example2()
 	pool := expts.Example2Pool(lib)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		requireFrontier(b, exactSweep(b, g, pool, arch.Bus{}), expts.Table5)
 	}

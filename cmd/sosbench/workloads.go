@@ -332,8 +332,10 @@ func perfRace() ([]perfRow, error) {
 // perfFrontier times repeat sweeps of the paper's three frontiers served
 // from a cache's proof chains against cold sweeps (DESIGN.md §15.6). The
 // Table II bar is 25x, not 1000x: its millisecond cold sweep is too fast
-// for a stable larger ratio. The delta row seeds a cache with Table II
-// below its head point and sweeps the full range.
+// for a stable larger ratio. Each row also counts the combinatorial
+// engine's mapping and scheduling nodes on one collected cold sweep. The
+// delta row seeds a cache with Table II below its head point and sweeps
+// the full range.
 func perfFrontier() ([]perfRow, error) {
 	const repeats = 9
 	ctx := context.Background()
@@ -373,10 +375,18 @@ func perfFrontier() ([]perfRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s cached: %w", w.name, err)
 		}
+		// One more cold sweep, collected, counts the engine's work.
+		tel := telemetry.New(nil)
+		traced := w.spec
+		traced.Telemetry = tel
+		if _, err := sos.Frontier(ctx, traced); err != nil {
+			return nil, fmt.Errorf("%s traced: %w", w.name, err)
+		}
 		coldE, servedE := e2eOf(coldLat), e2eOf(servedLat[1:]) // the first sweep fills the cache
 		speedup := float64(coldE.P50Ns) / float64(servedE.P50Ns)
 		rows = append(rows, perfRow{Workload: "frontier/" + w.name, E2E: servedE,
-			Counters: map[string]float64{"points": float64(len(cold)), "cold_p50_ns": float64(coldE.P50Ns), "speedup_p50": speedup},
+			Counters: map[string]float64{"points": float64(len(cold)), "cold_p50_ns": float64(coldE.P50Ns), "speedup_p50": speedup,
+				"map_nodes": float64(tel.Get(telemetry.CtrMapNodes)), "sched_nodes": float64(tel.Get(telemetry.CtrSchedNodes))},
 			Invariants: map[string]bool{
 				"identical_to_cold":                      identical,
 				fmt.Sprintf("speedup_p50_ge_%gx", w.bar): speedup >= w.bar,

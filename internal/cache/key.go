@@ -20,12 +20,12 @@
 package cache
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 
 	"sos/internal/arch"
 	"sos/internal/taskgraph"
@@ -176,14 +176,20 @@ func canonicalize(req *Request) (*canon, error) {
 		}
 	}
 
+	// Each round writes the next colors into the spare buffer, and the
+	// two buffers swap.
+	nodeNext, typeNext := make([]uint64, n), make([]uint64, m)
+	var sc refineScratch
 	refine := func() {
 		prev := -1
 		for round := 0; round <= n+m+1; round++ {
-			nodeC = refineNodes(g, lib, nodeC, typeC)
+			sc.refineNodes(nodeNext, g, lib, nodeC, typeC)
+			nodeC, nodeNext = nodeNext, nodeC
 			if !ring {
-				typeC = refineTypes(g, lib, nodeC, typeC)
+				sc.refineTypes(typeNext, g, lib, nodeC, typeC)
+				typeC, typeNext = typeNext, typeC
 			}
-			if d := distinct(nodeC) + distinct(typeC); d == prev {
+			if d := sc.distinct(nodeC) + sc.distinct(typeC); d == prev {
 				return
 			} else {
 				prev = d
@@ -198,14 +204,14 @@ func canonicalize(req *Request) (*canon, error) {
 	// shrinks some class, so this terminates within n+m rounds.
 	pin := uint64(0)
 	for {
-		if i := firstTied(nodeC); i >= 0 {
+		if i := sc.firstTied(nodeC); i >= 0 {
 			pin++
 			nodeC[i] = hashVals(nodeC[i], 0xF1A9, pin)
 			refine()
 			continue
 		}
 		if !ring {
-			if t := firstTied(typeC); t >= 0 {
+			if t := sc.firstTied(typeC); t >= 0 {
 				pin++
 				typeC[t] = hashVals(typeC[t], 0xF1A9, pin)
 				refine()
@@ -220,29 +226,21 @@ func canonicalize(req *Request) (*canon, error) {
 	for i := range c.nodes {
 		c.nodes[i] = taskgraph.SubtaskID(i)
 	}
-	sort.Slice(c.nodes, func(a, b int) bool {
-		ca, cb := nodeC[c.nodes[a]], nodeC[c.nodes[b]]
-		if ca != cb {
-			return ca < cb
-		}
-		return c.nodes[a] < c.nodes[b]
+	slices.SortFunc(c.nodes, func(a, b taskgraph.SubtaskID) int {
+		return cmp.Or(cmp.Compare(nodeC[a], nodeC[b]), cmp.Compare(a, b))
 	})
 	c.types = make([]arch.TypeID, m)
 	for i := range c.types {
 		c.types[i] = arch.TypeID(i)
 	}
 	if !ring {
-		sort.Slice(c.types, func(a, b int) bool {
-			ca, cb := typeC[c.types[a]], typeC[c.types[b]]
-			if ca != cb {
-				return ca < cb
-			}
-			return c.types[a] < c.types[b]
+		slices.SortFunc(c.types, func(a, b arch.TypeID) int {
+			return cmp.Or(cmp.Compare(typeC[a], typeC[b]), cmp.Compare(a, b))
 		})
 	}
 
 	// Serialize the full problem under the canonical order and hash it.
-	var cert []byte
+	cert := make([]byte, 0, 64+8*(m*(n+2)+n+5*g.NumArcs()+12))
 	app64 := func(v uint64) { cert = binary.BigEndian.AppendUint64(cert, v) }
 	appF := func(v float64) { app64(normBits(v)) }
 	cert = append(cert, "sos-cache-v1|"...)
@@ -291,21 +289,9 @@ func canonicalize(req *Request) (*canon, error) {
 			fa:  normBits(a.FA),
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.dst != b.dst {
-			return a.dst < b.dst
-		}
-		if a.vol != b.vol {
-			return a.vol < b.vol
-		}
-		if a.fr != b.fr {
-			return a.fr < b.fr
-		}
-		return a.fa < b.fa
+	slices.SortFunc(rows, func(a, b arcRow) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst),
+			cmp.Compare(a.vol, b.vol), cmp.Compare(a.fr, b.fr), cmp.Compare(a.fa, b.fa))
 	})
 	app64(uint64(len(rows)))
 	for _, r := range rows {
@@ -323,100 +309,113 @@ func canonicalize(req *Request) (*canon, error) {
 
 // limitKey is the full key of the family's proof at bound limit.
 func limitKey(f FamilyKey, limit float64) Key {
-	var keyed []byte
-	keyed = append(keyed, f[:]...)
-	keyed = binary.BigEndian.AppendUint64(keyed, normBits(limit))
-	return sha256.Sum256(keyed)
+	var keyed [len(f) + 8]byte
+	copy(keyed[:], f[:])
+	binary.BigEndian.PutUint64(keyed[len(f):], normBits(limit))
+	return sha256.Sum256(keyed[:])
 }
 
-// refineNodes computes one refinement round of the node colors: each
-// node's new color folds its old color with the sorted multisets of
+// refineScratch holds the buffers that every refinement round of one
+// canonicalization reuses: a color's signature, one multiset of it, and
+// a sorted copy of a color vector.
+type refineScratch struct {
+	sig, ms, sorted []uint64
+}
+
+// refineNodes computes one refinement round of the node colors into out:
+// each node's new color folds its old color with the sorted multisets of
 // (type color, exec time), (source color, arc attributes) over in-arcs,
 // and (destination color, arc attributes) over out-arcs.
-func refineNodes(g *taskgraph.Graph, lib *arch.Library, nodeC, typeC []uint64) []uint64 {
-	out := make([]uint64, len(nodeC))
-	var sig []uint64
+func (sc *refineScratch) refineNodes(out []uint64, g *taskgraph.Graph, lib *arch.Library, nodeC, typeC []uint64) {
+	sig, ms := sc.sig, sc.ms
 	for _, s := range g.Subtasks() {
-		sig = sig[:0]
-		sig = append(sig, nodeC[s.ID])
-		var exec []uint64
+		sig = append(sig[:0], nodeC[s.ID])
+		ms = ms[:0]
 		for _, t := range lib.Types() {
-			exec = append(exec, hashVals(typeC[t.ID], normBits(lib.Exec(t.ID, s.ID))))
+			ms = append(ms, hashVals(typeC[t.ID], normBits(lib.Exec(t.ID, s.ID))))
 		}
-		sig = appendSorted(sig, exec)
-		var in []uint64
+		sig = appendSorted(sig, ms)
+		ms = ms[:0]
 		for _, aid := range g.In(s.ID) {
 			a := g.Arc(aid)
-			in = append(in, hashVals(0x1234AB, nodeC[a.Src], normBits(a.Volume),
+			ms = append(ms, hashVals(0x1234AB, nodeC[a.Src], normBits(a.Volume),
 				normBits(a.FR), normBits(a.FA)))
 		}
-		sig = appendSorted(sig, in)
-		var outArcs []uint64
+		sig = appendSorted(sig, ms)
+		ms = ms[:0]
 		for _, aid := range g.Out(s.ID) {
 			a := g.Arc(aid)
-			outArcs = append(outArcs, hashVals(0x5678CD, nodeC[a.Dst], normBits(a.Volume),
+			ms = append(ms, hashVals(0x5678CD, nodeC[a.Dst], normBits(a.Volume),
 				normBits(a.FR), normBits(a.FA)))
 		}
-		sig = appendSorted(sig, outArcs)
+		sig = appendSorted(sig, ms)
 		out[s.ID] = hashVals(sig...)
 	}
-	return out
+	sc.sig, sc.ms = sig, ms
 }
 
-// refineTypes folds each type's color with the sorted multiset of
-// (node color, exec time) pairs over all subtasks.
-func refineTypes(g *taskgraph.Graph, lib *arch.Library, nodeC, typeC []uint64) []uint64 {
-	out := make([]uint64, len(typeC))
+// refineTypes folds each type's color, into out, with the sorted multiset
+// of (node color, exec time) pairs over all subtasks.
+func (sc *refineScratch) refineTypes(out []uint64, g *taskgraph.Graph, lib *arch.Library, nodeC, typeC []uint64) {
+	sig, ms := sc.sig, sc.ms
 	for _, t := range lib.Types() {
-		sig := []uint64{typeC[t.ID]}
-		var exec []uint64
+		sig = append(sig[:0], typeC[t.ID])
+		ms = ms[:0]
 		for _, s := range g.Subtasks() {
-			exec = append(exec, hashVals(nodeC[s.ID], normBits(lib.Exec(t.ID, s.ID))))
+			ms = append(ms, hashVals(nodeC[s.ID], normBits(lib.Exec(t.ID, s.ID))))
 		}
-		sig = appendSorted(sig, exec)
+		sig = appendSorted(sig, ms)
 		out[t.ID] = hashVals(sig...)
 	}
-	return out
+	sc.sig, sc.ms = sig, ms
 }
 
-// hashVals is the internal color hash (FNV-1a over big-endian words).
-// Collisions here can only cost a cache miss, never a wrong hit: the key
-// hashes the full certificate, not the colors.
+// FNV-1a's 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashVals is the internal color hash: FNV-1a over the big-endian bytes
+// of each word, computed inline. Collisions here can only cost a cache
+// miss, never a wrong hit: the key hashes the full certificate, not the
+// colors.
 func hashVals(vs ...uint64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := uint64(fnvOffset64)
 	for _, v := range vs {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		for shift := 56; shift >= 0; shift -= 8 {
+			h ^= (v >> shift) & 0xff
+			h *= fnvPrime64
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 func appendSorted(dst, vs []uint64) []uint64 {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	slices.Sort(vs)
 	return append(dst, vs...)
 }
 
-func distinct(cs []uint64) int {
-	seen := make(map[uint64]struct{}, len(cs))
-	for _, c := range cs {
-		seen[c] = struct{}{}
-	}
-	return len(seen)
+// sortedCopy returns a sorted copy of cs in the scratch's buffer.
+func (sc *refineScratch) sortedCopy(cs []uint64) []uint64 {
+	sc.sorted = append(sc.sorted[:0], cs...)
+	slices.Sort(sc.sorted)
+	return sc.sorted
+}
+
+// distinct counts the distinct colors in cs.
+func (sc *refineScratch) distinct(cs []uint64) int {
+	return len(slices.Compact(sc.sortedCopy(cs)))
 }
 
 // firstTied returns the input-order-first member of the smallest-colored
 // class holding more than one element, or -1 if all colors are distinct.
-func firstTied(cs []uint64) int {
-	count := make(map[uint64]int, len(cs))
-	for _, c := range cs {
-		count[c]++
-	}
-	best, bestColor := -1, uint64(0)
-	for i, c := range cs {
-		if count[c] > 1 && (best < 0 || c < bestColor) {
-			best, bestColor = i, c
+func (sc *refineScratch) firstTied(cs []uint64) int {
+	sorted := sc.sortedCopy(cs)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return slices.Index(cs, sorted[i])
 		}
 	}
-	return best
+	return -1
 }

@@ -2,7 +2,6 @@ package exact
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"sos/internal/arch"
@@ -14,38 +13,83 @@ import (
 // either a subtask execution on its processor or a remote transfer on its
 // links.
 type activity struct {
-	isTask bool
-	task   taskgraph.SubtaskID
-	arc    taskgraph.ArcID
 	// event-graph node indices of its start and end
 	start, end int
-	// resources the activity occupies
-	procs []arch.ProcID
-	links []arch.LinkID
+	// resources the activity occupies: its first nProcs processors (a
+	// task's own, or under NoOverlapIO a transfer's two endpoints) and a
+	// remote transfer's links (a row of the search's path table)
+	procs  [2]arch.ProcID
+	nProcs int
+	links  []arch.LinkID
 }
 
-// disjGraph is the fixed part of the scheduling subproblem for one mapping.
-type disjGraph struct {
-	g       *taskgraph.Graph
-	pool    *arch.Instances
-	topo    arch.Topology
-	mapping []arch.ProcID
+// pathTable memoizes topo.Path for each ordered instance pair a search
+// meets. Its rows are shared and must not be modified; a Design that
+// outlives the search gets paths of its own.
+type pathTable struct {
+	topo arch.Topology
+	n    int
+	rows [][]arch.LinkID // indexed d1*n + d2, filled on first use
+}
 
-	nodes int
-	base  [][]edge // static dataflow/duration edges
-	acts  []activity
-	// conflict pairs: indices into acts that share a resource and are not
-	// already ordered by the base graph
-	pairs [][2]int
+func newPathTable(topo arch.Topology, n int) *pathTable {
+	return &pathTable{topo: topo, n: n, rows: make([][]arch.LinkID, n*n)}
+}
+
+// path returns the links a remote transfer d1→d2 occupies (d1 != d2).
+func (pt *pathTable) path(d1, d2 arch.ProcID) []arch.LinkID {
+	i := int(d1)*pt.n + int(d2)
+	if pt.rows[i] == nil {
+		pt.rows[i] = pt.topo.Path(pt.n, d1, d2)
+	}
+	return pt.rows[i]
+}
+
+// disjGraph is the scheduling subproblem of one mapping. One search owns
+// one disjGraph and resets it for every leaf, so its buffers are allocated
+// once per search rather than once per leaf or per scheduling node.
+type disjGraph struct {
+	g           *taskgraph.Graph
+	pool        *arch.Instances
+	topo        arch.Topology
+	paths       *pathTable
+	noOverlapIO bool
+
+	events    int      // event-graph nodes: 2·subtasks + 2·arcs
+	base      [][]edge // static dataflow/duration edges
+	baseIndeg []int    // in-degree of each event under the base edges
+	acts      []activity
+	// conflict pairs: indices into acts that share a resource; built only
+	// once the mapping's base graph beats the cutoff
+	pairs  [][2]int
+	paired bool
 
 	dur []float64 // per subtask, actual duration under the mapping
 	xfd []float64 // per arc, transfer duration under the mapping
+
+	// earliest's buffers
+	indeg     []int
+	times     []float64
+	queue     []int
+	extraFrom [][]edge
+
+	// The branch and bound of one schedule call.
+	mapping   []arch.ProcID
+	extra     []edgePair // ordering edges of the current branch, a stack
+	best      float64    // makespan to beat
+	bestTimes []float64  // event times of the best schedule found
+	found     bool
+	nodes     int
+	budgetHit *bool
+	deadline  time.Time
 }
 
 type edge struct {
 	to int
 	w  float64
 }
+
+type edgePair struct{ from, to int }
 
 // node numbering: task-start a, task-end a, xfer-start e, xfer-end e.
 func (dg *disjGraph) tStart(a taskgraph.SubtaskID) int { return int(a) }
@@ -59,20 +103,42 @@ func (dg *disjGraph) xEnd(e taskgraph.ArcID) int {
 	return 2*dg.g.NumSubtasks() + dg.g.NumArcs() + int(e)
 }
 
-func newDisjGraph(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, mapping []arch.ProcID, noOverlapIO bool) *disjGraph {
-	dg := &disjGraph{g: g, pool: pool, topo: topo, mapping: mapping}
+// newDisjGraph allocates the scheduling workspace of one search.
+func newDisjGraph(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, paths *pathTable, noOverlapIO bool) *disjGraph {
 	nT, nX := g.NumSubtasks(), g.NumArcs()
-	dg.nodes = 2*nT + 2*nX
-	dg.base = make([][]edge, dg.nodes)
+	events := 2*nT + 2*nX
+	return &disjGraph{
+		g: g, pool: pool, topo: topo, paths: paths, noOverlapIO: noOverlapIO,
+		events:    events,
+		base:      make([][]edge, events),
+		baseIndeg: make([]int, events),
+		acts:      make([]activity, 0, nT+nX),
+		dur:       make([]float64, nT),
+		xfd:       make([]float64, nX),
+		indeg:     make([]int, events),
+		times:     make([]float64, events),
+		queue:     make([]int, 0, events),
+		extraFrom: make([][]edge, events),
+		bestTimes: make([]float64, 0, events),
+	}
+}
+
+// reset loads a mapping: its base edges and its activities. The conflict
+// pairs wait for pairUp.
+func (dg *disjGraph) reset(mapping []arch.ProcID) {
+	g, pool, topo := dg.g, dg.pool, dg.topo
 	lib := pool.Library()
 	n := pool.NumProcs()
+	dg.mapping = mapping
+	for i := range dg.base {
+		dg.base[i] = dg.base[i][:0]
+	}
+	clear(dg.baseIndeg)
 
-	dg.dur = make([]float64, nT)
 	for _, s := range g.Subtasks() {
 		dg.dur[s.ID] = pool.Exec(mapping[s.ID], s.ID)
 		dg.addBase(dg.tStart(s.ID), dg.tEnd(s.ID), dg.dur[s.ID])
 	}
-	dg.xfd = make([]float64, nX)
 	for _, a := range g.Arcs() {
 		d1, d2 := mapping[a.Src], mapping[a.Dst]
 		if d1 == d2 {
@@ -88,11 +154,11 @@ func newDisjGraph(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, 
 	}
 
 	// Activities and their resources.
+	dg.acts = dg.acts[:0]
 	for _, s := range g.Subtasks() {
 		dg.acts = append(dg.acts, activity{
-			isTask: true, task: s.ID,
 			start: dg.tStart(s.ID), end: dg.tEnd(s.ID),
-			procs: []arch.ProcID{mapping[s.ID]},
+			procs: [2]arch.ProcID{mapping[s.ID]}, nProcs: 1,
 		})
 	}
 	for _, a := range g.Arcs() {
@@ -101,38 +167,44 @@ func newDisjGraph(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, 
 			continue // local transfers occupy no shared resource
 		}
 		act := activity{
-			isTask: false, arc: a.ID,
 			start: dg.xStart(a.ID), end: dg.xEnd(a.ID),
-			links: topo.Path(n, d1, d2),
+			links: dg.paths.path(d1, d2),
 		}
-		if noOverlapIO {
+		if dg.noOverlapIO {
 			// §5 variant: without I/O modules the transfer also occupies
 			// both endpoint processors, and can neither overlap its own
 			// producer's execution nor its consumer's.
-			act.procs = []arch.ProcID{d1, d2}
+			act.procs, act.nProcs = [2]arch.ProcID{d1, d2}, 2
 			dg.addBase(dg.tEnd(a.Src), dg.xStart(a.ID), 0)
 			dg.addBase(dg.xEnd(a.ID), dg.tStart(a.Dst), 0)
 		}
 		dg.acts = append(dg.acts, act)
 	}
-	// Conflict pairs: any two activities sharing a processor or a link.
-	for i := 0; i < len(dg.acts); i++ {
-		for j := i + 1; j < len(dg.acts); j++ {
-			if dg.sharesResource(dg.acts[i], dg.acts[j]) {
-				dg.pairs = append(dg.pairs, [2]int{i, j})
-			}
-		}
-	}
-	return dg
+	dg.pairs = dg.pairs[:0]
+	dg.paired = false
 }
 
 func (dg *disjGraph) addBase(from, to int, w float64) {
 	dg.base[from] = append(dg.base[from], edge{to, w})
+	dg.baseIndeg[to]++
 }
 
-func (dg *disjGraph) sharesResource(a, b activity) bool {
-	for _, p := range a.procs {
-		for _, q := range b.procs {
+// pairUp lists the conflict pairs: any two activities sharing a processor
+// or a link.
+func (dg *disjGraph) pairUp() {
+	for i := 0; i < len(dg.acts); i++ {
+		for j := i + 1; j < len(dg.acts); j++ {
+			if sharesResource(&dg.acts[i], &dg.acts[j]) {
+				dg.pairs = append(dg.pairs, [2]int{i, j})
+			}
+		}
+	}
+	dg.paired = true
+}
+
+func sharesResource(a, b *activity) bool {
+	for _, p := range a.procs[:a.nProcs] {
+		for _, q := range b.procs[:b.nProcs] {
 			if p == q {
 				return true
 			}
@@ -149,140 +221,131 @@ func (dg *disjGraph) sharesResource(a, b activity) bool {
 }
 
 // earliest computes the earliest event times under the base edges plus the
-// given extra ordering edges, or nil if the combined graph is cyclic.
-func (dg *disjGraph) earliest(extra []edgePair) []float64 {
-	indeg := make([]int, dg.nodes)
-	for _, es := range dg.base {
-		for _, e := range es {
-			indeg[e.to]++
-		}
-	}
-	for _, e := range extra {
+// current branch's ordering edges, or nil if the combined graph is cyclic.
+// The returned slice is the workspace's and is overwritten by the next
+// call.
+func (dg *disjGraph) earliest() []float64 {
+	indeg, times, extraFrom := dg.indeg, dg.times, dg.extraFrom
+	copy(indeg, dg.baseIndeg)
+	for _, e := range dg.extra {
 		indeg[e.to]++
-	}
-	extraFrom := make([][]edge, dg.nodes)
-	for _, e := range extra {
 		extraFrom[e.from] = append(extraFrom[e.from], edge{e.to, 0})
 	}
-	times := make([]float64, dg.nodes)
-	queue := make([]int, 0, dg.nodes)
+	clear(times)
+	queue := dg.queue[:0]
 	for i, d := range indeg {
 		if d == 0 {
 			queue = append(queue, i)
 		}
 	}
-	seen := 0
-	relax := func(v int, e edge) {
-		if t := times[v] + e.w; t > times[e.to] {
-			times[e.to] = t
-		}
-		indeg[e.to]--
-		if indeg[e.to] == 0 {
-			queue = append(queue, e.to)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, e := range dg.base[v] {
-			relax(v, e)
-		}
-		for _, e := range extraFrom[v] {
-			relax(v, e)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, es := range [2][]edge{dg.base[v], extraFrom[v]} {
+			for _, e := range es {
+				if t := times[v] + e.w; t > times[e.to] {
+					times[e.to] = t
+				}
+				indeg[e.to]--
+				if indeg[e.to] == 0 {
+					queue = append(queue, e.to)
+				}
+			}
 		}
 	}
-	if seen != dg.nodes {
+	dg.queue = queue
+	for _, e := range dg.extra {
+		extraFrom[e.from] = extraFrom[e.from][:0]
+	}
+	if len(queue) != dg.events {
 		return nil
 	}
 	return times
 }
 
-type edgePair struct{ from, to int }
-
-// optimalSchedule finds the minimum-makespan schedule of a fixed mapping by
+// schedule finds the minimum-makespan schedule of a fixed mapping by
 // disjunctive branch and bound. Only schedules with makespan strictly below
 // cutoff are of interest: anything at or above it is pruned and nil is
 // returned if no schedule beats the cutoff. The second return is the number
 // of B&B nodes used. budgetHit is shared with the outer search so time
 // exhaustion propagates.
-func optimalSchedule(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology,
-	mapping []arch.ProcID, cutoff float64, noOverlapIO bool, budgetHit *bool, deadline time.Time) (*schedule.Design, int) {
-
-	dg := newDisjGraph(g, pool, topo, mapping, noOverlapIO)
-	nodes := 0
-	var bestTimes []float64
-	best := cutoff
-
-	var rec func(extra []edgePair)
-	rec = func(extra []edgePair) {
-		if *budgetHit {
-			return
-		}
-		nodes++
-		if nodes%256 == 0 && !deadline.IsZero() && time.Now().After(deadline) {
-			*budgetHit = true
-			return
-		}
-		times := dg.earliest(extra)
-		if times == nil {
-			return // cyclic ordering
-		}
-		mk := 0.0
-		for _, s := range g.Subtasks() {
-			if t := times[dg.tEnd(s.ID)]; t > mk {
-				mk = t
-			}
-		}
-		if mk >= best-1e-9 {
-			return // bound
-		}
-		// Find the earliest unresolved resource conflict.
-		ci, cj := -1, -1
-		bestKey := math.Inf(1)
-		for _, pr := range dg.pairs {
-			a, b := dg.acts[pr[0]], dg.acts[pr[1]]
-			s1, e1 := times[a.start], times[a.end]
-			s2, e2 := times[b.start], times[b.end]
-			if e1-s1 <= 1e-12 || e2-s2 <= 1e-12 {
-				continue // zero-length activities never contend
-			}
-			if s1 < e2-1e-9 && s2 < e1-1e-9 {
-				key := math.Min(s1, s2)
-				if key < bestKey {
-					bestKey = key
-					ci, cj = pr[0], pr[1]
-				}
-			}
-		}
-		if ci < 0 {
-			// Conflict-free: feasible schedule.
-			best = mk
-			bestTimes = append([]float64(nil), times...)
-			return
-		}
-		a, b := dg.acts[ci], dg.acts[cj]
-		// Branch: a before b, then b before a. Explore the branch whose
-		// activity currently starts earlier first.
-		first, second := edgePair{a.end, b.start}, edgePair{b.end, a.start}
-		if times[b.start] < times[a.start] {
-			first, second = second, first
-		}
-		left := make([]edgePair, len(extra)+1)
-		copy(left, extra)
-		left[len(extra)] = first
-		rec(left)
-		right := make([]edgePair, len(extra)+1)
-		copy(right, extra)
-		right[len(extra)] = second
-		rec(right)
+func (dg *disjGraph) schedule(mapping []arch.ProcID, cutoff float64, budgetHit *bool, deadline time.Time) (*schedule.Design, int) {
+	dg.reset(mapping)
+	dg.extra = dg.extra[:0]
+	dg.best, dg.found, dg.nodes = cutoff, false, 0
+	dg.budgetHit, dg.deadline = budgetHit, deadline
+	dg.branch()
+	if !dg.found {
+		return nil, dg.nodes
 	}
-	rec(nil)
+	return dg.buildDesign(dg.bestTimes), dg.nodes
+}
 
-	if bestTimes == nil {
-		return nil, nodes
+// branch explores one node of the scheduling B&B: the base graph plus the
+// ordering edges on dg.extra.
+func (dg *disjGraph) branch() {
+	if *dg.budgetHit {
+		return
 	}
-	return dg.buildDesign(bestTimes), nodes
+	dg.nodes++
+	if dg.nodes%256 == 0 && !dg.deadline.IsZero() && time.Now().After(dg.deadline) {
+		*dg.budgetHit = true
+		return
+	}
+	times := dg.earliest()
+	if times == nil {
+		return // cyclic ordering
+	}
+	mk := 0.0
+	for _, s := range dg.g.Subtasks() {
+		if t := times[dg.tEnd(s.ID)]; t > mk {
+			mk = t
+		}
+	}
+	if mk >= dg.best-1e-9 {
+		return // bound
+	}
+	if !dg.paired {
+		// Bound before pairs: a mapping whose base graph alone reaches the
+		// cutoff is pruned above without its O(activities²) pair scan.
+		dg.pairUp()
+	}
+	// Find the earliest unresolved resource conflict.
+	ci, cj := -1, -1
+	bestKey := math.Inf(1)
+	for _, pr := range dg.pairs {
+		a, b := &dg.acts[pr[0]], &dg.acts[pr[1]]
+		s1, e1 := times[a.start], times[a.end]
+		s2, e2 := times[b.start], times[b.end]
+		if e1-s1 <= 1e-12 || e2-s2 <= 1e-12 {
+			continue // zero-length activities never contend
+		}
+		if s1 < e2-1e-9 && s2 < e1-1e-9 {
+			key := math.Min(s1, s2)
+			if key < bestKey {
+				bestKey = key
+				ci, cj = pr[0], pr[1]
+			}
+		}
+	}
+	if ci < 0 {
+		// Conflict-free: feasible schedule.
+		dg.best = mk
+		dg.bestTimes = append(dg.bestTimes[:0], times...)
+		dg.found = true
+		return
+	}
+	a, b := &dg.acts[ci], &dg.acts[cj]
+	// Branch: a before b, then b before a. Explore the branch whose
+	// activity currently starts earlier first.
+	first, second := edgePair{a.end, b.start}, edgePair{b.end, a.start}
+	if times[b.start] < times[a.start] {
+		first, second = second, first
+	}
+	dg.extra = append(dg.extra, first)
+	dg.branch()
+	dg.extra[len(dg.extra)-1] = second
+	dg.branch()
+	dg.extra = dg.extra[:len(dg.extra)-1]
 }
 
 // buildDesign converts event times into a schedule.Design.
@@ -324,18 +387,7 @@ func (dg *disjGraph) buildDesign(times []float64) *schedule.Design {
 // Returns nil if the mapping admits no schedule (it always does for a DAG).
 func OptimalSchedule(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, mapping []arch.ProcID) *schedule.Design {
 	var budget bool
-	d, _ := optimalSchedule(g, pool, topo, mapping, math.Inf(1), false, &budget, time.Time{})
+	dg := newDisjGraph(g, pool, topo, newPathTable(topo, pool.NumProcs()), false)
+	d, _ := dg.schedule(mapping, math.Inf(1), &budget, time.Time{})
 	return d
-}
-
-// sortedPairs is a test helper guaranteeing deterministic pair order.
-func (dg *disjGraph) sortedPairs() [][2]int {
-	out := append([][2]int(nil), dg.pairs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }

@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"sos/internal/arch"
@@ -262,20 +261,32 @@ func finishResult(ctx context.Context, d *schedule.Design, objVal float64, exhau
 
 var errMinCostNeedsDeadline = fmt.Errorf("exact: MinCost requires a positive Deadline")
 
-// newSearch builds the search state for one DFS.
+// newSearch builds the search state for one DFS, with every buffer the
+// node loop needs.
 func newSearch(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, order []taskgraph.SubtaskID) *search {
 	_, isRing := topo.(arch.Ring)
+	nT, n := g.NumSubtasks(), pool.NumProcs()
+	paths := newPathTable(topo, n)
 	s := &search{
-		g:        g,
-		pool:     pool,
-		topo:     topo,
-		opts:     opts,
-		order:    order,
-		mapping:  make([]arch.ProcID, g.NumSubtasks()),
-		typeOf:   make([]arch.TypeID, pool.NumProcs()),
-		symmetry: !opts.NoSymmetry && !isRing,
-		bestPerf: math.Inf(1),
-		bestCost: math.Inf(1),
+		g:          g,
+		pool:       pool,
+		topo:       topo,
+		opts:       opts,
+		order:      order,
+		mapping:    make([]arch.ProcID, nT),
+		typeOf:     make([]arch.TypeID, n),
+		symmetry:   !opts.NoSymmetry && !isRing,
+		bestPerf:   math.Inf(1),
+		bestCost:   math.Inf(1),
+		dur:        make([]float64, nT),
+		finish:     make([]float64, nT),
+		load:       make([]float64, n),
+		procUsed:   make([]bool, n),
+		typeOpened: make([]bool, pool.Library().NumTypes()),
+		linkUsed:   make([]bool, topo.NumLinks(n)),
+		cands:      make([][]arch.ProcID, len(order)),
+		paths:      paths,
+		dg:         newDisjGraph(g, pool, topo, paths, opts.NoOverlapIO),
 	}
 	for i := range s.mapping {
 		s.mapping[i] = -1
@@ -283,7 +294,7 @@ func newSearch(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opt
 	for _, p := range pool.Procs() {
 		s.typeOf[p.ID] = p.Type
 	}
-	s.minDur = make([]float64, g.NumSubtasks())
+	s.minDur = make([]float64, nT)
 	for _, t := range g.Subtasks() {
 		best := math.Inf(1)
 		for _, d := range pool.Capable(t.ID) {
@@ -319,6 +330,16 @@ type search struct {
 	best     *schedule.Design
 	bestPerf float64
 	bestCost float64
+
+	// Scratch of the node loop, allocated once per search.
+	dur, finish []float64       // makespanLB's durations and finish times, per subtask
+	load        []float64       // makespanLB's committed load, per instance
+	procUsed    []bool          // per instance
+	typeOpened  []bool          // per type
+	linkUsed    []bool          // per link
+	cands       [][]arch.ProcID // candidates' output, per DFS depth
+	paths       *pathTable
+	dg          *disjGraph // the leaf scheduler's workspace
 }
 
 // accept installs an improving design, records it with the collector, and
@@ -386,7 +407,8 @@ func (s *search) adoptForeign() {
 
 // procCost sums the costs of instances used by the partial mapping.
 func (s *search) procCost() float64 {
-	used := map[arch.ProcID]bool{}
+	used := s.procUsed
+	clear(used)
 	cost := 0.0
 	for _, d := range s.mapping {
 		if d >= 0 && !used[d] {
@@ -402,18 +424,30 @@ func (s *search) procCost() float64 {
 // assigned and best-case durations elsewhere (communication free), and the
 // per-processor committed load.
 func (s *search) makespanLB() float64 {
-	g := s.g
-	dur := func(a taskgraph.SubtaskID) float64 {
-		if d := s.mapping[a]; d >= 0 {
-			return s.pool.Exec(d, a)
-		}
-		return s.minDur[a]
-	}
-	lb := g.CriticalPath(dur)
-	load := map[arch.ProcID]float64{}
+	g, dur, finish, load := s.g, s.dur, s.finish, s.load
+	clear(load)
 	for a, d := range s.mapping {
-		if d >= 0 {
-			load[d] += s.pool.Exec(d, taskgraph.SubtaskID(a))
+		if d < 0 {
+			dur[a] = s.minDur[a]
+			continue
+		}
+		dur[a] = s.pool.Exec(d, taskgraph.SubtaskID(a))
+		load[d] += dur[a]
+	}
+	// The critical path exactly as taskgraph.CriticalPath computes it,
+	// over the search's own topological order.
+	lb := 0.0
+	for _, v := range s.order {
+		start := 0.0
+		for _, aid := range g.In(v) {
+			a := g.Arc(aid)
+			if req := finish[a.Src] - (1-a.FA)*dur[a.Src] - a.FR*dur[v]; req > start {
+				start = req
+			}
+		}
+		finish[v] = start + dur[v]
+		if finish[v] > lb {
+			lb = finish[v]
 		}
 	}
 	for _, l := range load {
@@ -454,8 +488,7 @@ func (s *search) dfs(idx int) {
 		return
 	}
 	task := s.order[idx]
-	cands := s.candidates(task)
-	for _, d := range cands {
+	for _, d := range s.candidates(idx, task) {
 		s.mapping[task] = d
 		s.dfs(idx + 1)
 		s.mapping[task] = -1
@@ -465,22 +498,25 @@ func (s *search) dfs(idx int) {
 	}
 }
 
-// candidates returns the instances to try for a task, applying the
-// symmetry rule: among the unused instances of a type, only the
-// lowest-numbered copy may be opened.
-func (s *search) candidates(task taskgraph.SubtaskID) []arch.ProcID {
+// candidates returns the instances to try for the task at DFS depth idx,
+// applying the symmetry rule: among the unused instances of a type, only
+// the lowest-numbered copy may be opened. The list is written into the
+// depth's own buffer, which the caller iterates while deeper calls fill
+// theirs.
+func (s *search) candidates(idx int, task taskgraph.SubtaskID) []arch.ProcID {
 	capable := s.pool.Capable(task)
 	if !s.symmetry {
 		return capable
 	}
-	used := map[arch.ProcID]bool{}
+	used, opened := s.procUsed, s.typeOpened
+	clear(used)
+	clear(opened)
 	for _, d := range s.mapping {
 		if d >= 0 {
 			used[d] = true
 		}
 	}
-	openedType := map[arch.TypeID]bool{}
-	var out []arch.ProcID
+	out := s.cands[idx][:0]
 	// capable is ascending, and within a type instance IDs ascend, so the
 	// first unused copy of each type encountered is the lowest-numbered.
 	for _, d := range capable {
@@ -489,12 +525,13 @@ func (s *search) candidates(task taskgraph.SubtaskID) []arch.ProcID {
 			continue
 		}
 		t := s.typeOf[d]
-		if openedType[t] {
+		if opened[t] {
 			continue
 		}
-		openedType[t] = true
+		opened[t] = true
 		out = append(out, d)
 	}
+	s.cands[idx] = out
 	return out
 }
 
@@ -515,7 +552,7 @@ func (s *search) leaf() {
 		if cost < relCut(bc, incumbentTol) {
 			cut = relPad(bp, incumbentTol)
 		}
-		d, nodes := optimalSchedule(s.g, s.pool, s.topo, s.mapping, cut, s.opts.NoOverlapIO, &s.budgetHit, s.deadline)
+		d, nodes := s.dg.schedule(s.mapping, cut, &s.budgetHit, s.deadline)
 		s.schedNodes += nodes
 		if d == nil {
 			return
@@ -527,7 +564,7 @@ func (s *search) leaf() {
 		if cost >= relCut(s.bestCost, incumbentTol) {
 			return
 		}
-		d, nodes := optimalSchedule(s.g, s.pool, s.topo, s.mapping, s.opts.Deadline+1e-6, s.opts.NoOverlapIO, &s.budgetHit, s.deadline)
+		d, nodes := s.dg.schedule(s.mapping, s.opts.Deadline+1e-6, &s.budgetHit, s.deadline)
 		s.schedNodes += nodes
 		if d == nil || d.Makespan > s.opts.Deadline+1e-9 {
 			return
@@ -540,15 +577,15 @@ func (s *search) leaf() {
 // every remote arc's path requires (deduplicated), plus memory if priced.
 func (s *search) systemCost() float64 {
 	lib := s.pool.Library()
-	n := s.pool.NumProcs()
 	cost := s.procCost()
-	links := map[arch.LinkID]bool{}
+	links := s.linkUsed
+	clear(links)
 	for _, a := range s.g.Arcs() {
 		d1, d2 := s.mapping[a.Src], s.mapping[a.Dst]
 		if d1 == d2 {
 			continue
 		}
-		for _, l := range s.topo.Path(n, d1, d2) {
+		for _, l := range s.paths.path(d1, d2) {
 			if !links[l] {
 				links[l] = true
 				cost += s.topo.LinkCost(lib, l)
@@ -562,10 +599,4 @@ func (s *search) systemCost() float64 {
 		}
 	}
 	return cost
-}
-
-// SortProcIDs sorts a slice of instance IDs ascending (exported helper for
-// deterministic reporting).
-func SortProcIDs(ids []arch.ProcID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

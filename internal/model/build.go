@@ -62,10 +62,11 @@ func Build(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Op
 	m.addOrderingCols()
 	m.addResourceCols()
 
+	hosted := hostedBy(g, pool)
 	m.addMappingRows()
-	m.addTimingRows()
+	m.addTimingRows(hosted)
 	m.addExclusionRows()
-	m.addResourceRows()
+	m.addResourceRows(hosted)
 	m.addObjective()
 	if !opts.NoBoundTightening {
 		m.tightenBounds()
@@ -105,6 +106,20 @@ func (m *Model) addTimingCols() {
 // arcTag renders the paper's i_{a,b} label for an arc.
 func (m *Model) arcTag(a taskgraph.Arc) string {
 	return fmt.Sprintf("(i%d,%d)", int(a.Dst)+1, a.DstPort)
+}
+
+// hostedBy inverts Instances.Capable: the subtasks each instance can run,
+// ascending. These are exactly the pairs that own a σ column, so a row
+// over an instance's σ terms walks its list instead of probing Sigma for
+// every subtask.
+func hostedBy(g *taskgraph.Graph, pool *arch.Instances) [][]taskgraph.SubtaskID {
+	hosted := make([][]taskgraph.SubtaskID, pool.NumProcs())
+	for _, s := range g.Subtasks() {
+		for _, d := range pool.Capable(s.ID) {
+			hosted[d] = append(hosted[d], s.ID)
+		}
+	}
+	return hosted
 }
 
 // addMappingCols creates σ, γ, δ (and π for topologies with pair-dependent
@@ -448,7 +463,7 @@ func (m *Model) addMappingRows() {
 
 // addTimingRows emits the event-timing constraint families (3.3.3)–(3.3.8)
 // and the finish-time rows (3.3.11).
-func (m *Model) addTimingRows() {
+func (m *Model) addTimingRows(hosted [][]taskgraph.SubtaskID) {
 	g := m.Graph
 	lib := m.Pool.Library()
 	for _, s := range g.Subtasks() {
@@ -466,17 +481,14 @@ func (m *Model) addTimingRows() {
 		// Valid inequality: every instance's committed execution load is a
 		// lower bound on the finish time (its subtasks run serially).
 		for _, p := range m.Pool.Procs() {
+			if len(hosted[p.ID]) == 0 {
+				continue
+			}
 			terms := []lp.Term{{Col: m.TF, Coef: 1}}
-			any := false
-			for _, s := range g.Subtasks() {
-				if col, ok := m.Sigma[sigmaKey{p.ID, s.ID}]; ok {
-					terms = append(terms, lp.Term{Col: col, Coef: -m.Pool.Exec(p.ID, s.ID)})
-					any = true
-				}
+			for _, s := range hosted[p.ID] {
+				terms = append(terms, lp.Term{Col: m.Sigma[sigmaKey{p.ID, s}], Coef: -m.Pool.Exec(p.ID, s)})
 			}
-			if any {
-				m.Prob.AddRow(fmt.Sprintf("proc-load(%s)", p.Name), lp.Ge, 0, terms...)
-			}
+			m.Prob.AddRow(fmt.Sprintf("proc-load(%s)", p.Name), lp.Ge, 0, terms...)
 		}
 	}
 	for _, a := range g.Arcs() {
@@ -714,18 +726,17 @@ func (m *Model) addNoOverlapTimingRows() {
 
 // addResourceRows emits β/χ coupling (3.3.12)/(3.4.21), memory sizing, and
 // symmetry-breaking rows.
-func (m *Model) addResourceRows() {
+func (m *Model) addResourceRows(hosted [][]taskgraph.SubtaskID) {
 	g, pool := m.Graph, m.Pool
 	n := pool.NumProcs()
 	for _, p := range pool.Procs() {
 		var used []lp.Term
-		for _, s := range g.Subtasks() {
-			if col, ok := m.Sigma[sigmaKey{p.ID, s.ID}]; ok {
-				// (3.3.12): β ≥ σ.
-				m.Prob.AddRow(fmt.Sprintf("beta-ge(%s,%s)", p.Name, g.Subtask(s.ID).Name), lp.Ge, 0,
-					lp.Term{Col: m.Beta[p.ID], Coef: 1}, lp.Term{Col: col, Coef: -1})
-				used = append(used, lp.Term{Col: col, Coef: 1})
-			}
+		for _, s := range hosted[p.ID] {
+			col := m.Sigma[sigmaKey{p.ID, s}]
+			// (3.3.12): β ≥ σ.
+			m.Prob.AddRow(fmt.Sprintf("beta-ge(%s,%s)", p.Name, g.Subtask(s).Name), lp.Ge, 0,
+				lp.Term{Col: m.Beta[p.ID], Coef: 1}, lp.Term{Col: col, Coef: -1})
+			used = append(used, lp.Term{Col: col, Coef: 1})
 		}
 		// Tightening: a processor is selected only if used, so the
 		// extracted design never lists phantom instances.
@@ -753,9 +764,9 @@ func (m *Model) addResourceRows() {
 	if m.Opts.Memory {
 		for _, p := range pool.Procs() {
 			terms := []lp.Term{{Col: m.MemD[p.ID], Coef: 1}}
-			for _, s := range g.Subtasks() {
-				if col, ok := m.Sigma[sigmaKey{p.ID, s.ID}]; ok && s.Mem != 0 {
-					terms = append(terms, lp.Term{Col: col, Coef: -s.Mem})
+			for _, s := range hosted[p.ID] {
+				if mem := g.Subtask(s).Mem; mem != 0 {
+					terms = append(terms, lp.Term{Col: m.Sigma[sigmaKey{p.ID, s}], Coef: -mem})
 				}
 			}
 			m.Prob.AddRow(fmt.Sprintf("mem(%s)", p.Name), lp.Eq, 0, terms...)
