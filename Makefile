@@ -30,8 +30,10 @@ test:
 ## and BenchmarkTable4 (the default combinatorial engine); catches
 ## regressions that break the reproduced Tables II and IV (each benchmark
 ## asserts its frontier on every iteration) without a full measurement run.
+## BenchmarkResolverCold rides along: one cold LP re-solve on the resolver's
+## reused workspace, with its allocations reported.
 bench-smoke:
-	$(GO) test -run 'NO_TESTS' -bench 'BenchmarkTable2MILP$$|BenchmarkTable4$$' -benchtime 1x .
+	$(GO) test -run 'NO_TESTS' -bench 'BenchmarkTable2MILP$$|BenchmarkTable4$$|BenchmarkResolverCold$$' -benchtime 1x .
 
 ## bench-check: vet and race-test the benchmark module. bench/ is a Go
 ## module of its own (bench/go.mod), so the root `go test ./...` skips it

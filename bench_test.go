@@ -245,6 +245,47 @@ func BenchmarkColdResolve(b *testing.B) {
 	}
 }
 
+// BenchmarkResolverCold measures one cold node re-solve served by
+// lp.Resolver: two bound sets two columns apart (a second branch column
+// fixed with the fixture's, then both released) alternate, which is past
+// the warm path's one-column gate, so every solve rebuilds the tableau —
+// into the workspace the solve before left.
+func BenchmarkResolverCold(b *testing.B) {
+	m, branch := resolveFixture(b)
+	second := m.BranchCols()[0]
+	if second == branch {
+		second = m.BranchCols()[1]
+	}
+	r, err := m.Prob.NewResolver(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fix2 := map[lp.ColID][2]float64{branch: {0, 0}, second: {0, 0}}
+	free := map[lp.ColID][2]float64{}
+	// One solve of each set first grows the workspace to its size.
+	for _, bounds := range []map[lp.ColID][2]float64{fix2, free} {
+		if sol, err := r.Solve(bounds); err != nil || sol.Status != lp.Optimal {
+			b.Fatalf("warm-up solve: %v %v", err, sol.Status)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bounds := fix2
+		if i%2 == 1 {
+			bounds = free
+		}
+		sol, err := r.Solve(bounds)
+		if err != nil || sol.Status != lp.Optimal {
+			b.Fatalf("re-solve %d: %v %v", i, err, sol.Status)
+		}
+	}
+	b.StopTimer()
+	if st := r.Stats(); st.Warm != 0 {
+		b.Fatalf("a re-solve took the warm path: %+v", st)
+	}
+}
+
 // resolveFixture builds the Example 1 cap-14 relaxation and picks a branch
 // column that is fractional at the root, so the warm/cold resolve pair
 // measures a realistic dive transition.

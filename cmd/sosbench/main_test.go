@@ -82,7 +82,8 @@ func TestBenchSweepWorkers(t *testing.T) {
 
 // TestBenchPerfSweep runs the sweep entry of the perf workload table
 // through the driver: it must report workers 1/2/4, each finding the
-// 5-point Table II frontier, in a parseable BENCH_perf.json.
+// 5-point Table II frontier and counting its heap allocations, in a
+// parseable BENCH_perf.json.
 func TestBenchPerfSweep(t *testing.T) {
 	bin := buildBench(t)
 	dir := t.TempDir()
@@ -103,8 +104,9 @@ func TestBenchPerfSweep(t *testing.T) {
 		r := rows[i]
 		want := fmt.Sprintf("sweep/workers-%d", workers)
 		if r.Workload != want || r.Counters["points"] != 5 || r.E2E.P50Ns <= 0 || r.E2E.N != reps ||
-			!r.Invariants["table2_frontier"] || r.Host.CPUs <= 0 || r.Date == "" {
-			t.Errorf("row %d = %+v, want %s with 5 points, %d runs, p50 > 0, the Table II frontier, host and date", i, r, want, reps)
+			!r.Invariants["table2_frontier"] || r.Host.CPUs <= 0 || r.Date == "" ||
+			r.Counters["bytes_per_op"] <= 0 || r.Counters["allocs_per_op"] <= 0 {
+			t.Errorf("row %d = %+v, want %s with 5 points, %d runs, p50 > 0, the Table II frontier, host, date and allocations", i, r, want, reps)
 		}
 	}
 }

@@ -237,6 +237,21 @@ func timed(n int, op func() error) ([]time.Duration, error) {
 	return lat, nil
 }
 
+// heapTotals reads the process's cumulative heap allocation counts.
+func heapTotals() runtime.MemStats {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m
+}
+
+// addAllocs records in counters the heap bytes and objects allocated
+// since m0, per operation of n: bytes_per_op and allocs_per_op.
+func addAllocs(counters map[string]float64, m0 runtime.MemStats, n int) {
+	m1 := heapTotals()
+	counters["bytes_per_op"] = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
+	counters["allocs_per_op"] = float64(m1.Mallocs-m0.Mallocs) / float64(n)
+}
+
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

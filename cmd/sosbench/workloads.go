@@ -25,7 +25,8 @@ import (
 
 // perfSweep times the Table II MILP sweep from cap 14 at 1, 2 and 4 sweep
 // workers (DESIGN.md §10); every run must return the Table II frontier.
-// Model and speculation counters are totals over the row's runs.
+// Model and speculation counters are totals over the row's runs; the heap
+// allocation counters (bytes_per_op, allocs_per_op) are per run.
 func perfSweep() ([]perfRow, error) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
@@ -38,6 +39,7 @@ func perfSweep() ([]perfRow, error) {
 		tel := telemetry.New(nil)
 		b0, c0 := model.BuildCount(), model.CloneCount()
 		points, table2 := 0, true
+		m0 := heapTotals()
 		lat, err := timed(reps, func() error {
 			// The search options are ones Spec does not expose, so the
 			// row builds its MILP family by hand.
@@ -52,7 +54,7 @@ func perfSweep() ([]perfRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%d workers: %w", workers, err)
 		}
-		rows = append(rows, perfRow{
+		row := perfRow{
 			Workload: fmt.Sprintf("sweep/workers-%d", workers),
 			E2E:      e2eOf(lat),
 			Counters: map[string]float64{
@@ -64,7 +66,9 @@ func perfSweep() ([]perfRow, error) {
 				"speculative_retargeted": float64(tel.Get(telemetry.CtrSpeculativeRetargeted)),
 			},
 			Invariants: map[string]bool{"table2_frontier": table2},
-		})
+		}
+		addAllocs(row.Counters, m0, reps)
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -73,7 +77,8 @@ func perfSweep() ([]perfRow, error) {
 // configuration: the Example 2 relaxation at cap 15, and a 300-subtask
 // forced-mapping series-parallel pipeline, the regime that separates the
 // dense tableau from the sparse revised simplex. Every configuration must
-// reach its model's dense optimum (1e-6 relative).
+// reach its model's dense optimum (1e-6 relative). Each row also counts
+// the heap bytes and objects one solve allocates.
 func perfLP() ([]perfRow, error) {
 	g2, lib2 := expts.Example2()
 	ex2, err := model.Build(g2, expts.Example2Pool(lib2), arch.PointToPoint{},
@@ -104,6 +109,7 @@ func perfLP() ([]perfRow, error) {
 		{"sp300-root-sparse-presolve", sp300, presolve},
 	} {
 		var obj float64
+		m0 := heapTotals()
 		lat, err := timed(reps, func() error {
 			sol, err := c.m.Prob.Solve(&c.opts)
 			if err == nil && sol.Status != lp.Optimal {
@@ -119,10 +125,12 @@ func perfLP() ([]perfRow, error) {
 		if _, ok := ref[c.m]; !ok {
 			ref[c.m] = obj // the dense kernel runs first
 		}
-		rows = append(rows, perfRow{Workload: "lp/" + c.name, E2E: e2eOf(lat),
+		row := perfRow{Workload: "lp/" + c.name, E2E: e2eOf(lat),
 			Counters:   map[string]float64{"objective": obj},
 			Invariants: map[string]bool{"kernels_agree": math.Abs(obj-ref[c.m]) <= 1e-6*(1+math.Abs(ref[c.m]))},
-		})
+		}
+		addAllocs(row.Counters, m0, reps)
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

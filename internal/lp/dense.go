@@ -9,7 +9,8 @@ import "math"
 // Example 1's models (DESIGN.md §11.1).
 type denseBasis struct {
 	s      *simplex
-	tab    [][]float64 // m × nTot, kept as B⁻¹A
+	tab    [][]float64 // m × nTot, kept as B⁻¹A; rows are slices of block
+	block  []float64   // the tableau's storage, reused by every build
 	pivIdx []int32     // scratch: nonzero support of the current pivot row
 }
 
@@ -20,115 +21,100 @@ type denseBasis struct {
 // with ≥ rows multiplied by −1 first. Structural nonbasics start at their
 // lower bound; a slack whose implied value is feasible becomes basic,
 // otherwise the row receives a basic artificial absorbing the residual.
+//
+// The residuals come first, from the problem's sparse column view, so the
+// artificial count — and with it every row's final width — is known
+// before any row is laid out: each row is written once, at its final
+// width, into one block. The block is the storage the previous build
+// left, grown only when a build needs more artificial columns than any
+// build before it, so a Resolver's cold re-solves rebuild the tableau in
+// place.
 func (b *denseBasis) build() {
 	s := b.s
 	p := s.p
-	s.m = len(p.rows)
-	s.nStruct = len(p.cols)
+	v := p.columns()
+	s.m, s.nStruct = v.m, v.n
+	s.nTot = s.nStruct + v.nSlack // artificials appended below
+	s.lb, s.ub = s.initBounds(v.nSlack)
 
-	// Per-row slack allocation.
-	slackOf := make([]int, s.m) // internal column of row's slack, or -1
-	nSlack := 0
-	for i, r := range p.rows {
-		if r.Sense == Eq {
-			slackOf[i] = -1
-		} else {
-			slackOf[i] = s.nStruct + nSlack
-			nSlack++
-		}
+	// Residual per row given every structural column at its lower bound
+	// and the slacks at 0. Each row's terms are subtracted in column
+	// order, the order a scan of its dense row takes.
+	s.xB = resize(s.xB, s.m)
+	for i := range p.rows {
+		s.xB[i] = v.sign[i] * p.rows[i].Rhs
 	}
-	// Worst case one artificial per row; allocate lazily below.
-	s.nTot = s.nStruct + nSlack // artificials appended as needed
-	lbs, ubs := s.initBounds(nSlack)
-
-	// Dense rows in ≤-normalized equality form.
-	rowA := make([][]float64, s.m)
-	rhs := make([]float64, s.m)
-	for i, r := range p.rows {
-		a := make([]float64, s.nTot) // artificial columns appended later
-		sign := 1.0
-		if r.Sense == Ge {
-			sign = -1
-		}
-		for _, t := range r.Terms {
-			a[t.Col] += sign * t.Coef
-		}
-		if slackOf[i] >= 0 {
-			a[slackOf[i]] = 1
-		}
-		rowA[i] = a
-		rhs[i] = sign * r.Rhs
-	}
-
-	// Nonbasic structural start values: lower bound.
-	xN := make([]float64, s.nTot)
 	for j := 0; j < s.nStruct; j++ {
-		xN[j] = lbs[j]
-	}
-
-	// Residual per row given all structural at lb, slacks at 0.
-	s.basicVar = make([]int, s.m)
-	s.xB = make([]float64, s.m)
-	artRows := []int{}
-	for i := 0; i < s.m; i++ {
-		res := rhs[i]
-		for j := 0; j < s.nStruct; j++ {
-			if rowA[i][j] != 0 {
-				res -= rowA[i][j] * xN[j]
+		ri, ax := v.col(j)
+		for t, i := range ri {
+			if a := ax[t]; a != 0 {
+				s.xB[i] -= a * s.lb[j]
 			}
 		}
-		if slackOf[i] >= 0 && res >= 0 {
-			// Slack can serve as the basic variable directly.
-			s.basicVar[i] = slackOf[i]
-			s.xB[i] = res
+	}
+	// A slack whose residual is feasible serves as the basic variable
+	// directly; every other row needs an artificial.
+	s.basicVar = resize(s.basicVar, s.m)
+	nArt := 0
+	for i, res := range s.xB {
+		if sl := v.slackOf[i]; sl >= 0 && res >= 0 {
+			s.basicVar[i] = s.nStruct + int(sl)
 		} else {
-			s.basicVar[i] = -1 // artificial needed
-			s.xB[i] = res      // signed residual; fixed below
-			artRows = append(artRows, i)
+			s.basicVar[i] = -1
+			nArt++
 		}
 	}
-
-	nArt := len(artRows)
 	total := s.nTot + nArt
-	s.isArt = make([]bool, total)
-	for k, i := range artRows {
-		col := s.nTot + k
+
+	// Dense rows in ≤-normalized equality form, at their final width.
+	b.block = resize(b.block, s.m*total)
+	b.tab = resize(b.tab, s.m)
+	for i, r := range p.rows {
+		row := b.block[i*total : (i+1)*total : (i+1)*total]
+		sign := v.sign[i]
+		for _, t := range r.Terms {
+			row[t.Col] += sign * t.Coef
+		}
+		if sl := v.slackOf[i]; sl >= 0 {
+			row[s.nStruct+int(sl)] = 1
+		}
+		b.tab[i] = row
+	}
+
+	// One artificial column per remaining row, in row order; its
+	// coefficient's sign makes its starting value |residual| ≥ 0.
+	s.isArt = resize(s.isArt, total)
+	col := s.nTot
+	for i, row := range b.tab {
+		if s.basicVar[i] >= 0 {
+			continue
+		}
 		s.isArt[col] = true
-		lbs = append(lbs, 0)
-		ubs = append(ubs, math.Inf(1))
+		s.lb = append(s.lb, 0)
+		s.ub = append(s.ub, math.Inf(1))
 		coef := 1.0
 		if s.xB[i] < 0 {
 			coef = -1
 		}
-		// Extend row i with the artificial column; others get 0 via the
-		// reallocation below.
-		rowA[i] = append(rowA[i], make([]float64, nArt)...)
-		rowA[i][col] = coef
+		row[col] = coef
 		s.basicVar[i] = col
 		s.xB[i] = math.Abs(s.xB[i])
-	}
-	for i := 0; i < s.m; i++ {
-		if len(rowA[i]) < total {
-			rowA[i] = append(rowA[i], make([]float64, total-len(rowA[i]))...)
-		}
+		col++
 	}
 	s.nTot = total
-	s.lb, s.ub = lbs, ubs
 
 	// Scale rows so basic columns have coefficient +1 (artificials with
 	// coefficient −1 were introduced only when residual < 0; scaling flips
 	// the row so its basis entry is +1).
-	for i := 0; i < s.m; i++ {
-		bv := s.basicVar[i]
-		if rowA[i][bv] < 0 {
-			for j := range rowA[i] {
-				rowA[i][j] = -rowA[i][j]
+	for i, row := range b.tab {
+		if row[s.basicVar[i]] < 0 {
+			for j := range row {
+				row[j] = -row[j]
 			}
 		}
 	}
 	// Every basic column (slack or artificial) appears in exactly one row,
 	// so the basis is already the identity and the rows are B⁻¹A.
-	b.tab = rowA
 	s.initBasis()
 }
 

@@ -330,6 +330,12 @@ type Options struct {
 	// whole search budget.
 	Deadline time.Time
 
+	// Done, when non-nil, cancels a solve once closed: the primal loop
+	// and the Resolver's dual repair poll it with Deadline and exit with
+	// IterLimit. Branch and bound passes its context's Done channel, so
+	// a canceled search stops inside its node relaxation.
+	Done <-chan struct{}
+
 	// BoundOverride, when non-nil, replaces the bounds of selected columns
 	// for this solve only (used by branch-and-bound to branch without
 	// copying the problem).
@@ -375,6 +381,20 @@ func (o *Options) deadline() time.Time {
 	return o.Deadline
 }
 
+func (o *Options) done() <-chan struct{} {
+	if o == nil {
+		return nil
+	}
+	return o.Done
+}
+
+func (o *Options) boundOverride() map[ColID][2]float64 {
+	if o == nil {
+		return nil
+	}
+	return o.BoundOverride
+}
+
 // kernelFor resolves the effective kernel for p: an explicit choice wins,
 // KernelAuto switches on problem size.
 func (o *Options) kernelFor(p *Problem) Kernel {
@@ -412,5 +432,5 @@ func (p *Problem) solve(opts *Options) *Solution {
 
 // kernelSolve runs the selected simplex implementation with no presolve.
 func (p *Problem) kernelSolve(opts *Options) *Solution {
-	return newSimplex(p, opts).run()
+	return newSimplex(p, opts, opts.boundOverride()).run()
 }

@@ -1,8 +1,9 @@
 package lp
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"sos/internal/telemetry"
 )
@@ -35,6 +36,15 @@ import (
 // degenerate rows) falls back to a from-scratch cold solve, so results are
 // always as trustworthy as Problem.Solve.
 //
+// A Resolver keeps one workspace for its whole life: one simplex, whose
+// bounds, statuses, basic values, costs, reduced costs and work vectors
+// every cold solve resets in place, and one dense tableau block that
+// every cold build rewrites (the sparse kernel still allocates its column
+// copy and work vectors per build). Each cold build writes exactly the
+// tableau a fresh Problem.Solve writes, so reuse changes no pivot and no
+// solution bit; it only stops a cold re-solve from allocating once the
+// workspace has grown to the largest build so far.
+//
 // A Resolver is not safe for concurrent use; each branch-and-bound solve
 // owns its own.
 type Resolver struct {
@@ -46,14 +56,14 @@ type Resolver struct {
 	redBounds map[ColID][2]float64 // translate() output buffer
 	fullSol   Solution             // expanded solution under presolve
 
-	s        *simplex             // kernel state of the last solve, nil before the first
+	s        *simplex             // the one workspace every solve runs on, nil before the first
 	cur      map[ColID][2]float64 // effective overrides of the last solve
 	reusable bool
 	warmRuns int // warm solves since the last refactorization
 
-	scratch []int     // changed-column buffer, sorted for determinism
-	cands   dualCands // entering-candidate buffer for the dual ratio test
-	sol     Solution  // reused result; valid until the next Solve call
+	scratch []int      // changed-column buffer, sorted for determinism
+	cands   []dualCand // entering-candidate buffer for the dual ratio test
+	sol     Solution   // reused result; valid until the next Solve call
 	stats   ResolveStats
 }
 
@@ -65,18 +75,18 @@ type dualCand struct {
 	ay    float64
 }
 
-type dualCands []dualCand
-
-func (c dualCands) Len() int      { return len(c) }
-func (c dualCands) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-func (c dualCands) Less(i, j int) bool {
-	if c[i].ratio != c[j].ratio {
-		return c[i].ratio < c[j].ratio
+// compareDualCands orders candidates by ascending ratio, then descending
+// pivot magnitude (larger pivots are numerically safer), then column. The
+// columns are distinct, so the order is total and the sort's result does
+// not depend on the algorithm.
+func compareDualCands(a, b dualCand) int {
+	if c := cmp.Compare(a.ratio, b.ratio); c != 0 {
+		return c
 	}
-	if c[i].ay != c[j].ay {
-		return c[i].ay > c[j].ay // larger pivots are numerically safer
+	if c := cmp.Compare(b.ay, a.ay); c != 0 {
+		return c
 	}
-	return c[i].j < c[j].j
+	return cmp.Compare(a.j, b.j)
 }
 
 // ResolveStats counts how re-solves were served.
@@ -183,7 +193,7 @@ func (r *Resolver) innerSolve(bounds map[ColID][2]float64) *Solution {
 			r.scratch = append(r.scratch, int(c))
 		}
 	}
-	sort.Ints(r.scratch)
+	slices.Sort(r.scratch)
 	if len(r.scratch) > warmDeltaMax {
 		return r.cold(bounds)
 	}
@@ -246,14 +256,21 @@ func (r *Resolver) fallback(bounds map[ColID][2]float64) *Solution {
 	return r.cold(bounds)
 }
 
-// cold rebuilds the selected kernel from scratch and runs both phases.
+// cold rebuilds the selected kernel from scratch and runs both phases. The
+// first cold solve creates the resolver's simplex; every later one (a
+// jump past warmDeltaMax, a fallback, a refactorEvery refresh, a solve
+// after a non-optimal one) resets that simplex in place and rebuilds the
+// initial basis into the storage the previous build left, and the answer
+// lands in the resolver's own Solution, as on the warm path.
 func (r *Resolver) cold(bounds map[ColID][2]float64) *Solution {
 	r.stats.Cold++
 	r.warmRuns = 0
-	o := r.opts
-	o.BoundOverride = bounds
-	r.s = newSimplex(r.target, &o)
-	r.sol = *r.s.run()
+	if r.s == nil {
+		r.s = newSimplex(r.target, &r.opts, bounds)
+	} else {
+		r.s.reset(bounds)
+	}
+	r.s.finishInto(r.s.solve(), &r.sol)
 	if tel := r.opts.Telemetry; tel != nil {
 		tel.Inc(telemetry.CtrLPCold)
 		tel.Emit(telemetry.EvLPResolve, float64(r.sol.Iters), "cold")
@@ -310,8 +327,11 @@ func (s *simplex) applyBound(j int, lb, ub float64) {
 // violated row of B⁻¹A comes from the basis as one row image; each flip or
 // pivot asks for the entering column's image. Returns Optimal when
 // feasibility is restored (optimality still pending a primal cleanup),
-// Infeasible on a sound infeasibility certificate, and ok=false when the
-// state is numerically untrustworthy and the caller should rebuild cold.
+// Infeasible on a sound infeasibility certificate, IterLimit with ok=true
+// when the solve's done channel closes or its deadline passes (polled
+// every deadlineStride iterations, as the primal loop does; the caller
+// reports the limit instead of rebuilding), and ok=false when the state
+// is numerically untrustworthy and the caller should rebuild cold.
 func (r *Resolver) dualRepair() (Status, bool) {
 	s := r.s
 	const pivEps = 1e-7
@@ -337,12 +357,21 @@ func (r *Resolver) dualRepair() (Status, bool) {
 	if s.max < maxRepair {
 		maxRepair = s.max // ForceIterLimit failpoint caps the repair too
 	}
+	// One loop may flip several columns before it pivots, so the poll
+	// keys on iterations since the last poll rather than on a multiple.
+	nextPoll := s.iters
 	for {
 		if h := s.hooks; h != nil && h.OnPivot != nil {
 			h.OnPivot(s.iters)
 		}
 		if s.iters >= maxRepair {
 			return IterLimit, false
+		}
+		if s.iters >= nextPoll {
+			if s.expired() {
+				return IterLimit, true
+			}
+			nextPoll = s.iters + deadlineStride
 		}
 		s.b.price()
 		// Most-violated basic variable.
@@ -399,7 +428,7 @@ func (r *Resolver) dualRepair() (Status, bool) {
 			}
 			r.cands = append(r.cands, dualCand{j: j, ratio: math.Abs(s.d[j]) / ay, ay: ay})
 		}
-		sort.Sort(r.cands)
+		slices.SortFunc(r.cands, compareDualCands)
 
 		// Bound-flipping ratio test: walk candidates in ascending dual
 		// ratio. A candidate whose own range is exhausted before xB[row]

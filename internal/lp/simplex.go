@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -30,11 +31,13 @@ const (
 // [nStruct+nSlack, nTot) artificials (one per row that needs one).
 type simplex struct {
 	p        *Problem
-	opts     *Options // bound overrides and telemetry, kept for rebuilds
+	opts     *Options             // telemetry for the kernels
+	bounds   map[ColID][2]float64 // bound overrides of this solve, kept for a restart
 	eps      float64
 	max      int
 	hooks    *Hooks
 	deadline time.Time
+	done     <-chan struct{}
 
 	m       int // rows
 	nStruct int
@@ -89,31 +92,60 @@ type basis interface {
 	pivot(r, j int)
 }
 
-// deadlineStride amortizes the wall-clock poll in the iteration loop.
+// deadlineStride amortizes the deadline and cancellation poll in the
+// primal loop and the dual repair.
 const deadlineStride = 16
 
-func newSimplex(p *Problem, opts *Options) *simplex {
-	s := &simplex{p: p, opts: opts, eps: opts.eps(), max: opts.maxIters(p), hooks: opts.hooks(), deadline: opts.deadline()}
+// newSimplex returns a solver for p, built for a cold solve under bounds
+// (nil: the problem's own).
+func newSimplex(p *Problem, opts *Options, bounds map[ColID][2]float64) *simplex {
+	s := &simplex{p: p, opts: opts, eps: opts.eps(), max: opts.maxIters(p), hooks: opts.hooks(),
+		deadline: opts.deadline(), done: opts.done()}
 	if opts.kernelFor(p) == KernelSparse {
 		s.b = &sparseBasis{s: s}
 	} else {
 		s.b = &denseBasis{s: s}
 	}
-	s.b.build()
+	s.reset(bounds)
 	return s
 }
 
-// initBounds returns the structural bounds (with the options' overrides
-// applied) followed by the slack bounds, with room for one artificial per
-// row.
+// reset readies s for a cold solve under bounds, in place: it clears the
+// iteration and anti-cycling state and rebuilds the initial basis into
+// the storage the previous build left. The driver's vectors are resized
+// rather than reallocated, so after the first build a resolver's cold
+// solves allocate only when a build needs more artificial columns than
+// any build before it (and whatever the kernel allocates for itself).
+func (s *simplex) reset(bounds map[ColID][2]float64) {
+	s.bounds = bounds
+	s.iters, s.obj, s.bland, s.stall, s.broken = 0, 0, false, 0, false
+	s.b.build()
+}
+
+// resize returns buf resized to n zeroed elements, reusing its storage
+// when its capacity allows. It grows the storage as append does, so a
+// run of builds that each need a few more artificial columns than the
+// last does not reallocate at every one of them.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		buf = slices.Grow(buf[:0], n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// initBounds loads the structural bounds (with the solve's overrides
+// applied) followed by the slack bounds into the storage of s.lb and s.ub,
+// with room for one artificial per row, and returns them.
 func (s *simplex) initBounds(nSlack int) (lbs, ubs []float64) {
 	p := s.p
-	lbs = make([]float64, 0, s.nStruct+nSlack+s.m)
-	ubs = make([]float64, 0, s.nStruct+nSlack+s.m)
+	n := s.nStruct + nSlack + s.m
+	lbs, ubs = slices.Grow(s.lb[:0], n), slices.Grow(s.ub[:0], n)
 	for j, c := range p.cols {
 		lb, ub := c.Lb, c.Ub
-		if s.opts != nil && s.opts.BoundOverride != nil {
-			if b, ok := s.opts.BoundOverride[ColID(j)]; ok {
+		if s.bounds != nil {
+			if b, ok := s.bounds[ColID(j)]; ok {
 				lb, ub = b[0], b[1]
 			}
 		}
@@ -130,8 +162,8 @@ func (s *simplex) initBounds(nSlack int) (lbs, ubs []float64) {
 // initBasis derives the statuses and row map from basicVar and sizes the
 // driver's work vectors once the basis has fixed nTot.
 func (s *simplex) initBasis() {
-	s.status = make([]varStatus, s.nTot)
-	s.rowOf = make([]int, s.nTot)
+	s.status = resize(s.status, s.nTot)
+	s.rowOf = resize(s.rowOf, s.nTot)
 	for j := range s.rowOf {
 		s.rowOf[j] = -1
 	}
@@ -139,9 +171,9 @@ func (s *simplex) initBasis() {
 		s.status[bv] = basic
 		s.rowOf[bv] = i
 	}
-	s.cost = make([]float64, s.nTot)
-	s.d = make([]float64, s.nTot)
-	s.w = make([]float64, s.m)
+	s.cost = resize(s.cost, s.nTot)
+	s.d = resize(s.d, s.nTot)
+	s.w = resize(s.w, s.m)
 }
 
 // setPhaseObjective installs the cost vector and refreshes the reduced
@@ -192,11 +224,15 @@ func (s *simplex) value(j int) float64 {
 	}
 }
 
-// run executes phase 1 (if artificials exist) then phase 2. A singular
+// run executes phase 1 (if artificials exist) then phase 2 and returns
+// the solution.
+func (s *simplex) run() *Solution { return s.finish(s.solve()) }
+
+// solve executes phase 1 (if artificials exist) then phase 2. A singular
 // refactorization mid-solve restarts the whole solve once from a fresh
 // initial basis; a second failure degrades to IterLimit, which every
 // caller already treats as "bound untrusted".
-func (s *simplex) run() *Solution {
+func (s *simplex) solve() Status {
 	st, ok := s.runOnce()
 	if !ok {
 		s.rebuild()
@@ -204,7 +240,7 @@ func (s *simplex) run() *Solution {
 			st = IterLimit
 		}
 	}
-	return s.finish(st)
+	return st
 }
 
 // rebuild resets to the initial basis after numerical failure, keeping
@@ -300,7 +336,7 @@ func (s *simplex) iterate(phase1 bool) Status {
 		if s.iters >= s.max {
 			return IterLimit
 		}
-		if !s.deadline.IsZero() && s.iters%deadlineStride == 0 && time.Now().After(s.deadline) {
+		if s.iters%deadlineStride == 0 && s.expired() {
 			return IterLimit
 		}
 		s.iters++
@@ -354,6 +390,17 @@ func (s *simplex) iterate(phase1 bool) Status {
 			}
 		}
 	}
+}
+
+// expired reports whether the solve's done channel is closed or its
+// deadline has passed.
+func (s *simplex) expired() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+	}
+	return !s.deadline.IsZero() && time.Now().After(s.deadline)
 }
 
 // chooseEntering picks a nonbasic column whose move improves the objective,
@@ -503,7 +550,8 @@ func (s *simplex) finish(st Status) *Solution {
 
 // finishInto extracts the structural solution into sol, reusing its slices
 // when their capacity allows (the warm-start Resolver calls this with the
-// same Solution on every re-solve to avoid per-node allocation).
+// same Solution on every re-solve, warm or cold, to avoid per-node
+// allocation).
 func (s *simplex) finishInto(st Status, sol *Solution) {
 	sol.Status = st
 	sol.Iters = s.iters

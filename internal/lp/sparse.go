@@ -123,6 +123,7 @@ func (b *sparseBasis) build() {
 
 	s.xB = make([]float64, s.m)
 	s.initBasis()
+	b.etas = b.etas[:0] // a rebuilt basis starts a new factorization
 	b.y = make([]float64, s.m)
 	b.rho = make([]float64, s.m)
 	b.alpha = make([]float64, s.nTot)

@@ -209,7 +209,7 @@ func TestSparseLargerInstances(t *testing.T) {
 func TestSparseForcedRefactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	p, _ := randomLP(rng, 90, 70)
-	s := newSimplex(p, &Options{Kernel: KernelSparse})
+	s := newSimplex(p, &Options{Kernel: KernelSparse}, nil)
 	sol := s.run()
 	if sol.Status != Optimal {
 		t.Fatalf("status %v, want optimal", sol.Status)
@@ -235,7 +235,7 @@ func TestSparseSingularBasisRecovery(t *testing.T) {
 	y := p.AddCol("y", 0, math.Inf(1), -1)
 	p.AddRow("r1", Le, 4, Term{x, 1}, Term{y, 2})
 	p.AddRow("r2", Le, 6, Term{x, 3}, Term{y, 1})
-	s := newSimplex(p, &Options{Kernel: KernelSparse})
+	s := newSimplex(p, &Options{Kernel: KernelSparse}, nil)
 	// Duplicate a basic column across two rows: B has two identical
 	// columns, so the LU must report singularity (the drift-equivalent of a
 	// numerically collapsed eta chain).

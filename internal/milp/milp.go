@@ -355,12 +355,14 @@ func (st *bbState) result() *Solution {
 }
 
 func (st *bbState) lpOpts() *lp.Options {
-	// Deadline lets an oversized node relaxation be interrupted by the
-	// MILP TimeLimit instead of running to completion; the kernel returns
-	// IterLimit, which expand() already treats as "bound untrusted".
+	// Deadline and Done let an oversized node relaxation be interrupted by
+	// the MILP TimeLimit or the search's context instead of running to
+	// completion; the kernel returns IterLimit, which expand() already
+	// treats as "bound untrusted".
 	o := &lp.Options{
 		Telemetry: st.opts.Telemetry,
 		Deadline:  st.deadline,
+		Done:      st.ctx.Done(),
 	}
 	if st.opts.LP != nil {
 		o.MaxIters = st.opts.LP.MaxIters
