@@ -17,15 +17,12 @@ import (
 	"time"
 
 	"sos/internal/arch"
-	"sos/internal/budget"
 	"sos/internal/exact"
 	"sos/internal/expts"
 	"sos/internal/heur"
 	"sos/internal/lp"
 	"sos/internal/milp"
 	"sos/internal/model"
-	"sos/internal/pareto"
-	"sos/internal/race"
 	"sos/internal/schedule"
 	"sos/internal/sim"
 	"sos/internal/taskgraph"
@@ -53,69 +50,41 @@ func exactSweep(b *testing.B, g *Graph, pool *Pool, topo Topology) []FrontierPoi
 	return pts
 }
 
-// milpSweep traces a point-to-point frontier with the MILP alone under
-// search options Spec does not expose.
-func milpSweep(b *testing.B, g *Graph, pool *Pool, mo milp.Options, opts pareto.Options) []FrontierPoint {
-	b.Helper()
-	pts, err := pareto.Sweep(context.Background(), &race.Family{G: g, Pool: pool, Topo: arch.PointToPoint{},
-		Rungs: budget.Ladder{budget.RungMILP}, Frontier: true, MILP: mo}, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return frontierPoints(pts)
-}
-
-// BenchmarkTable2MILP regenerates Table II with the paper's own MILP
-// method (Figure 1 graph, Table I processors, point-to-point), using the
-// tuned search configuration: warm-started node re-solves, pseudo-cost
-// branching and best-first search.
-func BenchmarkTable2MILP(b *testing.B) {
-	benchTable2(b, &milp.Options{
-		TimeLimit: 10 * time.Minute,
-		Branch:    milp.BranchPseudoCost,
-		Order:     milp.BestFirst,
-	})
-}
-
-// BenchmarkTable2MILPColdDFS is the pre-optimization baseline: cold
-// tableau rebuilds at every node, depth-first search and most-fractional
-// branching (the seed's only configuration).
-func BenchmarkTable2MILPColdDFS(b *testing.B) {
-	benchTable2(b, &milp.Options{TimeLimit: 10 * time.Minute, ColdLP: true})
-}
-
-func benchTable2(b *testing.B, opts *milp.Options) {
+// milpSweep traces Example 1's point-to-point frontier with the MILP
+// engine, as Frontier sweeps it for EngineMILP, from startCap (0: the
+// whole frontier) with the given sweep workers, and asserts the paper's
+// points.
+func milpSweep(b *testing.B, startCap float64, workers int, want []expts.ParetoPoint) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		requireFrontier(b, milpSweep(b, g, pool, *opts, pareto.Options{}), expts.Table2)
+		pts, err := Frontier(context.Background(), Spec{Graph: g, Library: lib, Pool: pool, Engine: EngineMILP,
+			Budget: 10 * time.Minute, CostCap: startCap, SweepWorkers: workers})
+		if err != nil {
+			b.Fatal(err)
+		}
+		requireFrontier(b, pts, want)
 	}
 }
+
+// BenchmarkTable2MILP regenerates Table II with the paper's own MILP
+// method (Figure 1 graph, Table I processors, point-to-point): the whole
+// frontier, swept one chain point at a time.
+func BenchmarkTable2MILP(b *testing.B) { milpSweep(b, 0, 1, expts.Table2) }
 
 // --- Speculative-parallel sweep (DESIGN.md §10) ---
 
 // BenchmarkTable2SweepSerial is the sequential baseline of the
-// speculative-parallel comparison: the Table II MILP sweep (StartCap 14,
-// tuned search) solved one chain point at a time.
-func BenchmarkTable2SweepSerial(b *testing.B) { benchSweepWorkers(b, 1) }
+// speculative-parallel comparison: the Table II MILP sweep from cap 14
+// solved one chain point at a time.
+func BenchmarkTable2SweepSerial(b *testing.B) { milpSweep(b, 14, 1, expts.Table2Full) }
 
 // BenchmarkTable2SweepParallel is the same sweep with four speculative
 // workers sharing the incremental model templates and the cross-point
 // incumbent pool. The frontier is asserted identical to the serial one
 // (Table II plus the uniprocessor point) on every iteration.
-func BenchmarkTable2SweepParallel(b *testing.B) { benchSweepWorkers(b, 4) }
-
-func benchSweepWorkers(b *testing.B, workers int) {
-	g, lib := expts.Example1()
-	pool := expts.Example1Pool(lib)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts := milpSweep(b, g, pool, milp.Options{TimeLimit: 10 * time.Minute, Branch: milp.BranchPseudoCost, Order: milp.BestFirst},
-			pareto.Options{StartCap: 14, SweepWorkers: workers})
-		requireFrontier(b, pts, expts.Table2Full)
-	}
-}
+func BenchmarkTable2SweepParallel(b *testing.B) { milpSweep(b, 14, 4, expts.Table2Full) }
 
 // BenchmarkSweepModelReuse measures the incremental model path the
 // parallel sweep uses: one template Build, then a SetCostCap clone and a
@@ -176,9 +145,7 @@ func BenchmarkNodeThroughput(b *testing.B) {
 	b.ResetTimer()
 	totalNodes := 0
 	for i := 0; i < b.N; i++ {
-		design, sol, err := m.Solve(context.Background(), &milp.Options{
-			Branch: milp.BranchPseudoCost, Order: milp.BestFirst,
-		})
+		design, sol, err := m.Solve(context.Background(), &milp.Options{})
 		if err != nil || sol.Status != milp.Optimal || math.Abs(design.Makespan-2.5) > 1e-6 {
 			b.Fatalf("err=%v status=%v", err, sol.Status)
 		}

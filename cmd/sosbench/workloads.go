@@ -11,29 +11,23 @@ import (
 
 	"sos"
 	"sos/internal/arch"
-	"sos/internal/budget"
 	"sos/internal/expts"
 	"sos/internal/lp"
 	"sos/internal/milp"
 	"sos/internal/model"
-	"sos/internal/pareto"
-	"sos/internal/race"
 	"sos/internal/sim"
 	"sos/internal/taskgraph"
 	"sos/internal/telemetry"
 )
 
 // perfSweep times the Table II MILP sweep from cap 14 at 1, 2 and 4 sweep
-// workers (DESIGN.md §10); every run must return the Table II frontier.
-// Model and speculation counters are totals over the row's runs; the heap
-// allocation counters (bytes_per_op, allocs_per_op) are per run.
+// workers (DESIGN.md §10), as sos.Frontier runs it for EngineMILP; every
+// run must return the Table II frontier. Model and speculation counters
+// are totals over the row's runs; the heap allocation counters
+// (bytes_per_op, allocs_per_op) are per run.
 func perfSweep() ([]perfRow, error) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	want := make([][2]float64, len(expts.Table2Full))
-	for i, pt := range expts.Table2Full {
-		want[i] = [2]float64{pt.Cost, pt.Perf}
-	}
 	var rows []perfRow
 	for _, workers := range []int{1, 2, 4} {
 		tel := telemetry.New(nil)
@@ -41,14 +35,10 @@ func perfSweep() ([]perfRow, error) {
 		points, table2 := 0, true
 		m0 := heapTotals()
 		lat, err := timed(reps, func() error {
-			// The search options are ones Spec does not expose, so the
-			// row builds its MILP family by hand.
-			fam := &race.Family{G: g, Pool: pool, Topo: arch.PointToPoint{},
-				Rungs: budget.Ladder{budget.RungMILP}, Frontier: true, Telemetry: tel,
-				MILP: milp.Options{TimeLimit: *budgetFlag, Branch: milp.BranchPseudoCost, Order: milp.BestFirst}}
-			pts, err := pareto.Sweep(context.Background(), fam, pareto.Options{StartCap: 14, SweepWorkers: workers})
+			pts, err := sos.Frontier(context.Background(), sos.Spec{Graph: g, Library: lib, Pool: pool,
+				Engine: sos.EngineMILP, Budget: *budgetFlag, CostCap: 14, SweepWorkers: workers, Telemetry: tel})
 			points = len(pts)
-			table2 = table2 && err == nil && pareto.FrontierEquals(pts, want, 1e-6) == nil
+			table2 = table2 && err == nil && paperFrontier(pts, expts.Table2Full)
 			return err
 		})
 		if err != nil {
@@ -273,6 +263,20 @@ func perfCache() ([]perfRow, error) {
 		Counters:   map[string]float64{"cold_milp_nodes": float64(coldRes.Nodes), "warm_milp_nodes": float64(warmRes.Nodes)},
 		Invariants: map[string]bool{"warm_nodes_le_cold": warmRes.Nodes <= coldRes.Nodes},
 	}), nil
+}
+
+// paperFrontier reports whether pts holds exactly the paper's points, in
+// order (1e-6 absolute).
+func paperFrontier(pts []sos.FrontierPoint, paper []expts.ParetoPoint) bool {
+	if len(pts) != len(paper) {
+		return false
+	}
+	for i, p := range paper {
+		if math.Abs(pts[i].Cost-p.Cost) > 1e-6 || math.Abs(pts[i].Perf-p.Perf) > 1e-6 {
+			return false
+		}
+	}
+	return true
 }
 
 // sameFrontiers reports whether two frontiers are bit-identical in cost,

@@ -100,3 +100,53 @@ func TestRingFrontierPins(t *testing.T) {
 		})
 	}
 }
+
+// TestMILPEngineWorkPins pins the MILP engine's search on the Example 1
+// frontier, point-to-point and on a shared bus: the branch-and-bound
+// nodes, how the node relaxations were solved (warm, cold, warm attempts
+// that fell back cold, and the dual and primal pivots of the warm
+// re-solves), the installed incumbents, and every bit of every frontier
+// point and design. Any change to the node order, the branching column
+// or the order in which a node's children are pushed moves the node
+// counts; a change to the LP kernel or the resolver that keeps its
+// pivots leaves all of them unchanged.
+func TestMILPEngineWorkPins(t *testing.T) {
+	g, lib := expts.Example1()
+	for _, c := range []struct {
+		name                                                   string
+		topo                                                   arch.Topology
+		nodes, warm, cold, fallbacks, dual, primal, incumbents int64
+		digest                                                 string
+	}{
+		{"p2p", arch.PointToPoint{}, 381, 260, 121, 31, 7213, 206, 3, "a95de29dd7258ba6"},
+		{"bus", arch.Bus{}, 583, 400, 183, 35, 7520, 349, 2, "d28238a5f8230878"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tel := NewTelemetry(nil)
+			pts, err := Frontier(context.Background(), Spec{Graph: g, Library: lib,
+				Pool: expts.Example1Pool(lib), Topology: c.topo, Engine: EngineMILP, Telemetry: tel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []struct {
+				name      string
+				got, want int64
+			}{
+				{"nodes_expanded", tel.Get(telemetry.CtrNodesExpanded), c.nodes},
+				{"lp_warm", tel.Get(telemetry.CtrLPWarm), c.warm},
+				{"lp_cold", tel.Get(telemetry.CtrLPCold), c.cold},
+				{"lp_fallbacks", tel.Get(telemetry.CtrLPFallbacks), c.fallbacks},
+				{"lp_dual_iters", tel.Get(telemetry.CtrLPDualIters), c.dual},
+				{"lp_primal_iters", tel.Get(telemetry.CtrLPPrimalIters), c.primal},
+				{"incumbents", tel.Get(telemetry.CtrIncumbents), c.incumbents},
+			} {
+				if k.got != k.want {
+					t.Errorf("%s = %d, want %d", k.name, k.got, k.want)
+				}
+			}
+			if got := frontierDigest(pts); got != c.digest {
+				t.Errorf("frontier digest %s (%d points), want %s", got, len(pts), c.digest)
+			}
+		})
+	}
+}

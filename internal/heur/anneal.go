@@ -10,80 +10,6 @@ import (
 	"sos/internal/taskgraph"
 )
 
-// HLFET maps and schedules with the classic Highest-Level-First-with-
-// Estimated-Times rule: subtasks in descending bottom-level priority,
-// each placed on the allowed processor that finishes it earliest (ASAP
-// transfers included). It differs from ETF, which picks the globally
-// earliest (task, processor) pair; the two bracket the common
-// list-scheduling heuristics the paper surveys.
-func HLFET(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, procs []arch.ProcID) (*schedule.Design, error) {
-	st := newState(g, pool, topo)
-	allowed := map[arch.ProcID]bool{}
-	for _, p := range procs {
-		allowed[p] = true
-	}
-	// Priority: bottom level with optimistic (fastest) durations.
-	durMin := func(a taskgraph.SubtaskID) float64 {
-		best := math.Inf(1)
-		for _, d := range pool.Capable(a) {
-			if e := pool.Exec(d, a); e < best {
-				best = e
-			}
-		}
-		return best
-	}
-	bl := g.BottomLevel(durMin)
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	// Sort by level first (to respect precedence for transfer planning),
-	// then descending bottom level.
-	lvl := g.Level()
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if lvl[a] > lvl[b] || (lvl[a] == lvl[b] && bl[a] < bl[b]) {
-				order[j-1], order[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-	for _, a := range order {
-		bestProc := arch.ProcID(-1)
-		bestFinish := math.Inf(1)
-		var bestPlans []xferPlan
-		var bestStart, bestDur float64
-		for _, d := range pool.Capable(a) {
-			if !allowed[d] {
-				continue
-			}
-			dd := pool.Exec(d, a)
-			plans, err := st.planInputs(a, d, dd)
-			if err != nil {
-				return nil, err
-			}
-			lb := 0.0
-			for _, p := range plans {
-				if p.startLB > lb {
-					lb = p.startLB
-				}
-			}
-			start := st.proc(d).earliestFit(lb, dd)
-			if fin := start + dd; fin < bestFinish-1e-12 || (fin < bestFinish+1e-12 && d < bestProc) {
-				bestProc, bestFinish = d, fin
-				bestPlans, bestStart, bestDur = plans, start, dd
-			}
-		}
-		if bestProc < 0 {
-			return nil, ErrNotSchedulable
-		}
-		st.commit(a, bestProc, bestStart, bestDur, bestPlans)
-	}
-	return st.design(), nil
-}
-
 // AnnealOptions tunes the simulated-annealing synthesizer.
 type AnnealOptions struct {
 	// CostCap bounds the total system cost (0 = uncapped). Over-budget

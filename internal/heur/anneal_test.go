@@ -2,57 +2,11 @@ package heur
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"sos/internal/arch"
 	"sos/internal/expts"
-	"sos/internal/taskgraph"
 )
-
-func allProcs(pool *arch.Instances) []arch.ProcID {
-	procs := make([]arch.ProcID, pool.NumProcs())
-	for i := range procs {
-		procs[i] = arch.ProcID(i)
-	}
-	return procs
-}
-
-func TestHLFETExample1(t *testing.T) {
-	g, lib := expts.Example1()
-	pool := expts.Example1Pool(lib)
-	d, err := HLFET(g, pool, arch.PointToPoint{}, allProcs(pool))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Validate(nil); err != nil {
-		t.Fatalf("invalid: %v", err)
-	}
-	if d.Makespan < 2.5-1e-9 {
-		t.Errorf("HLFET makespan %g beats the proven optimum 2.5", d.Makespan)
-	}
-}
-
-func TestHLFETRandomValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 60; trial++ {
-		g := taskgraph.Random(rng, taskgraph.RandomSpec{
-			Subtasks: 2 + rng.Intn(8), ArcProb: 0.3, Fractions: trial%2 == 0,
-		})
-		g.MustFreeze()
-		lib := arch.RandomLibrary(rng, g, 2)
-		pool := arch.AutoPool(lib, g, 2)
-		for _, topo := range []arch.Topology{arch.PointToPoint{}, arch.Bus{}} {
-			d, err := HLFET(g, pool, topo, allProcs(pool))
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			if err := d.Validate(nil); err != nil {
-				t.Fatalf("trial %d %s: %v", trial, topo.Name(), err)
-			}
-		}
-	}
-}
 
 func TestAnnealExample1(t *testing.T) {
 	g, lib := expts.Example1()

@@ -272,7 +272,7 @@ type Hooks struct {
 	OnPivot func(iters int)
 
 	// ForceIterLimit, when > 0, caps every solve's iteration budget at the
-	// given value, forcing IterLimit exits regardless of MaxIters.
+	// given value, forcing IterLimit exits.
 	ForceIterLimit int
 }
 
@@ -310,9 +310,6 @@ const autoSparseThreshold = 4000
 
 // Options tunes the solver. The zero value gives sensible defaults.
 type Options struct {
-	MaxIters int     // per solve; default 20000 + 50*(rows+cols)
-	Eps      float64 // feasibility/optimality tolerance; default 1e-9
-
 	// Kernel selects the simplex implementation (default KernelAuto).
 	Kernel Kernel
 
@@ -350,12 +347,11 @@ type Options struct {
 	Telemetry *telemetry.Collector
 }
 
+// maxIters is the iteration cap of one solve of p: 20000 + 50·(rows+cols),
+// or Hooks.ForceIterLimit when set.
 func (o *Options) maxIters(p *Problem) int {
 	if o != nil && o.Hooks != nil && o.Hooks.ForceIterLimit > 0 {
 		return o.Hooks.ForceIterLimit
-	}
-	if o != nil && o.MaxIters > 0 {
-		return o.MaxIters
 	}
 	return 20000 + 50*(len(p.rows)+len(p.cols))
 }
@@ -365,13 +361,6 @@ func (o *Options) hooks() *Hooks {
 		return nil
 	}
 	return o.Hooks
-}
-
-func (o *Options) eps() float64 {
-	if o != nil && o.Eps > 0 {
-		return o.Eps
-	}
-	return 1e-9
 }
 
 func (o *Options) deadline() time.Time {

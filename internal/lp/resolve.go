@@ -408,7 +408,7 @@ func (r *Resolver) dualRepair() (Status, bool) {
 			}
 			y := alpha[j]
 			ay := math.Abs(y)
-			if ay <= s.eps {
+			if ay <= eps {
 				continue
 			}
 			var helps bool

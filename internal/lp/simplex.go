@@ -33,7 +33,6 @@ type simplex struct {
 	p        *Problem
 	opts     *Options             // telemetry for the kernels
 	bounds   map[ColID][2]float64 // bound overrides of this solve, kept for a restart
-	eps      float64
 	max      int
 	hooks    *Hooks
 	deadline time.Time
@@ -96,10 +95,13 @@ type basis interface {
 // primal loop and the dual repair.
 const deadlineStride = 16
 
+// eps is the simplex's feasibility and optimality tolerance.
+const eps = 1e-9
+
 // newSimplex returns a solver for p, built for a cold solve under bounds
 // (nil: the problem's own).
 func newSimplex(p *Problem, opts *Options, bounds map[ColID][2]float64) *simplex {
-	s := &simplex{p: p, opts: opts, eps: opts.eps(), max: opts.maxIters(p), hooks: opts.hooks(),
+	s := &simplex{p: p, opts: opts, max: opts.maxIters(p), hooks: opts.hooks(),
 		deadline: opts.deadline(), done: opts.done()}
 	if opts.kernelFor(p) == KernelSparse {
 		s.b = &sparseBasis{s: s}
@@ -381,7 +383,7 @@ func (s *simplex) iterate(phase1 bool) Status {
 				return IterLimit
 			}
 		}
-		if s.obj < prevObj-s.eps {
+		if s.obj < prevObj-eps {
 			s.stall = 0
 		} else {
 			s.stall++
@@ -407,7 +409,7 @@ func (s *simplex) expired() bool {
 // returning its index and move direction (+1 from lower bound, −1 from
 // upper). Returns (-1, 0) at optimality.
 func (s *simplex) chooseEntering(phase1 bool) (int, float64) {
-	bestJ, bestScore, bestDir := -1, s.eps, 0.0
+	bestJ, bestScore, bestDir := -1, eps, 0.0
 	for j := 0; j < s.nTot; j++ {
 		if s.status[j] == basic {
 			continue
@@ -421,11 +423,11 @@ func (s *simplex) chooseEntering(phase1 bool) (int, float64) {
 		var score, dir float64
 		switch s.status[j] {
 		case atLower:
-			if s.d[j] < -s.eps {
+			if s.d[j] < -eps {
 				score, dir = -s.d[j], 1
 			}
 		case atUpper:
-			if s.d[j] > s.eps {
+			if s.d[j] > eps {
 				score, dir = s.d[j], -1
 			}
 		}
@@ -460,10 +462,10 @@ func (s *simplex) ratioTest(j int, dir float64) (int, float64, bool) {
 		bv := s.basicVar[i]
 		var limit float64
 		var upper bool
-		if delta > s.eps {
+		if delta > eps {
 			limit = (s.xB[i] - s.lb[bv]) / delta
 			upper = false
-		} else if delta < -s.eps {
+		} else if delta < -eps {
 			if math.IsInf(s.ub[bv], 1) {
 				continue
 			}
@@ -472,11 +474,11 @@ func (s *simplex) ratioTest(j int, dir float64) (int, float64, bool) {
 		} else {
 			continue
 		}
-		if limit < -s.eps {
+		if limit < -eps {
 			limit = 0
 		}
-		if limit < t-s.eps ||
-			(limit < t+s.eps && leave >= 0 && s.betterLeaving(i, leave)) {
+		if limit < t-eps ||
+			(limit < t+eps && leave >= 0 && s.betterLeaving(i, leave)) {
 			t = limit
 			leave = i
 			hitUpper = upper

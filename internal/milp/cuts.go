@@ -24,9 +24,8 @@ import (
 // Σ_{j∈C}(1−v*_j) must fall short of 1 by at least this much.
 const cutViolTol = 1e-4
 
-// defaultCutRounds bounds root separation rounds when Options.MaxCutRounds
-// is zero.
-const defaultCutRounds = 5
+// cutRounds bounds the root separation rounds.
+const cutRounds = 5
 
 // knapRow is one ≤ row over binary integer columns, complemented so all
 // coefficients are positive: v_j = x_j when a_j > 0, v_j = 1−x_j when
@@ -186,10 +185,9 @@ func appendKey(key []byte, col int, neg bool) []byte {
 
 // addRootCuts runs the root separation loop: solve the relaxation, cut
 // the fractional point, repeat. Each round solves through the search's
-// own resolver (st.res; a plain cold solve under Options.ColdLP). When a
-// round adds cuts, st.s moves to a solver over the tightened clone and
-// st.res to a fresh resolver over it; the original problem is never
-// mutated. A loop that ends on an optimal solve therefore leaves st.res
+// own resolver, st.res. When a round adds cuts, st.s moves to a solver
+// over the tightened clone and st.res to a fresh resolver over it; the
+// original problem is never mutated. A loop that ends on an optimal solve therefore leaves st.res
 // holding the final problem's root basis, and the root node re-solves it
 // warm at unchanged bounds instead of cold a second time.
 func (st *bbState) addRootCuts() error {
@@ -197,25 +195,21 @@ func (st *bbState) addRootCuts() error {
 	if len(s.integer) == 0 {
 		return nil
 	}
-	rounds := st.opts.MaxCutRounds
-	if rounds <= 0 {
-		rounds = defaultCutRounds
-	}
 	var work *lp.Problem // clone, created lazily on the first cut
 	seen := map[string]bool{}
 	tel := st.opts.Telemetry
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < cutRounds; round++ {
 		if st.ctx.Err() != nil || (!st.deadline.IsZero() && time.Now().After(st.deadline)) {
 			break
 		}
-		sol, err := st.solveLP(nil)
+		sol, err := st.res.Solve(nil)
 		if err != nil || sol.Status != lp.Optimal {
 			break // let the tree search surface whatever this is
 		}
 		fractional := false
 		for _, c := range s.integer {
 			v := sol.X[c]
-			if math.Abs(v-math.Round(v)) > st.tol {
+			if math.Abs(v-math.Round(v)) > intTol {
 				fractional = true
 				break
 			}
@@ -243,10 +237,8 @@ func (st *bbState) addRootCuts() error {
 		if added == 0 {
 			break
 		}
-		if st.res != nil {
-			if st.res, err = work.NewResolver(st.lpOpts()); err != nil {
-				return err
-			}
+		if st.res, err = work.NewResolver(st.lpOpts()); err != nil {
+			return err
 		}
 	}
 	return nil

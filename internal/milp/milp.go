@@ -4,25 +4,25 @@
 // paper used to solve its synthesis models.
 //
 // The solver relaxes integrality, solves the LP at each node, and branches
-// on a fractional integer variable by splitting its bound interval. Nodes
-// are explored depth-first (to find incumbents fast) with best-bound
-// reordering among siblings. A warm-start incumbent (e.g. from a heuristic
+// on the most fractional integer column by splitting its bound interval.
+// Open nodes sit on a stack and are explored depth-first, to find
+// incumbents fast; both children of a node carry the node's LP objective
+// as their bound, and a popped node whose bound cannot beat the incumbent
+// is pruned unsolved. A warm-start incumbent (e.g. from a heuristic
 // schedule) can be supplied to tighten pruning from the first node.
 //
-// Node LPs are solved through lp.Resolver, which carries the node
-// throughput: one persistent tableau per solve, re-optimized by dual
-// simplex after each node's bound changes instead of rebuilding and
-// running two phases cold (Options.ColdLP restores the old behaviour for
-// ablation). Each Solve searches on its caller's goroutine; concurrency
-// comes from running several solves at once (a portfolio race, a
-// speculative sweep), never from inside one.
+// Every node LP is solved through one lp.Resolver per solve, which carries
+// the node throughput: one persistent tableau, re-optimized by dual
+// simplex after each node's bound changes instead of being rebuilt and
+// run through two phases cold. Each Solve searches on its caller's
+// goroutine; concurrency comes from running several solves at once (a
+// portfolio race, a speculative sweep), never from inside one.
 package milp
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"sos/internal/budget"
@@ -75,7 +75,7 @@ type Solution struct {
 	Cuts   int       // cutting planes appended at the root (Options.RootCuts)
 	// LPStats counts how node relaxations were solved (warm vs cold),
 	// including the root cut loop's solves of the final problem, which
-	// share the search's resolver; zero when Options.ColdLP is set.
+	// share the search's resolver.
 	LPStats lp.ResolveStats
 }
 
@@ -98,8 +98,6 @@ type Options struct {
 	MaxNodes int
 	// TimeLimit caps wall time (0 = unlimited).
 	TimeLimit time.Duration
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// Incumbent, when non-nil, provides a known integer-feasible solution
 	// used as the initial upper bound. Its objective is recomputed from
 	// the problem; it is trusted to be feasible.
@@ -129,14 +127,6 @@ type Options struct {
 	// goroutine while other engines publish, so its source must be safe
 	// for concurrent use.
 	Foreign func(seen uint64) (x []float64, version uint64, ok bool)
-	// Branch selects the branching rule (default most-fractional).
-	Branch BranchRule
-	// Order selects the node-selection strategy (default depth-first).
-	Order NodeOrder
-	// ColdLP disables warm-started node re-solves, rebuilding the simplex
-	// tableau from scratch at every node (the pre-resolver behaviour).
-	// Ablation/debugging only.
-	ColdLP bool
 	// RootCuts enables cover-cut generation at the root: knapsack rows
 	// (≤ rows over binary columns, such as the SOS cost-cap row) are
 	// separated against the fractional root relaxation and violated cover
@@ -144,8 +134,6 @@ type Options struct {
 	// then runs on the tightened clone; the caller's Problem is not
 	// mutated.
 	RootCuts bool
-	// MaxCutRounds caps root separation rounds (default 5, used when 0).
-	MaxCutRounds int
 	// Hooks injects failpoints for fault testing; nil in production.
 	Hooks *Hooks
 	// Telemetry, when non-nil, aggregates search counters (node
@@ -157,12 +145,9 @@ type Options struct {
 	Telemetry *telemetry.Collector
 }
 
-func (o *Options) intTol() float64 {
-	if o != nil && o.IntTol > 0 {
-		return o.IntTol
-	}
-	return 1e-6
-}
+// intTol is the integrality tolerance: an integer column within it of an
+// integer counts as integral.
+const intTol = 1e-6
 
 // Solver carries a problem plus the set of integer-constrained columns.
 type Solver struct {
@@ -186,15 +171,6 @@ func New(prob *lp.Problem, integerCols []lp.ColID) *Solver {
 type node struct {
 	bounds map[lp.ColID][2]float64
 	bound  float64 // parent LP objective (lower bound for this node)
-	depth  int
-	// Branching provenance, for pseudo-cost updates.
-	branchCol  lp.ColID
-	branchUp   bool
-	branchFrac float64 // fractional part of branchCol at the parent
-}
-
-func rootNode() *node {
-	return &node{bounds: map[lp.ColID][2]float64{}, bound: math.Inf(-1), branchCol: -1}
 }
 
 // budgetStride amortizes time.Now and Foreign polling: the search only
@@ -204,20 +180,17 @@ func rootNode() *node {
 // node.
 const budgetStride = 64
 
-// bbState is the search state of one Solve call: incumbent, pseudo-costs,
-// root information, reduced-cost fixings, the open-node frontier with its
+// bbState is the search state of one Solve call: incumbent, root
+// information, reduced-cost fixings, the open-node stack with its
 // warm-start LP resolver, and budget flags.
 type bbState struct {
 	s        *Solver
 	opts     *Options
-	tol      float64
 	ctx      context.Context
 	deadline time.Time
 
 	best  float64 // incumbent objective (+Inf before the first)
 	bestX []float64
-
-	pc *pseudoCost
 
 	// Root facts, written once when the root is expanded and read-only
 	// afterwards.
@@ -230,9 +203,9 @@ type bbState struct {
 	// on incumbent improvement.
 	fixed map[lp.ColID][2]float64
 
-	res  *lp.Resolver // nil under Options.ColdLP
-	open *frontier
-	err  error // LP failure that ended the search
+	res  *lp.Resolver
+	open []*node // depth-first stack: the last node is expanded next
+	err  error   // LP failure that ended the search
 
 	nodes       int
 	stop        bool   // budget exhausted: halt the search
@@ -319,10 +292,7 @@ func (st *bbState) refix() {
 
 // result assembles the Solution after the search ends.
 func (st *bbState) result() *Solution {
-	res := &Solution{Nodes: st.nodes, Cuts: st.cutsAdded}
-	if st.res != nil {
-		res.LPStats = st.res.Stats()
-	}
+	res := &Solution{Nodes: st.nodes, Cuts: st.cutsAdded, LPStats: st.res.Stats()}
 	if st.rootUnbounded {
 		res.Status = Unbounded
 		res.Obj = math.Inf(-1)
@@ -365,8 +335,6 @@ func (st *bbState) lpOpts() *lp.Options {
 		Done:      st.ctx.Done(),
 	}
 	if st.opts.LP != nil {
-		o.MaxIters = st.opts.LP.MaxIters
-		o.Eps = st.opts.LP.Eps
 		o.Kernel = st.opts.LP.Kernel
 		o.Presolve = st.opts.LP.Presolve
 	}
@@ -374,15 +342,6 @@ func (st *bbState) lpOpts() *lp.Options {
 		o.Hooks = st.opts.Hooks.LP
 	}
 	return o
-}
-
-func (st *bbState) solveLP(bounds map[lp.ColID][2]float64) (*lp.Solution, error) {
-	if st.res != nil {
-		return st.res.Solve(bounds)
-	}
-	o := *st.lpOpts()
-	o.BoundOverride = bounds
-	return st.s.prob.Solve(&o)
 }
 
 // checkBudget reports whether the search must halt. Wall-clock polling
@@ -417,7 +376,7 @@ func (st *bbState) checkBudget() bool {
 // slice out of the search state.
 func (st *bbState) adoptForeign(cand []float64) {
 	s := st.s
-	if len(cand) != s.prob.NumCols() || !s.checkFeasible(cand, st.tol) {
+	if len(cand) != s.prob.NumCols() || !s.checkFeasible(cand) {
 		return
 	}
 	if obj := s.objOf(cand); obj < relCut(st.best, improveTol) {
@@ -425,7 +384,7 @@ func (st *bbState) adoptForeign(cand []float64) {
 	}
 }
 
-// search drains the frontier from the root, converting a panic anywhere
+// search drains the node stack from the root, converting a panic anywhere
 // in the search (real bug or injected fault) into an error instead of
 // killing the caller. Node counters fold into the collector on every
 // exit.
@@ -438,12 +397,14 @@ func (st *bbState) search() (err error) {
 		tel.Add(telemetry.CtrNodesExpanded, st.nExpand)
 		tel.Add(telemetry.CtrNodesPruned, st.nPrune)
 	}()
-	st.open.push(rootNode())
-	for st.err == nil && !st.open.empty() {
+	st.open = append(st.open, &node{bounds: map[lp.ColID][2]float64{}, bound: math.Inf(-1)})
+	for st.err == nil && len(st.open) > 0 {
 		if st.checkBudget() {
 			break
 		}
-		st.expand(st.open.pop())
+		nd := st.open[len(st.open)-1]
+		st.open = st.open[:len(st.open)-1]
+		st.expand(nd)
 	}
 	return st.err
 }
@@ -472,7 +433,7 @@ func (st *bbState) expand(nd *node) {
 			bounds[c] = b
 		}
 	}
-	sol, err := st.solveLP(bounds)
+	sol, err := st.res.Solve(bounds)
 	if err != nil {
 		st.err = err
 		return
@@ -503,24 +464,14 @@ func (st *bbState) expand(nd *node) {
 		st.rootRC = append([]float64(nil), sol.ReducedCosts...)
 		st.refix()
 	}
-	if nd.branchCol >= 0 && nd.branchFrac > st.tol && !math.IsInf(nd.bound, -1) {
-		// Pseudo-cost bookkeeping: degradation per unit fraction.
-		width := nd.branchFrac
-		if nd.branchUp {
-			width = 1 - nd.branchFrac
-		}
-		if width > st.tol {
-			st.pc.observe(nd.branchCol, nd.branchUp, (sol.Obj-nd.bound)/width)
-		}
-	}
 	if sol.Obj >= cutoff(st.best) {
 		return // bound-dominated
 	}
 
-	col := st.s.chooseBranch(st.opts.Branch, st.pc, sol.X, st.tol)
+	col := st.s.mostFractional(sol.X)
 	if col < 0 {
 		// Integer feasible.
-		x := st.s.roundIntegers(sol.X, st.tol)
+		x := st.s.roundIntegers(sol.X)
 		st.offer(x, st.s.objOf(x))
 		return
 	}
@@ -528,25 +479,20 @@ func (st *bbState) expand(nd *node) {
 	// Branch on the chosen column: floor side and ceil side.
 	v := sol.X[col]
 	lo, hi := st.s.colBounds(nd, col)
-	fl := math.Floor(v + st.tol)
-	f := v - fl
-	down := cloneBounds(nd.bounds)
-	down[col] = [2]float64{lo, fl}
-	up := cloneBounds(nd.bounds)
-	up[col] = [2]float64{fl + 1, hi}
+	fl := math.Floor(v + intTol)
+	down := &node{bounds: cloneBounds(nd.bounds), bound: sol.Obj}
+	down.bounds[col] = [2]float64{lo, fl}
+	up := &node{bounds: cloneBounds(nd.bounds), bound: sol.Obj}
+	up.bounds[col] = [2]float64{fl + 1, hi}
 
-	children := []*node{
-		{bounds: down, bound: sol.Obj, depth: nd.depth + 1, branchCol: col, branchUp: false, branchFrac: f},
-		{bounds: up, bound: sol.Obj, depth: nd.depth + 1, branchCol: col, branchUp: true, branchFrac: f},
+	// The child pushed last is expanded next, and it is the side farther
+	// from the LP value: x ≥ ⌊v⌋+1 when v's fractional part is at most
+	// 0.5 (at v = 0.3, x ≥ 1 first), x ≤ ⌊v⌋ otherwise.
+	if v-fl > 0.5 {
+		st.open = append(st.open, up, down)
+	} else {
+		st.open = append(st.open, down, up)
 	}
-	// Depth-first explores the side nearer the fractional value first
-	// (pushed last); best-first ordering is by bound, so push order
-	// is irrelevant there.
-	if f > 0.5 {
-		children[0], children[1] = children[1], children[0]
-	}
-	st.open.push(children[0])
-	st.open.push(children[1])
 }
 
 // Solve runs branch and bound. The context may cancel the search early; a
@@ -561,13 +507,10 @@ func (s *Solver) Solve(ctx context.Context, opts *Options) (*Solution, error) {
 	st := &bbState{
 		s:         s,
 		opts:      opts,
-		tol:       opts.intTol(),
 		ctx:       ctx,
 		best:      math.Inf(1),
-		pc:        newPseudoCost(),
 		rootBound: math.Inf(-1),
 		fixed:     map[lp.ColID][2]float64{},
-		open:      newFrontier(opts.Order),
 	}
 	if opts.TimeLimit > 0 {
 		st.deadline = time.Now().Add(opts.TimeLimit)
@@ -581,7 +524,7 @@ func (s *Solver) Solve(ctx context.Context, opts *Options) (*Solution, error) {
 		st.best = s.objOf(opts.Incumbent)
 	}
 	for _, cand := range opts.IncumbentPool {
-		if len(cand) != s.prob.NumCols() || !s.checkFeasible(cand, st.tol) {
+		if len(cand) != s.prob.NumCols() || !s.checkFeasible(cand) {
 			continue
 		}
 		if obj := s.objOf(cand); obj < st.best {
@@ -590,13 +533,11 @@ func (s *Solver) Solve(ctx context.Context, opts *Options) (*Solution, error) {
 		}
 	}
 
-	if !opts.ColdLP {
-		r, err := s.prob.NewResolver(st.lpOpts())
-		if err != nil {
-			return nil, err
-		}
-		st.res = r
+	r, err := s.prob.NewResolver(st.lpOpts())
+	if err != nil {
+		return nil, err
 	}
+	st.res = r
 	if opts.RootCuts {
 		// May replace st.s and st.res with a solver and a resolver over a
 		// cut-tightened clone; every path below reads them through st.
@@ -620,10 +561,11 @@ func (s *Solver) colBounds(nd *node, c lp.ColID) (float64, float64) {
 }
 
 // mostFractional returns the integer column whose LP value is farthest from
-// integral (most-fractional branching), or -1 if all are integral.
-func (s *Solver) mostFractional(x []float64, tol float64) lp.ColID {
+// integral (the first in the solver's column order on a tie), or -1 if all
+// are integral.
+func (s *Solver) mostFractional(x []float64) lp.ColID {
 	best := lp.ColID(-1)
-	bestScore := tol
+	bestScore := intTol
 	for _, c := range s.integer {
 		v := x[c]
 		f := math.Abs(v - math.Round(v))
@@ -635,7 +577,7 @@ func (s *Solver) mostFractional(x []float64, tol float64) lp.ColID {
 }
 
 // roundIntegers snaps near-integral integer columns to exact integers.
-func (s *Solver) roundIntegers(x []float64, tol float64) []float64 {
+func (s *Solver) roundIntegers(x []float64) []float64 {
 	out := append([]float64(nil), x...)
 	for _, c := range s.integer {
 		out[c] = math.Round(out[c])
@@ -646,7 +588,7 @@ func (s *Solver) roundIntegers(x []float64, tol float64) []float64 {
 // checkFeasible reports whether x satisfies every row (within a tolerance
 // scaled by the row's magnitude), every column bound, and integrality on
 // the integer columns. Used to vet untrusted IncumbentPool candidates.
-func (s *Solver) checkFeasible(x []float64, tol float64) bool {
+func (s *Solver) checkFeasible(x []float64) bool {
 	const rowTol = 1e-6
 	for j := 0; j < s.prob.NumCols(); j++ {
 		c := s.prob.Col(lp.ColID(j))
@@ -655,7 +597,7 @@ func (s *Solver) checkFeasible(x []float64, tol float64) bool {
 		}
 	}
 	for _, c := range s.integer {
-		if math.Abs(x[c]-math.Round(x[c])) > tol {
+		if math.Abs(x[c]-math.Round(x[c])) > intTol {
 			return false
 		}
 	}
@@ -699,12 +641,4 @@ func cloneBounds(b map[lp.ColID][2]float64) map[lp.ColID][2]float64 {
 		nb[k] = v
 	}
 	return nb
-}
-
-// SortedIntegerCols returns the solver's integer columns in ascending
-// order; exposed for deterministic reporting.
-func (s *Solver) SortedIntegerCols() []lp.ColID {
-	out := append([]lp.ColID(nil), s.integer...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

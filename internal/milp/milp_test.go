@@ -278,31 +278,242 @@ func TestLPStatsCountPresolveCut(t *testing.T) {
 	}
 }
 
+// TestSolveMatchesEnumeration checks the search against an oracle that
+// shares none of its LP or branching code: every 0/1 vector of a random
+// problem of at most 13 columns, vetted by checkFeasible and priced by
+// objOf. The search must prove the enumerated optimum (with its bound
+// equal to its objective), or prove infeasibility exactly when no vector
+// is feasible. buildRandomMIP writes only ≤ rows, which x = 0 always
+// satisfies, so some trials add a ≥ row: either one paired with a ≤ row on
+// the same terms that pins an integer sum to a half-integer (feasible for
+// the LP, never for a 0/1 vector), or a random one that the ≤ rows may
+// leave unsatisfiable.
+func TestSolveMatchesEnumeration(t *testing.T) {
+	leakcheck.Check(t)
+	rng := rand.New(rand.NewSource(23))
+	infeasible := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(12)
+		p, cols := buildRandomMIP(rng, n, 1+rng.Intn(5))
+		switch trial % 4 {
+		case 1:
+			var terms []lp.Term
+			for _, c := range cols {
+				if rng.Intn(2) == 0 {
+					terms = append(terms, lp.Term{Col: c, Coef: 2})
+				}
+			}
+			if len(terms) > 0 {
+				half := float64(2*rng.Intn(len(terms)) + 1)
+				p.AddRow("odd-ge", lp.Ge, half, terms...)
+				p.AddRow("odd-le", lp.Le, half, terms...)
+			}
+		case 3:
+			addRandomGeRow(rng, p, cols, 0.2, 0.8)
+		}
+		s := New(p, cols)
+
+		best := math.Inf(1)
+		x := make([]float64, n)
+		for mask := 0; mask < 1<<n; mask++ {
+			for j, c := range cols {
+				x[c] = float64(mask >> j & 1)
+			}
+			if s.checkFeasible(x) {
+				best = math.Min(best, s.objOf(x))
+			}
+		}
+
+		sol, err := s.Solve(context.Background(), &Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsInf(best, 1) {
+			infeasible++
+			if sol.Status != Infeasible {
+				t.Fatalf("trial %d: no 0/1 vector is feasible, search says %v (obj %g)", trial, sol.Status, sol.Obj)
+			}
+			continue
+		}
+		if sol.Status != Optimal || math.Abs(sol.Obj-best) > 1e-6 || sol.Bound != sol.Obj {
+			t.Fatalf("trial %d: search %v obj %g bound %g, enumerated optimum %g",
+				trial, sol.Status, sol.Obj, sol.Bound, best)
+		}
+		if !s.checkFeasible(sol.X) || math.Abs(s.objOf(sol.X)-sol.Obj) > 1e-6 {
+			t.Fatalf("trial %d: returned vector %v is infeasible or not worth %g", trial, sol.X, sol.Obj)
+		}
+	}
+	if infeasible == 0 {
+		t.Fatal("no trial was infeasible")
+	}
+	t.Logf("%d of 60 trials infeasible", infeasible)
+}
+
 // TestWarmMatchesCold checks warm-started node re-solves change nothing
-// about the result: the ColdLP ablation and the default warm path prove
-// the same optimum.
+// about the result: the search, whose node LPs re-solve from the previous
+// basis through its lp.Resolver, proves the same optimum (or the same
+// infeasibility) as coldBranchAndBound, which solves every node LP from
+// scratch. Each trial adds a random ≥ row, so the trees branch.
 func TestWarmMatchesCold(t *testing.T) {
 	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 20; trial++ {
+	warmSolves := 0
+	for trial := 0; trial < 40; trial++ {
 		p, cols := buildRandomMIP(rng, 6+rng.Intn(8), 2+rng.Intn(4))
+		addRandomGeRow(rng, p, cols, 0.2, 0.5)
 		warm, err := New(p, cols).Solve(context.Background(), &Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := New(p, cols).Solve(context.Background(), &Options{ColdLP: true})
+		cold := coldBranchAndBound(t, p, cols)
+		if math.IsInf(cold, 1) {
+			if warm.Status != Infeasible {
+				t.Fatalf("trial %d: warm %v obj %g, cold infeasible", trial, warm.Status, warm.Obj)
+			}
+			continue
+		}
+		if warm.Status != Optimal || math.Abs(warm.Obj-cold) > 1e-6 {
+			t.Fatalf("trial %d: warm %v obj %g vs cold %g", trial, warm.Status, warm.Obj, cold)
+		}
+		warmSolves += warm.LPStats.Warm
+	}
+	if warmSolves == 0 {
+		t.Fatal("no node LP was warm-started")
+	}
+}
+
+// coldBranchAndBound returns the optimum of a 0/1 problem by a depth-first
+// branch and bound that solves every node LP from scratch with
+// lp.Problem.Solve, or +Inf when no 0/1 vector is feasible.
+func coldBranchAndBound(t *testing.T, p *lp.Problem, cols []lp.ColID) float64 {
+	t.Helper()
+	best := math.Inf(1)
+	var dive func(fixed map[lp.ColID][2]float64)
+	dive = func(fixed map[lp.ColID][2]float64) {
+		sol, err := p.Solve(&lp.Options{BoundOverride: fixed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm.Status != cold.Status {
-			t.Fatalf("trial %d: warm %v vs cold %v", trial, warm.Status, cold.Status)
+		switch {
+		case sol.Status == lp.Infeasible:
+			return
+		case sol.Status != lp.Optimal:
+			t.Fatalf("cold node LP: %v", sol.Status)
+		case sol.Obj >= best-1e-9:
+			return
 		}
-		if warm.Status == Optimal && math.Abs(warm.Obj-cold.Obj) > 1e-6 {
-			t.Fatalf("trial %d: warm obj %g vs cold %g", trial, warm.Obj, cold.Obj)
+		for _, c := range cols {
+			if v := sol.X[c]; math.Abs(v-math.Round(v)) > intTol {
+				for _, b := range [2]float64{0, 1} {
+					child := make(map[lp.ColID][2]float64, len(fixed)+1)
+					for k, v := range fixed {
+						child[k] = v
+					}
+					child[c] = [2]float64{b, b}
+					dive(child)
+				}
+				return
+			}
 		}
-		if cold.LPStats != (lp.ResolveStats{}) {
-			t.Fatalf("ColdLP recorded resolver stats: %+v", cold.LPStats)
+		best = sol.Obj
+	}
+	dive(nil)
+	return best
+}
+
+// TestAllStrategiesAgree runs the search under every combination of the
+// settings that change how it reaches its answer (LP kernel, LP presolve,
+// root cover cuts) on random MIPs, each with a random ≥ row so the trees
+// branch, and checks all prove the same optimum or all prove infeasibility.
+func TestAllStrategiesAgree(t *testing.T) {
+	leakcheck.Check(t)
+	rng := rand.New(rand.NewSource(31))
+	kernels := []lp.Kernel{lp.KernelAuto, lp.KernelDense, lp.KernelSparse}
+	for trial := 0; trial < 25; trial++ {
+		p, cols := buildRandomMIP(rng, 4+rng.Intn(8), 2+rng.Intn(4))
+		addRandomGeRow(rng, p, cols, 0.2, 0.5)
+		var ref *Solution
+		for _, kernel := range kernels {
+			for _, presolve := range []bool{false, true} {
+				for _, cuts := range []bool{false, true} {
+					opts := &Options{LP: &lp.Options{Kernel: kernel, Presolve: presolve}, RootCuts: cuts}
+					sol, err := New(p, cols).Solve(context.Background(), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sol.Status != Optimal && sol.Status != Infeasible {
+						t.Fatalf("trial %d kernel %d presolve %v cuts %v: status %v",
+							trial, kernel, presolve, cuts, sol.Status)
+					}
+					if ref == nil {
+						ref = sol
+					} else if sol.Status != ref.Status || (sol.Status == Optimal && math.Abs(sol.Obj-ref.Obj) > 1e-6) {
+						t.Fatalf("trial %d: kernel %d presolve %v cuts %v found %v %g, reference %v %g",
+							trial, kernel, presolve, cuts, sol.Status, sol.Obj, ref.Status, ref.Obj)
+					}
+				}
+			}
 		}
+	}
+}
+
+// TestBestFirstBoundMonotone checks the bounds the search reports on
+// random MIPs: a proven optimum's objective equals its final bound, and as
+// the node budget grows a stopped search's incumbent never worsens, never
+// passes the optimum, and its best bound never exceeds the optimum.
+func TestBestFirstBoundMonotone(t *testing.T) {
+	leakcheck.Check(t)
+	rng := rand.New(rand.NewSource(5))
+	branched := 0
+	for trial := 0; trial < 10; trial++ {
+		p, cols := buildRandomMIP(rng, 10, 4)
+		addRandomGeRow(rng, p, cols, 0.2, 0.3)
+		sol, err := New(p, cols).Solve(context.Background(), &Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status == Infeasible {
+			continue
+		}
+		if sol.Status != Optimal {
+			t.Fatalf("trial %d: status %v", trial, sol.Status)
+		}
+		if math.Abs(sol.Bound-sol.Obj) > 1e-6 {
+			t.Errorf("trial %d: optimal solution has bound %g != obj %g", trial, sol.Bound, sol.Obj)
+		}
+		if sol.Nodes > 1 {
+			branched++
+		}
+		prev := math.Inf(1)
+		for limit := 1; limit <= sol.Nodes; limit++ {
+			part, err := New(p, cols).Solve(context.Background(), &Options{MaxNodes: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if part.Bound > sol.Obj+1e-6 {
+				t.Fatalf("trial %d, %d nodes: bound %g passes the optimum %g", trial, limit, part.Bound, sol.Obj)
+			}
+			switch part.Status {
+			case Optimal, Feasible:
+				if part.Obj > prev+1e-9 || part.Obj < sol.Obj-1e-6 {
+					t.Fatalf("trial %d, %d nodes: incumbent %g after %g, optimum %g",
+						trial, limit, part.Obj, prev, sol.Obj)
+				}
+				prev = part.Obj
+			case NoSolution:
+				if !math.IsInf(prev, 1) {
+					t.Fatalf("trial %d, %d nodes: no incumbent where %d nodes found %g", trial, limit, limit-1, prev)
+				}
+			default:
+				t.Fatalf("trial %d, %d nodes: status %v", trial, limit, part.Status)
+			}
+		}
+		if prev != sol.Obj {
+			t.Fatalf("trial %d: full node budget found %g, unlimited search %g", trial, prev, sol.Obj)
+		}
+	}
+	if branched == 0 {
+		t.Fatal("every trial was solved at the root; no node budget stopped a search early")
 	}
 }
 

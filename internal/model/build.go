@@ -52,10 +52,7 @@ func Build(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Op
 		deadlineRow: -1,
 	}
 	buildCount.Add(1)
-	m.TM = opts.BigM
-	if m.TM <= 0 {
-		m.TM = BigM(g, pool, topo)
-	}
+	m.TM = BigM(g, pool, topo)
 
 	m.addTimingCols()
 	m.addMappingCols()

@@ -2,6 +2,7 @@ package model
 
 import (
 	"context"
+	"flag"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,7 +28,7 @@ func TestEnginesAgreeOnRandomInstances(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(crossSeed))
 	for trial := 0; trial < crossTrials; trial++ {
-		crossEngineTrial(t, rng, trial)
+		crossEngineTrial(t, context.Background(), rng, trial)
 	}
 }
 
@@ -35,6 +36,8 @@ func TestEnginesAgreeOnRandomInstances(t *testing.T) {
 // seed corpus is TestEnginesAgreeOnRandomInstances's trials: an input
 // (seed, trial) replays the instance draws of trials 0..trial-1 from
 // seed before running trial, so (crossSeed, k) is that test's trial k.
+// An input whose solves end without a proof (in a fuzz worker, past
+// inputContext's deadline) is skipped.
 func FuzzCrossEngine(f *testing.F) {
 	for trial := 0; trial < crossTrials; trial++ {
 		f.Add(int64(crossSeed), uint8(trial))
@@ -52,8 +55,28 @@ func FuzzCrossEngine(f *testing.F) {
 		for k := 0; k < int(trial); k++ {
 			drawCrossInstance(rng, k)
 		}
-		crossEngineTrial(t, rng, int(trial))
+		ctx, cancel := inputContext()
+		defer cancel()
+		if !crossEngineTrial(t, ctx, rng, int(trial)) {
+			t.Skip("a solve ended without a proof")
+		}
 	})
+}
+
+// fuzzInputDeadline bounds all the solves of one fuzz input in a fuzz
+// worker, well inside the 10 s after which the toolchain kills a worker
+// busy with one input and reports the input as a crasher.
+const fuzzInputDeadline = 4 * time.Second
+
+// inputContext returns the context all the solves of one fuzz input run
+// under: one that expires after fuzzInputDeadline in a fuzz worker
+// process (-test.fuzzworker), and one without a deadline elsewhere, so
+// that plain go test runs every seed with its solves' own budgets.
+func inputContext() (context.Context, context.CancelFunc) {
+	if f := flag.Lookup("test.fuzzworker"); f != nil && f.Value.String() == "true" {
+		return context.WithTimeout(context.Background(), fuzzInputDeadline)
+	}
+	return context.WithCancel(context.Background())
 }
 
 const (
@@ -107,15 +130,17 @@ func drawCrossInstance(rng *rand.Rand, trial int) *crossInstance {
 	return in
 }
 
-// crossEngineTrial draws trial's instance from rng and solves it with the
-// MILP and the combinatorial engine: the two must agree on feasibility
-// and on the optimal makespan, and every Optimal design must pass the
-// validator and replay through the simulator to its own makespan.
-func crossEngineTrial(t testing.TB, rng *rand.Rand, trial int) {
+// crossEngineTrial draws trial's instance from rng and solves it under ctx
+// with the MILP and the combinatorial engine: the two must agree on
+// feasibility and on the optimal makespan, and every Optimal design must
+// pass the validator and replay through the simulator to its own
+// makespan. It reports false, having compared nothing, when the MILP ends
+// without a proof, or the combinatorial engine does after ctx expired.
+func crossEngineTrial(t testing.TB, ctx context.Context, rng *rand.Rand, trial int) bool {
 	t.Helper()
 	in := drawCrossInstance(rng, trial)
 	if in == nil {
-		return
+		return true
 	}
 	g, pool, topo, costCap := in.g, in.pool, in.topo, in.costCap
 
@@ -123,18 +148,22 @@ func crossEngineTrial(t testing.TB, rng *rand.Rand, trial int) {
 	if err != nil {
 		t.Fatalf("trial %d: %v", trial, err)
 	}
-	design, sol, err := m.Solve(context.Background(), &milp.Options{TimeLimit: 90 * time.Second})
+	design, sol, err := m.Solve(ctx, &milp.Options{TimeLimit: 90 * time.Second})
 	if err != nil {
 		t.Fatalf("trial %d: %v", trial, err)
 	}
 
-	res, err := exact.Synthesize(context.Background(), g, pool, topo, exact.Options{
+	res, err := exact.Synthesize(ctx, g, pool, topo, exact.Options{
 		Objective: exact.MinMakespan, CostCap: costCap, TimeLimit: 90 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("trial %d: %v", trial, err)
 	}
 	if !res.Optimal {
+		if ctx.Err() != nil {
+			t.Logf("trial %d: combinatorial engine stopped by %v; skipping comparison", trial, ctx.Err())
+			return false
+		}
 		t.Fatalf("trial %d: combinatorial engine not exhausted", trial)
 	}
 
@@ -169,7 +198,9 @@ func crossEngineTrial(t testing.TB, rng *rand.Rand, trial int) {
 	default:
 		t.Logf("trial %d: MILP hit budget (%v after %d nodes); skipping comparison",
 			trial, sol.Status, sol.Nodes)
+		return false
 	}
+	return true
 }
 
 // TestMemoryExtensionAcrossEngines checks the §5 memory-cost extension:

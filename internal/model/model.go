@@ -72,9 +72,6 @@ type Options struct {
 	// These valid inequalities sharpen the LP relaxation dramatically on
 	// cost-capped instances (see the ablation benchmarks).
 	NoLoadCuts bool
-
-	// BigM overrides the automatically computed time horizon T_M.
-	BigM float64
 }
 
 // Stats summarizes model size, mirroring the numbers the paper reports for

@@ -79,7 +79,6 @@ func TestSparseOutscalesDense(t *testing.T) {
 
 	_, dense, err := m.Solve(context.Background(), &milp.Options{
 		TimeLimit: budget,
-		ColdLP:    true,
 		LP:        &lp.Options{Kernel: lp.KernelDense},
 	})
 	if err != nil {
@@ -93,7 +92,6 @@ func TestSparseOutscalesDense(t *testing.T) {
 	start := time.Now()
 	design, sparse, err := m.Solve(context.Background(), &milp.Options{
 		TimeLimit: budget,
-		ColdLP:    true,
 		LP:        &lp.Options{Kernel: lp.KernelSparse, Presolve: true},
 	})
 	if err != nil {

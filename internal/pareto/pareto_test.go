@@ -2,6 +2,7 @@ package pareto
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -229,6 +230,32 @@ func TestFilterAndDominates(t *testing.T) {
 	if len(out) != 1 {
 		t.Errorf("duplicate filtering kept %d points", len(out))
 	}
+}
+
+// FrontierEquals compares a computed frontier against expected
+// (cost, perf) pairs within tol, ignoring order.
+func FrontierEquals(points []Point, want [][2]float64, tol float64) error {
+	if len(points) != len(want) {
+		return fmt.Errorf("pareto: %d frontier points, want %d", len(points), len(want))
+	}
+	used := make([]bool, len(want))
+	for _, p := range points {
+		found := false
+		for i, w := range want {
+			if used[i] {
+				continue
+			}
+			if math.Abs(p.Cost()-w[0]) <= tol && math.Abs(p.Perf()-w[1]) <= tol {
+				used[i] = true
+				found = true
+				break
+			}
+		}
+		if !found {
+			return fmt.Errorf("pareto: unexpected frontier point (cost=%g, perf=%g)", p.Cost(), p.Perf())
+		}
+	}
+	return nil
 }
 
 // TestFrontierEqualsMismatch exercises the comparison helper's failure

@@ -459,16 +459,6 @@ func (s *StreamSink) Err() error {
 	return s.err
 }
 
-// TeeSink fans every event out to multiple sinks.
-type TeeSink []Sink
-
-// Emit implements Sink.
-func (t TeeSink) Emit(e Event) {
-	for _, s := range t {
-		s.Emit(e)
-	}
-}
-
 // PhaseStat aggregates one named phase's timer.
 type PhaseStat struct {
 	Total time.Duration `json:"total"`

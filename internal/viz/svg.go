@@ -7,7 +7,6 @@ package viz
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"sos/internal/arch"
@@ -200,12 +199,4 @@ func trimFloat(t float64) string {
 func esc(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 	return r.Replace(s)
-}
-
-// SortedLinkIDs returns a copy of ids in ascending order (helper for
-// deterministic rendering in callers).
-func SortedLinkIDs(ids []arch.LinkID) []arch.LinkID {
-	out := append([]arch.LinkID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

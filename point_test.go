@@ -2,6 +2,7 @@ package sos
 
 import (
 	"context"
+	"flag"
 	"math"
 	"math/rand"
 	"testing"
@@ -260,7 +261,8 @@ func TestHeuristicMissNeverInfeasible(t *testing.T) {
 // Synthesize (the ladder walk from the engine) agree on the makespan (or
 // on infeasibility) at each cap, for the MILP and the combinatorial
 // engine, raced and not. An input (seed, trial) replays the draws of
-// trials 0..trial-1 from seed before drawing trial.
+// trials 0..trial-1 from seed before drawing trial. An input whose solves
+// end without a proof past inputContext's deadline is skipped.
 func FuzzEntryPoints(f *testing.F) {
 	for _, trial := range []uint8{0, 1, 2, 5} {
 		f.Add(int64(7), trial)
@@ -284,6 +286,8 @@ func FuzzEntryPoints(f *testing.F) {
 		if in == nil {
 			return
 		}
+		ctx, cancel := inputContext()
+		defer cancel()
 		total := 0.0
 		for _, p := range in.pool.Procs() {
 			total += in.pool.Cost(p.ID)
@@ -297,8 +301,11 @@ func FuzzEntryPoints(f *testing.F) {
 		for _, engine := range []Engine{EngineCombinatorial, EngineMILP} {
 			for _, raced := range []bool{false, true} {
 				base := in.spec(engine, raced)
-				got, ok := entryPointMakespans(t, base, caps)
+				got, ok := entryPointMakespans(t, ctx, base, caps)
 				if !ok {
+					if ctx.Err() != nil {
+						t.Skipf("trial %d: %v raced=%v stopped by %v", trial, engine, raced, ctx.Err())
+					}
 					t.Logf("trial %d: %v raced=%v hit its budget; skipping", trial, engine, raced)
 					continue
 				}
@@ -321,13 +328,13 @@ func FuzzEntryPoints(f *testing.F) {
 	})
 }
 
-// entryPointMakespans answers each cap four ways — Synthesize, one
-// SolveBatch of every cap, the covering point of one Frontier, an Anytime
-// Synthesize — and returns the makespans per cap (+Inf for a proven
-// infeasible cap). ok is false when some solve ended without a proof.
-func entryPointMakespans(t *testing.T, base Spec, caps []float64) (got [][4]float64, ok bool) {
+// entryPointMakespans answers each cap four ways under ctx — Synthesize,
+// one SolveBatch of every cap, the covering point of one Frontier, an
+// Anytime Synthesize — and returns the makespans per cap (+Inf for a
+// proven infeasible cap). ok is false when some solve ended without a
+// proof.
+func entryPointMakespans(t *testing.T, ctx context.Context, base Spec, caps []float64) (got [][4]float64, ok bool) {
 	t.Helper()
-	ctx := context.Background()
 	makespan := func(r *Result) (float64, bool) {
 		switch r.Status {
 		case StatusOptimal:
@@ -350,17 +357,20 @@ func entryPointMakespans(t *testing.T, base Spec, caps []float64) (got [][4]floa
 	got = make([][4]float64, len(caps))
 	for i, sp := range specs {
 		res, err := Synthesize(ctx, sp)
-		if err != nil {
-			t.Fatal(err)
-		}
 		walk := sp
 		walk.Anytime = true
-		walked, err := Synthesize(ctx, walk)
-		if err != nil {
-			t.Fatal(err)
+		var walked *Result
+		if err == nil {
+			walked, err = Synthesize(ctx, walk)
 		}
-		if batch[i].Err != nil {
-			t.Fatal(batch[i].Err)
+		if err == nil {
+			err = batch[i].Err
+		}
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, false
+			}
+			t.Fatal(err)
 		}
 		var okS, okB, okW bool
 		if got[i][0], okS = makespan(res); !okS {
@@ -390,6 +400,22 @@ func sameMakespan(a, b float64) bool {
 		return math.IsInf(a, 1) && math.IsInf(b, 1)
 	}
 	return math.Abs(a-b) <= 1e-6*math.Max(1, math.Abs(b))
+}
+
+// fuzzInputDeadline bounds all the solves of one fuzz input in a fuzz
+// worker, well inside the 10 s after which the toolchain kills a worker
+// busy with one input and reports the input as a crasher.
+const fuzzInputDeadline = 4 * time.Second
+
+// inputContext returns the context all the solves of one fuzz input run
+// under: one that expires after fuzzInputDeadline in a fuzz worker
+// process (-test.fuzzworker), and one without a deadline elsewhere, so
+// that plain go test runs every seed with its solves' own budgets.
+func inputContext() (context.Context, context.CancelFunc) {
+	if f := flag.Lookup("test.fuzzworker"); f != nil && f.Value.String() == "true" {
+		return context.WithTimeout(context.Background(), fuzzInputDeadline)
+	}
+	return context.WithCancel(context.Background())
 }
 
 // entryInstance is one random instance of the entry-point checks.
