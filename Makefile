@@ -3,9 +3,11 @@ GO ?= go
 .PHONY: tier1 vet build test bench-smoke bench perf perf-check fuzz-smoke lint soak-smoke server-race bench-check
 
 ## tier1: the gate every change must pass — vet, build, race-enabled
-## tests, a one-iteration smoke of the headline benchmark, and a short
-## soak of the synthesis service under mixed concurrent traffic.
-tier1: vet build test bench-smoke soak-smoke
+## tests, a one-iteration smoke of the headline benchmark, a short soak of
+## the synthesis service under mixed concurrent traffic, and vet plus
+## race tests of the benchmark module (bench-check), which `go test ./...`
+## skips, so a root API change that breaks the benchmark's build fails here.
+tier1: vet build test bench-smoke soak-smoke bench-check
 
 vet:
 	$(GO) vet ./...

@@ -99,6 +99,14 @@ func TestCLIArtifacts(t *testing.T) {
 			t.Errorf("artifact %s empty", f)
 		}
 	}
+	// The SVG is the paper's Figure 2: Example 1's Design 1 at cap 14.
+	data, err := os.ReadFile(svg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := string(data); !strings.HasPrefix(s, "<svg") || !strings.Contains(s, "makespan 2.5") {
+		t.Errorf("unexpected SVG head: %.120s", s)
+	}
 }
 
 func TestCLIBadFlags(t *testing.T) {

@@ -128,15 +128,6 @@ func New(total time.Duration) *Governor {
 	return g
 }
 
-// NewUntil creates a governor whose budget is the time remaining to the
-// given wall-clock deadline. A zero deadline yields an unlimited governor;
-// a deadline already in the past yields an immediately exhausted one.
-func NewUntil(deadline time.Time) *Governor {
-	g := &Governor{frac: defaultFrac, floor: defaultFloor, now: time.Now}
-	g.deadline = deadline
-	return g
-}
-
 // Remaining reports the time left before the governor's deadline (0 when
 // exhausted; a large positive constant when unlimited).
 func (g *Governor) Remaining() time.Duration {

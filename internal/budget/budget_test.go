@@ -142,33 +142,16 @@ func TestNewNegativeBudgetIsExhaustedNotUnlimited(t *testing.T) {
 	}
 }
 
-func TestNewUntil(t *testing.T) {
-	if g := NewUntil(time.Time{}); g.Exhausted() || g.Slice() != 0 {
-		t.Fatal("NewUntil(zero) must be unlimited")
-	}
-	past := NewUntil(time.Now().Add(-time.Minute))
-	if !past.Exhausted() {
-		t.Fatal("NewUntil(past) must be exhausted")
-	}
-	if _, err := past.Allowance(0); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("NewUntil(past).Allowance = %v, want ErrExhausted", err)
-	}
-	future := NewUntil(time.Now().Add(time.Hour))
-	if future.Exhausted() {
-		t.Fatal("NewUntil(future) must not be exhausted")
-	}
-}
-
 func TestMultiGovernorFairShare(t *testing.T) {
 	m := NewMulti(8 * time.Second)
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	m.now = clock.now
 
-	g1, rel1 := m.Acquire(0, time.Time{})
+	g1, rel1 := m.AcquireN(1, 0, time.Time{})
 	if got := g1.Remaining(); got != 8*time.Second {
 		t.Fatalf("lone request share %v, want full 8s capacity", got)
 	}
-	g2, rel2 := m.Acquire(0, time.Time{})
+	g2, rel2 := m.AcquireN(1, 0, time.Time{})
 	if got := g2.Remaining(); got != 4*time.Second {
 		t.Fatalf("second concurrent request share %v, want 4s (capacity/2)", got)
 	}
@@ -182,12 +165,12 @@ func TestMultiGovernorFairShare(t *testing.T) {
 		t.Fatalf("after release: active %d peak %d, want 0/2", m.Active(), m.Peak())
 	}
 	// The request's own budget and deadline tighten below the share.
-	g3, rel3 := m.Acquire(time.Second, time.Time{})
+	g3, rel3 := m.AcquireN(1, time.Second, time.Time{})
 	defer rel3()
 	if got := g3.Remaining(); got != time.Second {
 		t.Fatalf("requested-budget share %v, want the tighter 1s", got)
 	}
-	g4, rel4 := m.Acquire(0, clock.t.Add(500*time.Millisecond))
+	g4, rel4 := m.AcquireN(1, 0, clock.t.Add(500*time.Millisecond))
 	defer rel4()
 	if got := g4.Remaining(); got != 500*time.Millisecond {
 		t.Fatalf("deadline-bounded share %v, want the tighter 500ms", got)
@@ -198,7 +181,7 @@ func TestMultiGovernorPastDeadlineIsExhausted(t *testing.T) {
 	m := NewMulti(time.Minute)
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	m.now = clock.now
-	g, rel := m.Acquire(time.Second, clock.t.Add(-time.Millisecond))
+	g, rel := m.AcquireN(1, time.Second, clock.t.Add(-time.Millisecond))
 	defer rel()
 	if !g.Exhausted() {
 		t.Fatal("past-deadline acquisition must be exhausted")
@@ -212,10 +195,10 @@ func TestMultiGovernorShareFloorAndNil(t *testing.T) {
 	m := NewMulti(100 * time.Millisecond)
 	var rels []func()
 	for i := 0; i < 50; i++ {
-		_, rel := m.Acquire(0, time.Time{})
+		_, rel := m.AcquireN(1, 0, time.Time{})
 		rels = append(rels, rel)
 	}
-	g, rel := m.Acquire(0, time.Time{})
+	g, rel := m.AcquireN(1, 0, time.Time{})
 	rels = append(rels, rel)
 	if got := g.Remaining(); got < defaultShareFloor/2 {
 		t.Fatalf("share under burst %v collapsed below the floor", got)
@@ -226,10 +209,10 @@ func TestMultiGovernorShareFloorAndNil(t *testing.T) {
 	// A nil MultiGovernor applies no apportioning but still honors the
 	// request's own budget.
 	var nilm *MultiGovernor
-	g2, rel2 := nilm.Acquire(2*time.Second, time.Time{})
+	g2, rel2 := nilm.AcquireN(1, 2*time.Second, time.Time{})
 	defer rel2()
 	if got := g2.Remaining(); got < time.Second || got > 2*time.Second {
-		t.Fatalf("nil-multi Acquire remaining %v, want ~2s", got)
+		t.Fatalf("nil-multi AcquireN remaining %v, want ~2s", got)
 	}
 	if nilm.Active() != 0 || nilm.Peak() != 0 {
 		t.Fatal("nil-multi counters must be zero")

@@ -25,7 +25,7 @@ import (
 // starting a solve it cannot finish.
 //
 // A nil *MultiGovernor is valid and applies no capacity apportioning:
-// Acquire still honors the request budget and deadline.
+// AcquireN still honors the request budget and deadline.
 type MultiGovernor struct {
 	mu       sync.Mutex
 	capacity time.Duration // per-request budget when running alone
@@ -65,11 +65,6 @@ func (m *MultiGovernor) Peak() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.peak
-}
-
-// Acquire is AcquireN for a request of one tenant.
-func (m *MultiGovernor) Acquire(requested time.Duration, deadline time.Time) (*Governor, func()) {
-	return m.AcquireN(1, requested, deadline)
 }
 
 // AcquireN admits one request as n concurrent tenants (n < 1 counts as

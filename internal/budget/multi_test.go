@@ -21,7 +21,7 @@ func TestAcquireNThinsShare(t *testing.T) {
 	}
 
 	// A sequential neighbor admitted while the race runs sees 4 tenants.
-	g4, rel4 := m.Acquire(0, time.Time{})
+	g4, rel4 := m.AcquireN(1, 0, time.Time{})
 	if got := g4.Remaining(); got != 3*time.Second {
 		t.Errorf("neighbor remaining %v, want 3s (12s / 4 tenants)", got)
 	}

@@ -14,59 +14,24 @@ type denseBasis struct {
 	pivIdx []int32     // scratch: nonzero support of the current pivot row
 }
 
-// build assembles the equality-form tableau. Every row is normalized to
+// build lays out the tableau of the start basis (startBasis): each row in
+// ≤-normalized equality form, with its slack and its artificial. Every
+// basic column then has coefficient +1 in its own row alone, so the
+// tableau is B⁻¹A from the start.
 //
-//	a·x + slack = b   (slack ∈ [0,∞) for ≤-normalized rows; none for =)
-//
-// with ≥ rows multiplied by −1 first. Structural nonbasics start at their
-// lower bound; a slack whose implied value is feasible becomes basic,
-// otherwise the row receives a basic artificial absorbing the residual.
-//
-// The residuals come first, from the problem's sparse column view, so the
-// artificial count — and with it every row's final width — is known
-// before any row is laid out: each row is written once, at its final
-// width, into one block. The block is the storage the previous build
-// left, grown only when a build needs more artificial columns than any
-// build before it, so a Resolver's cold re-solves rebuild the tableau in
-// place.
+// startBasis has fixed the artificial count, and with it every row's
+// final width, before any row is laid out: each row is written once, at
+// its final width, into one block. The block is the storage the previous
+// build left, grown only when a build needs more artificial columns than
+// any build before it, so a Resolver's cold re-solves rebuild the tableau
+// in place.
 func (b *denseBasis) build() {
 	s := b.s
 	p := s.p
 	v := p.columns()
-	s.m, s.nStruct = v.m, v.n
-	s.nTot = s.nStruct + v.nSlack // artificials appended below
-	s.lb, s.ub = s.initBounds(v.nSlack)
+	s.startBasis(v)
+	total := s.nTot
 
-	// Residual per row given every structural column at its lower bound
-	// and the slacks at 0. Each row's terms are subtracted in column
-	// order, the order a scan of its dense row takes.
-	s.xB = resize(s.xB, s.m)
-	for i := range p.rows {
-		s.xB[i] = v.sign[i] * p.rows[i].Rhs
-	}
-	for j := 0; j < s.nStruct; j++ {
-		ri, ax := v.col(j)
-		for t, i := range ri {
-			if a := ax[t]; a != 0 {
-				s.xB[i] -= a * s.lb[j]
-			}
-		}
-	}
-	// A slack whose residual is feasible serves as the basic variable
-	// directly; every other row needs an artificial.
-	s.basicVar = resize(s.basicVar, s.m)
-	nArt := 0
-	for i, res := range s.xB {
-		if sl := v.slackOf[i]; sl >= 0 && res >= 0 {
-			s.basicVar[i] = s.nStruct + int(sl)
-		} else {
-			s.basicVar[i] = -1
-			nArt++
-		}
-	}
-	total := s.nTot + nArt
-
-	// Dense rows in ≤-normalized equality form, at their final width.
 	b.block = resize(b.block, s.m*total)
 	b.tab = resize(b.tab, s.m)
 	for i, r := range p.rows {
@@ -81,41 +46,23 @@ func (b *denseBasis) build() {
 		b.tab[i] = row
 	}
 
-	// One artificial column per remaining row, in row order; its
-	// coefficient's sign makes its starting value |residual| ≥ 0.
-	s.isArt = resize(s.isArt, total)
-	col := s.nTot
+	// An artificial starts at |residual|. Where the residual is negative
+	// its coefficient is −1, and the row is negated so that the basic
+	// coefficient reads +1.
 	for i, row := range b.tab {
-		if s.basicVar[i] >= 0 {
+		bv := s.basicVar[i]
+		if !s.isArt[bv] {
 			continue
 		}
-		s.isArt[col] = true
-		s.lb = append(s.lb, 0)
-		s.ub = append(s.ub, math.Inf(1))
-		coef := 1.0
+		row[bv] = 1
 		if s.xB[i] < 0 {
-			coef = -1
-		}
-		row[col] = coef
-		s.basicVar[i] = col
-		s.xB[i] = math.Abs(s.xB[i])
-		col++
-	}
-	s.nTot = total
-
-	// Scale rows so basic columns have coefficient +1 (artificials with
-	// coefficient −1 were introduced only when residual < 0; scaling flips
-	// the row so its basis entry is +1).
-	for i, row := range b.tab {
-		if row[s.basicVar[i]] < 0 {
+			row[bv] = -1
 			for j := range row {
 				row[j] = -row[j]
 			}
 		}
+		s.xB[i] = math.Abs(s.xB[i])
 	}
-	// Every basic column (slack or artificial) appears in exactly one row,
-	// so the basis is already the identity and the rows are B⁻¹A.
-	s.initBasis()
 }
 
 // refactor has nothing to do: the tableau is B⁻¹A from the start and every

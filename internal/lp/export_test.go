@@ -4,6 +4,10 @@ package lp
 // repair to the external tests.
 const DeadlineStride = deadlineStride
 
+// SolveBounded exports the from-scratch reference solve solveBounded to
+// the external tests.
+var SolveBounded = solveBounded
+
 // Artificials reports how many artificial columns the resolver's last cold
 // build laid out.
 func (r *Resolver) Artificials() int {

@@ -7,7 +7,7 @@ import (
 
 // TestHooksRejectWarmForcesCold: with the warm path vetoed on every call,
 // the resolver must serve each solve from a cold rebuild and still return
-// results identical to Problem.Solve.
+// results identical to a from-scratch solve under the same bounds.
 func TestHooksRejectWarmForcesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p, bins := randomProblem(rng)
@@ -23,7 +23,7 @@ func TestHooksRejectWarmForcesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := p.Solve(&Options{BoundOverride: bounds})
+		want, err := solveBounded(p, nil, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestHooksForceIterLimit(t *testing.T) {
 			sawLimit = true
 			continue
 		}
-		want, err := p.Solve(&Options{BoundOverride: bounds})
+		want, err := solveBounded(p, nil, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}

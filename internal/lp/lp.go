@@ -79,7 +79,7 @@ type Row struct {
 
 // Problem is a mutable LP under construction. It is not safe for concurrent
 // mutation; Solve does not mutate the problem and may be called from
-// multiple goroutines with distinct bound overrides.
+// multiple goroutines.
 type Problem struct {
 	Name string
 	cols []Col
@@ -333,11 +333,6 @@ type Options struct {
 	// a canceled search stops inside its node relaxation.
 	Done <-chan struct{}
 
-	// BoundOverride, when non-nil, replaces the bounds of selected columns
-	// for this solve only (used by branch-and-bound to branch without
-	// copying the problem).
-	BoundOverride map[ColID][2]float64
-
 	// Hooks injects failpoints for fault testing; nil in production.
 	Hooks *Hooks
 
@@ -350,49 +345,17 @@ type Options struct {
 // maxIters is the iteration cap of one solve of p: 20000 + 50·(rows+cols),
 // or Hooks.ForceIterLimit when set.
 func (o *Options) maxIters(p *Problem) int {
-	if o != nil && o.Hooks != nil && o.Hooks.ForceIterLimit > 0 {
+	if o.Hooks != nil && o.Hooks.ForceIterLimit > 0 {
 		return o.Hooks.ForceIterLimit
 	}
 	return 20000 + 50*(len(p.rows)+len(p.cols))
 }
 
-func (o *Options) hooks() *Hooks {
-	if o == nil {
-		return nil
-	}
-	return o.Hooks
-}
-
-func (o *Options) deadline() time.Time {
-	if o == nil {
-		return time.Time{}
-	}
-	return o.Deadline
-}
-
-func (o *Options) done() <-chan struct{} {
-	if o == nil {
-		return nil
-	}
-	return o.Done
-}
-
-func (o *Options) boundOverride() map[ColID][2]float64 {
-	if o == nil {
-		return nil
-	}
-	return o.BoundOverride
-}
-
 // kernelFor resolves the effective kernel for p: an explicit choice wins,
 // KernelAuto switches on problem size.
 func (o *Options) kernelFor(p *Problem) Kernel {
-	k := KernelAuto
-	if o != nil {
-		k = o.Kernel
-	}
-	if k != KernelAuto {
-		return k
+	if o.Kernel != KernelAuto {
+		return o.Kernel
 	}
 	if len(p.rows)+len(p.cols) >= autoSparseThreshold {
 		return KernelSparse
@@ -403,23 +366,21 @@ func (o *Options) kernelFor(p *Problem) Kernel {
 // Solve runs the two-phase bounded simplex and returns the solution. The
 // problem itself is not modified. Options.Kernel selects the dense tableau
 // or the sparse revised simplex; Options.Presolve runs the reduction pass
-// first and maps the reduced solution back.
+// first and maps the reduced solution back. A Solve is the first solve of
+// a Resolver that it then discards, so a one-shot solve and a resolver's
+// cold solve are one code path, telemetry included.
 func (p *Problem) Solve(opts *Options) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+	r, err := p.NewResolver(opts)
+	if err != nil {
 		return nil, err
 	}
-	return p.solve(opts), nil
-}
-
-// solve dispatches a validated problem to presolve and/or a kernel.
-func (p *Problem) solve(opts *Options) *Solution {
-	if opts != nil && opts.Presolve {
-		return presolveSolve(p, opts)
+	sol, err := r.Solve(nil)
+	if err != nil {
+		return nil, err
 	}
-	return p.kernelSolve(opts)
-}
-
-// kernelSolve runs the selected simplex implementation with no presolve.
-func (p *Problem) kernelSolve(opts *Options) *Solution {
-	return newSimplex(p, opts, opts.boundOverride()).run()
+	// The resolver's Solution is a field of the resolver, so holding it
+	// would hold the whole workspace (a dense tableau block); a copy
+	// holds only its own slices.
+	own := *sol
+	return &own, nil
 }

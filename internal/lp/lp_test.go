@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"sos/internal/telemetry"
 )
 
 func solveOK(t *testing.T, p *Problem) *Solution {
@@ -19,6 +21,17 @@ func solveOK(t *testing.T, p *Problem) *Solution {
 }
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
+
+// solveBounded solves, from scratch, a clone of p whose listed columns take
+// the given bounds: the reference a resolver's solve under the same
+// overrides must match.
+func solveBounded(p *Problem, opts *Options, bounds map[ColID][2]float64) (*Solution, error) {
+	q := p.Clone()
+	for c, b := range bounds {
+		q.SetBounds(c, b[0], b[1])
+	}
+	return q.Solve(opts)
+}
 
 func TestSimpleLe(t *testing.T) {
 	// max x+y s.t. x+2y<=4, 3x+y<=6, x,y>=0  -> min -(x+y); opt (1.6, 1.2), obj -2.8.
@@ -139,21 +152,49 @@ func TestNegativeLowerBound(t *testing.T) {
 	}
 }
 
-func TestBoundOverride(t *testing.T) {
+// TestResolverOverridesBounds: a resolver's bound override holds for its
+// own solve only. The next Solve(nil) is back on the problem's bounds, and
+// the problem itself is never changed.
+func TestResolverOverridesBounds(t *testing.T) {
 	p := NewProblem("override")
 	x := p.AddCol("x", 0, 1, -1)
 	p.AddRow("r", Le, 10, Term{x, 1})
-	sol, err := p.Solve(&Options{BoundOverride: map[ColID][2]float64{x: {0, 0}}})
+	r, err := p.NewResolver(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := r.Solve(map[ColID][2]float64{x: {0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Status != Optimal || !approx(sol.X[x], 0) {
 		t.Errorf("override not honored: %v x=%g", sol.Status, sol.X[x])
 	}
-	// The original problem is untouched.
-	sol2 := solveOK(t, p)
-	if !approx(sol2.X[x], 1) {
-		t.Errorf("problem mutated by override: x=%g", sol2.X[x])
+	if sol, err = r.Solve(nil); err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal || !approx(sol.X[x], 1) {
+		t.Errorf("override outlived its solve: %v x=%g", sol.Status, sol.X[x])
+	}
+	if c := p.Col(x); c.Lb != 0 || c.Ub != 1 {
+		t.Errorf("problem mutated by override: bounds [%g, %g]", c.Lb, c.Ub)
+	}
+}
+
+// TestSolveIsFirstResolverSolve: a one-shot Solve is the first solve of a
+// resolver, so given a collector it counts what any first solve counts:
+// one cold solve, no warm one.
+func TestSolveIsFirstResolverSolve(t *testing.T) {
+	p := NewProblem("one-shot")
+	x := p.AddCol("x", 0, 1, -1)
+	p.AddRow("r", Le, 10, Term{x, 1})
+	tel := telemetry.New(nil)
+	sol, err := p.Solve(&Options{Telemetry: tel})
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("solve: %v %v", err, sol.Status)
+	}
+	if cold, warm := tel.Get(telemetry.CtrLPCold), tel.Get(telemetry.CtrLPWarm); cold != 1 || warm != 0 {
+		t.Errorf("counted %d cold and %d warm solves, want 1 and 0", cold, warm)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 type presolveInfo struct {
 	orig *Problem
 
-	// Effective input bounds (problem ∩ override), then tightened by the
-	// reductions; indexed by original column.
+	// The problem's bounds, tightened by the reductions; indexed by
+	// original column.
 	lb, ub []float64
 
 	colMap []int32   // original column → reduced column, -1 if eliminated
@@ -35,10 +35,10 @@ type presolveInfo struct {
 // round-off when deciding empty-row feasibility and crossed bounds.
 const presolveFeasTol = 1e-9
 
-// runPresolve reduces p under the given bound overrides (nil for the
-// problem's own bounds). The returned info is self-contained: reduced is
-// nil only when infeasible was detected before construction.
-func runPresolve(p *Problem, ov map[ColID][2]float64) *presolveInfo {
+// runPresolve reduces p under its own bounds. The returned info is
+// self-contained: reduced is nil only when infeasible was detected before
+// construction.
+func runPresolve(p *Problem) *presolveInfo {
 	n, m := len(p.cols), len(p.rows)
 	pr := &presolveInfo{
 		orig:   p,
@@ -50,11 +50,6 @@ func runPresolve(p *Problem, ov map[ColID][2]float64) *presolveInfo {
 	}
 	for j, c := range p.cols {
 		pr.lb[j], pr.ub[j] = c.Lb, c.Ub
-	}
-	for c, b := range ov {
-		if int(c) >= 0 && int(c) < n {
-			pr.lb[c], pr.ub[c] = b[0], b[1]
-		}
 	}
 	fixed := make([]bool, n)
 
@@ -343,22 +338,4 @@ func (pr *presolveInfo) emitTelemetry(tel *telemetry.Collector) {
 	tel.Add(telemetry.CtrLPPresolveRows, int64(pr.rowsCut))
 	tel.Add(telemetry.CtrLPPresolveCols, int64(pr.colsCut))
 	tel.Emit(telemetry.EvLPPresolve, float64(pr.rowsCut+pr.colsCut), "reduce")
-}
-
-// presolveSolve is the one-shot presolve → kernel → postsolve pipeline
-// behind Problem.Solve when Options.Presolve is set.
-func presolveSolve(p *Problem, opts *Options) *Solution {
-	pr := runPresolve(p, opts.BoundOverride)
-	pr.emitTelemetry(opts.Telemetry)
-	sol := &Solution{}
-	if pr.infeasible {
-		pr.infeasibleSolution(sol)
-		return sol
-	}
-	o2 := *opts
-	o2.Presolve = false
-	o2.BoundOverride = nil
-	inner := pr.reduced.kernelSolve(&o2)
-	pr.expand(inner, sol)
-	return sol
 }

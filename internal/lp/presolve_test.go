@@ -11,7 +11,7 @@ func TestPresolveFixedColumnSubstitution(t *testing.T) {
 	x := p.AddCol("x", 2, 2, 3)
 	y := p.AddCol("y", 0, 10, 1)
 	p.AddRow("r", Ge, 5, Term{x, 1}, Term{y, 1})
-	pr := runPresolve(p, nil)
+	pr := runPresolve(p)
 	if pr.infeasible {
 		t.Fatal("unexpected infeasible")
 	}
@@ -36,7 +36,7 @@ func TestPresolveSingletonRowTightensBound(t *testing.T) {
 	p := NewProblem("singleton")
 	x := p.AddCol("x", 0, 10, 1)
 	p.AddRow("r", Le, -6, Term{x, -2})
-	pr := runPresolve(p, nil)
+	pr := runPresolve(p)
 	if pr.rowsCut != 1 {
 		t.Fatalf("rowsCut=%d, want 1", pr.rowsCut)
 	}
@@ -71,7 +71,7 @@ func TestPresolveRedundantRowDrop(t *testing.T) {
 	x := p.AddCol("x", 0, 2, -1)
 	y := p.AddCol("y", 0, 2, -1)
 	p.AddRow("loose", Le, 100, Term{x, 1}, Term{y, 1})
-	pr := runPresolve(p, nil)
+	pr := runPresolve(p)
 	if pr.rowsCut != 1 {
 		t.Fatalf("rowsCut=%d, want 1", pr.rowsCut)
 	}
@@ -88,7 +88,7 @@ func TestPresolveDetectsInfeasibleActivity(t *testing.T) {
 	x := p.AddCol("x", 2, 3, 1)
 	y := p.AddCol("y", 2, 3, 1)
 	p.AddRow("cap", Le, 3, Term{x, 1}, Term{y, 1})
-	pr := runPresolve(p, nil)
+	pr := runPresolve(p)
 	if !pr.infeasible {
 		t.Fatal("presolve missed activity-bound infeasibility")
 	}
@@ -98,17 +98,22 @@ func TestPresolveDetectsInfeasibleActivity(t *testing.T) {
 	}
 }
 
-func TestPresolveCrossedBoundOverride(t *testing.T) {
-	// A branch override that contradicts the problem is caught up front.
+func TestPresolveCrossedBounds(t *testing.T) {
+	// A branch override that crosses a column's bounds is caught by the
+	// presolve layer, before any kernel runs.
 	p := NewProblem("crossed")
 	x := p.AddCol("x", 0, 10, 1)
 	p.AddRow("r", Le, 10, Term{x, 1})
-	sol, err := p.Solve(&Options{
-		Presolve:      true,
-		BoundOverride: map[ColID][2]float64{x: {5, 3}},
-	})
+	r, err := p.NewResolver(&Options{Presolve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := r.Solve(map[ColID][2]float64{x: {5, 3}})
 	if err != nil || sol.Status != Infeasible {
 		t.Fatalf("solve: %v %v, want infeasible", err, sol.Status)
+	}
+	if st := r.Stats(); st.PresolveCut != 1 || st.Cold != 0 {
+		t.Fatalf("stats %+v, want the crossed bounds answered by presolve alone", st)
 	}
 }
 
@@ -117,7 +122,7 @@ func TestPresolveTranslateOverrides(t *testing.T) {
 	fixed := p.AddCol("fixed", 1, 1, 1)
 	free := p.AddCol("free", 0, 10, 1)
 	p.AddRow("r", Ge, 2, Term{fixed, 1}, Term{free, 1})
-	pr := runPresolve(p, nil)
+	pr := runPresolve(p)
 	if pr.colMap[fixed] != -1 || pr.colMap[free] < 0 {
 		t.Fatalf("unexpected reduction: colMap=%v", pr.colMap)
 	}

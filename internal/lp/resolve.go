@@ -34,16 +34,17 @@ import (
 //
 // Anything the warm path cannot certify (iteration cap, numerically
 // degenerate rows) falls back to a from-scratch cold solve, so results are
-// always as trustworthy as Problem.Solve.
+// always as trustworthy as a first solve. Problem.Solve is exactly that:
+// the first solve of a Resolver it then discards.
 //
 // A Resolver keeps one workspace for its whole life: one simplex, whose
 // bounds, statuses, basic values, costs, reduced costs and work vectors
 // every cold solve resets in place, and one dense tableau block that
 // every cold build rewrites (the sparse kernel still allocates its column
 // copy and work vectors per build). Each cold build writes exactly the
-// tableau a fresh Problem.Solve writes, so reuse changes no pivot and no
-// solution bit; it only stops a cold re-solve from allocating once the
-// workspace has grown to the largest build so far.
+// tableau a fresh resolver's first build writes, so reuse changes no
+// pivot and no solution bit; it only stops a cold re-solve from
+// allocating once the workspace has grown to the largest build so far.
 //
 // A Resolver is not safe for concurrent use; each branch-and-bound solve
 // owns its own.
@@ -115,10 +116,10 @@ const warmDeltaMax = 1
 // refactorizes its basis every spxRefactorEvery pivots inside a solve.)
 const refactorEvery = 256
 
-// NewResolver creates a warm-start re-solver for p. opts tunes every
-// solve; its BoundOverride is ignored (bounds are per-Solve). When
-// opts.Presolve is set the reduction runs here, once, and every Solve
-// call translates its bounds through the reduction.
+// NewResolver creates a warm-start re-solver for p; opts (nil for the
+// defaults) tunes every solve. When opts.Presolve is set the reduction
+// runs here, once, under the problem's own bounds, and every Solve call
+// translates its bounds through the reduction.
 func (p *Problem) NewResolver(opts *Options) (*Resolver, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -127,10 +128,9 @@ func (p *Problem) NewResolver(opts *Options) (*Resolver, error) {
 	if opts != nil {
 		r.opts = *opts
 	}
-	r.opts.BoundOverride = nil
 	if r.opts.Presolve {
 		r.opts.Presolve = false // kernels below run on the reduced problem
-		r.pre = runPresolve(p, nil)
+		r.pre = runPresolve(p)
 		r.pre.emitTelemetry(r.opts.Telemetry)
 		if !r.pre.infeasible {
 			r.target = r.pre.reduced
@@ -142,10 +142,11 @@ func (p *Problem) NewResolver(opts *Options) (*Resolver, error) {
 // Stats reports how the resolver's solves were served so far.
 func (r *Resolver) Stats() ResolveStats { return r.stats }
 
-// Solve re-optimizes under the given bound overrides (same semantics as
-// Options.BoundOverride: listed columns replace their bounds, all others
-// revert to the problem's). The returned Solution and its slices are
-// reused by the next Solve call; callers must copy anything they retain.
+// Solve re-optimizes under the given bound overrides: listed columns
+// replace their bounds for this solve only, and all others revert to the
+// problem's (nil solves under the problem's own bounds). The problem is
+// not modified. The returned Solution and its slices are reused by the
+// next Solve call; callers must copy anything they retain.
 func (r *Resolver) Solve(bounds map[ColID][2]float64) (*Solution, error) {
 	if r.pre == nil {
 		return r.innerSolve(bounds), nil

@@ -23,7 +23,7 @@ func driveResolver(t *testing.T, rng *rand.Rand, p *Problem, bins []ColID, opts 
 		if err != nil {
 			t.Fatalf("trial %d step %d: %v", trial, step, err)
 		}
-		cold, err := p.Solve(&Options{Kernel: KernelDense, BoundOverride: bounds})
+		cold, err := solveBounded(p, &Options{Kernel: KernelDense}, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestResolverSparseRefactorDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := p.Solve(&Options{BoundOverride: bounds})
+		cold, err := solveBounded(p, nil, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}

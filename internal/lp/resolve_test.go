@@ -92,7 +92,7 @@ func TestResolverMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
-			cold, err := p.Solve(&Options{BoundOverride: bounds})
+			cold, err := solveBounded(p, nil, bounds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +234,7 @@ func TestResolverRefactorDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := p.Solve(&Options{BoundOverride: bounds})
+		cold, err := solveBounded(p, nil, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,9 +66,8 @@ type simplex struct {
 // of the current basis B from which column and row images of B⁻¹A are
 // computed. The driver calls it once per operation, never per element.
 type basis interface {
-	// build assembles the equality-form problem and the initial basis into
-	// the driver: structural nonbasics at their lower bound, a slack basic
-	// where its implied value is feasible, an artificial otherwise.
+	// build chooses the initial basis (startBasis) and lays out the
+	// kernel's representation of its columns.
 	build()
 	// refactor re-derives the basis representation and xB from the
 	// driver's basis, reporting false on a singular basis.
@@ -101,8 +100,8 @@ const eps = 1e-9
 // newSimplex returns a solver for p, built for a cold solve under bounds
 // (nil: the problem's own).
 func newSimplex(p *Problem, opts *Options, bounds map[ColID][2]float64) *simplex {
-	s := &simplex{p: p, opts: opts, max: opts.maxIters(p), hooks: opts.hooks(),
-		deadline: opts.deadline(), done: opts.done()}
+	s := &simplex{p: p, opts: opts, max: opts.maxIters(p), hooks: opts.Hooks,
+		deadline: opts.Deadline, done: opts.Done}
 	if opts.kernelFor(p) == KernelSparse {
 		s.b = &sparseBasis{s: s}
 	} else {
@@ -137,28 +136,75 @@ func resize[T any](buf []T, n int) []T {
 	return buf
 }
 
-// initBounds loads the structural bounds (with the solve's overrides
-// applied) followed by the slack bounds into the storage of s.lb and s.ub,
-// with room for one artificial per row, and returns them.
-func (s *simplex) initBounds(nSlack int) (lbs, ubs []float64) {
+// startBasis lays out the part of a cold build both kernels share: the
+// bounds and the initial basis of the equality-form problem whose rows v
+// describes, every row normalized to
+//
+//	a·x + slack = b   (slack ∈ [0,∞) for ≤-normalized rows; none for =)
+//
+// with ≥ rows multiplied by −1. Every structural column starts nonbasic
+// at its lower bound (the solve's override where it has one) and every
+// slack at 0; xB gets each row's residual under that start. A row whose
+// slack exists and whose residual is ≥ 0 makes the slack basic; every
+// other row gets a basic artificial column of its own, numbered after the
+// slacks in row order, with bounds [0, ∞). The kernel then lays out its
+// columns; an artificial's coefficient is −1 where its row's residual is
+// negative, so that it starts at |residual|.
+//
+// Each row's terms are subtracted in column order, the order a scan of its
+// dense row takes, including the terms of columns resting at 0: the dense
+// tableau starts from these residuals as its xB, so their bits, the sign
+// of a zero included, can reach the solution bits TestKernelPivotPaths
+// pins. The sparse kernel reads them only to choose the basis and
+// recomputes xB when it factorizes.
+func (s *simplex) startBasis(v *colView) {
 	p := s.p
-	n := s.nStruct + nSlack + s.m
-	lbs, ubs = slices.Grow(s.lb[:0], n), slices.Grow(s.ub[:0], n)
+	s.m, s.nStruct = v.m, v.n
+	n := s.nStruct + v.nSlack + s.m // room for one artificial per row
+	s.lb, s.ub = slices.Grow(s.lb[:0], n), slices.Grow(s.ub[:0], n)
 	for j, c := range p.cols {
 		lb, ub := c.Lb, c.Ub
-		if s.bounds != nil {
-			if b, ok := s.bounds[ColID(j)]; ok {
-				lb, ub = b[0], b[1]
+		if b, ok := s.bounds[ColID(j)]; ok {
+			lb, ub = b[0], b[1]
+		}
+		s.lb = append(s.lb, lb)
+		s.ub = append(s.ub, ub)
+	}
+	for i := 0; i < v.nSlack; i++ {
+		s.lb = append(s.lb, 0)
+		s.ub = append(s.ub, math.Inf(1))
+	}
+
+	s.xB = resize(s.xB, s.m)
+	for i := range p.rows {
+		s.xB[i] = v.sign[i] * p.rows[i].Rhs
+	}
+	for j := 0; j < s.nStruct; j++ {
+		ri, ax := v.col(j)
+		for t, i := range ri {
+			if a := ax[t]; a != 0 {
+				s.xB[i] -= a * s.lb[j]
 			}
 		}
-		lbs = append(lbs, lb)
-		ubs = append(ubs, ub)
 	}
-	for i := 0; i < nSlack; i++ {
-		lbs = append(lbs, 0)
-		ubs = append(ubs, math.Inf(1))
+
+	s.basicVar = resize(s.basicVar, s.m)
+	s.nTot = s.nStruct + v.nSlack
+	for i, res := range s.xB {
+		if sl := v.slackOf[i]; sl >= 0 && res >= 0 {
+			s.basicVar[i] = s.nStruct + int(sl)
+			continue
+		}
+		s.basicVar[i] = s.nTot
+		s.nTot++
+		s.lb = append(s.lb, 0)
+		s.ub = append(s.ub, math.Inf(1))
 	}
-	return lbs, ubs
+	s.isArt = resize(s.isArt, s.nTot)
+	for j := s.nStruct + v.nSlack; j < s.nTot; j++ {
+		s.isArt[j] = true
+	}
+	s.initBasis()
 }
 
 // initBasis derives the statuses and row map from basicVar and sizes the
@@ -225,10 +271,6 @@ func (s *simplex) value(j int) float64 {
 		return 0
 	}
 }
-
-// run executes phase 1 (if artificials exist) then phase 2 and returns
-// the solution.
-func (s *simplex) run() *Solution { return s.finish(s.solve()) }
 
 // solve executes phase 1 (if artificials exist) then phase 2. A singular
 // refactorization mid-solve restarts the whole solve once from a fresh
@@ -543,17 +585,9 @@ func (s *simplex) pivot(r, j int, newVal float64) {
 	s.b.pivot(r, j)
 }
 
-// finish extracts the structural solution.
-func (s *simplex) finish(st Status) *Solution {
-	sol := &Solution{}
-	s.finishInto(st, sol)
-	return sol
-}
-
 // finishInto extracts the structural solution into sol, reusing its slices
-// when their capacity allows (the warm-start Resolver calls this with the
-// same Solution on every re-solve, warm or cold, to avoid per-node
-// allocation).
+// when their capacity allows (the Resolver calls this with the same
+// Solution on every re-solve, warm or cold, to avoid per-node allocation).
 func (s *simplex) finishInto(st Status, sol *Solution) {
 	sol.Status = st
 	sol.Iters = s.iters

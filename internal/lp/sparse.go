@@ -1,10 +1,6 @@
 package lp
 
-import (
-	"math"
-
-	"sos/internal/telemetry"
-)
+import "sos/internal/telemetry"
 
 // sparseBasis is the sparse revised simplex kernel: the basis inverse is
 // represented as a sparse LU factorization plus a product-form eta file
@@ -41,53 +37,21 @@ type sparseBasis struct {
 // solve) and the FTRAN/BTRAN cost of a long eta chain.
 const spxRefactorEvery = 64
 
-// build assembles the internal columns in the driver's layout and the
-// initial basis: structural nonbasics at their lower bound, a slack basic
-// where its implied value is feasible, an artificial otherwise.
+// build lays out the internal columns of the start basis (startBasis) in
+// the driver's layout: the structural columns copied from the problem's
+// column view, then a unit column per slack and per artificial.
 func (b *sparseBasis) build() {
 	s := b.s
 	p := s.p
 	v := p.columns()
-	s.m = v.m
-	s.nStruct = v.n
-
-	lbs, ubs := s.initBounds(v.nSlack)
+	s.startBasis(v)
 
 	b.rhs = make([]float64, s.m)
 	for i := range p.rows {
 		b.rhs[i] = v.sign[i] * p.rows[i].Rhs
 	}
 
-	// Residual per row with structural at lb and slacks at 0 decides which
-	// rows need artificials; the artificial's coefficient sign makes its
-	// starting value |residual| ≥ 0.
-	res := make([]float64, s.m)
-	copy(res, b.rhs)
-	for j := 0; j < s.nStruct; j++ {
-		if x := lbs[j]; x != 0 {
-			ri, ax := v.col(j)
-			for t, i := range ri {
-				res[i] -= ax[t] * x
-			}
-		}
-	}
-	s.basicVar = make([]int, s.m)
-	var artRows []int
-	for i := 0; i < s.m; i++ {
-		if v.slackOf[i] >= 0 && res[i] >= 0 {
-			s.basicVar[i] = s.nStruct + int(v.slackOf[i])
-		} else {
-			s.basicVar[i] = -1
-			artRows = append(artRows, i)
-		}
-	}
-
-	s.nTot = s.nStruct + v.nSlack + len(artRows)
-	s.isArt = make([]bool, s.nTot)
-
-	// Assemble the combined CSC: structural columns are copied from the
-	// shared view; slack and artificial columns are single units.
-	nnz := len(v.ax) + v.nSlack + len(artRows)
+	nnz := len(v.ax) + s.nTot - s.nStruct
 	b.ap = make([]int32, 0, s.nTot+1)
 	b.ai = make([]int32, 0, nnz)
 	b.ax = make([]float64, 0, nnz)
@@ -105,24 +69,21 @@ func (b *sparseBasis) build() {
 		b.ax = append(b.ax, 1)
 		b.ap = append(b.ap, int32(len(b.ai)))
 	}
-	for _, i := range artRows {
-		col := len(b.ap) - 1
-		s.isArt[col] = true
+	// Artificials are numbered in row order, so one pass over the rows
+	// appends them in column order.
+	for i, bv := range s.basicVar {
+		if !s.isArt[bv] {
+			continue
+		}
 		coef := 1.0
-		if res[i] < 0 {
+		if s.xB[i] < 0 {
 			coef = -1
 		}
 		b.ai = append(b.ai, int32(i))
 		b.ax = append(b.ax, coef)
 		b.ap = append(b.ap, int32(len(b.ai)))
-		lbs = append(lbs, 0)
-		ubs = append(ubs, math.Inf(1))
-		s.basicVar[i] = col
 	}
-	s.lb, s.ub = lbs, ubs
 
-	s.xB = make([]float64, s.m)
-	s.initBasis()
 	b.etas = b.etas[:0] // a rebuilt basis starts a new factorization
 	b.y = make([]float64, s.m)
 	b.rho = make([]float64, s.m)
@@ -168,9 +129,9 @@ func (b *sparseBasis) refactor() bool {
 	copy(s.xB, r)
 	b.lu.ftran(s.xB, b.t1)
 	s.recomputeObj()
-	if o := s.opts; o != nil && o.Telemetry != nil {
-		o.Telemetry.Inc(telemetry.CtrLPRefactors)
-		o.Telemetry.Emit(telemetry.EvLPRefactor, float64(pivots), "")
+	if tel := s.opts.Telemetry; tel != nil {
+		tel.Inc(telemetry.CtrLPRefactors)
+		tel.Emit(telemetry.EvLPRefactor, float64(pivots), "")
 	}
 	return true
 }

@@ -210,7 +210,8 @@ func TestSparseForcedRefactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	p, _ := randomLP(rng, 90, 70)
 	s := newSimplex(p, &Options{Kernel: KernelSparse}, nil)
-	sol := s.run()
+	var sol Solution
+	s.finishInto(s.solve(), &sol)
 	if sol.Status != Optimal {
 		t.Fatalf("status %v, want optimal", sol.Status)
 	}
@@ -240,7 +241,8 @@ func TestSparseSingularBasisRecovery(t *testing.T) {
 	// columns, so the LU must report singularity (the drift-equivalent of a
 	// numerically collapsed eta chain).
 	s.basicVar[1] = s.basicVar[0]
-	sol := s.run()
+	var sol Solution
+	s.finishInto(s.solve(), &sol)
 	if sol.Status != Optimal {
 		t.Fatalf("status %v, want optimal after rebuild", sol.Status)
 	}

@@ -67,12 +67,13 @@ var coldSetArtificials = []int{22, 24, 33, 25, 24, 22, 22}
 // all rebuild cold, so every build after the first reuses the workspace
 // the one before left, at a larger and then a smaller tableau width, and
 // through an infeasible solve. Each answer must be bit-identical to a
-// fresh Problem.Solve under the same overrides: status, iterations,
-// objective, and every X and reduced cost (coldRecord hashes them). With
-// presolve the resolver reduces the model once, which removes nothing
-// from this model, so its kernel solves the same LP as the plain
-// Problem.Solve; a one-shot presolve would instead substitute the fixed
-// columns out and solve a smaller LP.
+// fresh solve of a copy of the model that carries the set's bounds
+// (SolveBounded): status, iterations, objective, and every X and reduced
+// cost (coldRecord hashes them). With presolve the resolver reduces the
+// model once, which removes nothing from this model, and translates each
+// set's bounds, so its kernel solves the same LP as the reference; a
+// presolve of each bounded copy would instead substitute the fixed
+// columns out and solve a smaller LP, so the reference runs without one.
 func TestResolverColdMatchesFresh(t *testing.T) {
 	m := pathModel(t, "ex1-cap14")
 	checkFixedCols(t, m.Prob)
@@ -97,7 +98,7 @@ func TestResolverColdMatchesFresh(t *testing.T) {
 						t.Errorf("set %d: build laid out %d artificials, want %d", i, a, coldSetArtificials[i])
 					}
 				}
-				want, err := m.Prob.Solve(&lp.Options{Kernel: lp.KernelDense, BoundOverride: bounds})
+				want, err := lp.SolveBounded(m.Prob, &lp.Options{Kernel: lp.KernelDense}, bounds)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -384,13 +384,18 @@ func TestWarmMatchesCold(t *testing.T) {
 
 // coldBranchAndBound returns the optimum of a 0/1 problem by a depth-first
 // branch and bound that solves every node LP from scratch with
-// lp.Problem.Solve, or +Inf when no 0/1 vector is feasible.
+// lp.Problem.Solve, on a copy of p that carries the node's fixings, or
+// +Inf when no 0/1 vector is feasible.
 func coldBranchAndBound(t *testing.T, p *lp.Problem, cols []lp.ColID) float64 {
 	t.Helper()
 	best := math.Inf(1)
 	var dive func(fixed map[lp.ColID][2]float64)
 	dive = func(fixed map[lp.ColID][2]float64) {
-		sol, err := p.Solve(&lp.Options{BoundOverride: fixed})
+		q := p.Clone()
+		for c, b := range fixed {
+			q.SetBounds(c, b[0], b[1])
+		}
+		sol, err := q.Solve(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -150,18 +150,9 @@ func (d *Design) String() string {
 
 // ValidateOptions tunes validation.
 type ValidateOptions struct {
-	// Tol is the numeric tolerance for timing comparisons (default 1e-6).
-	Tol float64
 	// NoOverlapIO enables the §5 variant check: remote transfers must not
 	// overlap any computation on their endpoint processors.
 	NoOverlapIO bool
-}
-
-func (o *ValidateOptions) tol() float64 {
-	if o != nil && o.Tol > 0 {
-		return o.Tol
-	}
-	return 1e-6
 }
 
 // Validate re-checks every correctness rule from Section 3.3 of the paper
@@ -180,7 +171,7 @@ func (o *ValidateOptions) tol() float64 {
 //
 // It returns the first violated rule as an error, or nil.
 func (d *Design) Validate(opts *ValidateOptions) error {
-	tol := opts.tol()
+	const tol = 1e-6 // numeric tolerance of the timing and cost comparisons
 	g, pool, topo := d.Graph, d.Pool, d.Topo
 	lib := pool.Library()
 	n := pool.NumProcs()

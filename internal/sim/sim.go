@@ -223,7 +223,7 @@ func SelfTimed(d *schedule.Design) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	times, err := longestPath(adj)
+	times, _, err := longestPath(adj)
 	if err != nil {
 		return nil, err
 	}
@@ -256,8 +256,9 @@ type edgeTo struct {
 }
 
 // longestPath computes earliest event times (all >= 0) over the event
-// graph, erroring on cycles (inconsistent resource orders).
-func longestPath(adj [][]edgeTo) ([]float64, error) {
+// graph by Kahn's algorithm, and returns the topological order it relaxed
+// the events in. It errors on cycles (inconsistent resource orders).
+func longestPath(adj [][]edgeTo) (times []float64, order []int, err error) {
 	n := len(adj)
 	indeg := make([]int, n)
 	for _, es := range adj {
@@ -265,32 +266,31 @@ func longestPath(adj [][]edgeTo) ([]float64, error) {
 			indeg[e.to]++
 		}
 	}
-	times := make([]float64, n)
-	queue := make([]int, 0, n)
+	times = make([]float64, n)
+	// order is also the queue: events are appended as they become ready
+	// and relaxed in the order they were appended.
+	order = make([]int, 0, n)
 	for i, d := range indeg {
 		if d == 0 {
-			queue = append(queue, i)
+			order = append(order, i)
 		}
 	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		seen++
+	for k := 0; k < len(order); k++ {
+		v := order[k]
 		for _, e := range adj[v] {
 			if t := times[v] + e.w; t > times[e.to] {
 				times[e.to] = t
 			}
 			indeg[e.to]--
 			if indeg[e.to] == 0 {
-				queue = append(queue, e.to)
+				order = append(order, e.to)
 			}
 		}
 	}
-	if seen != n {
-		return nil, fmt.Errorf("sim: event-order cycle (schedule's resource orders contradict its dataflow)")
+	if len(order) != n {
+		return nil, nil, fmt.Errorf("sim: event-order cycle (schedule's resource orders contradict its dataflow)")
 	}
 	// Longest path takes the max against the zero initial value, so no
 	// event time can be negative even through negative-weight f_R edges.
-	return times, nil
+	return times, order, nil
 }

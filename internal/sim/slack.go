@@ -34,7 +34,7 @@ func Slack(d *schedule.Design) (*SlackReport, error) {
 		return nil, err
 	}
 	total := 2*nT + 2*nX
-	earliest, err := longestPath(adj)
+	earliest, order, err := longestPath(adj)
 	if err != nil {
 		return nil, err
 	}
@@ -52,10 +52,6 @@ func Slack(d *schedule.Design) (*SlackReport, error) {
 		latest[i] = makespan
 	}
 	// Process in reverse topological order.
-	order, err := topoOrder(adj, total)
-	if err != nil {
-		return nil, err
-	}
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		for _, e := range adj[v] {
@@ -162,36 +158,4 @@ func eventGraph(d *schedule.Design) ([][]edgeTo, error) {
 		}
 	}
 	return adj, nil
-}
-
-// topoOrder returns a topological order of the event graph.
-func topoOrder(adj [][]edgeTo, n int) ([]int, error) {
-	indeg := make([]int, n)
-	for _, es := range adj {
-		for _, e := range es {
-			indeg[e.to]++
-		}
-	}
-	queue := make([]int, 0, n)
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, e := range adj[v] {
-			indeg[e.to]--
-			if indeg[e.to] == 0 {
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("sim: cyclic event graph")
-	}
-	return order, nil
 }

@@ -1,9 +1,6 @@
 package taskgraph
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // CriticalPath computes the length of the longest path through the graph
 // when each subtask S_a costs dur(a) time and communication is free. This
@@ -44,26 +41,6 @@ func (g *Graph) SerialTime(dur func(SubtaskID) float64) float64 {
 		total += dur(SubtaskID(i))
 	}
 	return total
-}
-
-// MinProcessorsBound returns the Fernandez–Bussell style lower bound on the
-// number of processors needed to finish within deadline T when each subtask
-// costs dur(a): ceil(total work / T), at least 1. It returns an error if T
-// is smaller than the critical path (no processor count can achieve it).
-func (g *Graph) MinProcessorsBound(dur func(SubtaskID) float64, deadline float64) (int, error) {
-	cp := g.CriticalPath(dur)
-	if deadline < cp {
-		return 0, fmt.Errorf("taskgraph: deadline %g below critical path %g", deadline, cp)
-	}
-	if deadline <= 0 {
-		return 0, fmt.Errorf("taskgraph: non-positive deadline %g", deadline)
-	}
-	work := g.SerialTime(dur)
-	n := int(math.Ceil(work/deadline - 1e-9))
-	if n < 1 {
-		n = 1
-	}
-	return n, nil
 }
 
 // Level returns, for every subtask, its depth measured in arcs from a
@@ -159,36 +136,4 @@ func (g *Graph) StrictlyOrdered(src, dst SubtaskID) bool {
 		}
 	}
 	return false
-}
-
-// IndependentPairs returns all unordered pairs of distinct subtasks with no
-// path between them in either direction. Only independent pairs can overlap
-// in time on different processors, and only they need processor-exclusion
-// ordering variables when mapped to the same processor.
-func (g *Graph) IndependentPairs() [][2]SubtaskID {
-	n := len(g.subtasks)
-	reach := make([][]bool, n)
-	order, _ := g.TopoOrder()
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		reach[v] = make([]bool, n)
-		reach[v][v] = true
-		for _, aid := range g.out[v] {
-			d := g.arcs[aid].Dst
-			for j := 0; j < n; j++ {
-				if reach[d][j] {
-					reach[v][j] = true
-				}
-			}
-		}
-	}
-	var pairs [][2]SubtaskID
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !reach[i][j] && !reach[j][i] {
-				pairs = append(pairs, [2]SubtaskID{SubtaskID(i), SubtaskID(j)})
-			}
-		}
-	}
-	return pairs
 }

@@ -266,28 +266,6 @@ func (g *Graph) TopoOrder() ([]SubtaskID, error) {
 	return order, nil
 }
 
-// Sources returns subtasks with no incoming arcs, in ID order.
-func (g *Graph) Sources() []SubtaskID {
-	var s []SubtaskID
-	for i := range g.subtasks {
-		if len(g.in[i]) == 0 {
-			s = append(s, SubtaskID(i))
-		}
-	}
-	return s
-}
-
-// Sinks returns subtasks with no outgoing arcs, in ID order.
-func (g *Graph) Sinks() []SubtaskID {
-	var s []SubtaskID
-	for i := range g.subtasks {
-		if len(g.out[i]) == 0 {
-			s = append(s, SubtaskID(i))
-		}
-	}
-	return s
-}
-
 // Clone returns a deep, unfrozen copy of the graph.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{Name: g.Name}
