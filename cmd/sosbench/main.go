@@ -507,7 +507,7 @@ func ScalingStudy() error {
 	fmt.Println("== Beyond-paper: synthesis time vs problem size (uncapped min-makespan) ==")
 	fmt.Printf("%-10s %-8s %-14s %-14s\n", "subtasks", "arcs", "exact-serial", "heuristic")
 	rng := rand.New(rand.NewSource(12345))
-	for _, n := range []int{4, 6, 8, 10, 12} {
+	for _, n := range []int{4, 6, 8, 10, 12, 14} {
 		g := taskgraph.Random(rng, taskgraph.RandomSpec{Subtasks: n, ArcProb: 0.3, MaxVol: 3})
 		if err := g.Freeze(); err != nil {
 			return err

@@ -36,9 +36,9 @@ func TestDefaultEngineWorkPins(t *testing.T) {
 		mapNodes, schedNodes, incumbents int64
 		digest                           string
 	}{
-		"table2": {465, 354, 36, "1b9a06ace7d765c0"},
-		"table4": {190070, 67976, 74, "76d53668c3b8a2e7"},
-		"table5": {179093, 127076, 27, "0d5b026ec09544da"},
+		"table2": {347, 275, 32, "1b9a06ace7d765c0"},
+		"table4": {26054, 18300, 50, "76d53668c3b8a2e7"},
+		"table5": {34833, 34095, 22, "0d5b026ec09544da"},
 	}
 	for _, w := range frontierWorkloads() {
 		t.Run(w.name, func(t *testing.T) {

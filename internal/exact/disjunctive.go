@@ -140,12 +140,7 @@ func (dg *disjGraph) reset(mapping []arch.ProcID) {
 		dg.addBase(dg.tStart(s.ID), dg.tEnd(s.ID), dg.dur[s.ID])
 	}
 	for _, a := range g.Arcs() {
-		d1, d2 := mapping[a.Src], mapping[a.Dst]
-		if d1 == d2 {
-			dg.xfd[a.ID] = lib.LocalDelay * a.Volume
-		} else {
-			dg.xfd[a.ID] = topo.DelayPerUnit(lib, n, d1, d2) * a.Volume
-		}
+		dg.xfd[a.ID] = unitDelay(lib, topo, n, mapping[a.Src], mapping[a.Dst]) * a.Volume
 		dg.addBase(dg.xStart(a.ID), dg.xEnd(a.ID), dg.xfd[a.ID])
 		// Data availability: xStart >= tStart(src) + f_A·dur(src).
 		dg.addBase(dg.tStart(a.Src), dg.xStart(a.ID), a.FA*dg.dur[a.Src])
@@ -182,6 +177,15 @@ func (dg *disjGraph) reset(mapping []arch.ProcID) {
 	}
 	dg.pairs = dg.pairs[:0]
 	dg.paired = false
+}
+
+// unitDelay is the time to move one unit of data from instance d1 to d2:
+// D_CL on one instance, the topology's per-unit delay across two.
+func unitDelay(lib *arch.Library, topo arch.Topology, n int, d1, d2 arch.ProcID) float64 {
+	if d1 == d2 {
+		return lib.LocalDelay
+	}
+	return topo.DelayPerUnit(lib, n, d1, d2)
 }
 
 func (dg *disjGraph) addBase(from, to int, w float64) {

@@ -88,8 +88,9 @@ type Options struct {
 	NoOverlapIO bool
 
 	// Warm, when non-nil, seeds the search with a known-feasible design as
-	// the initial incumbent, so bound pruning starts tight immediately
-	// (the cross-request cache injects near-miss hits here). The design is
+	// the initial incumbent, so bound pruning starts tight immediately.
+	// The cross-request cache injects near-miss hits here, and a frontier
+	// point's lexicographic tightening solve its own optimum. The design is
 	// untrusted: it must reference this exact problem (same graph and pool
 	// objects, same topology), validate, and satisfy the cap/deadline, or
 	// it is silently ignored. Seeding never affects optimality — pruning
@@ -405,26 +406,17 @@ func (s *search) adoptForeign() {
 	s.accept(d, d.Cost)
 }
 
-// procCost sums the costs of instances used by the partial mapping.
-func (s *search) procCost() float64 {
-	used := s.procUsed
-	clear(used)
-	cost := 0.0
-	for _, d := range s.mapping {
-		if d >= 0 && !used[d] {
-			used[d] = true
-			cost += s.pool.Cost(d)
-		}
-	}
-	return cost
-}
-
 // makespanLB is a valid lower bound on the makespan of any completion of
 // the partial mapping: the critical path using actual durations where
-// assigned and best-case durations elsewhere (communication free), and the
-// per-processor committed load.
+// assigned and best-case durations elsewhere, and the per-processor
+// committed load. An arc whose two ends are both mapped adds its transfer
+// time to its precedence term, weighed as disjGraph.reset weighs the
+// transfer edge; an arc with an unmapped end is free. The disjunctive
+// graph forces tStart(dst) ≥ tStart(src) + f_A·dur(src) + xfd − f_R·dur(dst)
+// and resource conflicts only delay, so the bound holds.
 func (s *search) makespanLB() float64 {
 	g, dur, finish, load := s.g, s.dur, s.finish, s.load
+	lib, n := s.pool.Library(), s.pool.NumProcs()
 	clear(load)
 	for a, d := range s.mapping {
 		if d < 0 {
@@ -434,14 +426,19 @@ func (s *search) makespanLB() float64 {
 		dur[a] = s.pool.Exec(d, taskgraph.SubtaskID(a))
 		load[d] += dur[a]
 	}
-	// The critical path exactly as taskgraph.CriticalPath computes it,
-	// over the search's own topological order.
+	// The critical path as taskgraph.CriticalPath computes it, over the
+	// search's own topological order, plus the mapped arcs' transfers.
 	lb := 0.0
 	for _, v := range s.order {
 		start := 0.0
+		d2 := s.mapping[v]
 		for _, aid := range g.In(v) {
 			a := g.Arc(aid)
-			if req := finish[a.Src] - (1-a.FA)*dur[a.Src] - a.FR*dur[v]; req > start {
+			req := finish[a.Src] - (1-a.FA)*dur[a.Src]
+			if d1 := s.mapping[a.Src]; d1 >= 0 && d2 >= 0 {
+				req += unitDelay(lib, s.topo, n, d1, d2) * a.Volume
+			}
+			if req -= a.FR * dur[v]; req > start {
 				start = req
 			}
 		}
@@ -467,24 +464,29 @@ func (s *search) dfs(idx int) {
 	if s.opts.testHook != nil {
 		s.opts.testHook(s.nodes)
 	}
+	full := idx == len(s.order)
+	cost := 0.0
 	if s.opts.Objective == MinMakespan {
 		if s.makespanLB() >= relCut(s.bestPerf, incumbentTol) {
 			return
 		}
+		if s.opts.CostCap > 0 || full {
+			cost = s.mappedCost()
+		}
 		// Constraint feasibility (not incumbent-relative): absolute slack.
-		if s.opts.CostCap > 0 && s.procCost() > s.opts.CostCap+1e-9 {
+		if s.opts.CostCap > 0 && cost > s.opts.CostCap+1e-9 {
 			return
 		}
 	} else {
-		if s.procCost() >= relCut(s.bestCost, incumbentTol) {
+		if cost = s.mappedCost(); cost >= relCut(s.bestCost, incumbentTol) {
 			return
 		}
 		if s.makespanLB() > s.opts.Deadline+1e-9 {
 			return
 		}
 	}
-	if idx == len(s.order) {
-		s.leaf()
+	if full {
+		s.leaf(cost)
 		return
 	}
 	task := s.order[idx]
@@ -535,15 +537,11 @@ func (s *search) candidates(idx int, task taskgraph.SubtaskID) []arch.ProcID {
 	return out
 }
 
-// leaf evaluates a complete mapping: prices the implied system and runs
-// the inner scheduling B&B.
-func (s *search) leaf() {
-	cost := s.systemCost()
+// leaf runs the inner scheduling B&B on a complete mapping whose system
+// cost, already within the cap or below the incumbent's, is cost.
+func (s *search) leaf(cost float64) {
 	switch s.opts.Objective {
 	case MinMakespan:
-		if s.opts.CostCap > 0 && cost > s.opts.CostCap+1e-9 {
-			return
-		}
 		// Accept a strictly faster schedule, or an equally fast one that
 		// is cheaper (so the returned design is non-inferior at its own
 		// performance level).
@@ -561,9 +559,6 @@ func (s *search) leaf() {
 			s.accept(d, cost)
 		}
 	case MinCost:
-		if cost >= relCut(s.bestCost, incumbentTol) {
-			return
-		}
 		d, nodes := s.dg.schedule(s.mapping, s.opts.Deadline+1e-6, &s.budgetHit, s.deadline)
 		s.schedNodes += nodes
 		if d == nil || d.Makespan > s.opts.Deadline+1e-9 {
@@ -573,16 +568,27 @@ func (s *search) leaf() {
 	}
 }
 
-// systemCost prices the complete mapping: used processors plus the links
-// every remote arc's path requires (deduplicated), plus memory if priced.
-func (s *search) systemCost() float64 {
+// mappedCost is a lower bound on the system cost of any completion of the
+// partial mapping, and at a full mapping the system cost itself: the used
+// instances (deduplicated, in subtask order), then the links of every
+// remote arc whose two ends are mapped (deduplicated, in arc order), then
+// the memory term, if priced, which does not depend on the mapping. Both
+// sets only grow as the mapping grows, so the bound holds.
+func (s *search) mappedCost() float64 {
 	lib := s.pool.Library()
-	cost := s.procCost()
-	links := s.linkUsed
+	used, links := s.procUsed, s.linkUsed
+	clear(used)
 	clear(links)
+	cost := 0.0
+	for _, d := range s.mapping {
+		if d >= 0 && !used[d] {
+			used[d] = true
+			cost += s.pool.Cost(d)
+		}
+	}
 	for _, a := range s.g.Arcs() {
 		d1, d2 := s.mapping[a.Src], s.mapping[a.Dst]
-		if d1 == d2 {
+		if d1 < 0 || d2 < 0 || d1 == d2 {
 			continue
 		}
 		for _, l := range s.paths.path(d1, d2) {
@@ -593,9 +599,8 @@ func (s *search) systemCost() float64 {
 		}
 	}
 	if lib.MemCostPerUnit > 0 {
-		for a, d := range s.mapping {
-			_ = d
-			cost += lib.MemCostPerUnit * s.g.Subtask(taskgraph.SubtaskID(a)).Mem
+		for _, t := range s.g.Subtasks() {
+			cost += lib.MemCostPerUnit * t.Mem
 		}
 	}
 	return cost

@@ -116,7 +116,7 @@ func TestWorkspaceMatchesFreshScheduler(t *testing.T) {
 
 // TestSynthesizeAllocations bounds the allocations of one search: the node
 // loop allocates nothing per node, so an Example 2 bus search of about
-// 50 000 mapping nodes stays within a few hundred allocations.
+// 13 000 mapping nodes stays within a few hundred allocations.
 func TestSynthesizeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

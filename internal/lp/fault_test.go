@@ -19,10 +19,7 @@ func TestHooksRejectWarmForcesCold(t *testing.T) {
 	const steps = 40
 	for i := 0; i < steps; i++ {
 		bounds = mutateBounds(rng, bins, bounds)
-		got, err := r.Solve(bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := r.Solve(bounds)
 		want, err := solveBounded(p, nil, bounds)
 		if err != nil {
 			t.Fatal(err)
@@ -67,10 +64,7 @@ func TestHooksForceIterLimit(t *testing.T) {
 	bounds := map[ColID][2]float64{}
 	for i := 0; i < 10; i++ {
 		bounds = mutateBounds(rng, bins, bounds)
-		got, err := r.Solve(bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := r.Solve(bounds)
 		if got.Status == IterLimit {
 			sawLimit = true
 			continue

@@ -374,13 +374,9 @@ func (p *Problem) Solve(opts *Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol, err := r.Solve(nil)
-	if err != nil {
-		return nil, err
-	}
 	// The resolver's Solution is a field of the resolver, so holding it
 	// would hold the whole workspace (a dense tableau block); a copy
 	// holds only its own slices.
-	own := *sol
+	own := *r.Solve(nil)
 	return &own, nil
 }

@@ -163,16 +163,11 @@ func TestResolverOverridesBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := r.Solve(map[ColID][2]float64{x: {0, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := r.Solve(map[ColID][2]float64{x: {0, 0}})
 	if sol.Status != Optimal || !approx(sol.X[x], 0) {
 		t.Errorf("override not honored: %v x=%g", sol.Status, sol.X[x])
 	}
-	if sol, err = r.Solve(nil); err != nil {
-		t.Fatal(err)
-	}
+	sol = r.Solve(nil)
 	if sol.Status != Optimal || !approx(sol.X[x], 1) {
 		t.Errorf("override outlived its solve: %v x=%g", sol.Status, sol.X[x])
 	}

@@ -141,10 +141,7 @@ func driveResolverPath(t *testing.T, r *lp.Resolver, branch []lp.ColID) (string,
 				}
 			}
 		}
-		var err error
-		if sol, err = r.Solve(bounds()); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
+		sol = r.Solve(bounds())
 		solutionHash(h, sol)
 		trace = append(trace, fmt.Sprintf("%c%d", sol.Status.String()[0], sol.Iters))
 	}

@@ -147,25 +147,25 @@ func (r *Resolver) Stats() ResolveStats { return r.stats }
 // problem's (nil solves under the problem's own bounds). The problem is
 // not modified. The returned Solution and its slices are reused by the
 // next Solve call; callers must copy anything they retain.
-func (r *Resolver) Solve(bounds map[ColID][2]float64) (*Solution, error) {
+func (r *Resolver) Solve(bounds map[ColID][2]float64) *Solution {
 	if r.pre == nil {
-		return r.innerSolve(bounds), nil
+		return r.innerSolve(bounds)
 	}
 	if r.pre.infeasible {
 		r.stats.PresolveCut++
 		r.pre.infeasibleSolution(&r.fullSol)
-		return &r.fullSol, nil
+		return &r.fullSol
 	}
 	red, conflict := r.pre.translate(bounds, r.redBounds)
 	r.redBounds = red
 	if conflict {
 		r.stats.PresolveCut++
 		r.pre.infeasibleSolution(&r.fullSol)
-		return &r.fullSol, nil
+		return &r.fullSol
 	}
 	inner := r.innerSolve(red)
 	r.pre.expand(inner, &r.fullSol)
-	return &r.fullSol, nil
+	return &r.fullSol
 }
 
 // innerSolve runs the warm/cold machinery on the target problem.

@@ -19,10 +19,7 @@ func driveResolver(t *testing.T, rng *rand.Rand, p *Problem, bins []ColID, opts 
 	bounds := map[ColID][2]float64{}
 	for step := 0; step < 25; step++ {
 		bounds = mutateBounds(rng, bins, bounds)
-		warm, err := r.Solve(bounds)
-		if err != nil {
-			t.Fatalf("trial %d step %d: %v", trial, step, err)
-		}
+		warm := r.Solve(bounds)
 		cold, err := solveBounded(p, &Options{Kernel: KernelDense}, bounds)
 		if err != nil {
 			t.Fatal(err)
@@ -92,10 +89,7 @@ func TestResolverPresolveConflictShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := r.Solve(map[ColID][2]float64{fixed: {0, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := r.Solve(map[ColID][2]float64{fixed: {0, 0}})
 	if sol.Status != Infeasible {
 		t.Fatalf("status %v, want infeasible", sol.Status)
 	}
@@ -103,10 +97,7 @@ func TestResolverPresolveConflictShortCircuit(t *testing.T) {
 		t.Fatalf("stats %+v, want the conflict served by presolve alone", st)
 	}
 	// A compatible solve afterwards still works and expands correctly.
-	sol, err = r.Solve(map[ColID][2]float64{free: {2, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol = r.Solve(map[ColID][2]float64{free: {2, 2}})
 	if sol.Status != Optimal || !approx(sol.Obj, -1) || !approx(sol.X[fixed], 1) || !approx(sol.X[free], 2) {
 		t.Fatalf("got %v obj=%g x=%v", sol.Status, sol.Obj, sol.X)
 	}
@@ -128,10 +119,7 @@ func TestResolverSparseRefactorDrift(t *testing.T) {
 	bounds := map[ColID][2]float64{}
 	for step := 0; step < 400; step++ {
 		bounds = mutateBounds(rng, bins, bounds)
-		warm, err := r.Solve(bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
+		warm := r.Solve(bounds)
 		cold, err := solveBounded(p, nil, bounds)
 		if err != nil {
 			t.Fatal(err)

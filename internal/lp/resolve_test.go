@@ -88,10 +88,7 @@ func TestResolverMatchesCold(t *testing.T) {
 		warmEligible := 0 // steps whose predecessor left a reusable basis
 		for step := 0; step < 25; step++ {
 			bounds = mutateBounds(rng, bins, bounds)
-			warm, err := r.Solve(bounds)
-			if err != nil {
-				t.Fatalf("trial %d step %d: %v", trial, step, err)
-			}
+			warm := r.Solve(bounds)
 			cold, err := solveBounded(p, nil, bounds)
 			if err != nil {
 				t.Fatal(err)
@@ -165,25 +162,25 @@ func TestResolverInfeasibleAndBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := r.Solve(nil)
+	base := r.Solve(nil)
 	if base.Status != Optimal || math.Abs(base.Obj-(-1)) > 1e-9 {
 		t.Fatalf("base: %v obj %g", base.Status, base.Obj)
 	}
 	// Dive one fixing at a time, as branch and bound does (single-column
 	// deltas stay inside the warm gate).
-	afix, _ := r.Solve(map[ColID][2]float64{a: {1, 1}})
+	afix := r.Solve(map[ColID][2]float64{a: {1, 1}})
 	if afix.Status != Optimal || math.Abs(afix.Obj-(-1)) > 1e-9 {
 		t.Fatalf("a-fixed: %v obj %g", afix.Status, afix.Obj)
 	}
-	inf, _ := r.Solve(map[ColID][2]float64{a: {1, 1}, b: {1, 1}})
+	inf := r.Solve(map[ColID][2]float64{a: {1, 1}, b: {1, 1}})
 	if inf.Status != Infeasible {
 		t.Fatalf("both-fixed: %v, want infeasible", inf.Status)
 	}
-	again, _ := r.Solve(map[ColID][2]float64{a: {1, 1}})
+	again := r.Solve(map[ColID][2]float64{a: {1, 1}})
 	if again.Status != Optimal || math.Abs(again.Obj-(-1)) > 1e-9 {
 		t.Fatalf("back to a-fixed: %v obj %g", again.Status, again.Obj)
 	}
-	back, _ := r.Solve(map[ColID][2]float64{})
+	back := r.Solve(map[ColID][2]float64{})
 	if back.Status != Optimal || math.Abs(back.Obj-(-1)) > 1e-9 {
 		t.Fatalf("reverted: %v obj %g", back.Status, back.Obj)
 	}
@@ -202,11 +199,11 @@ func TestResolverReusesBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _ := r.Solve(nil)
+	s1 := r.Solve(nil)
 	if s1.X[a] != 1 {
 		t.Fatalf("base solve: %v", s1.X)
 	}
-	s2, _ := r.Solve(map[ColID][2]float64{a: {0, 0}})
+	s2 := r.Solve(map[ColID][2]float64{a: {0, 0}})
 	if s1 != s2 {
 		t.Fatalf("expected the same reused *Solution, got distinct pointers")
 	}
@@ -230,10 +227,7 @@ func TestResolverRefactorDrift(t *testing.T) {
 	bounds := map[ColID][2]float64{}
 	for step := 0; step < refactorEvery+50; step++ {
 		bounds = mutateBounds(rng, bins, bounds)
-		warm, err := r.Solve(bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
+		warm := r.Solve(bounds)
 		cold, err := solveBounded(p, nil, bounds)
 		if err != nil {
 			t.Fatal(err)

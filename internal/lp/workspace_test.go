@@ -89,10 +89,7 @@ func TestResolverColdMatchesFresh(t *testing.T) {
 			}
 			sets := coldSets()
 			for i, bounds := range sets {
-				got, err := r.Solve(bounds)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := r.Solve(bounds)
 				if !presolve {
 					if a := r.Artificials(); a != coldSetArtificials[i] {
 						t.Errorf("set %d: build laid out %d artificials, want %d", i, a, coldSetArtificials[i])
@@ -141,18 +138,14 @@ func TestResolverColdAllocs(t *testing.T) {
 		{sigmaP2bS1: zero, sigmaP1aS2: zero},
 	}
 	for _, b := range sets {
-		if sol, err := r.Solve(b); err != nil || sol.Status != lp.Optimal {
-			t.Fatalf("warm-up solve: %v %v", err, sol.Status)
+		if sol := r.Solve(b); sol.Status != lp.Optimal {
+			t.Fatalf("warm-up solve: %v", sol.Status)
 		}
 	}
 	i := 1 // the next solve takes sets[0], four columns from the last warm-up's
 	allocs := testing.AllocsPerRun(20, func() {
 		i++
-		sol, err := r.Solve(sets[i%2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != lp.Optimal {
+		if sol := r.Solve(sets[i%2]); sol.Status != lp.Optimal {
 			t.Fatalf("re-solve %d: %v", i, sol.Status)
 		}
 	})
@@ -214,14 +207,11 @@ func TestResolverRepairStopsOnDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol, err := r.Solve(nil); err != nil || sol.Status != lp.Optimal {
-		t.Fatalf("root: %v %v", err, sol.Status)
+	if sol := r.Solve(nil); sol.Status != lp.Optimal {
+		t.Fatalf("root: %v", sol.Status)
 	}
 	rootDone = true
-	sol, err := r.Solve(map[lp.ColID][2]float64{sigmaP1bS4: {1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := r.Solve(map[lp.ColID][2]float64{sigmaP1bS4: {1, 1}})
 	if sol.Status != lp.IterLimit {
 		t.Fatalf("status %v after cancellation, want iteration-limit", sol.Status)
 	}

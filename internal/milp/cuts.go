@@ -202,8 +202,8 @@ func (st *bbState) addRootCuts() error {
 		if st.ctx.Err() != nil || (!st.deadline.IsZero() && time.Now().After(st.deadline)) {
 			break
 		}
-		sol, err := st.res.Solve(nil)
-		if err != nil || sol.Status != lp.Optimal {
+		sol := st.res.Solve(nil)
+		if sol.Status != lp.Optimal {
 			break // let the tree search surface whatever this is
 		}
 		fractional := false
@@ -237,9 +237,11 @@ func (st *bbState) addRootCuts() error {
 		if added == 0 {
 			break
 		}
-		if st.res, err = work.NewResolver(st.lpOpts()); err != nil {
+		res, err := work.NewResolver(st.lpOpts())
+		if err != nil {
 			return err
 		}
+		st.res = res
 	}
 	return nil
 }

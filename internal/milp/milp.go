@@ -205,7 +205,6 @@ type bbState struct {
 
 	res  *lp.Resolver
 	open []*node // depth-first stack: the last node is expanded next
-	err  error   // LP failure that ended the search
 
 	nodes       int
 	stop        bool   // budget exhausted: halt the search
@@ -398,7 +397,7 @@ func (st *bbState) search() (err error) {
 		tel.Add(telemetry.CtrNodesPruned, st.nPrune)
 	}()
 	st.open = append(st.open, &node{bounds: map[lp.ColID][2]float64{}, bound: math.Inf(-1)})
-	for st.err == nil && len(st.open) > 0 {
+	for len(st.open) > 0 {
 		if st.checkBudget() {
 			break
 		}
@@ -406,7 +405,7 @@ func (st *bbState) search() (err error) {
 		st.open = st.open[:len(st.open)-1]
 		st.expand(nd)
 	}
-	return st.err
+	return nil
 }
 
 // expand solves one node's relaxation and branches.
@@ -433,11 +432,7 @@ func (st *bbState) expand(nd *node) {
 			bounds[c] = b
 		}
 	}
-	sol, err := st.res.Solve(bounds)
-	if err != nil {
-		st.err = err
-		return
-	}
+	sol := st.res.Solve(bounds)
 	isRoot := !st.rootDone
 	switch sol.Status {
 	case lp.Infeasible:

@@ -252,9 +252,11 @@ func (pt *point) exact(ctx context.Context, bus *Bus) (Answer, error) {
 	design := res.Design
 	if f.Frontier {
 		// The tightening solve minimizes on the other axis: its incumbents
-		// are not comparable on the bus, so it runs unhooked.
+		// are not comparable on the bus, so it runs unhooked. The point's
+		// optimum is feasible there and seeds it, as the MILP rung's
+		// tightening is seeded.
 		co := eo
-		co.OnIncumbent, co.Foreign = nil, nil
+		co.OnIncumbent, co.Foreign, co.Warm = nil, nil, design
 		if f.MinCost {
 			co.Objective, co.CostCap, co.Deadline = exact.MinMakespan, design.Cost, 0
 		} else {
