@@ -52,15 +52,14 @@ func exactSweep(b *testing.B, g *Graph, pool *Pool, topo Topology) []FrontierPoi
 
 // milpSweep traces Example 1's point-to-point frontier with the MILP
 // engine, as Frontier sweeps it for EngineMILP, from startCap (0: the
-// whole frontier) with the given sweep workers, and asserts the paper's
-// points.
-func milpSweep(b *testing.B, startCap float64, workers int, want []expts.ParetoPoint) {
+// whole frontier), and asserts the paper's points.
+func milpSweep(b *testing.B, startCap float64, want []expts.ParetoPoint) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		pts, err := Frontier(context.Background(), Spec{Graph: g, Library: lib, Pool: pool, Engine: EngineMILP,
-			Budget: 10 * time.Minute, CostCap: startCap, SweepWorkers: workers})
+			Budget: 10 * time.Minute, CostCap: startCap})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,23 +70,15 @@ func milpSweep(b *testing.B, startCap float64, workers int, want []expts.ParetoP
 // BenchmarkTable2MILP regenerates Table II with the paper's own MILP
 // method (Figure 1 graph, Table I processors, point-to-point): the whole
 // frontier, swept one chain point at a time.
-func BenchmarkTable2MILP(b *testing.B) { milpSweep(b, 0, 1, expts.Table2) }
+func BenchmarkTable2MILP(b *testing.B) { milpSweep(b, 0, expts.Table2) }
 
-// --- Speculative-parallel sweep (DESIGN.md §10) ---
+// BenchmarkTable2MILPFromCap14 is the Table II MILP sweep from cap 14,
+// the sweep the perf table's sweep/workers-1 row times: the four points
+// of Table II plus the uniprocessor point, asserted on every iteration.
+func BenchmarkTable2MILPFromCap14(b *testing.B) { milpSweep(b, 14, expts.Table2Full) }
 
-// BenchmarkTable2SweepSerial is the sequential baseline of the
-// speculative-parallel comparison: the Table II MILP sweep from cap 14
-// solved one chain point at a time.
-func BenchmarkTable2SweepSerial(b *testing.B) { milpSweep(b, 14, 1, expts.Table2Full) }
-
-// BenchmarkTable2SweepParallel is the same sweep with four speculative
-// workers sharing the incremental model templates and the cross-point
-// incumbent pool. The frontier is asserted identical to the serial one
-// (Table II plus the uniprocessor point) on every iteration.
-func BenchmarkTable2SweepParallel(b *testing.B) { milpSweep(b, 14, 4, expts.Table2Full) }
-
-// BenchmarkSweepModelReuse measures the incremental model path the
-// parallel sweep uses: one template Build, then a SetCostCap clone and a
+// BenchmarkSweepModelReuse measures the incremental model path every
+// MILP sweep uses: one template Build, then a SetCostCap clone and a
 // root-LP solve per Table II cap.
 func BenchmarkSweepModelReuse(b *testing.B) {
 	g, lib := expts.Example1()

@@ -93,7 +93,6 @@ func run() error {
 		budgetFlag  = flag.Duration("budget", 5*time.Minute, "per-solve time budget (0 = unlimited)")
 		totalBudget = flag.Duration("total-budget", 0, "one wall-clock budget for a whole -frontier sweep (0 = unlimited)")
 		anytime     = flag.Bool("anytime", false, "degrade a starved or failed solve, or -frontier point, down the MILP→combinatorial→heuristic ladder instead of stopping")
-		sweepWork   = flag.Int("sweep-workers", 1, "concurrent -frontier point solvers; >1 enables the speculative-parallel sweep (same frontier, overlapped solves)")
 		raceFlag    = flag.Bool("race-engines", false, "race the engine portfolio concurrently on a shared incumbent bus; first proof wins, losers' incumbents tighten it while they run")
 		frontier    = flag.Bool("frontier", false, "trace the whole non-inferior cost/performance set")
 		gantt       = flag.Bool("gantt", true, "print the schedule as a Gantt chart")
@@ -145,20 +144,19 @@ func run() error {
 	}
 
 	spec := sos.Spec{
-		Graph:        g,
-		Library:      lib,
-		Pool:         pool,
-		CostCap:      *costCap,
-		Deadline:     *deadline,
-		Budget:       *budgetFlag,
-		SweepBudget:  *totalBudget,
-		Anytime:      *anytime,
-		SweepWorkers: *sweepWork,
-		Race:         *raceFlag,
-		LPPresolve:   *lpPresolve,
-		RootCuts:     *rootCuts,
-		Memory:       *memory,
-		NoOverlapIO:  *noOverlap,
+		Graph:       g,
+		Library:     lib,
+		Pool:        pool,
+		CostCap:     *costCap,
+		Deadline:    *deadline,
+		Budget:      *budgetFlag,
+		SweepBudget: *totalBudget,
+		Anytime:     *anytime,
+		Race:        *raceFlag,
+		LPPresolve:  *lpPresolve,
+		RootCuts:    *rootCuts,
+		Memory:      *memory,
+		NoOverlapIO: *noOverlap,
 	}
 	switch *lpKernel {
 	case "auto":

@@ -49,12 +49,11 @@ import (
 )
 
 var (
-	engineFlag   = flag.String("engine", "combinatorial", "frontier engine: combinatorial or milp")
-	budgetFlag   = flag.Duration("budget", 5*time.Minute, "per-solve time budget")
-	sweepWorkers = flag.Int("sweep-workers", 1, "concurrent frontier-point solvers; >1 enables the speculative-parallel sweep (DESIGN.md §10)")
-	milpVerify   = flag.Bool("milp-verify", false, "cross-check each frontier point with a budgeted MILP solve")
-	pprofPath    = flag.String("pprof", "", "write a CPU profile of the run to the given path")
-	debugAddr    = flag.String("debug-addr", "", "serve expvar and net/http/pprof on this address during the run")
+	engineFlag = flag.String("engine", "combinatorial", "frontier engine: combinatorial or milp")
+	budgetFlag = flag.Duration("budget", 5*time.Minute, "per-solve time budget")
+	milpVerify = flag.Bool("milp-verify", false, "cross-check each frontier point with a budgeted MILP solve")
+	pprofPath  = flag.String("pprof", "", "write a CPU profile of the run to the given path")
+	debugAddr  = flag.String("debug-addr", "", "serve expvar and net/http/pprof on this address during the run")
 )
 
 func main() {
@@ -240,7 +239,7 @@ func frontierTable(title string, g *taskgraph.Graph, pool *arch.Instances, topo 
 	}
 	start := time.Now()
 	pts, sweepErr := sos.Frontier(context.Background(), sos.Spec{Graph: g, Library: pool.Library(), Pool: pool,
-		Topology: topo, Engine: engine, Budget: *budgetFlag, SweepWorkers: *sweepWorkers})
+		Topology: topo, Engine: engine, Budget: *budgetFlag})
 	if sweepErr != nil {
 		fmt.Printf("(sweep stopped early: %v)\n", sweepErr)
 	}
@@ -261,11 +260,7 @@ func frontierTable(title string, g *taskgraph.Graph, pool *arch.Instances, topo 
 		}
 		fmt.Printf("| %d | %g | %g | %s | %s |\n", i+1, p.Cost, p.Perf, paperCell, match)
 	}
-	workersNote := ""
-	if *sweepWorkers > 1 {
-		workersNote = fmt.Sprintf(", %d sweep workers", *sweepWorkers)
-	}
-	fmt.Printf("sweep: %d points in %v (%s engine%s)\n", len(pts), elapsed.Round(time.Millisecond), *engineFlag, workersNote)
+	fmt.Printf("sweep: %d points in %v (%s engine)\n", len(pts), elapsed.Round(time.Millisecond), *engineFlag)
 
 	if *milpVerify {
 		if err := milpVerifyFrontier(g, pool, topo, pts); err != nil {
@@ -501,8 +496,8 @@ func RingStudy() error {
 
 // ScalingStudy is a beyond-paper experiment: how synthesis time grows with
 // problem size for the combinatorial engine and the heuristic, on random
-// graphs with random 3-type libraries. The paper could only speculate
-// about scaling; this measures it.
+// graphs with random 3-type libraries. The paper could only guess at
+// scaling; this measures it.
 func ScalingStudy() error {
 	fmt.Println("== Beyond-paper: synthesis time vs problem size (uncapped min-makespan) ==")
 	fmt.Printf("%-10s %-8s %-14s %-14s\n", "subtasks", "arcs", "exact-serial", "heuristic")

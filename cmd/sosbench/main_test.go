@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -58,30 +57,8 @@ func TestBenchTable4And5(t *testing.T) {
 	}
 }
 
-// TestBenchSweepWorkers drives the -sweep-workers flag end to end: the
-// speculative-parallel Table II sweep must reproduce every paper row.
-func TestBenchSweepWorkers(t *testing.T) {
-	bin := buildBench(t)
-	out, err := exec.Command(bin, "-table2", "-sweep-workers", "4", "-budget", "3m").CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	s := string(out)
-	for _, want := range []string{
-		"| 1 | 14 | 2.5 | (14, 2.5) | yes |",
-		"4 sweep workers",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	if strings.Contains(s, "| NO |") {
-		t.Errorf("a frontier point mismatched the paper:\n%s", s)
-	}
-}
-
 // TestBenchPerfSweep runs the sweep entry of the perf workload table
-// through the driver: it must report workers 1/2/4, each finding the
+// through `sosbench -perf sweep`: it must report its one row, finding the
 // 5-point Table II frontier and counting its heap allocations, in a
 // parseable BENCH_perf.json.
 func TestBenchPerfSweep(t *testing.T) {
@@ -97,17 +74,14 @@ func TestBenchPerfSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report: %v\n%s", err, out)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("report has %d rows, want 3:\n%+v", len(rows), rows)
+	if len(rows) != 1 {
+		t.Fatalf("report has %d rows, want 1:\n%+v", len(rows), rows)
 	}
-	for i, workers := range []int{1, 2, 4} {
-		r := rows[i]
-		want := fmt.Sprintf("sweep/workers-%d", workers)
-		if r.Workload != want || r.Counters["points"] != 5 || r.E2E.P50Ns <= 0 || r.E2E.N != reps ||
-			!r.Invariants["table2_frontier"] || r.Host.CPUs <= 0 || r.Date == "" ||
-			r.Counters["bytes_per_op"] <= 0 || r.Counters["allocs_per_op"] <= 0 {
-			t.Errorf("row %d = %+v, want %s with 5 points, %d runs, p50 > 0, the Table II frontier, host, date and allocations", i, r, want, reps)
-		}
+	r := rows[0]
+	if r.Workload != "sweep/workers-1" || r.Counters["points"] != 5 || r.E2E.P50Ns <= 0 || r.E2E.N != reps ||
+		!r.Invariants["table2_frontier"] || r.Host.CPUs <= 0 || r.Date == "" ||
+		r.Counters["bytes_per_op"] <= 0 || r.Counters["allocs_per_op"] <= 0 {
+		t.Errorf("row = %+v, want sweep/workers-1 with 5 points, %d runs, p50 > 0, the Table II frontier, host, date and allocations", r, reps)
 	}
 }
 

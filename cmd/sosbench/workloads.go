@@ -20,47 +20,40 @@ import (
 	"sos/internal/telemetry"
 )
 
-// perfSweep times the Table II MILP sweep from cap 14 at 1, 2 and 4 sweep
-// workers (DESIGN.md §10), as sos.Frontier runs it for EngineMILP; every
-// run must return the Table II frontier. Model and speculation counters
-// are totals over the row's runs; the heap allocation counters
-// (bytes_per_op, allocs_per_op) are per run.
+// perfSweep times the Table II MILP sweep from cap 14, as sos.Frontier
+// runs it for EngineMILP; every run must return the Table II frontier.
+// The model counters are totals over the row's runs; the heap allocation
+// counters (bytes_per_op, allocs_per_op) are per run. The row keeps the
+// name sweep/workers-1 so that the ratchet holds it to its committed
+// baseline.
 func perfSweep() ([]perfRow, error) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	var rows []perfRow
-	for _, workers := range []int{1, 2, 4} {
-		tel := telemetry.New(nil)
-		b0, c0 := model.BuildCount(), model.CloneCount()
-		points, table2 := 0, true
-		m0 := heapTotals()
-		lat, err := timed(reps, func() error {
-			pts, err := sos.Frontier(context.Background(), sos.Spec{Graph: g, Library: lib, Pool: pool,
-				Engine: sos.EngineMILP, Budget: *budgetFlag, CostCap: 14, SweepWorkers: workers, Telemetry: tel})
-			points = len(pts)
-			table2 = table2 && err == nil && paperFrontier(pts, expts.Table2Full)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%d workers: %w", workers, err)
-		}
-		row := perfRow{
-			Workload: fmt.Sprintf("sweep/workers-%d", workers),
-			E2E:      e2eOf(lat),
-			Counters: map[string]float64{
-				"points":                 float64(points),
-				"model_builds":           float64(model.BuildCount() - b0),
-				"model_clones":           float64(model.CloneCount() - c0),
-				"speculative_hits":       float64(tel.Get(telemetry.CtrSpeculativeHits)),
-				"speculative_wasted":     float64(tel.Get(telemetry.CtrSpeculativeWasted)),
-				"speculative_retargeted": float64(tel.Get(telemetry.CtrSpeculativeRetargeted)),
-			},
-			Invariants: map[string]bool{"table2_frontier": table2},
-		}
-		addAllocs(row.Counters, m0, reps)
-		rows = append(rows, row)
+	b0, c0 := model.BuildCount(), model.CloneCount()
+	points, table2 := 0, true
+	m0 := heapTotals()
+	lat, err := timed(reps, func() error {
+		pts, err := sos.Frontier(context.Background(), sos.Spec{Graph: g, Library: lib, Pool: pool,
+			Engine: sos.EngineMILP, Budget: *budgetFlag, CostCap: 14})
+		points = len(pts)
+		table2 = table2 && err == nil && paperFrontier(pts, expts.Table2Full)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	row := perfRow{
+		Workload: "sweep/workers-1",
+		E2E:      e2eOf(lat),
+		Counters: map[string]float64{
+			"points":       float64(points),
+			"model_builds": float64(model.BuildCount() - b0),
+			"model_clones": float64(model.CloneCount() - c0),
+		},
+		Invariants: map[string]bool{"table2_frontier": table2},
+	}
+	addAllocs(row.Counters, m0, reps)
+	return []perfRow{row}, nil
 }
 
 // perfLP times the root LP of two pinned models under each kernel

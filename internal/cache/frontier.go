@@ -56,11 +56,8 @@ func (c *Cache) View(p *Probe, step, startCap float64) *FrontierView {
 	return &FrontierView{c: c, probe: p, step: step, start: startCap}
 }
 
-// FrontierView is one sweep's window onto the cache.
-//
-// Serve and Finish are called from the sweep's chain-walk goroutine
-// only; Warm may be called concurrently from sweep workers (it touches
-// only immutable view fields and the internally locked cache).
+// FrontierView is one sweep's window onto the cache. Serve, Warm and
+// Finish are called from the sweeping goroutine only.
 type FrontierView struct {
 	c     *Cache
 	probe *Probe

@@ -1,8 +1,8 @@
 // Package leakcheck is a leaktest-style goroutine-leak assertion for the
-// concurrent parts of the solver stack: the parallel MILP pool, the
-// speculative sweep workers, and every sosd server handler. Call Check at
-// the top of a test; at cleanup it verifies every goroutine the test
-// started has exited.
+// concurrent parts of the solver stack: the portfolio race's rungs, the
+// cache's single-flight waiters, and every sosd server handler. Call
+// Check at the top of a test; at cleanup it verifies every goroutine the
+// test started has exited.
 //
 // The comparison is by normalized stack trace (goroutine IDs, hex
 // addresses, and argument values stripped), so pre-existing runtime,

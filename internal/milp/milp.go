@@ -16,7 +16,7 @@
 // simplex after each node's bound changes instead of being rebuilt and
 // run through two phases cold. Each Solve searches on its caller's
 // goroutine; concurrency comes from running several solves at once (a
-// portfolio race, a speculative sweep), never from inside one.
+// portfolio race, sosd's workers), never from inside one.
 package milp
 
 import (

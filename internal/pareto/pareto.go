@@ -7,8 +7,9 @@
 // every chain bound is one frontier point of it, which the family makes
 // truly non-inferior with a second, lexicographic solve that minimizes
 // the other axis at the achieved optimum. The sweep owns only what the
-// chain adds: where it starts, the proofs it is served, its speculative
-// workers, and whether a point it cannot certify stops it.
+// chain adds: where it starts, the proofs it is served, and whether a
+// point it cannot certify stops it. It walks the chain on the caller's
+// goroutine, one bound at a time.
 package pareto
 
 import (
@@ -16,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"sos/internal/budget"
@@ -55,8 +55,8 @@ func (p Point) Perf() float64 { return p.Design.Makespan }
 //
 // The contract mirrors the ε-constraint chain: Serve(w) returns the
 // longest stored prefix of the remaining chain starting at cost cap w —
-// every returned point must be the certified optimum the one-worker sweep
-// would have computed at its chain cap, already remapped into the
+// every returned point must be the certified optimum the sweep would
+// have computed at its chain cap, already remapped into the
 // requesting instance's frame and validated — plus done=true when the
 // store additionally proves the chain terminates after those points
 // (the next cap is ≤ 0, or the region at/below the last served cap is
@@ -81,17 +81,6 @@ type Options struct {
 	// solve, and only the uncovered caps (the delta) are solved, seeded
 	// with the source's adjacent designs as untrusted warm incumbents.
 	Source FrontierSource
-
-	// SweepWorkers, when > 1, solves frontier points speculatively in
-	// parallel: a grid of candidate cost caps (derived from the pool's
-	// achievable cost levels) is solved by a worker pool while the true
-	// ε-constraint chain is reconciled against completed results, and
-	// speculative caps a landed point proves redundant are canceled. The
-	// frontier returned is identical to the one-worker sweep's. At 0 or 1
-	// every cap is solved inline, in chain order, and no speculative grid
-	// is computed. Either way the family builds two model templates and
-	// retargets them per solve. See DESIGN.md §10.
-	SweepWorkers int
 
 	// Anytime keeps the sweep going past a point it cannot certify: the
 	// point's best incumbent is appended with its StatusFeasible
@@ -120,31 +109,21 @@ const CostStep = 1.0
 // point that yields nothing within budget always stops the sweep with the
 // typed error, returning the partial frontier.
 func Sweep(ctx context.Context, fam *race.Family, opts Options) ([]Point, error) {
-	// Speculative workers beyond the machine's available parallelism only
-	// add scheduling contention and wasted speculative solves.
-	opts.SweepWorkers = min(opts.SweepWorkers, runtime.GOMAXPROCS(0))
 	sw, err := newSweeper(fam, opts, false)
 	if err != nil {
 		return nil, err
 	}
 	// Drain the frontier source first: served points cost nothing, so they
-	// land before (and independent of) the governor's budget, and a covered
-	// prefix moves the speculative grid to the uncovered region.
+	// land before (and independent of) the governor's budget.
 	points, costCap, done := sw.drain(nil, opts.StartCap)
 	if done {
 		return points, nil
-	}
-	resolve := sw.inline
-	if opts.SweepWorkers > 1 {
-		q := sw.speculate(ctx, costCap)
-		defer q.close()
-		resolve = q.resolve
 	}
 	for {
 		if !opts.Anytime && fam.Governor.Exhausted() {
 			return points, budget.Exhausted(ctx, "pareto: sweep budget exhausted before cap %g", costCap)
 		}
-		pt, err := resolve(ctx, costCap)
+		pt, err := sw.solve(ctx, costCap)
 		if err != nil {
 			return points, err
 		}
@@ -183,8 +162,7 @@ func Sweep(ctx context.Context, fam *race.Family, opts Options) ([]Point, error)
 // a lack of progress and reports an error rather than looping.
 //
 // fam must be a frontier family on the cost axis (Frontier and MinCost
-// set). The deadline sweep solves every point inline: of Options it reads
-// only Anytime, with Sweep's contract.
+// set). Of Options it reads only Anytime, with Sweep's contract.
 func SweepByDeadline(ctx context.Context, fam *race.Family, opts Options, perfStep float64) ([]Point, error) {
 	if perfStep <= 0 {
 		perfStep = 1e-3
@@ -202,7 +180,7 @@ func SweepByDeadline(ctx context.Context, fam *race.Family, opts Options, perfSt
 		if !opts.Anytime && fam.Governor.Exhausted() {
 			return points, budget.Exhausted(ctx, "pareto: sweep budget exhausted before deadline %g", deadline)
 		}
-		pt, err := sw.inline(ctx, deadline)
+		pt, err := sw.solve(ctx, deadline)
 		if err != nil {
 			return points, err
 		}
@@ -233,10 +211,10 @@ func SweepByDeadline(ctx context.Context, fam *race.Family, opts Options, perfSt
 	}
 }
 
-// sweeper is one sweep's shared state: its options and the problem
+// sweeper is one sweep's state: its options and the problem
 // family that solves every chain bound — on the deadline axis (the
 // family's MinCost) each bound is a deadline and a point's first solve
-// minimizes cost. Speculative workers share it.
+// minimizes cost.
 type sweeper struct {
 	opts Options
 	fam  *race.Family
@@ -251,17 +229,27 @@ func newSweeper(fam *race.Family, opts Options, byDeadline bool) (*sweeper, erro
 	return &sweeper{opts: opts, fam: fam}, nil
 }
 
-// inline solves chain bound w on the caller's goroutine. Time left over
+// solve solves one chain bound — a cost cap, or a deadline on the
+// deadline axis — as a frontier point of the sweep's family, seeded with
+// the frontier source's stored designs next to the bound. Time left over
 // from the governor's slice rolls over to every later point (the governor
 // recomputes remaining budget from the wall clock).
-func (sw *sweeper) inline(ctx context.Context, w float64) (Point, error) {
+func (sw *sweeper) solve(ctx context.Context, w float64) (Point, error) {
 	tel := sw.fam.Telemetry
 	slice := sw.fam.Governor.Slice()
 	start := time.Now()
-	pt, err := sw.point(ctx, w)
+	var warm []*schedule.Design
+	if sw.opts.Source != nil {
+		warm = sw.opts.Source.Warm(w, race.MaxWarm)
+	}
+	s := sw.fam.Point(ctx, w, warm)
 	spend := time.Since(start)
-	if err != nil {
-		return pt, err
+	if s.Err != nil {
+		return Point{}, s.Err
+	}
+	pt := Point{Design: s.Design, Status: s.Status, Gap: s.Gap}
+	if sw.opts.Anytime || sw.fam.Race {
+		pt.Rung = s.Rung
 	}
 	tel.Emit(telemetry.EvPoint, spend.Seconds(), pt.Status.String())
 	if slice > 0 && spend < slice {
@@ -310,58 +298,4 @@ func (sw *sweeper) drain(points []Point, costCap float64) ([]Point, float64, boo
 		costCap = pt.Cost() - CostStep
 	}
 	return points, costCap, done || (len(served) > 0 && costCap <= 0)
-}
-
-// point solves one chain bound — a cost cap, or a deadline on the
-// deadline axis — as a frontier point of the sweep's family, seeded with
-// the frontier source's stored designs next to the bound.
-func (sw *sweeper) point(ctx context.Context, w float64) (Point, error) {
-	var warm []*schedule.Design
-	if sw.opts.Source != nil {
-		warm = sw.opts.Source.Warm(w, race.MaxWarm)
-	}
-	s := sw.fam.Point(ctx, w, warm)
-	if s.Err != nil {
-		return Point{}, s.Err
-	}
-	pt := Point{Design: s.Design, Status: s.Status, Gap: s.Gap}
-	if sw.opts.Anytime || sw.fam.Race {
-		pt.Rung = s.Rung
-	}
-	return pt, nil
-}
-
-// Dominates reports whether point a dominates point b (no worse in both
-// dimensions, strictly better in at least one).
-func Dominates(a, b Point) bool {
-	return a.Cost() <= b.Cost() && a.Perf() <= b.Perf() &&
-		(a.Cost() < b.Cost() || a.Perf() < b.Perf())
-}
-
-// Filter returns the non-dominated subset of points, ordered by ascending
-// cost.
-func Filter(points []Point) []Point {
-	var out []Point
-	for i, p := range points {
-		dominated := false
-		for j, q := range points {
-			if i != j && (Dominates(q, p) || (q.Cost() == p.Cost() && q.Perf() == p.Perf() && j < i)) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, p)
-		}
-	}
-	sortByCost(out)
-	return out
-}
-
-func sortByCost(points []Point) {
-	for i := 1; i < len(points); i++ {
-		for j := i; j > 0 && points[j].Cost() < points[j-1].Cost(); j-- {
-			points[j], points[j-1] = points[j-1], points[j]
-		}
-	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +14,9 @@ import (
 	"sos/internal/budget"
 	"sos/internal/exact"
 	"sos/internal/expts"
+	"sos/internal/leakcheck"
 	"sos/internal/milp"
+	"sos/internal/model"
 	"sos/internal/race"
 	"sos/internal/schedule"
 	"sos/internal/taskgraph"
@@ -119,8 +123,8 @@ func TestExample2SweepExact(t *testing.T) {
 
 // TestFrontierInvariantsOnRandomInstances checks structural properties of
 // swept frontiers on random instances: strictly decreasing cost with
-// strictly increasing makespan, no dominated points, and every point
-// validating.
+// strictly increasing makespan, so that no point dominates another, and
+// every point validating.
 func TestFrontierInvariantsOnRandomInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(314))
 	for trial := 0; trial < 15; trial++ {
@@ -154,9 +158,6 @@ func TestFrontierInvariantsOnRandomInstances(t *testing.T) {
 				t.Fatalf("trial %d: makespan not strictly increasing: %g then %g",
 					trial, pts[i-1].Perf(), pts[i].Perf())
 			}
-		}
-		if filtered := Filter(pts); len(filtered) != len(pts) {
-			t.Fatalf("trial %d: sweep emitted dominated points (%d -> %d)", trial, len(pts), len(filtered))
 		}
 	}
 }
@@ -206,30 +207,156 @@ func TestDeadlineSweepMILP(t *testing.T) {
 	}
 }
 
-// TestFilterAndDominates covers the frontier utilities.
-func TestFilterAndDominates(t *testing.T) {
-	mk := func(cost, perf float64) Point {
-		return Point{Design: &schedule.Design{Cost: cost, Makespan: perf}}
+// TestParallelSweepBuildAmortization verifies the model-reuse claim with
+// the package counters: a whole MILP sweep — by cost or by deadline —
+// performs exactly two full Builds (one MinMakespan template, one MinCost
+// template) however many points it solves, and at least one clone per
+// lexicographic solve. workers is the number of further sweeps that run
+// on the same family at the same time (Family.Point is safe for
+// concurrent use): they share its two templates, so the count stays two
+// however many sweeps run, and every sweep returns the same frontier. A
+// sweep whose rungs never reach the MILP builds nothing. A raced sweep
+// builds at most the same two templates: its MILP rung may lose every
+// point before it reaches the tightening template.
+func TestParallelSweepBuildAmortization(t *testing.T) {
+	if testing.Short() {
+		t.Skip("MILP sweep in -short mode")
 	}
-	a, b, c := mk(5, 10), mk(7, 8), mk(6, 12)
-	if !Dominates(a, c) {
-		t.Error("a=(5,10) should dominate c=(6,12)")
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	want := make([][2]float64, len(expts.Table2Full))
+	for i, pt := range expts.Table2Full {
+		want[i] = [2]float64{pt.Cost, pt.Perf}
 	}
-	if Dominates(a, b) || Dominates(b, a) {
-		t.Error("a=(5,10) and b=(7,8) are incomparable")
+	sweeps := []struct {
+		name    string
+		minCost bool
+		run     func(*race.Family) ([]Point, error)
+	}{
+		{"Sweep", false, func(fam *race.Family) ([]Point, error) {
+			return Sweep(context.Background(), fam, Options{})
+		}},
+		{"SweepByDeadline", true, func(fam *race.Family) ([]Point, error) {
+			return SweepByDeadline(context.Background(), fam, Options{}, 1e-3)
+		}},
 	}
-	out := Filter([]Point{a, b, c})
-	if len(out) != 2 {
-		t.Fatalf("filtered frontier has %d points, want 2", len(out))
+	engines := []struct {
+		name   string
+		first  budget.Rung
+		race   bool
+		builds int64 // exact; an upper bound when race is set
+	}{
+		{"milp", budget.RungMILP, false, 2},
+		{"combinatorial", budget.RungCombinatorial, false, 0},
+		{"milp-raced", budget.RungMILP, true, 2},
+		{"combinatorial-raced", budget.RungCombinatorial, true, 2},
 	}
-	if out[0].Cost() != 5 || out[1].Cost() != 7 {
-		t.Errorf("filter order wrong: %g then %g", out[0].Cost(), out[1].Cost())
+	for _, sweep := range sweeps {
+		for _, workers := range []int{0, 1, 4} {
+			for _, e := range engines {
+				t.Run(fmt.Sprintf("%s/workers=%d/%s", sweep.name, workers, e.name), func(t *testing.T) {
+					leakcheck.Check(t)
+					fam := family(g, pool, arch.PointToPoint{}, e.first, 2*time.Minute)
+					fam.MinCost, fam.Race = sweep.minCost, e.race
+					if e.race {
+						fam.Rungs = race.Resolve(budget.DefaultLadder(e.first), sweep.minCost, true)
+					}
+					b0, c0 := model.BuildCount(), model.CloneCount()
+					points := make([][]Point, workers+1)
+					errs := make([]error, workers+1)
+					var wg sync.WaitGroup
+					for i := 1; i <= workers; i++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							points[i], errs[i] = sweep.run(fam)
+						}()
+					}
+					points[0], errs[0] = sweep.run(fam)
+					wg.Wait()
+					solved := 0
+					for i := range points {
+						if errs[i] != nil {
+							t.Fatalf("sweep %d: %v", i, errs[i])
+						}
+						if err := FrontierEquals(points[i], want, 1e-6); err != nil {
+							t.Fatalf("sweep %d: %v", i, err)
+						}
+						solved += len(points[i])
+					}
+					got := model.BuildCount() - b0
+					if e.race {
+						if got > e.builds {
+							t.Errorf("raced sweeps performed %d full Builds, want at most %d", got, e.builds)
+						}
+						return
+					}
+					if got != e.builds {
+						t.Errorf("sweeps performed %d full Builds, want exactly %d", got, e.builds)
+					}
+					// Each MILP frontier point needs a clone per solve of its
+					// lexicographic pair at minimum.
+					if clones := model.CloneCount() - c0; e.builds > 0 && clones < int64(2*solved) {
+						t.Errorf("sweeps performed %d clones, want >= %d", clones, 2*solved)
+					}
+				})
+			}
+		}
 	}
-	// Duplicate points: exactly one survives.
-	out = Filter([]Point{a, mk(5, 10)})
-	if len(out) != 1 {
-		t.Errorf("duplicate filtering kept %d points", len(out))
+}
+
+// TestWalkDegradesAroundFailingRung: a MILP rung that crashes on its
+// first node at every point fails with an error, and the ladder walk
+// degrades around it instead of aborting the sweep — the combinatorial
+// rung certifies every Table II point.
+func TestWalkDegradesAroundFailingRung(t *testing.T) {
+	leakcheck.Check(t)
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	var fired atomic.Int64
+	fam := family(g, pool, arch.PointToPoint{}, budget.RungMILP, 0)
+	fam.Rungs = budget.DefaultLadder(budget.RungMILP)
+	fam.MILP.Hooks = &milp.Hooks{OnNode: func(int) {
+		fired.Add(1)
+		panic("injected solver crash")
+	}}
+	points, err := Sweep(context.Background(), fam, Options{Anytime: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if fired.Load() == 0 {
+		t.Fatal("fault never injected")
+	}
+	want := make([][2]float64, len(expts.Table2Full))
+	for i, pt := range expts.Table2Full {
+		want[i] = [2]float64{pt.Cost, pt.Perf}
+	}
+	if err := FrontierEquals(points, want, 1e-6); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range points {
+		if p.Rung != budget.RungCombinatorial || p.Status != budget.StatusOptimal {
+			t.Errorf("point %d: rung %v status %v, want an optimal combinatorial point", i, p.Rung, p.Status)
+		}
+	}
+}
+
+// TestSweepGovernedLadder runs an anytime sweep under a tight governor
+// with the full degradation ladder: it must not error, and every returned
+// point must respect the frontier invariant (decreasing cost, strictly
+// increasing makespan).
+func TestSweepGovernedLadder(t *testing.T) {
+	leakcheck.Check(t)
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	fam := family(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute)
+	fam.Rungs = budget.DefaultLadder(budget.RungMILP)
+	fam.Governor = budget.New(50 * time.Millisecond)
+	points, err := Sweep(context.Background(), fam, Options{Anytime: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFrontierInvariant(t, points)
 }
 
 // FrontierEquals compares a computed frontier against expected

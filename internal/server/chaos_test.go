@@ -172,7 +172,7 @@ func TestChaosMalformedStorm(t *testing.T) {
 		`{"spec": {"graph": {"subtasks": [{"name": "a"}]}, "library": {"types": [{"name": "t", "exec": [null]}]}}}`,
 		`{"spec": {"graph": {"subtasks": [{"name": "a"}], "arcs": [{"src": "a", "dst": "zzz"}]}, "library": {"types": [{"name": "t", "exec": [1]}]}}}`,
 		solveBody(`"budget_ms": -9223372036854775808`),
-		solveBody(`"sweep_workers": 1e309`),
+		solveBody(`"budget_ms": 1e309`),
 	}
 	var wg sync.WaitGroup
 	var non4xx atomic.Int64

@@ -156,6 +156,7 @@ func TestSolveValidation(t *testing.T) {
 		"unknown topology":      solveBody(`"topology": "torus"`),
 		"negative budget":       solveBody(`"budget_ms": -1`),
 		"negative deadline":     solveBody(`"deadline_ms": -5`),
+		"removed sweep_workers": solveBody(`"sweep_workers": 2`),
 	}
 	for name, body := range cases {
 		code, _, r := post(t, ts.URL+"/v1/solve", body)

@@ -45,8 +45,6 @@ type SolveRequest struct {
 	// then either completes on its requested engine or reports
 	// budget-exhausted.
 	Anytime *bool `json:"anytime,omitempty"`
-	// SweepWorkers, sweep only: concurrent frontier-point solvers.
-	SweepWorkers int `json:"sweep_workers,omitempty"`
 	// Race overrides the server's RaceEngines default for this request:
 	// true races the engine portfolio concurrently on a shared incumbent
 	// bus (first proof wins), false forces the sequential ladder.
@@ -155,15 +153,14 @@ func (s *Server) toSpec(req *SolveRequest) (spec sos.Spec, budget time.Duration,
 		return spec, 0, deadline, false, badRequestf("invalid spec: %v", perr)
 	}
 	spec = sos.Spec{
-		Graph:        sf.Graph,
-		Library:      sf.Library,
-		Pool:         sf.Instances(),
-		CostCap:      req.CostCap,
-		Deadline:     req.Deadline,
-		SweepWorkers: req.SweepWorkers,
-		Telemetry:    s.tel,
-		Hooks:        s.cfg.Hooks,
-		Cache:        s.cfg.Cache,
+		Graph:     sf.Graph,
+		Library:   sf.Library,
+		Pool:      sf.Instances(),
+		CostCap:   req.CostCap,
+		Deadline:  req.Deadline,
+		Telemetry: s.tel,
+		Hooks:     s.cfg.Hooks,
+		Cache:     s.cfg.Cache,
 	}
 	switch req.Objective {
 	case "", "makespan":

@@ -67,15 +67,6 @@ const (
 	// CtrDominatedDropped counts degraded frontier points removed because a
 	// later, cheaper point dominated them.
 	CtrDominatedDropped
-	// CtrSpeculativeHits counts parallel-sweep chain caps served by a
-	// completed speculative solve (no inline work needed).
-	CtrSpeculativeHits
-	// CtrSpeculativeWasted counts speculative solves whose result was never
-	// used by the chain (canceled too late or off-grid).
-	CtrSpeculativeWasted
-	// CtrSpeculativeRetargeted counts speculative jobs canceled before
-	// completion because a landed point proved their cap redundant.
-	CtrSpeculativeRetargeted
 	// CtrLPRefactors counts sparse-kernel basis refactorizations (scheduled
 	// eta-file rollups plus singular-basis recoveries).
 	CtrLPRefactors
@@ -158,7 +149,6 @@ var counterNames = [numCounters]string{
 	"lp_warm", "lp_cold", "lp_fallbacks", "lp_dual_iters", "lp_primal_iters",
 	"map_nodes", "sched_nodes",
 	"points", "slices", "rollovers", "degrades", "dominated_dropped",
-	"speculative_hits", "speculative_wasted", "speculative_retargeted",
 	"lp_refactors", "lp_presolve_rows", "lp_presolve_cols", "cuts_added",
 	"req_admitted", "req_served", "req_shed", "req_degraded", "req_canceled", "req_panics",
 	"cache_hits", "cache_near_hits", "cache_misses", "cache_evictions", "cache_coalesced",
@@ -208,11 +198,6 @@ const (
 	// dropped because a cheaper, no-slower point superseded it. Value is
 	// the dropped point's makespan.
 	EvDominated
-	// EvSpeculate: a parallel-sweep speculative solve changed state. Label
-	// is "hit" (result adopted by the chain), "wasted" (completed unused),
-	// or "retargeted" (canceled as redundant); Value is the speculated
-	// cost cap.
-	EvSpeculate
 	// EvLPRefactor: the sparse kernel refactorized its basis. Value is the
 	// number of eta updates absorbed since the previous factorization.
 	EvLPRefactor
@@ -248,7 +233,7 @@ const (
 var eventNames = [numEventKinds]string{
 	"node_expand", "node_prune", "incumbent", "lp_resolve",
 	"slice", "rollover", "degrade", "point", "dominated",
-	"speculate", "lp_refactor", "lp_presolve", "cut", "request", "cache", "race",
+	"lp_refactor", "lp_presolve", "cut", "request", "cache", "race",
 	"frontier",
 }
 

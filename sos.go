@@ -235,14 +235,6 @@ type Spec struct {
 	// goes on, where a sweep without Anytime, raced or not, stops there
 	// with ErrBudgetExhausted and returns the frontier so far.
 	Anytime bool
-	// SweepWorkers, when > 1, runs Frontier with that many concurrent
-	// point solvers: speculative caps drawn from the design-cost lattice
-	// are solved ahead of the ε-constraint chain and reconciled into the
-	// identical frontier a one-worker sweep returns (DESIGN.md §10). At 0
-	// or 1 every cap is solved in chain order with no speculation. Either
-	// way an EngineMILP sweep builds its two models once and retargets
-	// them per solve.
-	SweepWorkers int
 	// Race runs the engine portfolio concurrently instead of one engine
 	// (or one ladder rung) at a time: MILP, combinatorial, and heuristic
 	// solvers all start at once on a shared incumbent bus — each
@@ -253,9 +245,9 @@ type Spec struct {
 	// Synthesize, every SolveBatch member and every Frontier/
 	// FrontierByDeadline point race alike, because all of them solve
 	// their bound as one point of the same portfolio, built from the spec
-	// the same way; a sweep's raced points compose with SweepWorkers, and
-	// the frontier is identical to the sequential one. Race does not make
-	// a sweep degrade; Anytime does. EngineHeuristic specs ignore Race —
+	// the same way, and a raced sweep's frontier is identical to the
+	// unraced one. Race does not make a sweep degrade; Anytime does.
+	// EngineHeuristic specs ignore Race —
 	// there is only one rung to run — except in a sweep, which runs the
 	// combinatorial engine for them.
 	Race bool
@@ -528,7 +520,7 @@ func sweepFamily(sp Spec) *race.Family {
 // it covers the chain (src nil: solve every cap).
 func sweep(ctx context.Context, sp Spec, src pareto.FrontierSource) ([]pareto.Point, error) {
 	return pareto.Sweep(ctx, sweepFamily(sp), pareto.Options{StartCap: sp.CostCap, Source: src,
-		SweepWorkers: sp.SweepWorkers, Anytime: sp.Anytime})
+		Anytime: sp.Anytime})
 }
 
 func frontierPoints(pts []pareto.Point) []FrontierPoint {
