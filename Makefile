@@ -72,14 +72,16 @@ server-race:
 soak-smoke:
 	SOSD_SOAK=30s $(GO) test -race -count=1 -run 'TestSoakSmoke$$' -v -timeout 5m ./internal/server
 
-## fuzz-smoke: ~90s of coverage-guided fuzzing over the two parsing
+## fuzz-smoke: ~105s of coverage-guided fuzzing over the two parsing
 ## surfaces (spec files and task-graph JSON), the cache's canonical key
 ## (rename/reorder invariance, no semantic collisions), the cache's
 ## spill loader (no panics; every restored proof passes its re-check),
-## the MILP-vs-combinatorial agreement on random instances (both Optimal
-## designs replayed through the simulator) and the entry points'
-## agreement (Synthesize, SolveBatch, Frontier and the Anytime walk of
-## Synthesize answer each cap alike, for both engines, raced and not).
+## the LP kernels' agreement (dense and sparse, presolve off and on, along
+## a resolver walk on random LPs), the MILP-vs-combinatorial agreement on
+## random instances (both Optimal designs replayed through the simulator)
+## and the entry points' agreement (Synthesize, SolveBatch, Frontier and
+## the Anytime walk of Synthesize answer each cap alike, for both engines,
+## raced and not).
 ## The corpus under testdata/ pins every crasher ever found; plain
 ## `go test` replays it as seeds.
 fuzz-smoke:
@@ -87,5 +89,6 @@ fuzz-smoke:
 	$(GO) test -run NO_TESTS -fuzz 'FuzzGraphValidate$$' -fuzztime 15s ./internal/taskgraph
 	$(GO) test -run NO_TESTS -fuzz 'FuzzCanonicalKey$$' -fuzztime 15s ./internal/cache
 	$(GO) test -run NO_TESTS -fuzz 'FuzzSpillLine$$' -fuzztime 15s ./internal/cache
+	$(GO) test -run NO_TESTS -fuzz 'FuzzKernelsAgree$$' -fuzztime 15s ./internal/lp
 	$(GO) test -run NO_TESTS -fuzz 'FuzzCrossEngine$$' -fuzztime 15s ./internal/model
 	$(GO) test -run NO_TESTS -fuzz 'FuzzEntryPoints$$' -fuzztime 15s .

@@ -510,9 +510,9 @@ func BenchmarkSimReplay(b *testing.B) {
 
 // --- Ablations (design choices called out in DESIGN.md) ---
 
-// BenchmarkAblationSymmetryOff solves Example 2 cap-12 with the MILP's
-// symmetry-breaking rows disabled, against BenchmarkAblationSymmetryOn.
-// (Cap 12 is the hardest Example 2 point the MILP closes quickly.)
+// BenchmarkAblationSymmetryOn solves the Example 1 cap-14 MILP (Table
+// II's first point, point to point) with the model's symmetry-breaking
+// rows, against BenchmarkAblationSymmetryOff.
 func BenchmarkAblationSymmetryOn(b *testing.B) { benchSymmetry(b, false) }
 
 // BenchmarkAblationSymmetryOff is the counterpart without the rows.

@@ -87,9 +87,6 @@ func (b *denseBasis) resetCosts() {
 	}
 }
 
-// price has nothing to do: pivot keeps the reduced costs current.
-func (b *denseBasis) price() {}
-
 // column gathers tableau column j.
 func (b *denseBasis) column(j int) {
 	w := b.s.w

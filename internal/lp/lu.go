@@ -3,11 +3,14 @@ package lp
 import "math"
 
 // luFactor is a sparse LU factorization of a basis matrix B with partial
-// pivoting on rows: P·B = L·U, stored column-wise (Gilbert–Peierls
-// left-looking factorization). L has an implicit unit diagonal; U's
-// diagonal is kept in udiag. perm/pinv map permuted positions to original
-// rows and back. The factor plus a product-form eta file (etaCol) gives
-// the revised simplex its FTRAN/BTRAN kernels.
+// pivoting on rows: P·B = L·U, built column-wise (Gilbert–Peierls
+// left-looking factorization) and also kept row-wise. L has an implicit
+// unit diagonal; U's diagonal is kept in udiag. perm/pinv map permuted
+// positions to original rows and back. FTRAN runs over the columns and
+// BTRAN over the rows, both in axpy form, so each skips the zeros of its
+// right-hand side: the unit-row BTRANs of the simplex's pivot rows touch
+// only a handful of entries. The factor plus a product-form eta file
+// (etaCol) gives the revised simplex its FTRAN/BTRAN kernels.
 type luFactor struct {
 	n int
 
@@ -19,6 +22,13 @@ type luFactor struct {
 	uri   []int32 // permuted row indices, < column index
 	ux    []float64
 	udiag []float64
+
+	// Row-wise copies of L and U for BTRAN: row k's entries sit at
+	// [lrp[k], lrp[k+1]) with their column indices (< k for L, > k for U).
+	lrp, lcj []int32
+	lrx      []float64
+	urp, ucj []int32
+	urx      []float64
 
 	perm, pinv []int32 // perm[k] = original row at permuted position k
 
@@ -138,7 +148,38 @@ func (f *luFactor) factorize(m int, col func(k int) ([]int32, []float64)) bool {
 	for i := 0; i < m; i++ {
 		f.perm[f.pinv[i]] = int32(i)
 	}
+	f.lrp, f.lcj, f.lrx = transpose(m, f.lptr, f.lri, f.lx, f.lrp, f.lcj, f.lrx)
+	f.urp, f.ucj, f.urx = transpose(m, f.uptr, f.uri, f.ux, f.urp, f.ucj, f.urx)
 	return true
+}
+
+// transpose writes the row-wise form of the compressed-column matrix
+// (ptr, ind, val), whose row indices lie in [0, m), into tp, ti and tv,
+// reusing their storage, and returns them. Each row's entries keep
+// column order.
+func transpose(m int, ptr, ind []int32, val []float64, tp, ti []int32, tv []float64) ([]int32, []int32, []float64) {
+	tp = resize(tp, m+1)
+	ti = resize(ti, len(ind))
+	tv = resize(tv, len(ind))
+	for _, i := range ind {
+		tp[i+1]++
+	}
+	for i := 0; i < m; i++ {
+		tp[i+1] += tp[i]
+	}
+	// Fill with tp[i] as row i's cursor; afterwards it holds row i's end,
+	// the start of row i+1, and one shift restores the offsets.
+	for j := 0; j+1 < len(ptr); j++ {
+		for p := ptr[j]; p < ptr[j+1]; p++ {
+			i := ind[p]
+			q := tp[i]
+			ti[q], tv[q] = int32(j), val[p]
+			tp[i] = q + 1
+		}
+	}
+	copy(tp[1:], tp[:m])
+	tp[0] = 0
+	return tp, ti, tv
 }
 
 // reach computes the pattern of L\b by depth-first search over the graph
@@ -230,24 +271,35 @@ func (f *luFactor) ftran(x, scratch []float64) {
 
 // btran solves Bᵀ·y = c in place: y arrives holding c (basis-position
 // indexing) and leaves holding the dual values indexed by original row.
+// Both triangular solves run in axpy form over the row-wise factor: once
+// an entry is final its row is subtracted from the entries still to come,
+// and a zero entry costs one test.
 func (f *luFactor) btran(y, scratch []float64) {
 	n := f.n
 	t := scratch[:n]
-	// Uᵀ forward solve.
+	copy(t, y[:n])
+	// Uᵀ forward solve: row k of U holds column k of Uᵀ below the diagonal.
 	for k := 0; k < n; k++ {
-		v := y[k]
-		for p := f.uptr[k]; p < f.uptr[k+1]; p++ {
-			v -= f.ux[p] * t[f.uri[p]]
+		v := t[k]
+		if v == 0 {
+			continue
 		}
-		t[k] = v / f.udiag[k]
+		v /= f.udiag[k]
+		t[k] = v
+		for p := f.urp[k]; p < f.urp[k+1]; p++ {
+			t[f.ucj[p]] -= f.urx[p] * v
+		}
 	}
-	// Lᵀ backward solve (unit diagonal).
+	// Lᵀ backward solve (unit diagonal): row k of L holds column k of Lᵀ
+	// above the diagonal.
 	for k := n - 1; k >= 0; k-- {
 		v := t[k]
-		for p := f.lptr[k]; p < f.lptr[k+1]; p++ {
-			v -= f.lx[p] * t[f.lri[p]]
+		if v == 0 {
+			continue
 		}
-		t[k] = v
+		for p := f.lrp[k]; p < f.lrp[k+1]; p++ {
+			t[f.lcj[p]] -= f.lrx[p] * v
+		}
 	}
 	for k := 0; k < n; k++ {
 		y[f.perm[k]] = t[k]

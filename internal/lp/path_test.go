@@ -239,11 +239,11 @@ func TestKernelPivotPaths(t *testing.T) {
 			refactor: 0,
 		},
 		"ex1-cap14/sparse/presolve=false": {
-			cold:     "optimal/133/400400000000001b/193bc02decdabea1",
-			steps:    "o133 o82 o23 i74 o93 o92 o97 o20 o3 i58 o133 i8 o93 i15 o87 o63 o75 i75 o61 o18 i59 o67 i42 o61 i57 o59 o86 o56 o3 o5 o107 i40 o95 o31 i0 o78 o21 o15 o11 i17",
-			digest:   0x3eb8827175595286,
-			stats:    lp.ResolveStats{Cold: 20, Warm: 20, Fallbacks: 11, DualIters: 542, PrimalIters: 12},
-			refactor: 56,
+			cold:     "optimal/128/4004000000000000/b67b139e7993f091",
+			steps:    "o128 o28 o27 o23 o3 o73 o15 i0 o42 o58 o65 o3 i36 o33 i54 o91 o48 i26 o98 o80 o112 i72 o90 i72 o89 o106 o37 o7 i53 o77 o103 o13 o14 o19 o3 o67 o14 o72 o3 o2",
+			digest:   0x4deb3411c8e84b1f,
+			stats:    lp.ResolveStats{Cold: 16, Warm: 24, Fallbacks: 8, DualIters: 575, PrimalIters: 19},
+			refactor: 45,
 		},
 		"ex2-cap15/dense/presolve=false": {
 			cold:     "optimal/422/4013ffffffffffff/810f434d0cbe089b",
@@ -253,11 +253,11 @@ func TestKernelPivotPaths(t *testing.T) {
 			refactor: 0,
 		},
 		"ex2-cap15/sparse/presolve=false": {
-			cold:     "optimal/330/4014000000000014/f6459814ec545109",
-			steps:    "o330 o15 o443 o420 o11 o310 o455 o9 o414 o343 o292 o382 o317 o100 o51 o329 o236 i0 o165 i0 o258 o2 o221 o13 o105 o195 o15 o16 o227 o2 o30 o2 o2 o2 o6 o206 o4 o3 o200 o215",
-			digest:   0x1c5b101f9331a85b,
-			stats:    lp.ResolveStats{Cold: 19, Warm: 21, Fallbacks: 14, DualIters: 534, PrimalIters: 19},
-			refactor: 182,
+			cold:     "optimal/295/4013ffffffffff20/be23928db959a5c6",
+			steps:    "o295 o95 o206 o98 o11 o360 o2 o87 o44 i4 i113 o272 i14 o464 o11 i162 o565 o365 o21 o37 o161 o9 o74 o2 o5 o47 o254 o2 o3 o2 i330 o335 i25 o146 o2 i241 o315 o2 o19 o2",
+			digest:   0x3f3610e7867aa7e4,
+			stats:    lp.ResolveStats{Cold: 11, Warm: 29, Fallbacks: 4, DualIters: 1382, PrimalIters: 24},
+			refactor: 94,
 		},
 		"ex1-cap14-mem/dense/presolve=false": {
 			cold:     "optimal/134/4004000000000004/fca8fd910015dd18",
@@ -267,11 +267,11 @@ func TestKernelPivotPaths(t *testing.T) {
 			refactor: 0,
 		},
 		"ex1-cap14-mem/sparse/presolve=false": {
-			cold:     "optimal/141/4003ffffffffffec/a9b25a15d1cfc6c8",
-			steps:    "o141 o88 o23 i88 o92 o98 o103 o20 o3 i72 o136 i39 o109 i22 o89 o75 o54 i63 o67 o46 i65 o75 i9 o65 i23 o65 o98 o14 o46 i84 o128 o96 o4 o84 o4 o5 o22 i19 i68 o68",
-			digest:   0xc0b05a1b53563c0a,
-			stats:    lp.ResolveStats{Cold: 21, Warm: 19, Fallbacks: 11, DualIters: 629, PrimalIters: 13},
-			refactor: 59,
+			cold:     "optimal/135/4003ffffffffffd8/60543b72f073b02b",
+			steps:    "o135 o56 o27 i15 o108 o89 o2 i14 o102 o15 o60 o8 o96 o19 o30 o94 o6 o3 i21 o89 o74 o14 o13 o8 o2 o12 o86 i70 o71 o3 o3 o2 i45 o93 o11 i83 o104 o37 o71 o22",
+			digest:   0x590200679e5f9422,
+			stats:    lp.ResolveStats{Cold: 15, Warm: 25, Fallbacks: 6, DualIters: 427, PrimalIters: 21},
+			refactor: 39,
 		},
 		"ex1-cap14-mem/dense/presolve=true": {
 			cold:     "optimal/128/4004000000000004/5ad0b329276bcd76",
@@ -281,11 +281,11 @@ func TestKernelPivotPaths(t *testing.T) {
 			refactor: 0,
 		},
 		"ex1-cap14-mem/sparse/presolve=true": {
-			cold:     "optimal/133/400400000000001b/316a3250a2e26b31",
-			steps:    "o133 o82 o23 i74 o93 o92 o97 o20 o3 i58 o133 i8 o93 i15 o87 o63 o75 i75 o61 o18 i59 o67 i42 o61 i57 o59 o86 o56 o3 o5 o107 i40 o95 o31 i0 o78 o21 o15 o11 i17",
-			digest:   0x5f5793b0b6e452a4,
-			stats:    lp.ResolveStats{Cold: 20, Warm: 20, Fallbacks: 11, DualIters: 542, PrimalIters: 12},
-			refactor: 56,
+			cold:     "optimal/128/4004000000000000/a30e74dc12662175",
+			steps:    "o128 o28 o27 o23 o3 o73 o15 i0 o42 o58 o65 o3 i36 o33 i54 o91 o48 i26 o98 o80 o112 i72 o90 i72 o89 o106 o37 o7 i53 o77 o103 o13 o14 o19 o3 o67 o14 o72 o3 o2",
+			digest:   0x16254631f14c9349,
+			stats:    lp.ResolveStats{Cold: 16, Warm: 24, Fallbacks: 8, DualIters: 575, PrimalIters: 19},
+			refactor: 45,
 		},
 	}
 	models := map[string]*model.Model{}

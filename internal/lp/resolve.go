@@ -294,7 +294,10 @@ func (r *Resolver) setCur(bounds map[ColID][2]float64) {
 
 // applyBound installs new bounds for structural column j and, when j is
 // nonbasic, snaps its resting value to the new bound, updating the basic
-// values it feeds through its column image.
+// values it feeds through its column image. A nonbasic column whose old
+// value is one of its new bounds rests where it is, at that bound: a
+// column released from [0, 0] stays at 0 whichever status held it there,
+// so the release leaves xB, and primal feasibility, as they were.
 func (s *simplex) applyBound(j int, lb, ub float64) {
 	if s.lb[j] == lb && s.ub[j] == ub {
 		return
@@ -304,9 +307,16 @@ func (s *simplex) applyBound(j int, lb, ub float64) {
 	if s.status[j] == basic {
 		return // xB unchanged; any violation is the dual repair's job
 	}
-	if s.status[j] == atUpper && math.IsInf(ub, 1) {
-		// Cannot rest at +Inf; move to the lower bound. This may break
-		// dual feasibility (d_j < 0), which the primal cleanup restores.
+	// Each status change below may break dual feasibility (the sign of
+	// d_j no longer matches the bound j rests at); the primal cleanup
+	// restores it.
+	switch {
+	case old == lb:
+		s.status[j] = atLower
+	case old == ub:
+		s.status[j] = atUpper
+	case s.status[j] == atUpper && math.IsInf(ub, 1):
+		// Cannot rest at +Inf; move to the lower bound.
 		s.status[j] = atLower
 	}
 	nv := s.lb[j]
@@ -374,7 +384,6 @@ func (r *Resolver) dualRepair() (Status, bool) {
 			}
 			nextPoll = s.iters + deadlineStride
 		}
-		s.b.price()
 		// Most-violated basic variable.
 		row, below := -1, false
 		viol := repairTol

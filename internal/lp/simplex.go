@@ -64,7 +64,8 @@ type simplex struct {
 
 // basis is the linear algebra under the simplex driver: a representation
 // of the current basis B from which column and row images of B⁻¹A are
-// computed. The driver calls it once per operation, never per element.
+// computed, and which keeps the reduced costs d current across pivots.
+// The driver calls it once per operation, never per element.
 type basis interface {
 	// build chooses the initial basis (startBasis) and lays out the
 	// kernel's representation of its columns.
@@ -75,18 +76,15 @@ type basis interface {
 	// resetCosts recomputes the reduced costs d from scratch after the
 	// driver installs new phase costs.
 	resetCosts()
-	// price brings d up to date at the top of every primal and dual
-	// iteration.
-	price()
 	// column loads B⁻¹a_j into the driver's w.
 	column(j int)
 	// row returns row i of B⁻¹A over all internal columns; entries of
 	// basic columns are unspecified. The slice is valid until the next
 	// basis call.
 	row(i int) []float64
-	// pivot updates the representation after column j (whose image is in
-	// w) replaced the basic variable at position r; the driver has already
-	// moved the statuses and xB.
+	// pivot updates the representation and the reduced costs after
+	// column j (whose image is in w) replaced the basic variable at
+	// position r; the driver has already moved the statuses and xB.
 	pivot(r, j int)
 }
 
@@ -385,7 +383,6 @@ func (s *simplex) iterate(phase1 bool) Status {
 		}
 		s.iters++
 
-		s.b.price()
 		j, dir := s.chooseEntering(phase1)
 		if j < 0 {
 			return Optimal
@@ -450,9 +447,17 @@ func (s *simplex) expired() bool {
 // chooseEntering picks a nonbasic column whose move improves the objective,
 // returning its index and move direction (+1 from lower bound, −1 from
 // upper). Returns (-1, 0) at optimality.
+//
+// A column's score is |d_j|, so the scan compares it with the best score
+// so far (eps in Bland mode, where the first eligible column wins) before
+// it reads anything else: most columns, the basic ones (d_j = 0) among
+// them, fail that one test.
 func (s *simplex) chooseEntering(phase1 bool) (int, float64) {
 	bestJ, bestScore, bestDir := -1, eps, 0.0
-	for j := 0; j < s.nTot; j++ {
+	for j, dj := range s.d[:s.nTot] {
+		if math.Abs(dj) <= bestScore {
+			continue
+		}
 		if s.status[j] == basic {
 			continue
 		}
@@ -462,15 +467,15 @@ func (s *simplex) chooseEntering(phase1 bool) (int, float64) {
 		if s.lb[j] == s.ub[j] {
 			continue // fixed variable can never move
 		}
-		var score, dir float64
+		var dir float64
 		switch s.status[j] {
 		case atLower:
-			if s.d[j] < -eps {
-				score, dir = -s.d[j], 1
+			if dj < 0 {
+				dir = 1
 			}
 		case atUpper:
-			if s.d[j] > eps {
-				score, dir = s.d[j], -1
+			if dj > 0 {
+				dir = -1
 			}
 		}
 		if dir == 0 {
@@ -479,9 +484,7 @@ func (s *simplex) chooseEntering(phase1 bool) (int, float64) {
 		if s.bland {
 			return j, dir // Bland: first eligible index
 		}
-		if score > bestScore {
-			bestJ, bestScore, bestDir = j, score, dir
-		}
+		bestJ, bestScore, bestDir = j, math.Abs(dj), dir
 	}
 	return bestJ, bestDir
 }

@@ -4,11 +4,14 @@ import "sos/internal/telemetry"
 
 // sparseBasis is the sparse revised simplex kernel: the basis inverse is
 // represented as a sparse LU factorization plus a product-form eta file
-// instead of an explicitly maintained B⁻¹A. Column images cost one FTRAN,
-// row images one BTRAN plus a pass over the nonzeros, and the reduced
-// costs are re-priced (one BTRAN plus a pass) at every iteration. Work per
-// iteration scales with the problem's nonzeros and the factor's fill, not
-// with m×n, which is what lets cold solves close 100+-subtask models.
+// instead of an explicitly maintained B⁻¹A. Column images cost one FTRAN;
+// row images cost one BTRAN of a unit vector plus a pass over the rows of
+// A where that image is nonzero. Like the dense tableau, the kernel keeps
+// the reduced costs current inside pivot, from the pivot row, and prices
+// every column from scratch only when the phase costs change or the basis
+// is refactorized. Work per iteration scales with the problem's nonzeros
+// and the factor's fill, not with m×n, which is what lets cold solves
+// close 100+-subtask models.
 type sparseBasis struct {
 	s *simplex
 
@@ -17,6 +20,12 @@ type sparseBasis struct {
 	ap []int32
 	ai []int32
 	ax []float64
+
+	// The same matrix by rows: row i's entries sit at [rp[i], rp[i+1])
+	// with their internal column indices in rj.
+	rp []int32
+	rj []int32
+	rx []float64
 
 	rhs []float64 // ≤-normalized right-hand side
 
@@ -29,6 +38,13 @@ type sparseBasis struct {
 	alpha []float64 // row image over all internal columns
 	t1    []float64 // triangular-solve scratch
 	t2    []float64 // rhs/aggregation scratch
+
+	// The columns the last row image wrote, each listed once (seen marks
+	// them), and the basis position of that image: -1 once a pivot or a
+	// build has made it stale.
+	touched []int32
+	seen    []bool
+	rowAt   int
 }
 
 // spxRefactorEvery bounds the eta file: after this many basis changes the
@@ -84,12 +100,17 @@ func (b *sparseBasis) build() {
 		b.ap = append(b.ap, int32(len(b.ai)))
 	}
 
+	b.rp, b.rj, b.rx = transpose(s.m, b.ap, b.ai, b.ax, b.rp, b.rj, b.rx)
+
 	b.etas = b.etas[:0] // a rebuilt basis starts a new factorization
 	b.y = make([]float64, s.m)
 	b.rho = make([]float64, s.m)
 	b.alpha = make([]float64, s.nTot)
 	b.t1 = make([]float64, s.m)
 	b.t2 = make([]float64, s.m)
+	b.touched = b.touched[:0]
+	b.seen = resize(b.seen, s.nTot)
+	b.rowAt = -1
 }
 
 // colOf returns internal column j's sparse entries.
@@ -99,9 +120,9 @@ func (b *sparseBasis) colOf(j int) ([]int32, []float64) {
 }
 
 // refactor rebuilds the LU factor from the current basis, clears the eta
-// file, and recomputes xB = B⁻¹(b − N·x_N) from scratch (killing the drift
-// the incremental updates accumulate). A singular basis marks the driver
-// broken and reports false.
+// file, and recomputes xB = B⁻¹(b − N·x_N) and the reduced costs from
+// scratch (killing the drift the incremental updates accumulate). A
+// singular basis marks the driver broken and reports false.
 func (b *sparseBasis) refactor() bool {
 	s := b.s
 	pivots := len(b.etas)
@@ -128,6 +149,7 @@ func (b *sparseBasis) refactor() bool {
 	}
 	copy(s.xB, r)
 	b.lu.ftran(s.xB, b.t1)
+	b.resetCosts()
 	s.recomputeObj()
 	if tel := s.opts.Telemetry; tel != nil {
 		tel.Inc(telemetry.CtrLPRefactors)
@@ -143,14 +165,9 @@ func (b *sparseBasis) btran(out []float64) {
 	b.lu.btran(out, b.t1)
 }
 
-// resetCosts has nothing to do: price runs before the reduced costs are
-// next read.
-func (b *sparseBasis) resetCosts() {}
-
-// price recomputes the full reduced-cost vector d = c − yᵀA for the
-// current basis and phase objective. One BTRAN plus one pass over the
-// nonzeros.
-func (b *sparseBasis) price() {
+// resetCosts prices every column from scratch: d = c − yᵀA with
+// y = B⁻ᵀc_B, one BTRAN plus one pass over the nonzeros.
+func (b *sparseBasis) resetCosts() {
 	s := b.s
 	for i := 0; i < s.m; i++ {
 		b.y[i] = s.cost[s.basicVar[i]]
@@ -184,35 +201,70 @@ func (b *sparseBasis) column(j int) {
 	ftranEtas(b.etas, w)
 }
 
-// row computes e_iᵀB⁻¹A for the nonbasic columns: one BTRAN for
-// rho = B⁻ᵀe_i, then rho priced against each sparse column.
+// row computes e_iᵀB⁻¹A: one BTRAN for rho = B⁻ᵀe_i, then rho_k·A_k
+// summed over the rows k where rho_k ≠ 0. It first zeroes the entries its
+// previous call wrote, so every entry it returns is either computed or
+// exactly 0; the callers' candidate scans read the whole slice.
 func (b *sparseBasis) row(i int) []float64 {
-	s := b.s
-	rho := b.rho
-	for k := range rho {
-		rho[k] = 0
+	for _, j := range b.touched {
+		b.alpha[j] = 0
+		b.seen[j] = false
 	}
+	b.touched = b.touched[:0]
+	rho := b.rho
+	clear(rho)
 	rho[i] = 1
 	b.btran(rho)
-	for j := 0; j < s.nTot; j++ {
-		if s.status[j] == basic {
+	for k, rk := range rho {
+		if rk == 0 {
 			continue
 		}
-		a := 0.0
-		ri, ax := b.colOf(j)
-		for t, r := range ri {
-			a += rho[r] * ax[t]
+		for p := b.rp[k]; p < b.rp[k+1]; p++ {
+			j := b.rj[p]
+			if !b.seen[j] {
+				b.seen[j] = true
+				b.touched = append(b.touched, j)
+			}
+			b.alpha[j] += rk * b.rx[p]
 		}
-		b.alpha[j] = a
 	}
+	b.rowAt = i
 	return b.alpha
 }
 
-// pivot appends the eta column of the entering image w at position r and
-// refactorizes when the eta file is full.
+// pivot updates the reduced costs from the pivot row, appends the eta
+// column of the entering image w at position r, and refactorizes when the
+// eta file is full. With θ = d_j/w_r, every nonbasic column the row
+// touches gets d_k −= θ·α_rk; the leaving column, whose α_rk is 1, gets
+// −θ, and the entering column 0. The pivot row is the one the dual repair
+// or retireArtificials has just computed when they pivot on it, and one
+// more BTRAN otherwise.
 func (b *sparseBasis) pivot(r, j int) {
-	b.etas = append(b.etas, captureEta(r, b.s.w))
+	s := b.s
+	if dj := s.d[j]; dj != 0 {
+		alpha := b.alpha
+		if b.rowAt != r {
+			alpha = b.row(r)
+		}
+		theta := dj / s.w[r]
+		for _, k := range b.touched {
+			if s.status[k] != basic {
+				s.d[k] -= theta * alpha[k]
+			}
+		}
+	}
+	s.d[j] = 0
+	b.rowAt = -1
+	b.etas = append(b.etas, captureEta(r, s.w))
 	if len(b.etas) >= spxRefactorEvery {
 		b.refactor()
 	}
+	if pivotCheck != nil {
+		pivotCheck(b)
+	}
 }
+
+// pivotCheck, when set, runs after every sparse pivot; the package's tests
+// set it to compare the maintained reduced costs with a from-scratch
+// pricing.
+var pivotCheck func(b *sparseBasis)

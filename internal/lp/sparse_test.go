@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -282,9 +283,13 @@ func TestSparseDegenerateCycling(t *testing.T) {
 }
 
 // TestLUFactorRoundTrip checks ftran/btran against dense arithmetic on
-// random sparse matrices.
+// random sparse matrices: on random right-hand sides against a known
+// solution, and on every unit right-hand side (the BTRAN a pivot row
+// starts from) by residual, first on the factor alone and then on the
+// factor plus a few eta updates, each replacing one column of the matrix.
 func TestLUFactorRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	updates := 0
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(12)
 		dense := make([][]float64, n)
@@ -346,6 +351,112 @@ func TestLUFactorRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d: btran[%d] = %g, want %g", trial, i, c[i], xref[i])
 			}
 		}
+
+		var etas []etaCol
+		checkUnitSolves(t, fmt.Sprintf("trial %d", trial), &f, etas, dense)
+		// Replace a few columns through the eta file, as simplex pivots
+		// do: the entering column's FTRAN image w, taken through the
+		// updates so far, becomes the eta at the position it replaces.
+		for u := 0; u < 3; u++ {
+			a := make([]float64, n)
+			for i := range a {
+				if rng.Intn(2) == 0 {
+					a[i] = rng.NormFloat64()
+				}
+			}
+			w := append([]float64(nil), a...)
+			f.ftran(w, scratch)
+			ftranEtas(etas, w)
+			r := rng.Intn(n)
+			if math.Abs(w[r]) < 0.1 {
+				continue // a pivot this small would make the update ill-conditioned
+			}
+			etas = append(etas, captureEta(r, w))
+			for i := range dense {
+				dense[i][r] = a[i]
+			}
+			checkUnitSolves(t, fmt.Sprintf("trial %d after %d updates", trial, len(etas)), &f, etas, dense)
+			updates++
+		}
+	}
+	if updates < 40 {
+		t.Fatalf("only %d eta updates checked", updates)
+	}
+}
+
+// checkUnitSolves solves B·x = e_k and Bᵀ·y = e_k for every k through the
+// factor f and the eta file etas, and checks both against the current
+// basis matrix B (dense) by residual.
+func checkUnitSolves(t *testing.T, tag string, f *luFactor, etas []etaCol, dense [][]float64) {
+	t.Helper()
+	n := len(dense)
+	scratch := make([]float64, n)
+	for k := 0; k < n; k++ {
+		x := make([]float64, n)
+		x[k] = 1
+		f.ftran(x, scratch)
+		ftranEtas(etas, x)
+		y := make([]float64, n)
+		y[k] = 1
+		btranEtas(etas, y)
+		f.btran(y, scratch)
+		for i := 0; i < n; i++ {
+			want := 0.0
+			if i == k {
+				want = 1
+			}
+			bx, bty := 0.0, 0.0
+			for j := 0; j < n; j++ {
+				bx += dense[i][j] * x[j]
+				bty += dense[j][i] * y[j]
+			}
+			if math.Abs(bx-want) > 1e-8 {
+				t.Fatalf("%s: (B·B⁻¹e_%d)[%d] = %g, want %g", tag, k, i, bx, want)
+			}
+			if math.Abs(bty-want) > 1e-8 {
+				t.Fatalf("%s: (Bᵀ·B⁻ᵀe_%d)[%d] = %g, want %g", tag, k, i, bty, want)
+			}
+		}
+	}
+}
+
+// TestSparseRowMatchesColumns checks the sparse kernel's row images,
+// computed over the row-wise copy of A, against the FTRAN column images:
+// entry j of row i must equal entry i of B⁻¹a_j for every nonbasic j.
+// The bases are the ones random LPs reach after a random number of
+// pivots, eta file included. Each basis is checked on two different rows
+// in a row, so an entry the first image wrote and the second one does not
+// must read 0, not the stale value.
+func TestSparseRowMatchesColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	checked := 0
+	for trial := 0; trial < 60; trial++ {
+		p, _ := randomLP(rng, 4+rng.Intn(30), 3+rng.Intn(25))
+		s := newSimplex(p, &Options{Kernel: KernelSparse}, nil)
+		s.max = rng.Intn(40)
+		s.solve()
+		if s.broken || s.m < 2 {
+			continue
+		}
+		b := s.b.(*sparseBasis)
+		i1 := rng.Intn(s.m)
+		i2 := (i1 + 1 + rng.Intn(s.m-1)) % s.m
+		for _, i := range []int{i1, i2} {
+			alpha := append([]float64(nil), b.row(i)...)
+			for j := 0; j < s.nTot; j++ {
+				if s.status[j] == basic {
+					continue
+				}
+				b.column(j)
+				if want := s.w[i]; math.Abs(alpha[j]-want) > 1e-9*(1+math.Abs(want)) {
+					t.Fatalf("trial %d: row %d, column %d: %g, FTRAN image %g", trial, i, j, alpha[j], want)
+				}
+			}
+			checked++
+		}
+	}
+	if checked < 60 {
+		t.Fatalf("only %d row images checked", checked)
 	}
 }
 

@@ -99,15 +99,40 @@ func (s *Server) runSolve(ctx context.Context, j *job, gov *budget.Governor) *Re
 	return resp
 }
 
-// raceTenants is the number of engines a racing solve runs concurrently
-// — the tenant count its admission charges. Non-racing jobs (and sweeps
-// and batches, whose inner racing is per-point and sequential from the
-// governor's view) count as one tenant.
+// raceTenants is the number of engines a job runs concurrently — the
+// tenant count its admission charges. A raced solve runs every rung of its
+// ladder at once. A raced sweep solves its points one after another, and
+// each point races every rung of the ladder the sweep's engine and axis
+// give it (sos.Frontier runs the combinatorial engine for a heuristic
+// request, under MinMakespan). A batch solves its members one after
+// another, each raced when its own spec would be, so it is charged its
+// most expensive member. Unraced jobs count as one tenant.
 func raceTenants(j *job) int {
-	if j.kind != kindSolve || !j.spec.Race || j.spec.Engine == sos.EngineHeuristic {
+	switch j.kind {
+	case kindSweep:
+		sp := j.spec
+		if sp.Engine == sos.EngineHeuristic {
+			sp.Engine = sos.EngineCombinatorial
+		}
+		sp.Objective = sos.MinMakespan
+		return specTenants(sp)
+	case kindBatch:
+		n := 1
+		for _, sp := range j.specs {
+			n = max(n, specTenants(sp))
+		}
+		return n
+	}
+	return specTenants(j.spec)
+}
+
+// specTenants is the number of rungs a solve of sp runs at once: its
+// raced ladder when sp races, else one.
+func specTenants(sp sos.Spec) int {
+	if !sp.Race || sp.Engine == sos.EngineHeuristic {
 		return 1
 	}
-	return len(ladderFor(j.spec, true))
+	return len(ladderFor(sp, true))
 }
 
 // runSweep runs a frontier sweep under the request governor: the whole

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"testing"
 
+	"sos"
 	"sos/internal/telemetry"
 )
 
@@ -88,5 +89,55 @@ func TestSweepRaced(t *testing.T) {
 			t.Errorf("frontier point %d differs:\nraced:      %s\nsequential: %s",
 				i, raced.Frontier[i], seq.Frontier[i])
 		}
+	}
+}
+
+// TestRaceTenants: admission charges a job one tenant per engine it runs
+// at once. A raced solve and each point of a raced sweep run their whole
+// raced ladder; a raced batch runs its members one at a time and is
+// charged its largest ladder; anything unraced, and any heuristic solve,
+// is one tenant.
+func TestRaceTenants(t *testing.T) {
+	spec := func(e sos.Engine, obj sos.Objective, raced bool) sos.Spec {
+		return sos.Spec{Engine: e, Objective: obj, Race: raced}
+	}
+	comb, milp, heur := sos.EngineCombinatorial, sos.EngineMILP, sos.EngineHeuristic
+	mk, mc := sos.MinMakespan, sos.MinCost
+	for _, tc := range []struct {
+		name string
+		j    job
+		want int
+	}{
+		{"solve", job{kind: kindSolve, spec: spec(comb, mk, false)}, 1},
+		{"solve raced", job{kind: kindSolve, spec: spec(comb, mk, true)}, 2},
+		{"solve raced milp", job{kind: kindSolve, spec: spec(milp, mk, true)}, 3},
+		{"solve raced min-cost", job{kind: kindSolve, spec: spec(comb, mc, true)}, 2},
+		{"solve raced heuristic", job{kind: kindSolve, spec: spec(heur, mk, true)}, 1},
+		{"sweep", job{kind: kindSweep, spec: spec(milp, mk, false)}, 1},
+		{"sweep raced", job{kind: kindSweep, spec: spec(comb, mk, true)}, 2},
+		{"sweep raced milp", job{kind: kindSweep, spec: spec(milp, mk, true)}, 3},
+		{"sweep raced heuristic", job{kind: kindSweep, spec: spec(heur, mk, true)}, 2},
+		{"sweep raced min-cost", job{kind: kindSweep, spec: spec(comb, mc, true)}, 2},
+		{"batch", job{kind: kindBatch, specs: []sos.Spec{spec(milp, mk, false), spec(comb, mk, false)}}, 1},
+		{"batch raced", job{kind: kindBatch, specs: []sos.Spec{spec(comb, mk, true), spec(milp, mk, true)}}, 3},
+		{"batch partly raced", job{kind: kindBatch, specs: []sos.Spec{spec(milp, mk, false), spec(comb, mk, true)}}, 2},
+		{"batch empty", job{kind: kindBatch}, 1},
+	} {
+		if got := raceTenants(&tc.j); got != tc.want {
+			t.Errorf("%s: %d tenants, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSweepRacedAdmission: a raced sweep is admitted as one tenant per
+// rung its points race, here the combinatorial engine and the heuristic.
+func TestSweepRacedAdmission(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	code, _, r := post(t, ts.URL+"/v1/sweep", solveBody(`"race": true`))
+	if code != http.StatusOK || r.Status != "optimal" {
+		t.Fatalf("raced sweep: code %d status %q", code, r.Status)
+	}
+	if got := s.gov.Peak(); got != 2 {
+		t.Errorf("peak admitted tenants %d, want 2", got)
 	}
 }

@@ -278,9 +278,10 @@ func (s *Server) run(j *job) {
 		return
 	}
 
-	// A racing solve runs one engine per rung concurrently, so it is
-	// admitted as that many tenants: its fair share thins instead of its
-	// allotment multiplying (budget.MultiGovernor.AcquireN).
+	// A racing job (a solve, each point of a sweep, each member of a
+	// batch) runs one engine per rung concurrently, so it is admitted as
+	// that many tenants: its fair share thins instead of its allotment
+	// multiplying (budget.MultiGovernor.AcquireN).
 	gov, release := s.gov.AcquireN(raceTenants(j), j.budget, j.deadline)
 	defer release()
 
