@@ -2,15 +2,20 @@ GO ?= go
 
 .PHONY: tier1 vet build test bench-smoke bench perf perf-check fuzz-smoke lint soak-smoke server-race bench-check
 
-## tier1: the gate every change must pass — vet, build, race-enabled
+## tier1: the gate every change must pass — vet (with gofmt), build, race-enabled
 ## tests, a one-iteration smoke of the headline benchmark, a short soak of
 ## the synthesis service under mixed concurrent traffic, and vet plus
 ## race tests of the benchmark module (bench-check), which `go test ./...`
 ## skips, so a root API change that breaks the benchmark's build fails here.
 tier1: vet build test bench-smoke soak-smoke bench-check
 
+## vet: go vet, then a formatting gate: it fails when gofmt lists any file.
+## gofmt walks the whole tree, bench/ included, which `go vet ./...` skips
+## (bench/ is a module of its own).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 ## lint: vet plus staticcheck. staticcheck is used when present on PATH
 ## (CI installs it); locally the target degrades to vet-only with a note

@@ -104,7 +104,8 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	logger.Printf("listening on %s (workers %d, queue %d)", ln.Addr(), cfgWorkers(*workers), cfgQueue(*workers, *queueDepth))
+	_, depth := srv.Queue()
+	logger.Printf("listening on %s (workers %d, queue %d)", ln.Addr(), srv.Workers(), depth)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -171,18 +172,4 @@ func publishCacheExpvars(tel *telemetry.Collector, cache *sos.Cache) {
 			}
 		}))
 	})
-}
-
-func cfgWorkers(w int) int {
-	if w <= 0 {
-		return 2
-	}
-	return w
-}
-
-func cfgQueue(w, q int) int {
-	if q > 0 {
-		return q
-	}
-	return 4 * cfgWorkers(w)
 }

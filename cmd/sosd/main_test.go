@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"sos/internal/leakcheck"
+	"sos/internal/server"
 )
 
 const testSpec = `{
@@ -32,7 +34,9 @@ const testSpec = `{
 
 // TestServeSolveSigterm drives the daemon end to end in-process: boot on
 // an ephemeral port, serve a solve, deliver SIGTERM, and require a clean
-// drain (run returns nil) with the farewell stats line written.
+// drain (run returns nil) with the farewell stats line written. The
+// listening line reports the started server's workers and its defaulted
+// queue depth (4 per worker).
 func TestServeSolveSigterm(t *testing.T) {
 	leakcheck.Check(t)
 	logPath := filepath.Join(t.TempDir(), "sosd.log")
@@ -44,12 +48,12 @@ func TestServeSolveSigterm(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-drain-grace", "2s"}, logFile)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-workers", "3", "-drain-grace", "2s"}, logFile)
 	}()
 
 	// The listen address lands in the first log line.
-	addrRe := regexp.MustCompile(`listening on (127\.0\.0\.1:\d+)`)
-	var addr string
+	addrRe := regexp.MustCompile(`listening on (127\.0\.0\.1:\d+)(.*)`)
+	var addr, rest string
 	deadline := time.Now().Add(10 * time.Second)
 	for addr == "" {
 		if time.Now().After(deadline) {
@@ -57,10 +61,13 @@ func TestServeSolveSigterm(t *testing.T) {
 		}
 		raw, _ := os.ReadFile(logPath)
 		if m := addrRe.FindSubmatch(raw); m != nil {
-			addr = string(m[1])
+			addr, rest = string(m[1]), string(m[2])
 		} else {
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+	if rest != " (workers 3, queue 12)" {
+		t.Errorf("listening line ends %q, want \" (workers 3, queue 12)\"", rest)
 	}
 	base := "http://" + addr
 
@@ -95,12 +102,28 @@ func TestServeSolveSigterm(t *testing.T) {
 	}
 }
 
+// TestConfigHelpers pins the worker and queue-depth defaults that the
+// listening line reports: the numbers come from the started server, so a
+// zero flag must resolve to 2 workers and 4 queue slots per worker.
 func TestConfigHelpers(t *testing.T) {
-	if cfgWorkers(0) != 2 || cfgWorkers(7) != 7 {
-		t.Error("cfgWorkers defaults wrong")
-	}
-	if cfgQueue(0, 0) != 8 || cfgQueue(3, 0) != 12 || cfgQueue(3, 5) != 5 {
-		t.Error("cfgQueue defaults wrong")
+	leakcheck.Check(t)
+	for _, c := range []struct{ workers, queue, wantWorkers, wantDepth int }{
+		{0, 0, 2, 8},
+		{7, 0, 7, 28},
+		{3, 0, 3, 12},
+		{3, 5, 3, 5},
+	} {
+		srv := server.New(server.Config{Workers: c.workers, QueueDepth: c.queue})
+		_, depth := srv.Queue()
+		if srv.Workers() != c.wantWorkers || depth != c.wantDepth {
+			t.Errorf("-workers %d -queue %d: workers %d, queue %d; want %d, %d",
+				c.workers, c.queue, srv.Workers(), depth, c.wantWorkers, c.wantDepth)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		cancel()
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package budget is the home of the solver stack's anytime contract: the
 // shared Status taxonomy every engine reports, the typed sentinel error all
 // budget/cancel exits wrap, the wall-clock Governor that apportions one
-// total budget across the points of a frontier sweep, and the degradation
-// Ladder (MILP → combinatorial → heuristic) a governed sweep walks when a
+// total budget across the points of a frontier sweep, the Engine type that
+// names the synthesis engines, and the degradation Ladder (MILP →
+// combinatorial → heuristic) of engines a governed sweep walks when a
 // point cannot be closed exactly within its slice.
 //
 // The package deliberately depends on nothing but the standard library and
@@ -207,51 +208,76 @@ func (g *Governor) Allowance(perSolve time.Duration) (time.Duration, error) {
 	return g.Limit(perSolve), nil
 }
 
-// Rung names one level of the degradation ladder.
-type Rung int
+// Engine names one synthesis engine, and so one rung of the degradation
+// ladder.
+type Engine int
 
-// Rungs, from most exact to cheapest.
+// Engines. EngineAuto is a request, not a rung: it runs the combinatorial
+// engine (Resolved).
 const (
-	// RungMILP is the paper's mixed integer-linear programming formulation
-	// solved by LP-based branch and bound.
-	RungMILP Rung = iota
-	// RungCombinatorial is the mapping-enumeration + disjunctive-scheduling
-	// branch and bound.
-	RungCombinatorial
-	// RungHeuristic is the greedy configuration-enumerating synthesizer
+	// EngineAuto uses the combinatorial engine (fastest exact method).
+	EngineAuto Engine = iota
+	// EngineMILP is the paper's mixed integer-linear programming
+	// formulation solved by LP-based branch and bound.
+	EngineMILP
+	// EngineCombinatorial is the mapping-enumeration + disjunctive-
+	// scheduling branch and bound.
+	EngineCombinatorial
+	// EngineHeuristic is the greedy configuration-enumerating synthesizer
 	// with ETF scheduling: fast, always terminates, proves nothing.
-	RungHeuristic
+	EngineHeuristic
 )
 
-func (r Rung) String() string {
-	switch r {
-	case RungMILP:
+func (e Engine) String() string {
+	switch e {
+	case EngineAuto:
+		return "auto"
+	case EngineMILP:
 		return "milp"
-	case RungCombinatorial:
+	case EngineCombinatorial:
 		return "combinatorial"
-	case RungHeuristic:
+	case EngineHeuristic:
 		return "heuristic"
 	}
 	return "unknown"
+}
+
+// ParseEngine returns the engine whose String form is s.
+func ParseEngine(s string) (Engine, error) {
+	for e := EngineAuto; e <= EngineHeuristic; e++ {
+		if e.String() == s {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown engine %q", s)
+}
+
+// Resolved returns the engine that runs for e: EngineAuto runs the
+// combinatorial engine, every other engine itself.
+func (e Engine) Resolved() Engine {
+	if e == EngineAuto {
+		return EngineCombinatorial
+	}
+	return e
 }
 
 // Ladder is an ordered sequence of degradation rungs. A governed sweep
 // tries each rung in turn until one proves its point optimal (or
 // infeasible); when every rung exhausts its slice, the best incumbent any
 // rung produced is kept, annotated with its gap.
-type Ladder []Rung
+type Ladder []Engine
 
 // DefaultLadder returns the standard degradation ladder starting from the
-// given exact engine: MILP degrades through the (much faster) combinatorial
-// engine to the heuristic; the combinatorial engine degrades straight to
-// the heuristic.
-func DefaultLadder(first Rung) Ladder {
+// given engine: MILP degrades through the (much faster) combinatorial
+// engine to the heuristic; the combinatorial engine (which EngineAuto
+// runs) degrades straight to the heuristic.
+func DefaultLadder(first Engine) Ladder {
 	switch first {
-	case RungMILP:
-		return Ladder{RungMILP, RungCombinatorial, RungHeuristic}
-	case RungHeuristic:
-		return Ladder{RungHeuristic}
+	case EngineMILP:
+		return Ladder{EngineMILP, EngineCombinatorial, EngineHeuristic}
+	case EngineHeuristic:
+		return Ladder{EngineHeuristic}
 	default:
-		return Ladder{RungCombinatorial, RungHeuristic}
+		return Ladder{EngineCombinatorial, EngineHeuristic}
 	}
 }

@@ -266,12 +266,13 @@ func TestStatusTaxonomy(t *testing.T) {
 
 func TestDefaultLadder(t *testing.T) {
 	cases := []struct {
-		first Rung
-		want  []Rung
+		first Engine
+		want  []Engine
 	}{
-		{RungMILP, []Rung{RungMILP, RungCombinatorial, RungHeuristic}},
-		{RungCombinatorial, []Rung{RungCombinatorial, RungHeuristic}},
-		{RungHeuristic, []Rung{RungHeuristic}},
+		{EngineMILP, []Engine{EngineMILP, EngineCombinatorial, EngineHeuristic}},
+		{EngineCombinatorial, []Engine{EngineCombinatorial, EngineHeuristic}},
+		{EngineHeuristic, []Engine{EngineHeuristic}},
+		{EngineAuto, []Engine{EngineCombinatorial, EngineHeuristic}},
 	}
 	for _, c := range cases {
 		got := DefaultLadder(c.first)
@@ -284,8 +285,36 @@ func TestDefaultLadder(t *testing.T) {
 			}
 		}
 	}
-	if RungMILP.String() != "milp" || RungCombinatorial.String() != "combinatorial" ||
-		RungHeuristic.String() != "heuristic" || Rung(9).String() != "unknown" {
+	if EngineMILP.String() != "milp" || EngineCombinatorial.String() != "combinatorial" ||
+		EngineHeuristic.String() != "heuristic" || Engine(9).String() != "unknown" {
 		t.Error("rung names wrong")
+	}
+}
+
+// TestEngineNames: every engine's String form parses back to it, values
+// past the four engines are "unknown", and any other name is an error.
+func TestEngineNames(t *testing.T) {
+	for e, name := range []string{"auto", "milp", "combinatorial", "heuristic"} {
+		eng := Engine(e)
+		if eng.String() != name {
+			t.Errorf("Engine(%d) is %q, want %q", e, eng, name)
+		}
+		if got, err := ParseEngine(eng.String()); err != nil || got != eng {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", name, got, err, eng)
+		}
+	}
+	for _, e := range []Engine{-1, 4, 9} {
+		if e.String() != "unknown" {
+			t.Errorf("Engine(%d) is %q, want unknown", int(e), e)
+		}
+	}
+	for _, s := range []string{"", "unknown", "MILP", "comb", "auto "} {
+		if e, err := ParseEngine(s); err == nil {
+			t.Errorf("ParseEngine(%q) = %v, want an error", s, e)
+		}
+	}
+	if EngineAuto.Resolved() != EngineCombinatorial || EngineMILP.Resolved() != EngineMILP ||
+		EngineHeuristic.Resolved() != EngineHeuristic {
+		t.Error("Resolved must map only EngineAuto, to the combinatorial engine")
 	}
 }

@@ -30,7 +30,7 @@ func sweepExact(t *testing.T, g *taskgraph.Graph, lib *arch.Library) []pareto.Po
 	t.Helper()
 	pool := Example1Pool(lib)
 	pts, err := pareto.Sweep(context.Background(), &race.Family{G: g, Pool: pool, Topo: arch.PointToPoint{},
-		Rungs: budget.Ladder{budget.RungCombinatorial}, Frontier: true,
+		Rungs: budget.Ladder{budget.EngineCombinatorial}, Frontier: true,
 		Exact: exact.Options{TimeLimit: 3 * time.Minute}}, pareto.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -147,6 +147,13 @@ func (r *Resolver) Stats() ResolveStats { return r.stats }
 // problem's (nil solves under the problem's own bounds). The problem is
 // not modified. The returned Solution and its slices are reused by the
 // next Solve call; callers must copy anything they retain.
+//
+// With Options.Presolve the reduction was made once, under the problem's
+// own bounds, so an override must stay inside its column's bounds in the
+// problem, as branch and bound's overrides do. A loosening override is
+// not honoured: it is answered for its intersection with presolve's box,
+// and as Infeasible when that intersection is empty or excludes the
+// value presolve fixed the column at.
 func (r *Resolver) Solve(bounds map[ColID][2]float64) *Solution {
 	if r.pre == nil {
 		return r.innerSolve(bounds)

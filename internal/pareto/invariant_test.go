@@ -37,8 +37,8 @@ func TestDegradedSweepFrontierInvariant(t *testing.T) {
 	pool := expts.Example1Pool(lib)
 	sink := &telemetry.CountingSink{}
 	tel := telemetry.New(sink)
-	fam := family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 0)
-	fam.Rungs = budget.Ladder{budget.RungCombinatorial, budget.RungHeuristic}
+	fam := family(g, pool, arch.PointToPoint{}, budget.EngineCombinatorial, 0)
+	fam.Rungs = budget.Ladder{budget.EngineCombinatorial, budget.EngineHeuristic}
 	fam.Exact.MaxNodes = 32
 	fam.Telemetry = tel
 	pts, err := Sweep(context.Background(), fam, Options{Anytime: true})
@@ -77,7 +77,7 @@ func TestUndegradedSweepDropsNothing(t *testing.T) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	tel := telemetry.New(nil)
-	fam := family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 0)
+	fam := family(g, pool, arch.PointToPoint{}, budget.EngineCombinatorial, 0)
 	fam.Telemetry = tel
 	pts, err := Sweep(context.Background(), fam, Options{})
 	if err != nil {

@@ -25,13 +25,13 @@ import (
 // family returns a frontier family on the makespan axis that runs one
 // rung with both engines' per-solve time limit set to limit; tests adjust
 // the rest before the sweep.
-func family(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, rung budget.Rung, limit time.Duration) *race.Family {
+func family(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, rung budget.Engine, limit time.Duration) *race.Family {
 	return &race.Family{G: g, Pool: pool, Topo: topo, Rungs: budget.Ladder{rung}, Frontier: true,
 		MILP: milp.Options{TimeLimit: limit}, Exact: exact.Options{TimeLimit: limit}}
 }
 
 // deadlineFamily is family on the cost axis, for SweepByDeadline.
-func deadlineFamily(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, rung budget.Rung, limit time.Duration) *race.Family {
+func deadlineFamily(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, rung budget.Engine, limit time.Duration) *race.Family {
 	fam := family(g, pool, topo, rung, limit)
 	fam.MinCost = true
 	return fam
@@ -45,7 +45,7 @@ func TestExample1SweepMILP(t *testing.T) {
 	}
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	points, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute), Options{})
+	points, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.EngineMILP, 2*time.Minute), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestExample1SweepBothEnginesAgree(t *testing.T) {
 	}
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	milpPts, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute), Options{})
+	milpPts, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.EngineMILP, 2*time.Minute), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactPts, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 2*time.Minute), Options{})
+	exactPts, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.EngineCombinatorial, 2*time.Minute), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestExample2SweepExact(t *testing.T) {
 		{arch.Bus{}, expts.Table5},
 	}
 	for _, c := range cases {
-		points, err := Sweep(context.Background(), family(g, pool, c.topo, budget.RungCombinatorial, 3*time.Minute), Options{})
+		points, err := Sweep(context.Background(), family(g, pool, c.topo, budget.EngineCombinatorial, 3*time.Minute), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.topo.Name(), err)
 		}
@@ -136,7 +136,7 @@ func TestFrontierInvariantsOnRandomInstances(t *testing.T) {
 		g.MustFreeze()
 		lib := arch.RandomLibrary(rng, g, 2+rng.Intn(2))
 		pool := arch.AutoPool(lib, g, 2)
-		pts, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, time.Minute), Options{})
+		pts, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.EngineCombinatorial, time.Minute), Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -167,12 +167,12 @@ func TestFrontierInvariantsOnRandomInstances(t *testing.T) {
 func TestDeadlineSweepMatchesCostSweep(t *testing.T) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	byCost, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, time.Minute), Options{})
+	byCost, err := Sweep(context.Background(), family(g, pool, arch.PointToPoint{}, budget.EngineCombinatorial, time.Minute), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	byDeadline, err := SweepByDeadline(context.Background(),
-		deadlineFamily(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, time.Minute), Options{}, 1e-3)
+		deadlineFamily(g, pool, arch.PointToPoint{}, budget.EngineCombinatorial, time.Minute), Options{}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDeadlineSweepMILP(t *testing.T) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	pts, err := SweepByDeadline(context.Background(),
-		deadlineFamily(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute), Options{}, 1e-3)
+		deadlineFamily(g, pool, arch.PointToPoint{}, budget.EngineMILP, 2*time.Minute), Options{}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +242,14 @@ func TestParallelSweepBuildAmortization(t *testing.T) {
 	}
 	engines := []struct {
 		name   string
-		first  budget.Rung
+		first  budget.Engine
 		race   bool
 		builds int64 // exact; an upper bound when race is set
 	}{
-		{"milp", budget.RungMILP, false, 2},
-		{"combinatorial", budget.RungCombinatorial, false, 0},
-		{"milp-raced", budget.RungMILP, true, 2},
-		{"combinatorial-raced", budget.RungCombinatorial, true, 2},
+		{"milp", budget.EngineMILP, false, 2},
+		{"combinatorial", budget.EngineCombinatorial, false, 0},
+		{"milp-raced", budget.EngineMILP, true, 2},
+		{"combinatorial-raced", budget.EngineCombinatorial, true, 2},
 	}
 	for _, sweep := range sweeps {
 		for _, workers := range []int{0, 1, 4} {
@@ -308,14 +308,15 @@ func TestParallelSweepBuildAmortization(t *testing.T) {
 // TestWalkDegradesAroundFailingRung: a MILP rung that crashes on its
 // first node at every point fails with an error, and the ladder walk
 // degrades around it instead of aborting the sweep — the combinatorial
-// rung certifies every Table II point.
+// rung certifies every Table II point (the heuristic proves nothing, so
+// an optimal point can come from no other rung).
 func TestWalkDegradesAroundFailingRung(t *testing.T) {
 	leakcheck.Check(t)
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
 	var fired atomic.Int64
-	fam := family(g, pool, arch.PointToPoint{}, budget.RungMILP, 0)
-	fam.Rungs = budget.DefaultLadder(budget.RungMILP)
+	fam := family(g, pool, arch.PointToPoint{}, budget.EngineMILP, 0)
+	fam.Rungs = budget.DefaultLadder(budget.EngineMILP)
 	fam.MILP.Hooks = &milp.Hooks{OnNode: func(int) {
 		fired.Add(1)
 		panic("injected solver crash")
@@ -335,8 +336,8 @@ func TestWalkDegradesAroundFailingRung(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range points {
-		if p.Rung != budget.RungCombinatorial || p.Status != budget.StatusOptimal {
-			t.Errorf("point %d: rung %v status %v, want an optimal combinatorial point", i, p.Rung, p.Status)
+		if p.Status != budget.StatusOptimal {
+			t.Errorf("point %d: status %v, want an optimal point", i, p.Status)
 		}
 	}
 }
@@ -349,8 +350,8 @@ func TestSweepGovernedLadder(t *testing.T) {
 	leakcheck.Check(t)
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	fam := family(g, pool, arch.PointToPoint{}, budget.RungMILP, 2*time.Minute)
-	fam.Rungs = budget.DefaultLadder(budget.RungMILP)
+	fam := family(g, pool, arch.PointToPoint{}, budget.EngineMILP, 2*time.Minute)
+	fam.Rungs = budget.DefaultLadder(budget.EngineMILP)
 	fam.Governor = budget.New(50 * time.Millisecond)
 	points, err := Sweep(context.Background(), fam, Options{Anytime: true})
 	if err != nil {
@@ -405,15 +406,15 @@ func TestFrontierEqualsMismatch(t *testing.T) {
 func TestSweepRejectsOffAxisFamily(t *testing.T) {
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	notFrontier := family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 0)
+	notFrontier := family(g, pool, arch.PointToPoint{}, budget.EngineCombinatorial, 0)
 	notFrontier.Frontier = false
 	if _, err := Sweep(context.Background(), notFrontier, Options{}); err == nil {
 		t.Error("Sweep accepted a family without frontier points")
 	}
-	if _, err := Sweep(context.Background(), deadlineFamily(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 0), Options{}); err == nil {
+	if _, err := Sweep(context.Background(), deadlineFamily(g, pool, arch.PointToPoint{}, budget.EngineCombinatorial, 0), Options{}); err == nil {
 		t.Error("Sweep accepted a cost-axis family")
 	}
-	if _, err := SweepByDeadline(context.Background(), family(g, pool, arch.PointToPoint{}, budget.RungCombinatorial, 0), Options{}, 0); err == nil {
+	if _, err := SweepByDeadline(context.Background(), family(g, pool, arch.PointToPoint{}, budget.EngineCombinatorial, 0), Options{}, 0); err == nil {
 		t.Error("SweepByDeadline accepted a makespan-axis family")
 	}
 }

@@ -49,7 +49,7 @@ type Family struct {
 	// and a point minimizes cost. Otherwise every bound is a cost cap
 	// (<= 0 uncapped) and a point minimizes makespan.
 	MinCost bool
-	// Rungs is the portfolio each point runs, as Resolve returns it.
+	// Rungs is the portfolio each point runs, as func Rungs derives it.
 	Rungs budget.Ladder
 	// Race runs a point's rungs at once on an incumbent bus instead of
 	// walking them in order.
@@ -112,9 +112,9 @@ func (f *Family) Point(ctx context.Context, w float64, warm []*schedule.Design) 
 				tel.Emit(telemetry.EvDegrade, w, r.String())
 			}
 			switch r {
-			case budget.RungMILP:
+			case budget.EngineMILP:
 				return pt.milp(ctx, bus)
-			case budget.RungHeuristic:
+			case budget.EngineHeuristic:
 				return pt.heuristic(ctx, bus), nil
 			default:
 				return pt.exact(ctx, bus)
@@ -151,7 +151,7 @@ func (pt *point) milp(ctx context.Context, bus *Bus) (Answer, error) {
 			o.IncumbentPool = append(o.IncumbentPool, inc)
 		}
 	}
-	bus.AttachMILP(&o, m, budget.RungMILP)
+	bus.AttachMILP(&o, m, budget.EngineMILP)
 	design, sol, err := m.Solve(ctx, &o)
 	if err != nil {
 		return Answer{}, err
@@ -232,7 +232,7 @@ func (pt *point) exact(ctx context.Context, bus *Bus) (Answer, error) {
 	if eo.Warm == nil && len(pt.warm) > 0 {
 		eo.Warm = pt.warm[0]
 	}
-	bus.AttachExact(&eo, budget.RungCombinatorial)
+	bus.AttachExact(&eo, budget.EngineCombinatorial)
 	res, err := exact.Synthesize(ctx, f.G, f.Pool, f.Topo, eo)
 	if err != nil {
 		return Answer{}, err
@@ -291,7 +291,7 @@ func (pt *point) heuristic(ctx context.Context, bus *Bus) Answer {
 	if pt.f.MinCost {
 		obj = d.Cost
 	}
-	bus.Publish(budget.RungHeuristic, d, obj)
+	bus.Publish(budget.EngineHeuristic, d, obj)
 	return Answer{Design: d, Status: budget.StatusFeasible, Gap: math.Inf(1)}
 }
 

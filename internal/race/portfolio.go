@@ -29,7 +29,7 @@ type Answer struct {
 
 // Rung is one engine of a portfolio.
 type Rung struct {
-	Rung budget.Rung
+	Rung budget.Engine
 	Run  func(ctx context.Context) (Answer, error)
 }
 
@@ -66,7 +66,7 @@ type Settled struct {
 	// keeps that rung's Nodes and Model.
 	Answer
 	// Rung produced Answer; meaningful only when Won.
-	Rung budget.Rung
+	Rung budget.Engine
 	// Won reports that some rung delivered a proof or an incumbent.
 	Won bool
 	// Err is non-nil only when every rung that ran returned an error.
@@ -76,6 +76,26 @@ type Settled struct {
 // tieEps is how much better an incumbent must be to displace one from an
 // earlier rung.
 const tieEps = 1e-9
+
+// Rungs returns the rungs a solve that requests engine e runs, and
+// whether they race. It is the one rung rule: the facade's families and
+// sosd's admission and pressure step-down all call it.
+//
+//   - EngineAuto runs the combinatorial engine.
+//   - The heuristic never races: a request for it asks for the cheap
+//     inexact answer, and its ladder is the heuristic alone.
+//   - A solve runs its one engine unless it races or walks (anytime),
+//     and then the default ladder from that engine.
+//   - Resolve then applies the portfolio's two rung rules.
+func Rungs(e budget.Engine, minCost, raced, anytime bool) (budget.Ladder, bool) {
+	e = e.Resolved()
+	racing := raced && e != budget.EngineHeuristic
+	ladder := budget.Ladder{e}
+	if raced || anytime {
+		ladder = budget.DefaultLadder(e)
+	}
+	return Resolve(ladder, minCost, racing), racing
+}
 
 // Resolve returns the rungs a portfolio runs for a ladder whose first
 // rung is the requested engine. It holds the portfolio's two rung rules,
@@ -90,32 +110,32 @@ func Resolve(ladder budget.Ladder, minCost, racing bool) budget.Ladder {
 	out := make(budget.Ladder, 0, len(ladder)+1)
 	haveMILP := false
 	for i, r := range ladder {
-		if minCost && r == budget.RungHeuristic && i > 0 {
+		if minCost && r == budget.EngineHeuristic && i > 0 {
 			continue
 		}
-		haveMILP = haveMILP || r == budget.RungMILP
+		haveMILP = haveMILP || r == budget.EngineMILP
 		out = append(out, r)
 	}
 	if racing && len(out) < 2 && !haveMILP {
-		out = append(out, budget.RungMILP)
+		out = append(out, budget.EngineMILP)
 	}
 	return out
 }
 
 // outcome is one rung's terminal state as settlement sees it.
 type outcome struct {
-	rung budget.Rung
+	rung budget.Engine
 	ans  Answer
 	err  error
 }
 
 // proves reports whether rung r's answer is a certificate.
-func proves(r budget.Rung, a Answer) bool {
+func proves(r budget.Engine, a Answer) bool {
 	switch a.Status {
 	case budget.StatusOptimal:
 		return a.Design != nil
 	case budget.StatusInfeasible:
-		return r != budget.RungHeuristic
+		return r != budget.EngineHeuristic
 	}
 	return false
 }
@@ -249,11 +269,11 @@ func (p Portfolio) attribute(s Settled, canceled int) {
 	if s.Won {
 		label = s.Rung.String()
 		switch s.Rung {
-		case budget.RungMILP:
+		case budget.EngineMILP:
 			tel.Inc(telemetry.CtrRaceWinsMILP)
-		case budget.RungCombinatorial:
+		case budget.EngineCombinatorial:
 			tel.Inc(telemetry.CtrRaceWinsComb)
-		case budget.RungHeuristic:
+		case budget.EngineHeuristic:
 			tel.Inc(telemetry.CtrRaceWinsHeur)
 		}
 	}

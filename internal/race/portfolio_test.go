@@ -20,7 +20,7 @@ func design(makespan, cost float64) *schedule.Design {
 
 // step is one scripted rung: what it answers and whether it errors.
 type step struct {
-	rung budget.Rung
+	rung budget.Engine
 	ans  Answer
 	err  error
 }
@@ -40,9 +40,9 @@ func script(ran *[]int, steps []step) []Rung {
 func TestWalkSettlement(t *testing.T) {
 	boom := errors.New("boom")
 	const (
-		milp = budget.RungMILP
-		comb = budget.RungCombinatorial
-		heur = budget.RungHeuristic
+		milp = budget.EngineMILP
+		comb = budget.EngineCombinatorial
+		heur = budget.EngineHeuristic
 	)
 	tests := []struct {
 		name     string
@@ -50,7 +50,7 @@ func TestWalkSettlement(t *testing.T) {
 		steps    []step
 		ran      []int
 		won      bool
-		rung     budget.Rung
+		rung     budget.Engine
 		status   budget.Status
 		makespan float64
 		gap      float64
@@ -187,11 +187,11 @@ func TestRaceSettlesLikeWalk(t *testing.T) {
 		return func(context.Context) (Answer, error) { return a, nil }
 	}
 	p := Portfolio{Rungs: []Rung{
-		{Rung: budget.RungMILP, Run: answer(Answer{Status: budget.StatusBudgetExhausted, Bound: 8})},
-		{Rung: budget.RungCombinatorial, Run: answer(Answer{Design: design(10, 9), Status: budget.StatusFeasible, Bound: 5})},
+		{Rung: budget.EngineMILP, Run: answer(Answer{Status: budget.StatusBudgetExhausted, Bound: 8})},
+		{Rung: budget.EngineCombinatorial, Run: answer(Answer{Design: design(10, 9), Status: budget.StatusFeasible, Bound: 5})},
 	}}
 	s := p.Race(context.Background())
-	if !s.Won || s.Rung != budget.RungCombinatorial || s.Status != budget.StatusFeasible {
+	if !s.Won || s.Rung != budget.EngineCombinatorial || s.Status != budget.StatusFeasible {
 		t.Fatalf("settled %+v, want a feasible combinatorial incumbent", s)
 	}
 	if math.Abs(s.Gap-0.2) > 1e-12 {
@@ -204,11 +204,11 @@ func TestWalkStopsOnCanceledContext(t *testing.T) {
 	defer cancel()
 	second := false
 	p := Portfolio{Rungs: []Rung{
-		{Rung: budget.RungMILP, Run: func(context.Context) (Answer, error) {
+		{Rung: budget.EngineMILP, Run: func(context.Context) (Answer, error) {
 			cancel()
 			return Answer{Design: design(5, 9), Status: budget.StatusFeasible}, nil
 		}},
-		{Rung: budget.RungCombinatorial, Run: func(context.Context) (Answer, error) {
+		{Rung: budget.EngineCombinatorial, Run: func(context.Context) (Answer, error) {
 			second = true
 			return Answer{Design: design(4, 9), Status: budget.StatusOptimal}, nil
 		}},
@@ -217,7 +217,7 @@ func TestWalkStopsOnCanceledContext(t *testing.T) {
 	if second {
 		t.Fatal("the walk ran a rung after its context was canceled")
 	}
-	if !s.Won || s.Rung != budget.RungMILP || s.Design.Makespan != 5 {
+	if !s.Won || s.Rung != budget.EngineMILP || s.Design.Makespan != 5 {
 		t.Errorf("settled %+v, want the first rung's incumbent", s)
 	}
 
@@ -233,7 +233,7 @@ func TestWalkStartsNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	during := -1
 	p := Portfolio{Rungs: []Rung{
-		{Rung: budget.RungCombinatorial, Run: func(context.Context) (Answer, error) {
+		{Rung: budget.EngineCombinatorial, Run: func(context.Context) (Answer, error) {
 			during = runtime.NumGoroutine()
 			return Answer{Design: design(4, 9), Status: budget.StatusOptimal}, nil
 		}},
@@ -246,9 +246,9 @@ func TestWalkStartsNoGoroutines(t *testing.T) {
 
 func TestResolve(t *testing.T) {
 	const (
-		milp = budget.RungMILP
-		comb = budget.RungCombinatorial
-		heur = budget.RungHeuristic
+		milp = budget.EngineMILP
+		comb = budget.EngineCombinatorial
+		heur = budget.EngineHeuristic
 	)
 	tests := []struct {
 		ladder          budget.Ladder
@@ -267,6 +267,67 @@ func TestResolve(t *testing.T) {
 		if got := Resolve(tc.ladder, tc.minCost, tc.racing); !slices.Equal(got, tc.want) {
 			t.Errorf("Resolve(%v, minCost=%v, racing=%v) = %v, want %v",
 				tc.ladder, tc.minCost, tc.racing, got, tc.want)
+		}
+	}
+}
+
+// TestRungs pins the one rung rule over every engine, objective, race and
+// anytime setting: the rungs each solve runs and whether they race.
+func TestRungs(t *testing.T) {
+	const (
+		auto = budget.EngineAuto
+		milp = budget.EngineMILP
+		comb = budget.EngineCombinatorial
+		heur = budget.EngineHeuristic
+	)
+	type L = budget.Ladder
+	tests := []struct {
+		e                       budget.Engine
+		minCost, raced, anytime bool
+		want                    L
+		racing                  bool
+	}{
+		{auto, false, false, false, L{comb}, false},
+		{auto, false, false, true, L{comb, heur}, false},
+		{auto, false, true, false, L{comb, heur}, true},
+		{auto, false, true, true, L{comb, heur}, true},
+		{auto, true, false, false, L{comb}, false},
+		{auto, true, false, true, L{comb}, false},
+		{auto, true, true, false, L{comb, milp}, true},
+		{auto, true, true, true, L{comb, milp}, true},
+
+		{milp, false, false, false, L{milp}, false},
+		{milp, false, false, true, L{milp, comb, heur}, false},
+		{milp, false, true, false, L{milp, comb, heur}, true},
+		{milp, false, true, true, L{milp, comb, heur}, true},
+		{milp, true, false, false, L{milp}, false},
+		{milp, true, false, true, L{milp, comb}, false},
+		{milp, true, true, false, L{milp, comb}, true},
+		{milp, true, true, true, L{milp, comb}, true},
+
+		{comb, false, false, false, L{comb}, false},
+		{comb, false, false, true, L{comb, heur}, false},
+		{comb, false, true, false, L{comb, heur}, true},
+		{comb, false, true, true, L{comb, heur}, true},
+		{comb, true, false, false, L{comb}, false},
+		{comb, true, false, true, L{comb}, false},
+		{comb, true, true, false, L{comb, milp}, true},
+		{comb, true, true, true, L{comb, milp}, true},
+
+		{heur, false, false, false, L{heur}, false},
+		{heur, false, false, true, L{heur}, false},
+		{heur, false, true, false, L{heur}, false},
+		{heur, false, true, true, L{heur}, false},
+		{heur, true, false, false, L{heur}, false},
+		{heur, true, false, true, L{heur}, false},
+		{heur, true, true, false, L{heur}, false},
+		{heur, true, true, true, L{heur}, false},
+	}
+	for _, tc := range tests {
+		got, racing := Rungs(tc.e, tc.minCost, tc.raced, tc.anytime)
+		if !slices.Equal(got, tc.want) || racing != tc.racing {
+			t.Errorf("Rungs(%v, minCost=%v, race=%v, anytime=%v) = %v, %v; want %v, %v",
+				tc.e, tc.minCost, tc.raced, tc.anytime, got, racing, tc.want, tc.racing)
 		}
 	}
 }

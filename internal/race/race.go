@@ -2,7 +2,7 @@
 // rungs, walked in order (Walk) or raced concurrently (Race), settled by
 // one rule. Every solve in the stack — a single solve, a batch member, a
 // frontier point, an sosd request — is one Family.Point, whose rungs
-// Resolve derives. Either mode turns a rung's panic into that rung's
+// Rungs decides. Either mode turns a rung's panic into that rung's
 // error, so one crashing engine costs its rung, never the solve.
 //
 // A race runs over a shared incumbent bus. It generalizes
@@ -45,7 +45,7 @@ type Bus struct {
 	mu   sync.Mutex
 	best *schedule.Design
 	obj  float64 // objective value of best (lower is better)
-	src  budget.Rung
+	src  budget.Engine
 }
 
 // NewBus creates a bus. vet, when non-nil, is the feasibility gate every
@@ -79,7 +79,7 @@ func NewBusFor(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, vo 
 // engines found, which enter as untrusted IncumbentPool-style
 // candidates. Attach only to the solve whose objective is the bus's
 // ordering axis. A nil bus attaches nothing.
-func (b *Bus) AttachMILP(o *milp.Options, m *model.Model, r budget.Rung) {
+func (b *Bus) AttachMILP(o *milp.Options, m *model.Model, r budget.Engine) {
 	if b == nil {
 		return
 	}
@@ -103,7 +103,7 @@ func (b *Bus) AttachMILP(o *milp.Options, m *model.Model, r budget.Rung) {
 // AttachExact is AttachMILP for the combinatorial engine; designs cross
 // the bus directly, no vector translation needed. The publish objective
 // follows the solve's own axis. A nil bus attaches nothing.
-func (b *Bus) AttachExact(o *exact.Options, r budget.Rung) {
+func (b *Bus) AttachExact(o *exact.Options, r budget.Engine) {
 	if b == nil {
 		return
 	}
@@ -122,7 +122,7 @@ func (b *Bus) AttachExact(o *exact.Options, r budget.Rung) {
 // found by rung r. It is installed only if it passes the vet and strictly
 // improves the current best; the return reports whether it was installed.
 // Safe for concurrent use; a nil bus installs nothing.
-func (b *Bus) Publish(r budget.Rung, d *schedule.Design, obj float64) bool {
+func (b *Bus) Publish(r budget.Engine, d *schedule.Design, obj float64) bool {
 	if b == nil || d == nil {
 		return false
 	}
@@ -141,7 +141,7 @@ func (b *Bus) Publish(r budget.Rung, d *schedule.Design, obj float64) bool {
 
 // Best returns the current best design, its objective, and the rung that
 // published it; ok is false while the bus is empty.
-func (b *Bus) Best() (d *schedule.Design, obj float64, src budget.Rung, ok bool) {
+func (b *Bus) Best() (d *schedule.Design, obj float64, src budget.Engine, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.best, b.obj, b.src, b.best != nil

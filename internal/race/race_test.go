@@ -16,16 +16,16 @@ import (
 func TestBusVetRejects(t *testing.T) {
 	bus := NewBus(func(d *schedule.Design, obj float64) bool { return obj <= 10 })
 	d := &schedule.Design{}
-	if bus.Publish(budget.RungMILP, d, 20) {
+	if bus.Publish(budget.EngineMILP, d, 20) {
 		t.Error("vet-failing design was installed")
 	}
 	if bus.Version() != 0 {
 		t.Errorf("version %d after rejected publish, want 0", bus.Version())
 	}
-	if !bus.Publish(budget.RungMILP, d, 5) {
+	if !bus.Publish(budget.EngineMILP, d, 5) {
 		t.Error("vet-passing design was rejected")
 	}
-	if bus.Publish(budget.RungMILP, nil, 1) {
+	if bus.Publish(budget.EngineMILP, nil, 1) {
 		t.Error("nil design was installed")
 	}
 }
@@ -33,20 +33,20 @@ func TestBusVetRejects(t *testing.T) {
 func TestBusStrictImprovement(t *testing.T) {
 	bus := NewBus(nil)
 	a, b := &schedule.Design{}, &schedule.Design{}
-	if !bus.Publish(budget.RungHeuristic, a, 5) {
+	if !bus.Publish(budget.EngineHeuristic, a, 5) {
 		t.Fatal("first publish rejected")
 	}
-	if bus.Publish(budget.RungMILP, b, 5) {
+	if bus.Publish(budget.EngineMILP, b, 5) {
 		t.Error("equal objective must not replace the incumbent")
 	}
-	if bus.Publish(budget.RungMILP, b, 6) {
+	if bus.Publish(budget.EngineMILP, b, 6) {
 		t.Error("worse objective must not replace the incumbent")
 	}
-	if !bus.Publish(budget.RungMILP, b, 4) {
+	if !bus.Publish(budget.EngineMILP, b, 4) {
 		t.Error("strictly better objective rejected")
 	}
 	d, obj, src, ok := bus.Best()
-	if !ok || d != b || obj != 4 || src != budget.RungMILP {
+	if !ok || d != b || obj != 4 || src != budget.EngineMILP {
 		t.Errorf("Best = (%p, %g, %v, %v), want (%p, 4, milp, true)", d, obj, src, ok, b)
 	}
 	if bus.Version() != 2 {
@@ -60,7 +60,7 @@ func TestBusPeekVersioning(t *testing.T) {
 		t.Error("Peek on an empty bus reported news")
 	}
 	d := &schedule.Design{}
-	bus.Publish(budget.RungCombinatorial, d, 3)
+	bus.Publish(budget.EngineCombinatorial, d, 3)
 	got, v, ok := bus.Peek(0)
 	if !ok || got != d || v != 1 {
 		t.Fatalf("Peek(0) = (%p, %d, %v), want (%p, 1, true)", got, v, ok, d)
@@ -76,7 +76,7 @@ func TestBusPeekVersioning(t *testing.T) {
 func TestRunFirstProofWinsAndCancels(t *testing.T) {
 	defer leakcheck.Check(t)
 	var joined atomic.Int32
-	loser := func(r budget.Rung) Rung {
+	loser := func(r budget.Engine) Rung {
 		return Rung{Rung: r, Run: func(ctx context.Context) (Answer, error) {
 			<-ctx.Done() // loses: blocked until the winner cancels
 			joined.Add(1)
@@ -85,14 +85,14 @@ func TestRunFirstProofWinsAndCancels(t *testing.T) {
 	}
 	tel := telemetry.New(nil)
 	p := Portfolio{Telemetry: tel, Rungs: []Rung{
-		loser(budget.RungMILP),
-		{Rung: budget.RungCombinatorial, Run: func(context.Context) (Answer, error) {
+		loser(budget.EngineMILP),
+		{Rung: budget.EngineCombinatorial, Run: func(context.Context) (Answer, error) {
 			return Answer{Design: design(4, 9), Status: budget.StatusOptimal}, nil
 		}},
-		loser(budget.RungHeuristic),
+		loser(budget.EngineHeuristic),
 	}}
 	s := p.Race(context.Background())
-	if !s.Won || s.Rung != budget.RungCombinatorial || s.Status != budget.StatusOptimal {
+	if !s.Won || s.Rung != budget.EngineCombinatorial || s.Status != budget.StatusOptimal {
 		t.Fatalf("settled %+v, want the combinatorial proof", s)
 	}
 	if got := tel.Get(telemetry.CtrRaceCanceled); got != 2 {
@@ -107,16 +107,16 @@ func TestRunPanicIsolated(t *testing.T) {
 	defer leakcheck.Check(t)
 	tel := telemetry.New(nil)
 	p := Portfolio{Telemetry: tel, Rungs: []Rung{
-		{Rung: budget.RungMILP, Run: func(context.Context) (Answer, error) {
+		{Rung: budget.EngineMILP, Run: func(context.Context) (Answer, error) {
 			panic("worker crashed")
 		}},
-		{Rung: budget.RungCombinatorial, Run: func(context.Context) (Answer, error) {
+		{Rung: budget.EngineCombinatorial, Run: func(context.Context) (Answer, error) {
 			time.Sleep(10 * time.Millisecond) // let the panic land first
 			return Answer{Design: design(4, 9), Status: budget.StatusOptimal}, nil
 		}},
 	}}
 	s := p.Race(context.Background())
-	if !s.Won || s.Rung != budget.RungCombinatorial {
+	if !s.Won || s.Rung != budget.EngineCombinatorial {
 		t.Fatalf("settled %+v, want the surviving rung's proof adopted", s)
 	}
 	if got := tel.Get(telemetry.CtrReqPanics); got != 1 {
@@ -136,14 +136,14 @@ func TestRunPanicIsolated(t *testing.T) {
 func TestRunNoWinner(t *testing.T) {
 	tel := telemetry.New(nil)
 	s := Portfolio{Telemetry: tel, Rungs: []Rung{
-		{Rung: budget.RungMILP, Run: func(context.Context) (Answer, error) {
+		{Rung: budget.EngineMILP, Run: func(context.Context) (Answer, error) {
 			return Answer{Design: design(5, 9), Status: budget.StatusFeasible}, nil
 		}},
-		{Rung: budget.RungCombinatorial, Run: func(context.Context) (Answer, error) {
+		{Rung: budget.EngineCombinatorial, Run: func(context.Context) (Answer, error) {
 			return Answer{}, errors.New("boom")
 		}},
 	}}.Race(context.Background())
-	if s.Status != budget.StatusFeasible || s.Rung != budget.RungMILP {
+	if s.Status != budget.StatusFeasible || s.Rung != budget.EngineMILP {
 		t.Fatalf("settled %+v without any proof, want the MILP incumbent", s)
 	}
 	if got := tel.Get(telemetry.CtrRaceCanceled); got != 0 {
@@ -153,7 +153,7 @@ func TestRunNoWinner(t *testing.T) {
 
 func TestRunProofWithErrorDoesNotWin(t *testing.T) {
 	s := Portfolio{Rungs: []Rung{
-		{Rung: budget.RungMILP, Run: func(context.Context) (Answer, error) {
+		{Rung: budget.EngineMILP, Run: func(context.Context) (Answer, error) {
 			return Answer{Design: design(4, 9), Status: budget.StatusOptimal}, errors.New("failed after proving")
 		}},
 	}}.Race(context.Background())
@@ -168,7 +168,7 @@ func TestRunHonorsParentCancel(t *testing.T) {
 	done := make(chan Settled, 1)
 	go func() {
 		done <- Portfolio{Rungs: []Rung{
-			{Rung: budget.RungMILP, Run: func(rctx context.Context) (Answer, error) {
+			{Rung: budget.EngineMILP, Run: func(rctx context.Context) (Answer, error) {
 				<-rctx.Done()
 				return Answer{Status: budget.StatusCanceled}, nil
 			}},
@@ -190,14 +190,14 @@ func TestRunHonorsParentCancel(t *testing.T) {
 func TestWalkIsolatesPanic(t *testing.T) {
 	tel := telemetry.New(nil)
 	s := Portfolio{Telemetry: tel, Rungs: []Rung{
-		{Rung: budget.RungMILP, Run: func(context.Context) (Answer, error) {
+		{Rung: budget.EngineMILP, Run: func(context.Context) (Answer, error) {
 			panic("worker crashed")
 		}},
-		{Rung: budget.RungCombinatorial, Run: func(context.Context) (Answer, error) {
+		{Rung: budget.EngineCombinatorial, Run: func(context.Context) (Answer, error) {
 			return Answer{Design: design(4, 9), Status: budget.StatusOptimal}, nil
 		}},
 	}}.Walk(context.Background())
-	if !s.Won || s.Rung != budget.RungCombinatorial || s.Status != budget.StatusOptimal {
+	if !s.Won || s.Rung != budget.EngineCombinatorial || s.Status != budget.StatusOptimal {
 		t.Fatalf("settled %+v, want the next rung's proof", s)
 	}
 	if got := tel.Get(telemetry.CtrReqPanics); got != 1 {

@@ -107,8 +107,9 @@ func TestBatchRacedSlots(t *testing.T) {
 	}
 }
 
-// TestBatchValidation: empty, oversized, and member-invalid batches are
-// refused as well-formed 400s naming the offender.
+// TestBatchValidation: empty, oversized, and member-invalid batches, and
+// a negative batch budget or deadline, are refused as well-formed 400s
+// naming the offender, as /v1/solve refuses them.
 func TestBatchValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatch: 2})
 	cases := []struct {
@@ -119,6 +120,10 @@ func TestBatchValidation(t *testing.T) {
 			testSpec, testSpec, testSpec), "exceeds limit 2"},
 		{"bad-member", fmt.Sprintf(`{"requests": [{"spec": %s}, {"spec": %s, "engine": "warp"}]}`,
 			testSpec, testSpec), `request 1: unknown engine "warp"`},
+		{"negative-budget", fmt.Sprintf(`{"requests": [{"spec": %s}], "budget_ms": -1}`, testSpec),
+			"budget_ms and deadline_ms must be >= 0"},
+		{"negative-deadline", fmt.Sprintf(`{"requests": [{"spec": %s}], "deadline_ms": -5}`, testSpec),
+			"budget_ms and deadline_ms must be >= 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

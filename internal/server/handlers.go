@@ -63,17 +63,7 @@ func (s *Server) Handler() http.Handler {
 // outcome (with any anytime incumbent) on the job record.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, kind jobKind) {
 	var req SolveRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.refuse(w, http.StatusRequestEntityTooLarge, OutcomeShed,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit), 0)
-			return
-		}
-		s.refuse(w, http.StatusBadRequest, OutcomeError, "invalid request body: "+err.Error(), 0)
+	if !s.decode(w, r, &req) {
 		return
 	}
 
@@ -97,17 +87,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, kind jobKi
 // its index), then admit the batch as one job.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.refuse(w, http.StatusRequestEntityTooLarge, OutcomeShed,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit), 0)
-			return
-		}
-		s.refuse(w, http.StatusBadRequest, OutcomeError, "invalid request body: "+err.Error(), 0)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if len(req.Requests) == 0 {
@@ -117,6 +97,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(req.Requests) > s.cfg.MaxBatch {
 		s.refuse(w, http.StatusBadRequest, OutcomeError,
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Requests), s.cfg.MaxBatch), 0)
+		return
+	}
+	budget, deadline, err := s.admission(req.BudgetMS, req.DeadlineMS)
+	if err != nil {
+		s.refuse(w, http.StatusBadRequest, OutcomeError, err.Error(), 0)
 		return
 	}
 
@@ -137,21 +122,29 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		specs[i] = spec
 	}
 
-	budget := s.cfg.DefaultBudget
-	if req.BudgetMS > 0 {
-		budget = time.Duration(req.BudgetMS) * time.Millisecond
-	}
-	if budget > s.cfg.MaxBudget {
-		budget = s.cfg.MaxBudget
-	}
-	var deadline time.Time
-	if req.DeadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
-	}
-
 	j := s.newJob(kindBatch, sos.Spec{}, budget, deadline, true)
 	j.specs = specs
 	s.dispatch(w, r, j)
+}
+
+// decode reads a request body of at most MaxBodyBytes into v, refusing
+// unknown fields. On failure it writes the refusal — 413 for an oversized
+// body, 400 otherwise — and reports false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		s.refuse(w, http.StatusRequestEntityTooLarge, OutcomeShed,
+			fmt.Sprintf("body exceeds %d bytes", tooBig.Limit), 0)
+	default:
+		s.refuse(w, http.StatusBadRequest, OutcomeError, "invalid request body: "+err.Error(), 0)
+	}
+	return false
 }
 
 // dispatch admits a job and waits for its response against the client

@@ -245,9 +245,14 @@ func TestHealthAndStats(t *testing.T) {
 func TestBodyLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 512})
 	big := solveBody(fmt.Sprintf(`"engine": %q`, strings.Repeat("x", 2048)))
-	code, _, r := post(t, ts.URL+"/v1/solve", big)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("code %d, want 413 (%+v)", code, r)
+	for route, body := range map[string]string{
+		"/v1/solve": big,
+		"/v1/batch": fmt.Sprintf(`{"requests": [%s]}`, big),
+	} {
+		code, _, r := post(t, ts.URL+route, body)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: code %d, want 413 (%+v)", route, code, r)
+		}
 	}
 }
 

@@ -146,16 +146,3 @@ func (r *registry) cancelOpen() {
 		}
 	}
 }
-
-// openCount reports jobs not yet done (queued + running).
-func (r *registry) openCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, j := range r.jobs {
-		if j.currentState() != stateDone {
-			n++
-		}
-	}
-	return n
-}

@@ -11,37 +11,6 @@ import (
 	"sos/internal/race"
 )
 
-// rungFor maps a requested engine onto its ladder entry rung.
-func rungFor(e sos.Engine) budget.Rung {
-	switch e {
-	case sos.EngineMILP:
-		return budget.RungMILP
-	case sos.EngineHeuristic:
-		return budget.RungHeuristic
-	default:
-		return budget.RungCombinatorial
-	}
-}
-
-// ladderFor returns the rungs a solve of sp may run, resolved as the
-// facade resolves them: the default ladder from the requested engine,
-// raced or walked.
-func ladderFor(sp sos.Spec, raced bool) budget.Ladder {
-	return race.Resolve(budget.DefaultLadder(rungFor(sp.Engine)), sp.Objective == sos.MinCost, raced)
-}
-
-// engineFor maps a ladder rung back onto the engine that runs it.
-func engineFor(r budget.Rung) sos.Engine {
-	switch r {
-	case budget.RungMILP:
-		return sos.EngineMILP
-	case budget.RungHeuristic:
-		return sos.EngineHeuristic
-	default:
-		return sos.EngineCombinatorial
-	}
-}
-
 // runSolve serves one solve request with one facade call under one
 // governor allowance. An anytime request walks the ladder from its
 // requested engine, stepped down by current queue pressure; a raced
@@ -50,16 +19,15 @@ func engineFor(r budget.Rung) sos.Engine {
 // whether the request was degraded.
 func (s *Server) runSolve(ctx context.Context, j *job, gov *budget.Governor) *Response {
 	sp := j.spec
-	requested := rungFor(sp.Engine)
-	raced := sp.Race && sp.Engine != sos.EngineHeuristic
-	ladder := ladderFor(sp, raced)
+	requested := sp.Engine.Resolved()
+	ladder, raced := race.Rungs(sp.Engine, sp.Objective == sos.MinCost, sp.Race, j.anytime)
 	allowance, aerr := gov.Allowance(0)
 	switch {
 	case aerr == nil:
 		if j.anytime && !raced {
-			sp.Engine = engineFor(ladder[min(s.pressure(), len(ladder)-1)])
+			sp.Engine = ladder[min(s.pressure(), len(ladder)-1)]
 		}
-	case j.anytime && ladder[len(ladder)-1] == budget.RungHeuristic:
+	case j.anytime && ladder[len(ladder)-1] == sos.EngineHeuristic:
 		// Budget spent. The terminal heuristic is effectively free and
 		// always terminates, so an anytime request still gets an
 		// incumbent instead of nothing. Every other rung is skipped —
@@ -74,7 +42,7 @@ func (s *Server) runSolve(ctx context.Context, j *job, gov *budget.Governor) *Re
 
 	resp := &Response{HTTP: http.StatusOK, Raced: raced}
 	if res != nil {
-		rung := rungFor(res.Engine)
+		rung := res.Engine.Resolved()
 		resp.Status, resp.Result, resp.Rung = res.Status.String(), res, rung.String()
 		// A raced request asks any rung for a proof; any other request
 		// asks for its own rung.
@@ -129,10 +97,11 @@ func raceTenants(j *job) int {
 // specTenants is the number of rungs a solve of sp runs at once: its
 // raced ladder when sp races, else one.
 func specTenants(sp sos.Spec) int {
-	if !sp.Race || sp.Engine == sos.EngineHeuristic {
+	ladder, raced := race.Rungs(sp.Engine, sp.Objective == sos.MinCost, sp.Race, sp.Anytime)
+	if !raced {
 		return 1
 	}
-	return len(ladderFor(sp, true))
+	return len(ladder)
 }
 
 // runSweep runs a frontier sweep under the request governor: the whole
@@ -141,20 +110,20 @@ func specTenants(sp sos.Spec) int {
 // delegated to the facade's sweep (Spec.Anytime).
 func (s *Server) runSweep(ctx context.Context, j *job, gov *budget.Governor) *Response {
 	sp := j.spec
-	requested := rungFor(sp.Engine)
-	if requested == budget.RungHeuristic {
+	requested := sp.Engine.Resolved()
+	if requested == sos.EngineHeuristic {
 		// A sweep certifies its points: sos.Frontier runs the
 		// combinatorial engine for a heuristic request.
-		requested = budget.RungCombinatorial
+		requested = sos.EngineCombinatorial
 	}
 	rung := requested
 	if j.anytime {
 		sp.Anytime = true
-		if s.pressure() > 0 && rung == budget.RungMILP {
+		if s.pressure() > 0 && rung == sos.EngineMILP {
 			// A sweep needs an exact engine to certify points; pressure
 			// steps MILP down to the (much faster) combinatorial engine.
-			rung = budget.RungCombinatorial
-			sp.Engine = sos.EngineCombinatorial
+			rung = sos.EngineCombinatorial
+			sp.Engine = rung
 		}
 	}
 	if _, err := gov.Allowance(0); err != nil {

@@ -183,20 +183,26 @@ func (s *Server) toSpec(req *SolveRequest) (spec sos.Spec, budget time.Duration,
 	if req.Race != nil {
 		spec.Race = *req.Race
 	}
-	if req.BudgetMS < 0 || req.DeadlineMS < 0 {
-		return spec, 0, deadline, false, badRequestf("budget_ms and deadline_ms must be >= 0")
-	}
-
-	budget = s.cfg.DefaultBudget
-	if req.BudgetMS > 0 {
-		budget = time.Duration(req.BudgetMS) * time.Millisecond
-	}
-	if budget > s.cfg.MaxBudget {
-		budget = s.cfg.MaxBudget
-	}
-	if req.DeadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
+	if budget, deadline, err = s.admission(req.BudgetMS, req.DeadlineMS); err != nil {
+		return spec, 0, deadline, false, err
 	}
 	anytime = req.Anytime == nil || *req.Anytime
 	return spec, budget, deadline, anytime, nil
+}
+
+// admission validates a request's budget_ms and deadline_ms and returns
+// its solve budget — the server default when budgetMS is 0, clamped to
+// MaxBudget — and its response deadline (zero for none).
+func (s *Server) admission(budgetMS, deadlineMS int64) (budget time.Duration, deadline time.Time, err error) {
+	if budgetMS < 0 || deadlineMS < 0 {
+		return 0, deadline, badRequestf("budget_ms and deadline_ms must be >= 0")
+	}
+	budget = s.cfg.DefaultBudget
+	if budgetMS > 0 {
+		budget = time.Duration(budgetMS) * time.Millisecond
+	}
+	if deadlineMS > 0 {
+		deadline = time.Now().Add(time.Duration(deadlineMS) * time.Millisecond)
+	}
+	return min(budget, s.cfg.MaxBudget), deadline, nil
 }

@@ -64,18 +64,11 @@ type Config struct {
 	DefaultBudget time.Duration
 	// MaxBudget clamps client-requested budgets (default Capacity).
 	MaxBudget time.Duration
-	// MinRunway is the smallest useful time-to-deadline: a queued request
-	// closer to its deadline than this is shed instead of solved
-	// (default 2ms).
-	MinRunway time.Duration
 	// DrainGrace is how long Shutdown lets queued and in-flight solves
 	// run before canceling their contexts (default 5s).
 	DrainGrace time.Duration
 	// MaxBodyBytes caps request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// JobHistory is how many finished jobs stay queryable via
-	// GET /v1/jobs/{id} (default 512).
-	JobHistory int
 	// Cache, when non-nil, is attached to every solve so repeated and
 	// cap-covered specs are served from proofs and near-misses warm-start
 	// the solvers. Shared across requests; see sos.NewCache.
@@ -111,6 +104,15 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// minRunway is the smallest useful time-to-deadline: a queued request
+	// closer to its deadline than this is shed instead of solved.
+	minRunway = 2 * time.Millisecond
+	// jobHistory is how many finished jobs stay queryable via
+	// GET /v1/jobs/{id}.
+	jobHistory = 512
+)
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
@@ -130,17 +132,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBudget <= 0 { // Capacity was disabled (< 0)
 		c.MaxBudget = time.Hour
 	}
-	if c.MinRunway <= 0 {
-		c.MinRunway = 2 * time.Millisecond
-	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 5 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.JobHistory <= 0 {
-		c.JobHistory = 512
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
@@ -192,7 +188,7 @@ func New(cfg Config) *Server {
 		gov:   budget.NewMulti(cfg.Capacity),
 		start: time.Now(),
 		queue: make(chan *job, cfg.QueueDepth),
-		jobs:  newRegistry(cfg.JobHistory),
+		jobs:  newRegistry(jobHistory),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -207,8 +203,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Queue reports current occupancy and capacity of the admission queue.
 func (s *Server) Queue() (occupied, depth int) { return len(s.queue), cap(s.queue) }
 
-// Telemetry returns the server's collector (never nil).
-func (s *Server) Telemetry() *telemetry.Collector { return s.tel }
+// Workers reports the number of solver workers.
+func (s *Server) Workers() int { return s.cfg.Workers }
 
 // errShed and errDraining classify admission refusals.
 var (
@@ -271,7 +267,7 @@ func (s *Server) run(j *job) {
 	}
 	// Load shedding: a deadline that can no longer be met is refused in
 	// O(1) rather than solved into a guaranteed timeout.
-	if !j.deadline.IsZero() && time.Until(j.deadline) < s.cfg.MinRunway {
+	if !j.deadline.IsZero() && time.Until(j.deadline) < minRunway {
 		s.finish(j, &Response{Status: OutcomeShed, HTTP: http.StatusTooManyRequests,
 			RetryAfterSeconds: retryAfterSeconds(s.cfg.RetryAfter),
 			Error:             "deadline unreachable: shed from queue"}, queued, 0)

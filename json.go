@@ -2,35 +2,14 @@ package sos
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 
+	"sos/internal/budget"
 	"sos/internal/schedule"
 )
 
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineMILP:
-		return "milp"
-	case EngineCombinatorial:
-		return "combinatorial"
-	case EngineHeuristic:
-		return "heuristic"
-	}
-	return "unknown"
-}
-
 // ParseEngine returns the engine whose String form is s.
-func ParseEngine(s string) (Engine, error) {
-	for _, e := range []Engine{EngineAuto, EngineMILP, EngineCombinatorial, EngineHeuristic} {
-		if e.String() == s {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("sos: unknown engine %q", s)
-}
+func ParseEngine(s string) (Engine, error) { return budget.ParseEngine(s) }
 
 // finitePtr returns &v when v is finite, nil otherwise — encoding/json
 // rejects non-finite floats, so they serialize as null.

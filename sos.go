@@ -154,21 +154,21 @@ const (
 )
 
 // Engine selects the solver.
-type Engine int
+type Engine = budget.Engine
 
 // Engines.
 const (
 	// EngineAuto uses the combinatorial engine (fastest exact method).
-	EngineAuto Engine = iota
+	EngineAuto = budget.EngineAuto
 	// EngineMILP uses the paper's mixed integer-linear programming
 	// formulation solved by LP-based branch and bound.
-	EngineMILP
+	EngineMILP = budget.EngineMILP
 	// EngineCombinatorial uses mapping-enumeration + disjunctive
 	// scheduling branch and bound.
-	EngineCombinatorial
+	EngineCombinatorial = budget.EngineCombinatorial
 	// EngineHeuristic uses the greedy configuration-enumerating
 	// synthesizer with ETF scheduling (fast, inexact baseline).
-	EngineHeuristic
+	EngineHeuristic = budget.EngineHeuristic
 )
 
 // LPKernel selects the simplex implementation EngineMILP uses for its
@@ -392,28 +392,16 @@ func (sp Spec) bound() float64 {
 }
 
 // newFamily returns the problem family of a defaulted spec: every spec
-// that differs from it only in its bound. The family runs the spec's
-// engine, or the ladder from it when Spec.Race or Spec.Anytime asks for
-// one, raced or walked.
+// that differs from it only in its bound. The family runs the rungs
+// race.Rungs gives the spec's engine, Race and Anytime.
 func newFamily(sp Spec) *race.Family {
-	first := budget.RungCombinatorial
-	switch sp.Engine {
-	case EngineMILP:
-		first = budget.RungMILP
-	case EngineHeuristic:
-		first = budget.RungHeuristic
-	}
-	racing := sp.Race && sp.Engine != EngineHeuristic
-	ladder := budget.Ladder{first}
-	if sp.Race || sp.Anytime {
-		ladder = budget.DefaultLadder(first)
-	}
 	minCost := sp.Objective == MinCost
+	rungs, racing := race.Rungs(sp.Engine, minCost, sp.Race, sp.Anytime)
 	return &race.Family{
 		G: sp.Graph, Pool: sp.Pool, Topo: sp.Topology,
 		ModelOpts: model.Options{Memory: sp.Memory, NoOverlapIO: sp.NoOverlapIO},
 		MinCost:   minCost,
-		Rungs:     race.Resolve(ladder, minCost, racing),
+		Rungs:     rungs,
 		Race:      racing,
 		MILP: milp.Options{TimeLimit: sp.Budget, RootCuts: sp.RootCuts, Hooks: sp.Hooks,
 			LP: &lp.Options{Kernel: sp.LPKernel, Presolve: sp.LPPresolve}},
@@ -425,7 +413,7 @@ func newFamily(sp Spec) *race.Family {
 // solvePoint solves a defaulted spec as the point of fam at the spec's
 // bound, seeded with untrusted warm designs (cache near misses), and
 // reports the settlement. A result some rung of a several-rung family
-// produced names that rung, and its Engine is that rung's engine.
+// produced names that rung, and the rung is its Engine.
 func solvePoint(ctx context.Context, sp Spec, fam *race.Family, warm []*schedule.Design) (*Result, error) {
 	s := fam.Point(ctx, sp.bound(), warm)
 	if s.Err != nil {
@@ -435,15 +423,7 @@ func solvePoint(ctx context.Context, sp Spec, fam *race.Family, warm []*schedule
 		Optimal: s.Status == StatusOptimal, Infeasible: s.Status == StatusInfeasible,
 		Engine: sp.Engine, Nodes: s.Nodes, ModelStats: s.Model, Raced: fam.Race}
 	if len(fam.Rungs) > 1 && s.Won {
-		res.Rung = s.Rung.String()
-		switch s.Rung {
-		case budget.RungMILP:
-			res.Engine = EngineMILP
-		case budget.RungHeuristic:
-			res.Engine = EngineHeuristic
-		default:
-			res.Engine = EngineCombinatorial
-		}
+		res.Engine, res.Rung = s.Rung, s.Rung.String()
 	}
 	return res, nil
 }
